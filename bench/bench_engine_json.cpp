@@ -37,6 +37,14 @@
 // the cache's hit/miss/eviction/peak-bytes counters — the telemetry DESIGN.md
 // §16 quotes for the residency-vs-recompute trade.
 //
+// A "masked_rows" section prices the dense scan's masked-row layer
+// (DESIGN.md §17) on G(1024, 2048) and the rotated torus at k = 20: per
+// sampled agent, the sparse repair of G − v over the shared unmasked slab
+// against the full masked APSP it replaced (both serial, one lane), the
+// fractions of rows and entries masking changes, and the peak patch bytes
+// one lane held. Every repaired row is asserted equal to the masked APSP
+// before a row is written.
+//
 // A second "kernels" section microbenchmarks the dispatched SIMD kernels
 // (util/simd.hpp) directly: each scan-table / combine / addition kernel is
 // timed at n = 1024 once with the dispatch pinned to scalar and once at the
@@ -46,6 +54,7 @@
 // levels — the exactness contract, enforced even inside the bench.
 //
 // Usage: bench_engine_json [output.json] [max_n]
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -64,7 +73,9 @@
 #include "gen/classic.hpp"
 #include "gen/paper.hpp"
 #include "gen/random.hpp"
+#include "graph/bfs_batch.hpp"
 #include "graph/dist_width.hpp"
+#include "graph/masked_repair.hpp"
 #include "graph/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -456,6 +467,98 @@ std::vector<RowCacheRow> measure_row_cache_all(Vertex max_n) {
 }
 
 // ---------------------------------------------------------------------------
+// Masked rows: sparse repair over the shared slab vs the per-agent masked APSP.
+
+struct MaskedRowsRow {
+  std::string instance;
+  Vertex n = 0;
+  std::size_t m = 0;
+  Vertex agents = 0;              // sampled agents
+  double slab_build_seconds = 0;  // one unmasked APSP per snapshot, on the pool
+  double repair_seconds = 0;      // per agent
+  double masked_apsp_seconds = 0;  // per agent
+  double affected_row_fraction = 0;
+  double changed_entry_fraction = 0;
+  std::size_t peak_patch_bytes = 0;
+
+  [[nodiscard]] double speedup() const { return masked_apsp_seconds / repair_seconds; }
+};
+
+MaskedRowsRow measure_masked_rows(std::string instance, const Graph& g) {
+  using Dist = std::uint8_t;
+  constexpr Dist kInf = kSearchInf8;
+  constexpr Dist kMax = kMaxFiniteFor<std::uint8_t>;
+  const CsrGraph csr(g);
+  const Vertex n = csr.num_vertices();
+  const std::size_t cells = static_cast<std::size_t>(n) * n;
+
+  MaskedRowsRow row;
+  row.instance = std::move(instance);
+  row.n = n;
+  row.m = g.num_edges();
+  AlignedVec<Dist> slab(cells), masked(cells);
+  AlignedVec<Dist> repaired(n);
+  bool fits = false;
+  row.slab_build_seconds =
+      time_repeated([&] { fits = build_unmasked_slab<Dist>(csr, slab.data(), kInf, kMax); });
+  BatchBfsWorkspace ws;
+  MaskedRowRepair<Dist> repair;
+  std::uint64_t affected = 0;
+  std::uint64_t changed = 0;
+  const Vertex step = std::max<Vertex>(1, n / 128);
+  for (Vertex v = 0; v < n; v += step) {
+    bool ok = fits;
+    row.repair_seconds +=
+        time_seconds([&] { ok = ok && repair.run(csr, slab.data(), v, kInf, kMax); });
+    row.masked_apsp_seconds += time_seconds([&] {
+      ok = ok && csr_apsp_capped<Dist>(csr, MaskedEdge{}, masked.data(), ws, v, kInf, kMax);
+    });
+    for (Vertex x = 0; ok && x < n; ++x) {
+      if (x == v) continue;
+      repair.materialize(x, repaired.data());
+      const Dist* want = masked.data() + static_cast<std::size_t>(x) * n;
+      for (Vertex u = 0; u < n; ++u) ok = ok && (u == v || repaired[u] == want[u]);
+    }
+    if (!ok) {
+      std::cerr << "FATAL: masked_rows repair mismatch on " << row.instance << " agent " << v
+                << "\n";
+      std::exit(1);
+    }
+    affected += repair.affected_rows();
+    changed += repair.changed_entries();
+    ++row.agents;
+  }
+  row.repair_seconds /= row.agents;
+  row.masked_apsp_seconds /= row.agents;
+  row.affected_row_fraction =
+      static_cast<double>(affected) / (static_cast<double>(row.agents) * (n - 1));
+  row.changed_entry_fraction =
+      static_cast<double>(changed) / (static_cast<double>(row.agents) * (n - 1) * (n - 1));
+  row.peak_patch_bytes = repair.peak_patch_bytes();
+  return row;
+}
+
+std::vector<MaskedRowsRow> measure_masked_rows_all(Vertex max_n) {
+  std::vector<MaskedRowsRow> rows;
+  if (max_n >= 1024) {
+    Xoshiro256ss rng(0xBE7C ^ Vertex{1024});
+    rows.push_back(measure_masked_rows("gnm", random_connected_gnm(1024, 2048, rng)));
+  }
+  if (max_n >= 512) {
+    rows.push_back(measure_masked_rows("torus_k20", rotated_torus(20).graph()));
+  }
+  for (const MaskedRowsRow& r : rows) {
+    std::cout << "masked_rows " << r.instance << " n=" << r.n << " agents=" << r.agents
+              << " repair=" << r.repair_seconds * 1e3 << "ms masked_apsp="
+              << r.masked_apsp_seconds * 1e3 << "ms speedup=" << r.speedup()
+              << "x affected_rows=" << r.affected_row_fraction
+              << " changed_entries=" << r.changed_entry_fraction
+              << " peak_patch_bytes=" << r.peak_patch_bytes << "\n";
+  }
+  return rows;
+}
+
+// ---------------------------------------------------------------------------
 // Kernel microbenchmarks: scalar vs the startup-active dispatch level.
 
 struct KernelRow {
@@ -654,6 +757,7 @@ int main(int argc, char** argv) {
   const std::vector<AlphaRow> alpha_rows = measure_alpha_game(max_n);
   const std::vector<TreeRow> tree_rows = measure_tree_game(max_n);
   const std::vector<RowCacheRow> row_cache_rows = measure_row_cache_all(max_n);
+  const std::vector<MaskedRowsRow> masked_rows = measure_masked_rows_all(max_n);
 
   const std::vector<KernelRow> kernel_rows = measure_all_kernels();
   for (const KernelRow& k : kernel_rows) {
@@ -730,6 +834,21 @@ int main(int argc, char** argv) {
         << ", \"evictions\": " << r.stats.evictions << ", \"contexts\": " << r.stats.contexts
         << ", \"peak_bytes\": " << r.stats.peak_bytes << "}"
         << (i + 1 < row_cache_rows.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n";
+  out << "  \"masked_rows\": [\n";
+  for (std::size_t i = 0; i < masked_rows.size(); ++i) {
+    const MaskedRowsRow& r = masked_rows[i];
+    out << "    {\"instance\": \"" << r.instance << "\", \"n\": " << r.n << ", \"m\": " << r.m
+        << ", \"width\": \"u8\", \"agents\": " << r.agents
+        << ", \"slab_build_seconds\": " << r.slab_build_seconds
+        << ", \"repair_seconds_per_agent\": " << r.repair_seconds
+        << ", \"masked_apsp_seconds_per_agent\": " << r.masked_apsp_seconds
+        << ", \"speedup\": " << r.speedup()
+        << ", \"affected_row_fraction\": " << r.affected_row_fraction
+        << ", \"changed_entry_fraction\": " << r.changed_entry_fraction
+        << ", \"peak_patch_bytes\": " << r.peak_patch_bytes << "}"
+        << (i + 1 < masked_rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
   out << "  \"kernels\": [\n";

@@ -74,6 +74,8 @@ expect_rc 1 "unknown mode" "$bin" frobnicate
 expect_rc 1 "unknown flag" "$bin" certify --graph "$graph" --frobnicate
 expect_rc 1 "missing required flag" "$bin" certify
 expect_rc 1 "unreadable graph file" "$bin" certify --graph "$work_dir/no-such-file"
+printf '2 1\n0 1\n5\n' >"$work_dir/trailing.edges"
+expect_rc 1 "graph file with trailing tokens" "$bin" certify --graph "$work_dir/trailing.edges"
 expect_rc 1 "no mode at all" "$bin"
 # The service modes obey the same taxonomy: a bad invocation is a one-line
 # usage diagnostic and exit 1, never 0, a throw, or a late guard refusal.

@@ -27,6 +27,7 @@
 #include "graph/csr.hpp"
 #include "graph/dist_width.hpp"
 #include "graph/bfs_batch.hpp"
+#include "graph/masked_repair.hpp"
 #include "graph/row_cache.hpp"
 #include "graph/apsp.hpp"
 #include "graph/metrics.hpp"

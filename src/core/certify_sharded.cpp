@@ -188,10 +188,12 @@ ShardedCertificate certify_sharded(const Graph& g, UsageCost model, bool include
   }
 
   std::atomic<bool> abort{false};
-  // One scratch per pool lane, not per shard: the n×n matrix is the dominant
-  // allocation and a claimed shard runs on one lane start to finish, so
-  // indexing by the executing lane is race-free.
+  // One scratch per pool lane, not per shard: a claimed shard runs on one
+  // lane start to finish, so indexing by the executing lane is race-free.
+  // The lanes share the engine's unmasked slab, built here on the pool
+  // rather than inline by the first lane that needs it.
   std::vector<SwapEngine::Scratch> scratch(threads);
+  engine.build_shared_rows();
 
   pool.parallel_for(shards, /*grain=*/1, [&](std::uint64_t shard, unsigned tid) {
     scan_range(engine, model, include_deletions, config.stop_on_violation, scratch[tid], &abort,

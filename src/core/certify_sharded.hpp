@@ -1,10 +1,9 @@
 // Sharded certification — the large-n driver over the swap engine.
 //
 // SwapEngine::certify parallelizes one flat pool loop over agents, which is
-// the right shape while every thread's n×n scratch fits in cache-adjacent
-// memory and the per-agent cost is uniform. Past n ≈ 4096 neither holds:
-// agent costs spread out (degree skew makes some masked APSPs several times
-// pricier than others), a single straggler holds the whole loop's implicit
+// the right shape while the per-agent cost is uniform. Past n ≈ 4096 it is
+// not: agent costs spread out (degree skew makes some agents' masked-row
+// repairs and combines several times pricier than others), a single straggler holds the whole loop's implicit
 // barrier, and a verdict-only caller still pays for the full best-witness
 // scan of every agent. certify_sharded repackages the same per-agent scans
 // as OpenMP *task* shards:

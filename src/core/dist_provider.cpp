@@ -102,70 +102,20 @@ bool WidthAndBudgetPolicy::dense_fits(Vertex n, DistWidth w) const noexcept {
 }
 
 template <typename Dist>
-bool DistanceProvider<Dist>::begin(const CsrGraph& csr, Vertex masked_vertex, Dist inf_value,
-                                   Dist max_finite, RowStorage storage,
-                                   std::uint64_t budget_bytes, AlignedVec<Dist>& dense_slab,
-                                   BatchBfsWorkspace& ws) {
-  storage_ = storage;
-  csr_ = &csr;
-  n_ = csr.num_vertices();
-  if (storage == RowStorage::Dense) {
-    const std::size_t cells = static_cast<std::size_t>(n_) * n_;
-    if (dense_slab.size() < cells) dense_slab.resize(cells);
-    if (!csr_apsp_capped<Dist>(csr, MaskedEdge{}, dense_slab.data(), ws, masked_vertex, inf_value,
-                               max_finite)) {
-      return false;
-    }
-    dense_ = dense_slab.data();
-    return true;
-  }
-  dense_ = nullptr;
-  // Budgeted with an unlimited budget (possible at n ≥ 65535, where the
-  // dense path is unavailable regardless): blocks grow on demand, LRU never
-  // needs to evict.
+void DistanceProvider<Dist>::begin(const CsrGraph& csr, Vertex masked_vertex, Dist inf_value,
+                                   Dist max_finite, std::uint64_t budget_bytes) {
+  const Vertex n = csr.num_vertices();
+  // An unlimited budget (possible at n ≥ 65535, where no dense slab exists
+  // regardless): blocks grow on demand, LRU never needs to evict.
   const std::uint64_t effective =
       budget_bytes != 0 ? budget_bytes : std::numeric_limits<std::uint64_t>::max();
-  if (!cache_configured_ || cache_budget_ != effective || cache_n_ != n_) {
-    cache_.configure(n_, effective);
+  if (!cache_configured_ || cache_budget_ != effective || cache_n_ != n) {
+    cache_.configure(n, effective);
     cache_configured_ = true;
     cache_budget_ = effective;
-    cache_n_ = n_;
+    cache_n_ = n;
   }
   cache_.begin_context(csr, masked_vertex, inf_value, max_finite);
-  return true;
-}
-
-template <typename Dist>
-const Dist* DistanceProvider<Dist>::row(Vertex source, BatchBfsWorkspace& ws) {
-  if (storage_ == RowStorage::Dense) {
-    BNCG_REQUIRE(dense_ != nullptr, "distance provider used before begin()");
-    return dense_ + static_cast<std::size_t>(source) * n_;
-  }
-  return cache_.row(source, ws);
-}
-
-template <typename Dist>
-bool DistanceProvider<Dist>::prefetch(std::span<const Vertex> sources, BatchBfsWorkspace& ws) {
-  if (storage_ == RowStorage::Dense) return true;
-  return cache_.prefetch(sources, ws);
-}
-
-template <typename Dist>
-bool DistanceProvider<Dist>::resident(Vertex source) const {
-  if (storage_ == RowStorage::Dense) return source < n_;
-  return cache_.resident(source);
-}
-
-template <typename Dist>
-const RowCache<Dist>& DistanceProvider<Dist>::cache() const {
-  BNCG_REQUIRE(storage_ == RowStorage::Budgeted, "cache() is budgeted-mode introspection");
-  return cache_;
-}
-
-template <typename Dist>
-RowCache<Dist>& DistanceProvider<Dist>::cache() {
-  BNCG_REQUIRE(storage_ == RowStorage::Budgeted, "cache() is budgeted-mode introspection");
-  return cache_;
 }
 
 template class DistanceProvider<std::uint8_t>;

@@ -24,10 +24,11 @@
 // materialized (DESIGN.md §16). Both modes are exact; the differential
 // suite (tests/test_row_cache.cpp) pins byte-parity.
 //
-// DistanceProvider<Dist> is the uniform row source of one agent scan:
-// dense mode materializes the full masked matrix up front (the small-n
-// fast path, bit-identical to the historical scan), budgeted mode opens a
-// row-cache context and serves rows lazily under the budget.
+// DistanceProvider<Dist> is the row source of one budgeted agent scan: it
+// opens a row-cache context and serves masked rows lazily under the budget.
+// Dense storage has no provider: those scans read the engine's shared
+// unmasked slab and repair the masked rows as sparse patches
+// (graph/masked_repair.hpp, DESIGN.md §17).
 #pragma once
 
 #include <cstdint>
@@ -69,8 +70,7 @@ struct ResourceConfig {
 /// 0 (= unlimited).
 [[nodiscard]] std::uint64_t resolved_mem_budget(const ResourceConfig& config);
 
-/// Whether a scan materializes its rows densely or through the budgeted
-/// row cache.
+/// Whether a scan reads the shared dense slab or the budgeted row cache.
 enum class RowStorage : std::uint8_t { Dense, Budgeted };
 
 /// The resolved resource decisions of one instance: width preference and
@@ -111,9 +111,10 @@ class WidthAndBudgetPolicy {
   /// saturation-checked, not 16-bit-limited).
   [[nodiscard]] bool probe_prefers_u8(const CsrGraph& csr, BatchBfsWorkspace& ws) const;
 
-  /// True when a dense n×n scan slab at width `w` fits the per-lane budget
-  /// (and the dense scan's 16-bit encoding limit n < 65535 holds). False
-  /// selects RowStorage::Budgeted for that width.
+  /// True when an n×n slab at width `w` fits the per-lane budget (and the
+  /// dense scan's 16-bit encoding limit n < 65535 holds). False selects
+  /// RowStorage::Budgeted for that width. The dense scan's one shared slab
+  /// needs no more than a lane's share, so this test is conservative.
   [[nodiscard]] bool dense_fits(Vertex n, DistWidth w) const noexcept;
   [[nodiscard]] RowStorage storage_for(Vertex n, DistWidth w) const noexcept {
     return dense_fits(n, w) ? RowStorage::Dense : RowStorage::Budgeted;
@@ -125,52 +126,38 @@ class WidthAndBudgetPolicy {
   std::uint64_t lane_budget_ = 0;
 };
 
-/// Uniform row source of one agent scan at storage width `Dist`.
+/// Row source of one budgeted agent scan at storage width `Dist`.
 ///
-/// Dense mode: begin() materializes the full masked matrix into the
-/// caller's slab by one capped APSP — the historical scan storage, chosen
-/// by the policy whenever it fits the lane budget. Budgeted mode: begin()
-/// opens a RowCache context; rows materialize on the first touch and live
-/// under the byte budget with block-LRU eviction.
-///
-/// In both modes row() returns exact distances of the masked snapshot
-/// (nullptr on width saturation — the caller redoes the scan wider), and
-/// in both modes a returned pointer stays valid until the next
-/// materializing call (dense pointers live until the next begin()).
+/// begin() opens a RowCache context; rows materialize on the first touch
+/// and live under the byte budget with block-LRU eviction. row() returns
+/// exact distances of the masked snapshot (nullptr on width saturation —
+/// the caller redoes the scan wider), and a returned pointer stays valid
+/// until the next materializing call.
 template <typename Dist>
 class DistanceProvider {
  public:
   /// Prepares a scan context over `csr` with `masked_vertex` removed.
-  /// Returns false on width saturation (dense mode only — budgeted mode
-  /// saturates lazily, at the failing row() / prefetch()).
-  [[nodiscard]] bool begin(const CsrGraph& csr, Vertex masked_vertex, Dist inf_value,
-                           Dist max_finite, RowStorage storage, std::uint64_t budget_bytes,
-                           AlignedVec<Dist>& dense_slab, BatchBfsWorkspace& ws);
-
-  [[nodiscard]] RowStorage storage() const noexcept { return storage_; }
+  /// Width saturation shows lazily, at the failing row() / prefetch().
+  void begin(const CsrGraph& csr, Vertex masked_vertex, Dist inf_value, Dist max_finite,
+             std::uint64_t budget_bytes);
 
   /// Row of `source` in the current context; nullptr on width saturation.
-  [[nodiscard]] const Dist* row(Vertex source, BatchBfsWorkspace& ws);
+  [[nodiscard]] const Dist* row(Vertex source, BatchBfsWorkspace& ws) {
+    return cache_.row(source, ws);
+  }
 
-  /// Batch-materializes missing rows (budgeted mode; dense mode is a
-  /// no-op — everything is already resident). False on saturation.
-  [[nodiscard]] bool prefetch(std::span<const Vertex> sources, BatchBfsWorkspace& ws);
+  /// Batch-materializes missing rows. False on saturation.
+  [[nodiscard]] bool prefetch(std::span<const Vertex> sources, BatchBfsWorkspace& ws) {
+    return cache_.prefetch(sources, ws);
+  }
 
-  /// Budgeted-mode introspection (dense mode: trivially true / all rows).
-  [[nodiscard]] bool resident(Vertex source) const;
-
-  /// The cache behind budgeted mode (REQUIREs budgeted mode) — stats and
-  /// residency introspection for benches and the differential suite.
-  [[nodiscard]] const RowCache<Dist>& cache() const;
-  [[nodiscard]] RowCache<Dist>& cache();
-  /// Cache counters regardless of mode (all-zero if budgeted mode never ran).
+  /// The cache itself — stats and residency introspection for benches and
+  /// the differential suite.
+  [[nodiscard]] const RowCache<Dist>& cache() const noexcept { return cache_; }
+  /// Cache counters (all-zero if no budgeted scan ran).
   [[nodiscard]] const RowCacheStats& cache_stats() const noexcept { return cache_.stats(); }
 
  private:
-  RowStorage storage_ = RowStorage::Dense;
-  const CsrGraph* csr_ = nullptr;
-  const Dist* dense_ = nullptr;
-  Vertex n_ = 0;
   RowCache<Dist> cache_;
   bool cache_configured_ = false;
   std::uint64_t cache_budget_ = 0;

@@ -19,7 +19,8 @@ namespace {
 ///    the toggle journal, so a scan costs a streamed row update instead of a
 ///    fresh masked APSP.
 ///  * SwapEngine-backed (n too large for the matrix cache): one CSR snapshot
-///    per accepted move, one masked APSP per scan.
+///    and one shared unmasked APSP per accepted move, one masked-row repair
+///    per scan.
 ///  * naive (BNCG_FORCE_NAIVE, or n too large for 16-bit distances): the
 ///    original BFS-per-candidate oracle.
 /// All three return bit-identical deviations, so trajectories do not depend

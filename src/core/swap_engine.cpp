@@ -118,6 +118,40 @@ void build_cover_sets(const Dist* rows, Vertex n, Vertex v, const Vertex* far,
   }
 }
 
+/// Sum combine of a candidate row `c` read from the unmasked slab,
+/// corrected to the masked row by that row's repair patches (DESIGN.md
+/// §17): masking only lengthens entries, so only patched terms move, and
+/// the uint32 wraparound accumulator of combine_sum carries the deltas
+/// bit-exactly. ∞ stays ∞; a patched term reaching ∞ makes the sum ∞.
+template <typename Dist>
+std::uint64_t patched_sum(std::uint64_t base, const Dist* m, const Dist* c,
+                          std::span<const MaskedPatch<Dist>> patches, Vertex n, Dist inf) {
+  if (base == kInfCost || patches.empty()) return base;
+  std::uint32_t sum = static_cast<std::uint32_t>(base - (n - 1));
+  for (const MaskedPatch<Dist>& p : patches) {
+    const Dist now = std::min(m[p.u], p.d);
+    if (now >= inf) return kInfCost;
+    sum += std::uint32_t{now} - std::uint32_t{std::min(m[p.u], c[p.u])};
+  }
+  return std::uint64_t{sum} + (n - 1);
+}
+
+/// Max combine twin of patched_sum: every unpatched term is unchanged and
+/// every patched term only grew, so the masked max is the larger of the
+/// unmasked max and the patched terms.
+template <typename Dist>
+std::uint64_t patched_max(std::uint64_t base, const Dist* m,
+                          std::span<const MaskedPatch<Dist>> patches, Dist inf) {
+  if (base == kInfCost) return base;
+  std::uint64_t worst = base - 1;
+  for (const MaskedPatch<Dist>& p : patches) {
+    const Dist now = std::min(m[p.u], p.d);
+    if (now >= inf) return kInfCost;
+    worst = std::max<std::uint64_t>(worst, now);
+  }
+  return worst + 1;
+}
+
 }  // namespace
 
 RowCacheStats SwapEngine::Scratch::row_cache_stats() const {
@@ -157,6 +191,8 @@ void SwapEngine::rebuild(const Graph& g, const ResourceConfig& resources) {
 void SwapEngine::rebuild(const Graph& g) {
   csr_.rebuild(g);
   width_fallbacks_.store(0, std::memory_order_relaxed);
+  shared8_.reset();
+  shared16_.reset();
   prefer_u8_ = false;
   const Vertex n = csr_.num_vertices();
   // One policy object per snapshot: the width-preference probe (formerly an
@@ -184,12 +220,19 @@ std::uint64_t SwapEngine::agent_cost(Vertex v, UsageCost model, Scratch& s) cons
 template <typename Dist>
 bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
                               bool include_deletions, std::uint64_t* moves_checked,
-                              Scratch& s, std::optional<Deviation>& out) const {
+                              const Dist* slab, Scratch& s, std::optional<Deviation>& out) const {
   constexpr Dist kInf = engine_inf<Dist>();
   const simd::Kernels<Dist>& kern = simd::kernels<Dist>();
   const Vertex n = csr_.num_vertices();
   BNCG_REQUIRE(v < n, "vertex id out of range");
-  const std::uint64_t old_cost = agent_cost(v, model, s);
+  const std::size_t stride = n;
+
+  // The agent's current cost is row v of the shared slab: d_G(v, ·).
+  std::uint32_t row_sum = 0;
+  Dist ecc = 0;
+  kern.row_sum_max(slab + v * stride, n, &row_sum, &ecc);
+  const std::uint64_t old_cost =
+      ecc >= kInf ? kInfCost : (model == UsageCost::Sum ? std::uint64_t{row_sum} : ecc);
 
   const auto nbrs = csr_.neighbors(v);
   out.reset();
@@ -201,33 +244,35 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
   s.is_nbr_[v] = 1;
   for (const Vertex w : nbrs) s.is_nbr_[w] = 1;
 
-  // The agent's single traversal bill: one batched APSP of G − v answers
-  // every (removed edge, candidate) pair via the source-removal identity.
-  // Materialization goes through the provider's dense mode (the batched
-  // APSP into this scratch's slab); a saturating sweep means this agent
-  // does not fit the width — bail so the dispatcher redoes it at u16.
+  // The agent's only traversal bill: repair the masked rows of G − v as
+  // sparse patches over the shared slab. A repaired distance beyond the
+  // width means this agent does not fit — bail so the dispatcher redoes it
+  // at u16.
   auto& rows = s.rows<Dist>();
-  if (!rows.provider.begin(csr_, /*masked_vertex=*/v, kInf, engine_max_finite<Dist>(),
-                           RowStorage::Dense, /*budget_bytes=*/0, rows.apsp, s.bfs_)) {
-    return false;
-  }
+  MaskedRowRepair<Dist>& repair = rows.repair;
+  if (!repair.run(csr_, slab, v, kInf, engine_max_finite<Dist>())) return false;
 
-  // Elementwise min / argmin / second-min over the neighbor rows, so each
-  // removed edge's kept-neighbor profile M^w is an O(n) select.
+  // Elementwise min / argmin / second-min over the masked neighbor rows —
+  // the only rows materialized, one at a time — so each removed edge's
+  // kept-neighbor profile M^w is an O(n) select.
   rows.min1.assign(n, kInf);
   rows.min2.assign(n, kInf);
   s.argmin_.assign(n, kNoVertex);
+  rows.arow.resize(n);
   for (const Vertex z : nbrs) {
-    kern.scan_min_update(rows.min1.data(), rows.min2.data(), s.argmin_.data(),
-                         rows.apsp.data() + static_cast<std::size_t>(z) * n, z, n);
+    repair.materialize(z, rows.arow.data());
+    kern.scan_min_update(rows.min1.data(), rows.min2.data(), s.argmin_.data(), rows.arow.data(),
+                         z, n);
   }
   rows.mrow.resize(n);
   s.far_.resize(n);
+  s.far_mark_.assign(n, 0);
 
   std::optional<Deviation> best;
   for (const Vertex w : nbrs) {
     // M^w_u = min_{z ∈ N(v)∖{w}} d_{G−v}(z, u); the v entry is pinned to 0
-    // so whole-row combines need no special case for u = v.
+    // so whole-row combines need no special case for u = v — which is also
+    // why the slab's finite column v never shows in a combine.
     Dist* m = rows.mrow.data();
     kern.select_mrow(m, rows.min1.data(), rows.min2.data(), s.argmin_.data(), w, n);
     m[v] = 0;
@@ -251,8 +296,9 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
       for (Vertex w2 = 0; w2 < n; ++w2) {
         if (s.is_nbr_[w2] != 0) continue;
         if (moves_checked != nullptr) ++*moves_checked;
+        const Dist* c = slab + w2 * stride;
         const std::uint64_t new_cost =
-            kern.combine_sum(m, rows.apsp.data() + static_cast<std::size_t>(w2) * n, n, kInf);
+            patched_sum(kern.combine_sum(m, c, n, kInf), m, c, repair.patches(w2), n, kInf);
         if (new_cost >= old_cost) continue;
         if (!best || new_cost < best->cost_after) {
           best = Deviation{{v, w, w2}, old_cost, new_cost, Deviation::Kind::ImprovingSwap};
@@ -271,19 +317,24 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
       const std::int32_t cap =
           old_cost == kInfCost ? std::int32_t{kInf} - 1 : static_cast<std::int32_t>(old_cost) - 2;
       const std::uint32_t far_count = kern.collect_above(m, n, cap, /*skip=*/v, s.far_.data());
+      for (std::uint32_t i = 0; i < far_count; ++i) s.far_mark_[s.far_[i]] = 1;
       for (Vertex w2 = 0; w2 < n; ++w2) {
         if (s.is_nbr_[w2] != 0) continue;
         if (moves_checked != nullptr) ++*moves_checked;
-        const Dist* c = rows.apsp.data() + static_cast<std::size_t>(w2) * n;
+        // Masking only lengthens distances, so an unmasked far entry above
+        // cap already rejects; survivors then check the patched far entries.
+        const Dist* c = slab + w2 * stride;
+        const auto patches = repair.patches(w2);
         bool improves = true;
-        for (std::uint32_t i = 0; i < far_count; ++i) {
-          if (c[s.far_[i]] > cap) {
-            improves = false;
-            break;
-          }
+        for (std::uint32_t i = 0; i < far_count && improves; ++i) {
+          improves = c[s.far_[i]] <= cap;
+        }
+        for (std::size_t i = 0; i < patches.size() && improves; ++i) {
+          improves = s.far_mark_[patches[i].u] == 0 || patches[i].d <= cap;
         }
         if (!improves) continue;
-        const std::uint64_t new_cost = kern.combine_max(m, c, n, kInf);
+        const std::uint64_t new_cost =
+            patched_max(kern.combine_max(m, c, n, kInf), m, patches, kInf);
         if (!best || new_cost < best->cost_after ||
             (best->kind == Deviation::Kind::NonCriticalDelete &&
              new_cost <= best->cost_after)) {
@@ -294,6 +345,7 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
           }
         }
       }
+      for (std::uint32_t i = 0; i < far_count; ++i) s.far_mark_[s.far_[i]] = 0;
     }
   }
   out = best;
@@ -323,12 +375,9 @@ bool SwapEngine::scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_f
   for (Vertex x = 0; x < n; ++x) candidate_count += s.is_nbr_[x] == 0 ? 1 : 0;
 
   auto& rows = s.rows<Dist>();
-  if (!rows.provider.begin(csr_, /*masked_vertex=*/v, kInf, engine_max_finite<Dist>(),
-                           RowStorage::Budgeted, budget_policy_.lane_budget(), rows.apsp,
-                           s.bfs_)) {
-    return false;
-  }
   auto& provider = rows.provider;
+  provider.begin(csr_, /*masked_vertex=*/v, kInf, engine_max_finite<Dist>(),
+                 budget_policy_.lane_budget());
 
   // Neighbor min-fold, one row at a time: prefetch batches ≤ 64 neighbor
   // rows per traversal; each row is folded once and may be evicted freely
@@ -478,35 +527,120 @@ bool SwapEngine::scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_f
   return true;
 }
 
+template <typename Dist>
+const Dist* SwapEngine::shared_rows() const {
+  SharedRows<Dist>& sh = shared<Dist>();
+  std::uint8_t state = sh.state.load(std::memory_order_acquire);
+  if (state == SharedRows<Dist>::kUnbuilt) {
+    const std::lock_guard<std::mutex> lock(sh.mutex);
+    state = sh.state.load(std::memory_order_relaxed);
+    if (state == SharedRows<Dist>::kUnbuilt) {
+      const Vertex n = csr_.num_vertices();
+      BNCG_REQUIRE(n < kInfDist16,
+                   "the shared unmasked slab is dense-only (n < 65535); budgeted scans "
+                   "never build it");
+      const std::size_t stride = n;
+      sh.rows.resize(stride * n);
+      const bool fits = build_unmasked_slab<Dist>(csr_, sh.rows.data(), engine_inf<Dist>(),
+                                                  engine_max_finite<Dist>());
+      if (!fits) AlignedVec<Dist>().swap(sh.rows);
+      if constexpr (std::is_same_v<Dist, std::uint16_t>) {
+        // Only a u8-preferring engine whose u8 slab saturated scans every
+        // agent here and decides its fallback by counting (masked_exceeds_u8).
+        if (shared8_.state.load(std::memory_order_relaxed) ==
+            SharedRows<std::uint8_t>::kSaturated) {
+          sh.over_u8.assign(n, 0);
+          for (Vertex x = 0; x < n; ++x) {
+            const std::uint16_t* row = sh.rows.data() + x * stride;
+            for (Vertex u = 0; u < n; ++u) {
+              sh.over_u8[x] += row[u] > kMaxFiniteFor<std::uint8_t> && row[u] < kInfDist16 ? 1 : 0;
+            }
+            sh.over_u8_total += sh.over_u8[x];
+          }
+        }
+      }
+      state = fits ? SharedRows<Dist>::kReady : SharedRows<Dist>::kSaturated;
+      sh.state.store(state, std::memory_order_release);
+    }
+  }
+  return state == SharedRows<Dist>::kReady ? sh.rows.data() : nullptr;
+}
+
+void SwapEngine::build_shared_rows() const {
+  const Vertex n = csr_.num_vertices();
+  if (n == 0) return;
+  if (prefer_u8_ && budget_policy_.dense_fits(n, DistWidth::U8) &&
+      shared_rows<std::uint8_t>() != nullptr) {
+    return;
+  }
+  if (budget_policy_.dense_fits(n, DistWidth::U16)) (void)shared_rows<std::uint16_t>();
+}
+
+bool SwapEngine::masked_exceeds_u8(Vertex v, const Scratch& s) const {
+  constexpr std::uint16_t kCap8 = kMaxFiniteFor<std::uint8_t>;
+  const MaskedRowRepair<std::uint16_t>& repair = s.rows16_.repair;
+  if (repair.max_finite_patch() > kCap8) return true;
+  // Unpatched entries keep their unmasked value, and a patched entry only
+  // grows, so the over-cap entries of G − v are the finite patches above
+  // the cap (none, by now) plus the unmasked over-cap entries off v's row
+  // and column that masking did not cut off.
+  const SharedRows<std::uint16_t>& sh = shared16_;
+  const Vertex n = csr_.num_vertices();
+  BNCG_REQUIRE(sh.over_u8.size() == n, "u16 slab built without its over-cap counts");
+  const std::uint16_t* slab = sh.rows.data();
+  std::uint64_t cut = 0;
+  for (Vertex x = 0; x < n; ++x) {
+    for (const MaskedPatch<std::uint16_t>& p : repair.patches(x)) {
+      if (p.d == kInfDist16 && slab[static_cast<std::size_t>(x) * n + p.u] > kCap8) ++cut;
+    }
+  }
+  return sh.over_u8_total - 2 * std::uint64_t{sh.over_u8[v]} > cut;
+}
+
 std::optional<Deviation> SwapEngine::scan_agent(Vertex v, UsageCost model, bool stop_at_first,
                                                 bool include_deletions,
                                                 std::uint64_t* moves_checked,
                                                 Scratch& s) const {
   const Vertex n = csr_.num_vertices();
   std::optional<Deviation> out;
+  // u8 preferred but the u8 slab itself saturates: every agent scans at
+  // u16, and the fallback count follows the masked-matrix rule instead.
+  bool u8_slab_saturated = false;
   if (prefer_u8_) {
     // Run the narrow scan against a local move counter so a saturating
-    // sweep leaves the caller's count untouched — the u16 redo recounts the
+    // scan leaves the caller's count untouched — the u16 redo recounts the
     // identical scan order, keeping move counts width-independent.
     std::uint64_t narrow_moves = 0;
     std::uint64_t* narrow = moves_checked != nullptr ? &narrow_moves : nullptr;
-    const bool ok =
-        budget_policy_.dense_fits(n, DistWidth::U8)
-            ? scan_agent_t<std::uint8_t>(v, model, stop_at_first, include_deletions, narrow, s,
-                                         out)
-            : scan_agent_budgeted_t<std::uint8_t>(v, model, stop_at_first, include_deletions,
-                                                  narrow, s, out);
+    bool ok = false;
+    if (!budget_policy_.dense_fits(n, DistWidth::U8)) {
+      ok = scan_agent_budgeted_t<std::uint8_t>(v, model, stop_at_first, include_deletions, narrow,
+                                               s, out);
+    } else if (const std::uint8_t* slab = shared_rows<std::uint8_t>()) {
+      ok = scan_agent_t<std::uint8_t>(v, model, stop_at_first, include_deletions, narrow, slab, s,
+                                      out);
+    } else {
+      u8_slab_saturated = true;
+    }
     if (ok) {
       if (moves_checked != nullptr) *moves_checked += narrow_moves;
       return out;
     }
-    width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+    if (!u8_slab_saturated) width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }
   if (budget_policy_.dense_fits(n, DistWidth::U16)) {
     // Dense u16 cannot saturate under its n < 65535 gate.
     (void)scan_agent_t<std::uint16_t>(v, model, stop_at_first, include_deletions, moves_checked,
-                                      s, out);
+                                      shared_rows<std::uint16_t>(), s, out);
+    // An isolated agent has no masked rows to repair; like every scan it
+    // never falls back.
+    if (u8_slab_saturated && csr_.degree(v) > 0 && masked_exceeds_u8(v, s)) {
+      width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+    }
   } else {
+    // Without a u16 slab the masked-matrix rule cannot be evaluated: count
+    // the agent as a fallback.
+    if (u8_slab_saturated) width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     // Budgeted u16 CAN saturate — a masked diameter beyond 65534 — and
     // there is no wider storage to fall back to.
     BNCG_REQUIRE(scan_agent_budgeted_t<std::uint16_t>(v, model, stop_at_first, include_deletions,
@@ -556,6 +690,7 @@ EquilibriumCertificate SwapEngine::certify(UsageCost model, bool include_deletio
     std::uint64_t moves = 0;
   };
   std::vector<LaneCount> lane_moves(pool.size());
+  build_shared_rows();
   {
     std::vector<Scratch> scratch(pool.size());
     pool.parallel_for(n, 1, [&](std::uint64_t v, unsigned tid) {
@@ -578,19 +713,6 @@ EquilibriumCertificate SwapEngine::certify(UsageCost model, bool include_deletio
 }
 
 // --------------------------------------------------- k-move deviation paths
-
-template <typename Dist>
-bool SwapEngine::full_apsp_t(Scratch& s) const {
-  const Vertex n = csr_.num_vertices();
-  BNCG_REQUIRE(n < kInfDist16,
-               "the k-move deviation paths are dense-only (n < 65535); the budget applies to "
-               "the basic-game scans");
-  auto& rows = s.rows<Dist>();
-  rows.apsp.resize(static_cast<std::size_t>(n) * n);
-  return csr_apsp_capped<Dist>(csr_, MaskedEdge{}, rows.apsp.data(), s.bfs_,
-                               /*masked_vertex=*/kNoVertex, engine_inf<Dist>(),
-                               engine_max_finite<Dist>());
-}
 
 template <typename Dist>
 void SwapEngine::insertion_report_t(const Dist* apsp, Vertex v, Vertex k_lo, Vertex k_hi,
@@ -640,14 +762,14 @@ KStabilityReport SwapEngine::insertion_stability_at(Vertex v, Vertex k, Scratch&
   BNCG_REQUIRE(v < csr_.num_vertices(), "vertex id out of range");
   KStabilityReport out;
   if (prefer_u8_) {
-    if (full_apsp_t<std::uint8_t>(s)) {
-      insertion_report_t<std::uint8_t>(s.rows8_.apsp.data(), v, k, k, s, out, nullptr);
+    if (const std::uint8_t* slab = shared_rows<std::uint8_t>()) {
+      insertion_report_t<std::uint8_t>(slab, v, k, k, s, out, nullptr);
       return out;
     }
     width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }
-  (void)full_apsp_t<std::uint16_t>(s);  // u16 distances cannot saturate (n < 65535)
-  insertion_report_t<std::uint16_t>(s.rows16_.apsp.data(), v, k, k, s, out, nullptr);
+  // u16 distances cannot saturate (n < 65535).
+  insertion_report_t<std::uint16_t>(shared_rows<std::uint16_t>(), v, k, k, s, out, nullptr);
   return out;
 }
 
@@ -656,14 +778,14 @@ Vertex SwapEngine::max_tolerated_insertions(Vertex v, Vertex k_max, Scratch& s) 
   KStabilityReport out;
   Vertex tolerated = k_max;
   if (prefer_u8_) {
-    if (full_apsp_t<std::uint8_t>(s)) {
-      insertion_report_t<std::uint8_t>(s.rows8_.apsp.data(), v, 1, k_max, s, out, &tolerated);
+    if (const std::uint8_t* slab = shared_rows<std::uint8_t>()) {
+      insertion_report_t<std::uint8_t>(slab, v, 1, k_max, s, out, &tolerated);
       return tolerated;
     }
     width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }
-  (void)full_apsp_t<std::uint16_t>(s);
-  insertion_report_t<std::uint16_t>(s.rows16_.apsp.data(), v, 1, k_max, s, out, &tolerated);
+  insertion_report_t<std::uint16_t>(shared_rows<std::uint16_t>(), v, 1, k_max, s, out,
+                                    &tolerated);
   return tolerated;
 }
 
@@ -706,33 +828,23 @@ KStabilityReport SwapEngine::insertion_sweep_t(const Dist* apsp, Vertex k) const
 KStabilityReport SwapEngine::insertion_stability(Vertex k) const {
   const Vertex n = csr_.num_vertices();
   if (n == 0) return {};
-  BNCG_REQUIRE(n < kInfDist16,
-               "the k-move deviation paths are dense-only (n < 65535); the budget applies to "
-               "the basic-game scans");
-  // The whole sweep shares one *unmasked* batched APSP: the insertion cover
+  // The whole sweep reads the shared *unmasked* slab: the insertion cover
   // condition reads full-graph rows only (see build_cover_sets), so no
   // per-agent traversal survives. Connectivity is checked up front on row 0
   // (spanning from one vertex spans from all) so the per-agent REQUIRE never
   // fires inside the pool.
-  BatchBfsWorkspace bfs;
   if (prefer_u8_) {
-    AlignedVec<std::uint8_t> apsp(static_cast<std::size_t>(n) * n);
-    if (csr_apsp_capped<std::uint8_t>(csr_, MaskedEdge{}, apsp.data(), bfs, kNoVertex,
-                                      engine_inf<std::uint8_t>(),
-                                      engine_max_finite<std::uint8_t>())) {
-      BNCG_REQUIRE(*std::max_element(apsp.begin(), apsp.begin() + n) < engine_inf<std::uint8_t>(),
+    if (const std::uint8_t* slab = shared_rows<std::uint8_t>()) {
+      BNCG_REQUIRE(*std::max_element(slab, slab + n) < engine_inf<std::uint8_t>(),
                    "k-stability analysis requires a connected graph");
-      return insertion_sweep_t<std::uint8_t>(apsp.data(), k);
+      return insertion_sweep_t<std::uint8_t>(slab, k);
     }
     width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }
-  AlignedVec<std::uint16_t> apsp(static_cast<std::size_t>(n) * n);
-  (void)csr_apsp_capped<std::uint16_t>(csr_, MaskedEdge{}, apsp.data(), bfs, kNoVertex,
-                                       engine_inf<std::uint16_t>(),
-                                       engine_max_finite<std::uint16_t>());
-  BNCG_REQUIRE(*std::max_element(apsp.begin(), apsp.begin() + n) < engine_inf<std::uint16_t>(),
+  const std::uint16_t* slab = shared_rows<std::uint16_t>();
+  BNCG_REQUIRE(*std::max_element(slab, slab + n) < engine_inf<std::uint16_t>(),
                "k-stability analysis requires a connected graph");
-  return insertion_sweep_t<std::uint16_t>(apsp.data(), k);
+  return insertion_sweep_t<std::uint16_t>(slab, k);
 }
 
 template <typename Dist>

@@ -12,28 +12,33 @@
 //     incident to v, and every post-move path from v starts with one of
 //     them, so for any new neighborhood N' of v:
 //       d'(v,u) = 1 + min_{z ∈ N'} d_{G−v}(z, u)        (u ≠ v).
-//     One (batched, bit-parallel) APSP of the *vertex-masked* snapshot G−v
-//     therefore answers every (removed edge w, candidate w₂) pair of the
-//     agent. With c_z = d_{G−v}(z,·) and M^w_u = min_{z ∈ N(v)∖{w}} c_{z,u}
-//     (built in O(n) per w from elementwise min/argmin/second-min over the
-//     neighbor rows):
+//     The distances of the *vertex-masked* snapshot G−v therefore answer
+//     every (removed edge w, candidate w₂) pair of the agent. With
+//     c_z = d_{G−v}(z,·) and M^w_u = min_{z ∈ N(v)∖{w}} c_{z,u} (built in
+//     O(n) per w from elementwise min/argmin/second-min over the neighbor
+//     rows):
 //       sum model: cost'(v) = (n−1) + Σ_u min(M^w_u, c_{w₂,u}),
 //       max model: cost'(v) = 1 + max_u min(M^w_u, c_{w₂,u}),
 //     an O(n) vectorizable combine per candidate — no per-candidate BFS,
 //     and no per-removed-edge traversal either. Deleting vw falls out for
-//     free: its post-move profile is 1 + M^w.
+//     free: its post-move profile is 1 + M^w. The masked distances come by
+//     repair, not recompute (graph/masked_repair.hpp, DESIGN.md §17): one
+//     unmasked APSP per snapshot, shared read-only by every lane, plus
+//     sparse per-agent patches of the entries masking v lengthens.
+//     Candidate rows are read straight from the shared slab and each
+//     combine is corrected by that row's patches alone.
 //  3. Far-set filtering (max model). cost'(v) < ecc(v) requires
 //     c_{w₂,u} ≤ ecc(v) − 2 on the far set {u : M^w_u > ecc(v) − 2}, which
 //     is typically tiny — candidates are rejected after |far| comparisons
 //     and the exact combine runs only for actual improvers.
 //
 // The scan kernels are templated on the distance storage width
-// (graph/dist_width.hpp): on small-diameter instances the per-agent masked
-// matrix and all combine rows shrink to u8 (capped infinity kSearchInf8),
-// halving the combine's memory traffic — DESIGN.md §10. Width is a pure
-// storage choice: any agent whose masked sweep meets a distance the narrow
-// cap cannot represent is transparently redone at u16 (width_fallbacks()),
-// so results never depend on the width.
+// (graph/dist_width.hpp): on small-diameter instances the shared slab and
+// all combine rows shrink to u8 (capped infinity kSearchInf8), halving the
+// combine's memory traffic — DESIGN.md §10. Width is a pure storage choice:
+// any agent whose masked distances meet a value the narrow cap cannot
+// represent is transparently redone at u16 (width_fallbacks()), so results
+// never depend on the width.
 //
 // Scans enumerate candidates in exactly the naive order and apply exactly
 // the naive acceptance rules, so engine results are bit-identical to the
@@ -44,6 +49,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <type_traits>
 #include <vector>
@@ -56,17 +62,19 @@
 #include "graph/csr.hpp"
 #include "graph/dist_width.hpp"
 #include "graph/graph.hpp"
+#include "graph/masked_repair.hpp"
 #include "util/simd.hpp"
 
 namespace bncg {
 
 /// Largest n for which the public entry points auto-select the engine. The
-/// per-thread Scratch holds an n×n matrix (16 MB at this cap in u8, twice
-/// that in u16), so unbounded auto-enablement would trade the naive path's
-/// O(n) memory for multi-gigabyte allocations long before the 16-bit
-/// encoding limit. Callers that accept the memory bill can always construct
-/// a SwapEngine directly (hard limit: n < 65535); core/certify_sharded.hpp
-/// is the packaged way to do that for large-n certification.
+/// engine holds one shared unmasked n×n slab per scanned width (16 MB at
+/// this cap in u8, twice that in u16), so unbounded auto-enablement would
+/// trade the naive path's O(n) memory for multi-gigabyte allocations long
+/// before the 16-bit encoding limit. Callers that accept the memory bill
+/// can always construct a SwapEngine directly (hard limit: n < 65535);
+/// core/certify_sharded.hpp is the packaged way to do that for large-n
+/// certification.
 inline constexpr Vertex kSwapEngineAutoMaxVertices = 4096;
 
 /// True iff BNCG_FORCE_NAIVE is set (read once per process): every
@@ -96,11 +104,11 @@ struct AlphaCandidate {
 /// Delta-evaluating swap scanner over an immutable CSR snapshot.
 class SwapEngine {
  public:
-  /// Per-thread scratch: the masked-APSP matrix (n×n, in the width the scan
-  /// runs at), the batched BFS workspace, and small per-agent marks.
-  /// Allocated once, reused for every scan; one instance per thread. Only
-  /// the width actually exercised allocates its matrix, so u8-preferring
-  /// engines that never fall back pay no u16 slab.
+  /// Per-thread scratch: the masked-row repair patches of the scanned agent,
+  /// O(n) scan tables in the width the scan runs at, the batched BFS
+  /// workspace, and small per-agent marks — O(n + patched entries) per
+  /// dense agent scan; the n×n rows live once, in the engine's shared slab.
+  /// Allocated once, reused for every scan; one instance per thread.
   class Scratch {
    public:
     friend class SwapEngine;
@@ -123,12 +131,13 @@ class SwapEngine {
     /// are exactly the arrays the SIMD scan kernels stream over.
     template <typename Dist>
     struct Rows {
-      AlignedVec<Dist> apsp;  // all rows of G − v (dense mode)
+      AlignedVec<Dist> apsp;  // all rows of G − v (k-swap and α-game sweeps)
       AlignedVec<Dist> min1;  // elementwise min over neighbor rows
       AlignedVec<Dist> min2;  // elementwise second min
       AlignedVec<Dist> mrow;  // M^w: min over N(v)∖{w}
-      AlignedVec<Dist> arow;  // pinned add-profile / k-way min-fold target
-      DistanceProvider<Dist> provider;  // dense slab or budgeted row cache
+      AlignedVec<Dist> arow;  // masked neighbor row / add-profile / k-way fold target
+      MaskedRowRepair<Dist> repair;     // patches of G − v over the shared slab
+      DistanceProvider<Dist> provider;  // budgeted row cache
     };
     template <typename Dist>
     [[nodiscard]] Rows<Dist>& rows() noexcept {
@@ -144,6 +153,7 @@ class SwapEngine {
     std::vector<std::uint8_t> is_nbr_;  // closed neighborhood marks of v
     AlignedVec<Vertex> argmin_;         // neighbor attaining min1
     AlignedVec<Vertex> far_;            // far set of the removed edge (n slots)
+    std::vector<std::uint8_t> far_mark_;  // membership marks of far_
     AlignedVec<Vertex> hits_;           // collect_below output (cover masks)
     std::vector<std::uint64_t> masks_;  // flat per-candidate coverage bitsets
     std::vector<AlphaCandidate> alpha_;  // buffered α-scan candidates
@@ -155,18 +165,18 @@ class SwapEngine {
 
   /// Snapshots `g`. The width policy governs which storage width scans
   /// *prefer* (graph/dist_width.hpp); results are width-independent.
-  /// Unlimited-memory construction: per-scan storage is the dense n×n
-  /// matrix whenever n < 65535 (the historical behavior, requiring that
-  /// bound); larger instances automatically run budgeted scans.
+  /// Unlimited-memory construction: scans read the shared unmasked slab
+  /// whenever n < 65535; larger instances automatically run budgeted scans.
   explicit SwapEngine(const Graph& g, WidthPolicy width = WidthPolicy::Auto) {
     rebuild(g, width);
   }
 
   /// Budget-aware construction (core/dist_provider.hpp): scan widths follow
-  /// resources.width, and any width whose dense n×n slab would exceed the
+  /// resources.width, and any width whose n×n slab would exceed the
   /// per-lane share of resources.mem_budget runs BUDGETED — distance rows
-  /// materialize on demand in the blocked row cache instead of up front.
-  /// Both modes are exact; the budget changes memory, never results.
+  /// materialize on demand in the blocked row cache, and no shared slab is
+  /// ever built at that width. Both modes are exact; the budget changes
+  /// memory, never results.
   SwapEngine(const Graph& g, const ResourceConfig& resources) { rebuild(g, resources); }
 
   /// Re-snapshots after an accepted move (storage reused, width preference
@@ -193,8 +203,9 @@ class SwapEngine {
     return prefer_u8_ ? DistWidth::U8 : DistWidth::U16;
   }
 
-  /// Number of agent scans (since the last rebuild) whose masked sweep
-  /// saturated the u8 cap and were redone at u16.
+  /// Number of agent scans (since the last rebuild) whose masked distances
+  /// (G − v, excluding v's own row and column) held a finite entry above
+  /// the u8 cap, so the agent ran at u16.
   [[nodiscard]] std::uint64_t width_fallbacks() const noexcept {
     return width_fallbacks_.load(std::memory_order_relaxed);
   }
@@ -220,6 +231,13 @@ class SwapEngine {
   /// per-agent results fold serially so witnesses are thread-count-invariant.
   [[nodiscard]] EquilibriumCertificate certify(UsageCost model, bool include_deletions) const;
 
+  /// Builds the shared unmasked slab the preferred-width scans read, on the
+  /// pool, now. Scans build it on first need anyway, but a first need inside
+  /// a pool task builds it inline on that lane while the others wait — so
+  /// parallel callers call this before their parallel region. No-op when
+  /// the width runs budgeted or the slab already exists.
+  void build_shared_rows() const;
+
   /// Convenience overloads owning a scratch (single-threaded callers).
   [[nodiscard]] std::optional<Deviation> best_deviation(Vertex v, UsageCost model,
                                                         bool include_deletions = false);
@@ -230,8 +248,8 @@ class SwapEngine {
   //
   // The k-insertion identity d'(v,x) = min(d(v,x), 1 + min_i d(w_i,x)) makes
   // the "does some ≤ k-insertion lower ecc(v)" question a set-cover instance
-  // whose candidate masks the engine scores directly from rows it already
-  // holds (collect_below over the symmetric APSP rows — DESIGN.md §14); the
+  // whose candidate masks the engine scores directly from the shared
+  // unmasked slab (collect_below over its symmetric rows — DESIGN.md §14); the
   // k-swap variant folds kept-neighbor rows of the one masked APSP of G − v
   // with the k-way min-fold kernel, since (G − D) − v = G − v for every
   // deletion subset D at v. All results — verdicts AND witnesses — are
@@ -240,7 +258,7 @@ class SwapEngine {
   /// Engine form of naive::insertion_stability_at (one agent, budget k).
   [[nodiscard]] KStabilityReport insertion_stability_at(Vertex v, Vertex k, Scratch& scratch) const;
 
-  /// Engine form of naive::insertion_stability: one shared batched APSP,
+  /// Engine form of naive::insertion_stability: the shared unmasked slab,
   /// per-agent cover instances in parallel, serial fold (+ a monotone
   /// first-unstable cutoff) so the witness is the earliest unstable agent at
   /// every thread count — exactly the naive sequential sweep's answer.
@@ -266,14 +284,21 @@ class SwapEngine {
                                       bool include_deletions, std::uint64_t* moves_checked,
                                       Scratch& scratch) const;
 
-  /// Width-typed dense scan body. Returns false — with `out` and the move
-  /// count untouched by the caller — when the masked sweep saturates the
-  /// width (only possible for u8); the dispatcher then redoes the agent at
-  /// u16.
+  /// Width-typed dense scan body over the shared unmasked slab `slab`,
+  /// with the agent's masked rows repaired into scratch (DESIGN.md §17).
+  /// Returns false — with `out` and the move count untouched by the caller —
+  /// when a repaired distance saturates the width (only possible for u8);
+  /// the dispatcher then redoes the agent at u16.
   template <typename Dist>
   [[nodiscard]] bool scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
                                   bool include_deletions, std::uint64_t* moves_checked,
-                                  Scratch& scratch, std::optional<Deviation>& out) const;
+                                  const Dist* slab, Scratch& scratch,
+                                  std::optional<Deviation>& out) const;
+
+  /// Fallback rule for agents scanned at u16 because the u8 slab itself
+  /// saturates: true iff G − v, excluding v's row and column, holds a
+  /// finite distance above the u8 cap. Reads the u16 repair in `scratch`.
+  [[nodiscard]] bool masked_exceeds_u8(Vertex v, const Scratch& scratch) const;
 
   /// Width-typed BUDGETED scan body: same enumeration order, acceptance
   /// rules, move counts, and results as scan_agent_t, but rows stream
@@ -291,10 +316,12 @@ class SwapEngine {
                                            bool include_deletions, std::uint64_t* moves_checked,
                                            Scratch& scratch, std::optional<Deviation>& out) const;
 
-  /// Unmasked capped APSP of the snapshot into scratch (shared by the
-  /// insertion paths, which need full-graph rows). False on u8 saturation.
+  /// The snapshot's unmasked capped APSP at width `Dist`, built on first
+  /// need (on the pool) and shared read-only by every lane and by the
+  /// k-move paths; nullptr when some distance saturates the width. Dense
+  /// paths only (n < 65535).
   template <typename Dist>
-  [[nodiscard]] bool full_apsp_t(Scratch& scratch) const;
+  [[nodiscard]] const Dist* shared_rows() const;
 
   /// Far set + dedup'd coverage sets of agent v over symmetric full-graph
   /// rows, then cover_select at each budget in [k_lo, k_hi]; fills `out`
@@ -315,6 +342,35 @@ class SwapEngine {
   [[nodiscard]] bool alpha_scan_t(Vertex v, const std::vector<std::uint8_t>& owned,
                                   Scratch& scratch) const;
 
+  /// One width's shared slab: built at most once per snapshot under
+  /// `mutex`, published through `state` (acquire/release), then read-only.
+  template <typename Dist>
+  struct SharedRows {
+    enum : std::uint8_t { kUnbuilt, kReady, kSaturated };
+    AlignedVec<Dist> rows;
+    /// u16 slab of a u8-preferring engine whose u8 slab saturates: per row,
+    /// the finite entries above the u8 cap (masked_exceeds_u8's counts).
+    std::vector<std::uint32_t> over_u8;
+    std::uint64_t over_u8_total = 0;
+    std::atomic<std::uint8_t> state{kUnbuilt};
+    std::mutex mutex;
+
+    void reset() {
+      rows.clear();
+      over_u8.clear();
+      over_u8_total = 0;
+      state.store(kUnbuilt, std::memory_order_relaxed);
+    }
+  };
+  template <typename Dist>
+  [[nodiscard]] SharedRows<Dist>& shared() const noexcept {
+    if constexpr (std::is_same_v<Dist, std::uint8_t>) {
+      return shared8_;
+    } else {
+      return shared16_;
+    }
+  }
+
   CsrGraph csr_;
   ResourceConfig resources_;
   WidthAndBudgetPolicy budget_policy_;
@@ -322,6 +378,8 @@ class SwapEngine {
   /// Shared across the const certify() path's threads; relaxed is enough
   /// for a monotone counter.
   mutable std::atomic<std::uint64_t> width_fallbacks_{0};
+  mutable SharedRows<std::uint8_t> shared8_;
+  mutable SharedRows<std::uint16_t> shared16_;
   Scratch scratch_;  // for the convenience overloads
 };
 

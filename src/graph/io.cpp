@@ -26,6 +26,9 @@ Graph read_edge_list(std::istream& is) {
     }
     g.add_edge(static_cast<Vertex>(u), static_cast<Vertex>(v));
   }
+  // The header fixes the edge count, so anything but whitespace after the
+  // m-th edge is a malformed file, not extra data to ignore.
+  if (!(is >> std::ws).eof()) throw std::invalid_argument("edge list: trailing tokens");
   return g;
 }
 

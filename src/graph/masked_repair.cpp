@@ -1,0 +1,225 @@
+#include "graph/masked_repair.hpp"
+
+#include <algorithm>
+#include <atomic>
+#include <cstring>
+#include <limits>
+
+#include "graph/bfs_batch.hpp"
+#include "util/thread_pool.hpp"
+
+namespace bncg {
+
+namespace {
+
+constexpr std::uint32_t kUnreached = std::numeric_limits<std::uint32_t>::max();
+
+}  // namespace
+
+template <typename Dist>
+bool build_unmasked_slab(const CsrGraph& g, Dist* rows, Dist inf_value, Dist max_finite) {
+  const Vertex n = g.num_vertices();
+  if (n == 0) return true;
+  ThreadPool& pool = ThreadPool::global();
+  std::vector<BatchBfsWorkspace> ws(pool.size());
+  std::atomic<bool> fits{true};
+  pool.parallel_for((n + 63) / 64, /*grain=*/1, [&](std::uint64_t b, unsigned tid) {
+    if (!fits.load(std::memory_order_relaxed)) return;
+    const Vertex base = static_cast<Vertex>(b) * 64;
+    const Vertex count = std::min<Vertex>(64, n - base);
+    Vertex sources[64];
+    for (Vertex i = 0; i < count; ++i) sources[i] = base + i;
+    if (!bfs_batch_capped<Dist>(g, std::span<const Vertex>(sources, count), MaskedEdge{},
+                                rows + static_cast<std::size_t>(base) * n, n, ws[tid],
+                                kNoVertex, inf_value, max_finite)) {
+      fits.store(false, std::memory_order_relaxed);
+    }
+  });
+  return fits.load(std::memory_order_relaxed);
+}
+
+template bool build_unmasked_slab<std::uint8_t>(const CsrGraph&, std::uint8_t*, std::uint8_t,
+                                                std::uint8_t);
+template bool build_unmasked_slab<std::uint16_t>(const CsrGraph&, std::uint16_t*, std::uint16_t,
+                                                 std::uint16_t);
+
+template <typename Dist>
+void MaskedRowRepair<Dist>::next_epoch() {
+  if (++epoch_ != 0) return;
+  std::fill(lost_mark_.begin(), lost_mark_.end(), 0);
+  std::fill(seen_mark_.begin(), seen_mark_.end(), 0);
+  std::fill(done_mark_.begin(), done_mark_.end(), 0);
+  epoch_ = 1;
+}
+
+template <typename Dist>
+bool MaskedRowRepair<Dist>::run(const CsrGraph& g, const Dist* slab, Vertex v, Dist inf,
+                                Dist max_finite) {
+  g_ = &g;
+  slab_ = slab;
+  n_ = g.num_vertices();
+  v_ = v;
+  inf_ = inf;
+  max_finite_patch_ = 0;
+  affected_rows_ = 0;
+  patches_.clear();
+  offsets_.resize(static_cast<std::size_t>(n_) + 1);
+  if (lost_mark_.size() != n_) {
+    lost_mark_.assign(n_, 0);
+    seen_mark_.assign(n_, 0);
+    done_mark_.assign(n_, 0);
+    dist_.resize(n_);
+    epoch_ = 0;
+  }
+
+  // Affected rows with their seeds: x is affected through neighbor c iff c
+  // is a child of v in x's BFS DAG and no other neighbor of c sits at v's
+  // level. By symmetry the test reads column x of rows d(c,·) and d(c′,·),
+  // so the sweep over x streams the neighbors' rows. Unreachable x never
+  // pass (∞ ≠ ∞ + 1 in uint32).
+  const std::size_t n = n_;
+  const Dist* dv = slab + static_cast<std::size_t>(v) * n;
+  const auto nbrs = g.neighbors(v);
+  for (Vertex x = 0; x < n_; ++x) {
+    offsets_[x] = static_cast<std::uint32_t>(patches_.size());
+    if (x == v) continue;
+    const std::uint32_t level = dv[x];
+    seeds_.clear();
+    for (const Vertex c : nbrs) {
+      if (std::uint32_t{slab[static_cast<std::size_t>(c) * n + x]} != level + 1) continue;
+      bool only_parent = true;
+      for (const Vertex other : g.neighbors(c)) {
+        if (other != v && std::uint32_t{slab[static_cast<std::size_t>(other) * n + x]} == level) {
+          only_parent = false;
+          break;
+        }
+      }
+      if (only_parent) seeds_.push_back(c);
+    }
+    if (seeds_.empty()) continue;
+    ++affected_rows_;
+    if (!repair_row(x, seeds_, max_finite)) {
+      std::fill(offsets_.begin() + x + 1, offsets_.end(),
+                static_cast<std::uint32_t>(patches_.size()));
+      return false;
+    }
+  }
+  offsets_[n_] = static_cast<std::uint32_t>(patches_.size());
+  peak_bytes_ = std::max(peak_bytes_, patches_.capacity() * sizeof(Patch));
+  return true;
+}
+
+template <typename Dist>
+bool MaskedRowRepair<Dist>::repair_row(Vertex x, std::span<const Vertex> seeds,
+                                       Dist max_finite) {
+  const CsrGraph& g = *g_;
+  next_epoch();
+  const Dist* dx = slab_ + static_cast<std::size_t>(x) * n_;
+
+  // Lost set, level by level. When u (level ℓ) is popped, every vertex at
+  // levels ℓ − 1 … ℓ + 1 around it has its final status: levels ≤ ℓ were
+  // decided while earlier levels were popped, and each child is decided the
+  // first time a lost parent sees it (its parents, at level ℓ, are final).
+  // So the same neighbor sweep also takes u's boundary key: 1 + the
+  // unmasked (= masked) distance of its nearest neighbor outside the lost
+  // set. v counts as lost here — it is never a child, and it must never
+  // serve as a boundary.
+  lost_.clear();
+  keyed_.clear();
+  lost_mark_[v_] = epoch_;
+  for (const Vertex c : seeds) {
+    lost_mark_[c] = epoch_;
+    seen_mark_[c] = epoch_;
+    lost_.push_back(c);
+  }
+  for (std::size_t i = 0; i < lost_.size(); ++i) {
+    const Vertex u = lost_[i];
+    const std::uint32_t level = dx[u];
+    std::uint32_t key = kUnreached;
+    for (const Vertex w : g.neighbors(u)) {
+      const std::uint32_t dw = dx[w];
+      if (dw == level + 1 && seen_mark_[w] != epoch_) {
+        seen_mark_[w] = epoch_;
+        bool orphaned = true;
+        for (const Vertex p : g.neighbors(w)) {
+          if (std::uint32_t{dx[p]} == level && lost_mark_[p] != epoch_) {
+            orphaned = false;
+            break;
+          }
+        }
+        if (orphaned) {
+          lost_mark_[w] = epoch_;
+          lost_.push_back(w);
+        }
+      }
+      if (lost_mark_[w] != epoch_) key = std::min(key, dw + 1);
+    }
+    dist_[u] = key;
+    if (key != kUnreached) keyed_.emplace_back(key, u);
+  }
+
+  // Re-settle: distances propagate inside the lost set from the boundary
+  // keys. Entries are merged in key order with the FIFO of relaxed
+  // vertices, whose keys never decrease — a BFS with staggered start
+  // times. Lost sets are mostly a handful of vertices, where an insertion
+  // sort beats std::sort's set-up.
+  if (keyed_.size() <= 32) {
+    for (std::size_t i = 1; i < keyed_.size(); ++i) {
+      const auto item = keyed_[i];
+      std::size_t j = i;
+      for (; j > 0 && item < keyed_[j - 1]; --j) keyed_[j] = keyed_[j - 1];
+      keyed_[j] = item;
+    }
+  } else {
+    std::sort(keyed_.begin(), keyed_.end());
+  }
+  queue_.clear();
+  std::size_t head = 0;
+  std::size_t next = 0;
+  while (true) {
+    Vertex u = 0;
+    if (head < queue_.size() &&
+        (next == keyed_.size() || dist_[queue_[head]] <= keyed_[next].first)) {
+      u = queue_[head++];
+    } else if (next < keyed_.size()) {
+      u = keyed_[next++].second;
+    } else {
+      break;
+    }
+    if (done_mark_[u] == epoch_) continue;
+    done_mark_[u] = epoch_;
+    const std::uint32_t du = dist_[u];
+    for (const Vertex w : g.neighbors(u)) {
+      if (lost_mark_[w] != epoch_ || w == v_ || done_mark_[w] == epoch_ || du + 1 >= dist_[w]) {
+        continue;
+      }
+      dist_[w] = du + 1;
+      queue_.push_back(w);
+    }
+  }
+
+  for (const Vertex u : lost_) {
+    const std::uint32_t d = dist_[u];
+    if (d == kUnreached) {
+      patches_.push_back({u, inf_});
+      continue;
+    }
+    if (d > max_finite) return false;
+    max_finite_patch_ = std::max(max_finite_patch_, static_cast<Dist>(d));
+    patches_.push_back({u, static_cast<Dist>(d)});
+  }
+  return true;
+}
+
+template <typename Dist>
+void MaskedRowRepair<Dist>::materialize(Vertex x, Dist* out) const {
+  const std::size_t n = n_;
+  std::memcpy(out, slab_ + x * n, n * sizeof(Dist));
+  for (const Patch& p : patches(x)) out[p.u] = p.d;
+  out[v_] = inf_;
+}
+
+template class MaskedRowRepair<std::uint8_t>;
+template class MaskedRowRepair<std::uint16_t>;
+
+}  // namespace bncg

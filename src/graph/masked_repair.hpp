@@ -1,0 +1,118 @@
+// Masked rows by repair: the distances of G − v as sparse patches over the
+// unmasked all-pairs matrix of G (DESIGN.md §17).
+//
+// Every agent scan of the swap engine needs d_{G−v}(x, ·) for every x ≠ v
+// (the source-removal identity, DESIGN.md §3). Recomputing the whole masked
+// matrix per agent is a full batched APSP, yet removing one vertex changes
+// only a tiny fraction of the entries — the pairs all of whose shortest
+// paths run through v. MaskedRowRepair computes exactly those entries from
+// one shared, read-only unmasked slab:
+//
+//  * Affected rows. Row x changes iff some neighbor c of v is a child of v
+//    in x's BFS DAG (d(x,c) = d(x,v) + 1) whose only parent is v (no
+//    c′ ∈ N(c)∖{v} with d(x,c′) = d(x,v)). By symmetry d(x,·) = d(·,x), so
+//    the test reads column x of rows d(c,·), d(c′,·), d(v,·) of the slab.
+//  * Lost set. In an affected row, the vertices whose every shortest path
+//    from x runs through v are v's descendants in x's BFS DAG with no parent
+//    outside lost ∪ {v}; a level-ordered walk from the seeds above finds
+//    them, checking each candidate's parents once.
+//  * Re-settling. Lost vertices are re-settled from the boundary — each
+//    starts at 1 + min over its non-lost neighbors of the unmasked distance
+//    — by a BFS with staggered start times inside the lost set; unreachable
+//    ones become ∞.
+//
+// Every other entry of row x keeps its unmasked value, so (slab row x) +
+// (patches of row x) with entry v set to ∞ is row x of the masked matrix,
+// and every patch strictly lengthens its entry. The patch set holds O(total
+// changed entries) — the scans read candidate rows straight from the slab
+// and correct their combines by the patches alone.
+#pragma once
+
+#include <cstdint>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "graph/csr.hpp"
+
+namespace bncg {
+
+/// Unmasked capped all-pairs shortest paths of `g` into the n×n row-major
+/// slab `rows`, one ≤ 64-source batch per pool task (lanes write disjoint
+/// row blocks). Returns false — contents unspecified — when some finite
+/// distance exceeds `max_finite`. Issued from inside a pool task it runs
+/// inline on the calling lane. Instantiated for u8 and u16.
+template <typename Dist>
+[[nodiscard]] bool build_unmasked_slab(const CsrGraph& g, Dist* rows, Dist inf_value,
+                                       Dist max_finite);
+
+/// One changed entry of a masked row: column `u` now holds `d` (the width's
+/// infinity sentinel when u is cut off from the row's source).
+template <typename Dist>
+struct MaskedPatch {
+  Vertex u = 0;
+  Dist d = 0;
+};
+
+/// Per-lane repair state of one masked vertex at storage width `Dist`.
+/// Reusable across agents; allocation-free once warm.
+template <typename Dist>
+class MaskedRowRepair {
+ public:
+  using Patch = MaskedPatch<Dist>;
+
+  /// Repairs every row x ≠ v of the symmetric unmasked slab `slab` (n×n
+  /// over `g`, `inf` for unreachable) for the masked vertex `v`. Returns
+  /// false as soon as a repaired finite distance exceeds `max_finite`
+  /// (the caller redoes the agent wider); the patches are then incomplete.
+  [[nodiscard]] bool run(const CsrGraph& g, const Dist* slab, Vertex v, Dist inf,
+                         Dist max_finite);
+
+  /// Changed entries of row x (empty for unaffected rows and for x = v).
+  [[nodiscard]] std::span<const Patch> patches(Vertex x) const noexcept {
+    return {patches_.data() + offsets_[x], patches_.data() + offsets_[x + 1]};
+  }
+
+  /// Row x of the masked matrix: slab row x, its patches, and [v] = ∞.
+  void materialize(Vertex x, Dist* out) const;
+
+  /// Rows with at least one changed entry in the last run.
+  [[nodiscard]] std::uint32_t affected_rows() const noexcept { return affected_rows_; }
+  /// Changed entries (ordered pairs) of the last run.
+  [[nodiscard]] std::size_t changed_entries() const noexcept { return patches_.size(); }
+  /// Largest finite patched distance of the last run (0 if none).
+  [[nodiscard]] Dist max_finite_patch() const noexcept { return max_finite_patch_; }
+  /// High-water mark of the patch storage in bytes since construction.
+  [[nodiscard]] std::size_t peak_patch_bytes() const noexcept { return peak_bytes_; }
+
+ private:
+  /// Lost set of row x from its seeds, re-settled into patches_.
+  [[nodiscard]] bool repair_row(Vertex x, std::span<const Vertex> seeds, Dist max_finite);
+  void next_epoch();
+
+  const CsrGraph* g_ = nullptr;
+  const Dist* slab_ = nullptr;
+  Vertex n_ = 0;
+  Vertex v_ = kNoVertex;
+  Dist inf_ = 0;
+  Dist max_finite_patch_ = 0;
+  std::uint32_t affected_rows_ = 0;
+  std::size_t peak_bytes_ = 0;
+
+  std::vector<Patch> patches_;
+  std::vector<std::uint32_t> offsets_;          // n+1: row x owns [offsets_[x], offsets_[x+1])
+  std::vector<Vertex> seeds_;                   // lost neighbors of v in one row
+  std::vector<Vertex> lost_;                    // lost set of one row, level order
+  std::vector<std::pair<std::uint32_t, Vertex>> keyed_;  // (boundary key, lost vertex)
+  std::vector<Vertex> queue_;
+  std::vector<std::uint32_t> lost_mark_;        // == epoch_: lost in the current row
+  std::vector<std::uint32_t> seen_mark_;        // == epoch_: parents already checked
+  std::vector<std::uint32_t> done_mark_;        // == epoch_: re-settled
+  std::vector<std::uint32_t> dist_;             // tentative masked distance
+  std::uint32_t epoch_ = 0;
+};
+
+extern template class MaskedRowRepair<std::uint8_t>;
+extern template class MaskedRowRepair<std::uint16_t>;
+
+}  // namespace bncg

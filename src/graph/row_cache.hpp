@@ -1,9 +1,9 @@
 // Blocked LRU distance-row cache — the memory layer behind the budgeted
 // distance provider (core/dist_provider.hpp).
 //
-// The dense engines materialize a full n×n masked matrix per agent scan,
-// which is the allocation that stops SwapEngine/SearchState cold at
-// n = 10⁵–10⁶ (ROADMAP: million-node memory architecture). This cache keeps
+// The dense engines hold full n×n distance matrices (SwapEngine's shared
+// unmasked slab, SearchState's per-agent rows), which is the allocation
+// that stops them cold at n = 10⁵–10⁶ (ROADMAP: million-node memory architecture). This cache keeps
 // only the rows a scan actually touches, under an explicit byte budget:
 //
 //  * Storage is carved into fixed-size BLOCKS of `block_rows` row slots.

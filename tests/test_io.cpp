@@ -49,6 +49,27 @@ TEST(Io, EdgeListRejectsMalformedInput) {
   }
 }
 
+TEST(Io, EdgeListRejectsTrailingTokens) {
+  for (const char* text : {"2 1\n0 1\n5\n", "2 1\n0 1 7\n"}) {
+    std::stringstream ss(text);
+    try {
+      (void)read_edge_list(ss);
+      ADD_FAILURE() << "accepted trailing tokens: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "edge list: trailing tokens");
+    }
+  }
+}
+
+TEST(Io, EdgeListAcceptsTrailingWhitespace) {
+  for (const char* text : {"2 1\n0 1", "2 1\n0 1\n", "2 1\n0 1  \n\n\t\n", "2 1 0 1 \r\n"}) {
+    std::stringstream ss(text);
+    const Graph g = read_edge_list(ss);
+    EXPECT_EQ(g.num_vertices(), 2u) << text;
+    EXPECT_TRUE(g.has_edge(0, 1)) << text;
+  }
+}
+
 TEST(Io, DotOutputContainsAllEdges) {
   const Graph g = path(3);
   std::stringstream ss;

@@ -1,0 +1,285 @@
+// Masked rows by repair (graph/masked_repair.hpp, DESIGN.md §17): every
+// repaired row — shared unmasked slab row plus the agent's patches — must
+// equal the literal masked APSP of G − v on every entry u ≠ v, at both
+// storage widths; the dense scans built on the repair must match the naive
+// oracle per agent (verdict, witness, move count) at u8 and u16 and at both
+// SIMD extremes; and the width-fallback count must keep the masked-matrix
+// rule on the instances that exercise it. CMakeLists pins the MaskedRepair*
+// filter at BNCG_THREADS 1 and 4 — the slab is built on the pool and read
+// by every lane.
+#include "graph/masked_repair.hpp"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <numeric>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "core/equilibrium.hpp"
+#include "core/swap_engine.hpp"
+#include "gen/classic.hpp"
+#include "gen/paper.hpp"
+#include "gen/random.hpp"
+#include "graph/bfs_batch.hpp"
+#include "graph/dist_width.hpp"
+#include "util/rng.hpp"
+#include "util/simd.hpp"
+
+namespace bncg {
+namespace {
+
+struct Named {
+  std::string name;
+  Graph g;
+};
+
+Graph relabeled(const Graph& native, Xoshiro256ss& rng) {
+  const Vertex n = native.num_vertices();
+  std::vector<Vertex> label(n);
+  std::iota(label.begin(), label.end(), Vertex{0});
+  rng.shuffle(label);
+  Graph g(n);
+  for (Vertex v = 0; v < n; ++v) {
+    for (const Vertex w : native.neighbors(v)) {
+      if (v < w) g.add_edge(label[v], label[w]);
+    }
+  }
+  return g;
+}
+
+/// A random tree plus `extra` random chords: pendant vertices and cut
+/// vertices everywhere, so masking often sends whole components to ∞.
+Graph near_tree(Vertex n, int extra, Xoshiro256ss& rng) {
+  Graph g = random_tree(n, rng);
+  for (int i = 0; i < extra; ++i) {
+    const Vertex a = static_cast<Vertex>(rng.below(n));
+    const Vertex b = static_cast<Vertex>(rng.below(n));
+    if (a != b && !g.has_edge(a, b)) g.add_edge(a, b);
+  }
+  return g;
+}
+
+/// Path 0..61 with `bristles` leaves on vertex 61: the only pairs beyond
+/// the u8 cap are (0, leaf), all through agent 0.
+Graph broom(Vertex bristles) {
+  Graph g = path(62);
+  for (Vertex i = 0; i < bristles; ++i) {
+    g.add_vertex();
+    g.add_edge(61, 62 + i);
+  }
+  return g;
+}
+
+std::vector<Named> corpus(std::uint64_t seed, bool small) {
+  Xoshiro256ss rng(seed);
+  std::vector<Named> out;
+  const Vertex scale = small ? 1 : 2;
+  for (const Vertex n : {Vertex{9}, Vertex{17 * scale}, Vertex{31 * scale}}) {
+    for (const std::size_t m : {std::size_t{n}, std::size_t{3} * n / 2, std::size_t{2} * n}) {
+      out.push_back({"gnm" + std::to_string(n) + "_" + std::to_string(m),
+                     random_connected_gnm(n, m, rng)});
+    }
+    out.push_back({"near_tree" + std::to_string(n), near_tree(n, 2, rng)});
+    out.push_back({"tree" + std::to_string(n), random_tree(n, rng)});
+  }
+  out.push_back({"gnm_disconnected", random_gnm(24, 20, rng)});
+  out.push_back({"torus3", relabeled(rotated_torus(3).graph(), rng)});
+  out.push_back({"torus4", relabeled(rotated_torus(4).graph(), rng)});
+  if (!small) out.push_back({"torus6", relabeled(rotated_torus(6).graph(), rng)});
+  out.push_back({"star", star(13)});
+  out.push_back({"path", path(15)});
+  out.push_back({"cycle", cycle(16)});
+  out.push_back({"lollipop", lollipop(5, 6)});
+  return out;
+}
+
+/// The engine's encodings: capped u8 (finite ≤ 61), full-range u16.
+template <typename Dist>
+constexpr Dist inf_of() {
+  return static_cast<Dist>(sizeof(Dist) == 1 ? kSearchInf8 : kInfDist16);
+}
+
+template <typename Dist>
+constexpr Dist max_finite_of() {
+  return static_cast<Dist>(sizeof(Dist) == 1 ? kMaxFiniteFor<std::uint8_t> : kInfDist16 - 1);
+}
+
+/// Every repaired row of every agent against the literal masked APSP.
+/// Returns the number of agents checked (0 when the unmasked slab itself
+/// does not fit the width).
+template <typename Dist>
+int check_rows(const Named& inst) {
+  constexpr Dist kInf = inf_of<Dist>();
+  constexpr Dist kMax = max_finite_of<Dist>();
+  const CsrGraph csr(inst.g);
+  const Vertex n = csr.num_vertices();
+  const std::size_t cells = static_cast<std::size_t>(n) * n;
+  AlignedVec<Dist> slab(cells), masked(cells);
+  std::vector<Dist> row(n);
+  BatchBfsWorkspace ws;
+  if (!build_unmasked_slab<Dist>(csr, slab.data(), kInf, kMax)) return 0;
+  MaskedRowRepair<Dist> repair;
+  int agents = 0;
+  for (Vertex v = 0; v < n; ++v) {
+    const std::string ctx = inst.name + " w=" + std::to_string(sizeof(Dist) * 8) + " v=" +
+                            std::to_string(v);
+    const bool masked_fits = csr_apsp_capped<Dist>(csr, MaskedEdge{}, masked.data(), ws, v, kInf,
+                                                   kMax);
+    const bool repaired = repair.run(csr, slab.data(), v, kInf, kMax);
+    EXPECT_EQ(repaired, masked_fits) << ctx;
+    if (!repaired || !masked_fits) continue;
+    ++agents;
+    std::size_t changed = 0;
+    std::uint32_t affected = 0;
+    for (Vertex x = 0; x < n; ++x) {
+      if (x == v) continue;
+      repair.materialize(x, row.data());
+      const Dist* want = masked.data() + static_cast<std::size_t>(x) * n;
+      bool row_changed = false;
+      for (Vertex u = 0; u < n; ++u) {
+        if (u == v) continue;
+        EXPECT_EQ(row[u], want[u]) << ctx << " x=" << x << " u=" << u;
+        const bool differs = slab[static_cast<std::size_t>(x) * n + u] != want[u];
+        changed += differs ? 1 : 0;
+        row_changed |= differs;
+      }
+      affected += row_changed ? 1 : 0;
+      // Patches are exactly the changed entries, each strictly longer.
+      for (const auto& p : repair.patches(x)) {
+        EXPECT_NE(p.u, v) << ctx;
+        EXPECT_GT(p.d, slab[static_cast<std::size_t>(x) * n + p.u]) << ctx;
+      }
+    }
+    EXPECT_TRUE(repair.patches(v).empty()) << ctx;
+    EXPECT_EQ(repair.changed_entries(), changed) << ctx;
+    EXPECT_EQ(repair.affected_rows(), affected) << ctx;
+  }
+  return agents;
+}
+
+TEST(MaskedRepair, RowsMatchMaskedApspBothWidths) {
+  int u8_agents = 0;
+  int u16_agents = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const Named& inst : corpus(seed * 0x9e37, /*small=*/false)) {
+      u8_agents += check_rows<std::uint8_t>(inst);
+      u16_agents += check_rows<std::uint16_t>(inst);
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_GT(u8_agents, 0);
+  EXPECT_EQ(u8_agents, u16_agents);  // the whole corpus fits u8
+}
+
+TEST(MaskedRepair, RowsSaturateExactlyWhenTheMaskedMatrixDoes) {
+  // Cycles beyond 2·61 and long chorded cycles: the unmasked u16 slab fits
+  // and the per-agent repair reports u8 saturation exactly when the masked
+  // matrix does — both from the u8 slab (C₆₄: fits unmasked, every mask
+  // saturates) and at u16, where nothing saturates.
+  Graph chorded = cycle(100);
+  chorded.add_edge(0, 50);
+  for (const Named& inst : {Named{"cycle64", cycle(64)}, Named{"cycle40", cycle(40)},
+                            Named{"chorded100", chorded}, Named{"broom", broom(3)}}) {
+    (void)check_rows<std::uint8_t>(inst);
+    EXPECT_EQ(check_rows<std::uint16_t>(inst), static_cast<int>(inst.g.num_vertices()));
+  }
+}
+
+void expect_same_deviation(const std::optional<Deviation>& got,
+                           const std::optional<Deviation>& want, const std::string& ctx) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << ctx;
+  if (!want) return;
+  EXPECT_EQ(got->swap, want->swap) << ctx;
+  EXPECT_EQ(got->cost_before, want->cost_before) << ctx;
+  EXPECT_EQ(got->cost_after, want->cost_after) << ctx;
+  EXPECT_EQ(got->kind, want->kind) << ctx;
+}
+
+/// Per-agent best/first scans of one engine against the naive oracle; move
+/// counts follow the enumeration (one per candidate, plus one deletion
+/// check per incident edge in the max+deletions scan).
+void check_scans(const Graph& g, WidthPolicy width, const std::string& ctx) {
+  SwapEngine engine(g, width);
+  SwapEngine::Scratch scratch;
+  BfsWorkspace ws;
+  const Vertex n = g.num_vertices();
+  for (Vertex v = 0; v < n; ++v) {
+    const std::string at = ctx + " v=" + std::to_string(v);
+    const std::uint64_t swaps = static_cast<std::uint64_t>(g.degree(v)) * (n - 1 - g.degree(v));
+    std::uint64_t moves = 0;
+    expect_same_deviation(engine.best_deviation(v, UsageCost::Sum, scratch, false, &moves),
+                          naive::best_sum_deviation(g, v, ws), at + " best sum");
+    EXPECT_EQ(moves, swaps) << at;
+    expect_same_deviation(engine.first_deviation(v, UsageCost::Sum, scratch),
+                          naive::first_sum_deviation(g, v, ws), at + " first sum");
+    moves = 0;
+    expect_same_deviation(engine.best_deviation(v, UsageCost::Max, scratch, false, &moves),
+                          naive::best_max_deviation(g, v, ws), at + " best max");
+    EXPECT_EQ(moves, swaps) << at;
+    expect_same_deviation(engine.best_deviation(v, UsageCost::Max, scratch, true),
+                          naive::best_max_deviation(g, v, ws, true), at + " best max+del");
+    expect_same_deviation(engine.first_deviation(v, UsageCost::Max, scratch, true),
+                          naive::first_max_deviation(g, v, ws, true), at + " first max+del");
+    if (testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(MaskedRepair, ScansMatchNaiveAtBothWidthsAndSimdExtremes) {
+  const SimdLevel saved = simd_active_level();
+  std::vector<SimdLevel> levels{SimdLevel::Scalar};
+  if (simd_max_level() != SimdLevel::Scalar) levels.push_back(simd_max_level());
+  for (const SimdLevel level : levels) {
+    ASSERT_EQ(simd_set_level(level), level);
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      for (const Named& inst : corpus(seed * 0x51ed, /*small=*/true)) {
+        for (const WidthPolicy width : {WidthPolicy::ForceU8, WidthPolicy::ForceU16}) {
+          check_scans(inst.g, width,
+                      inst.name + " " + simd_level_name(level) +
+                          (width == WidthPolicy::ForceU8 ? " u8" : " u16"));
+          if (HasFailure()) {
+            simd_set_level(saved);
+            return;
+          }
+        }
+      }
+    }
+  }
+  simd_set_level(saved);
+}
+
+/// Fallback instances: the certificate must equal the oracle's, and the
+/// fallback count must follow the masked-matrix rule — an agent falls back
+/// iff G − v, excluding v's row and column, holds a finite distance above
+/// the u8 cap.
+void check_fallbacks(const Graph& g, std::uint64_t want_fallbacks, const std::string& ctx) {
+  for (const bool deletions : {false, true}) {
+    const UsageCost model = deletions ? UsageCost::Max : UsageCost::Sum;
+    SwapEngine e8(g, WidthPolicy::ForceU8);
+    const EquilibriumCertificate cert = e8.certify(model, deletions);
+    const EquilibriumCertificate want =
+        deletions ? naive::certify_max_equilibrium(g) : naive::certify_sum_equilibrium(g);
+    EXPECT_EQ(cert.is_equilibrium, want.is_equilibrium) << ctx;
+    EXPECT_EQ(cert.moves_checked, want.moves_checked) << ctx;
+    expect_same_deviation(cert.witness, want.witness, ctx + " witness");
+    EXPECT_EQ(e8.width_fallbacks(), want_fallbacks) << ctx << (deletions ? " max" : " sum");
+  }
+}
+
+TEST(MaskedRepair, WidthFallbackCycle64) {
+  // The unmasked C₆₄ has diameter 32 and fits u8; every G − v is P₆₃ with
+  // diameter 62 > 61, so every agent repairs past the cap and falls back.
+  check_fallbacks(cycle(64), 64, "C64");
+}
+
+TEST(MaskedRepair, WidthFallbackBroom) {
+  // The u8 slab itself saturates (d(0, leaf) = 62), so every agent scans at
+  // u16 and the fallback is counted: agent 0 removes every over-cap pair,
+  // handle agents cut 0 off from the leaves, and only the 3 bristle agents
+  // keep a finite (0, leaf) distance of 62.
+  check_fallbacks(broom(3), 3, "broom");
+}
+
+}  // namespace
+}  // namespace bncg
