@@ -45,6 +45,14 @@
 // one lane held. Every repaired row is asserted equal to the masked APSP
 // before a row is written.
 //
+// A "far_filter" section prices the budgeted max scan's far filter
+// (DESIGN.md §16) on the seeded-relabel rotated torus at k = 26 under a
+// 1 MiB budget — the instance and budget of perfbench's torus-max-service
+// workload: a serial best_deviation sweep over every agent (max model with
+// deletions) reports milliseconds, row-cache misses and far-set reach
+// traversals per agent. The sweep's verdict and move count are asserted
+// equal to the dense certificate before the row is written.
+//
 // A second "kernels" section microbenchmarks the dispatched SIMD kernels
 // (util/simd.hpp) directly: each scan-table / combine / addition kernel is
 // timed at n = 1024 once with the dispatch pinned to scalar and once at the
@@ -559,6 +567,75 @@ std::vector<MaskedRowsRow> measure_masked_rows_all(Vertex max_n) {
 }
 
 // ---------------------------------------------------------------------------
+// Far filter: the budgeted max scan, one serial sweep over every agent.
+
+struct FarFilterRow {
+  std::string instance;
+  Vertex n = 0;
+  std::size_t m = 0;
+  std::uint64_t budget_bytes = 0;       // the engine's whole budget
+  std::uint64_t lane_budget_bytes = 0;  // the share one scan lane gets
+  std::string width;
+  std::uint64_t moves = 0;
+  double ms_per_agent = 0.0;
+  double misses_per_agent = 0.0;
+  double reach_traversals_per_agent = 0.0;
+};
+
+FarFilterRow measure_far_filter(Vertex k) {
+  // Seeded relabel, so the far sets are not contiguous id ranges.
+  const Graph native = rotated_torus(k).graph();
+  const Vertex n = native.num_vertices();
+  std::vector<Vertex> label(n);
+  for (Vertex i = 0; i < n; ++i) label[i] = i;
+  Xoshiro256ss rng(0xFA2F ^ k);
+  rng.shuffle(label);
+  Graph g(n);
+  for (const Edge& e : native.edges()) g.add_edge(label[e.u], label[e.v]);
+
+  FarFilterRow row;
+  row.instance = "torus_k" + std::to_string(k) + "_relabeled";
+  row.n = n;
+  row.m = g.num_edges();
+  ResourceConfig res;
+  res.mem_budget = std::uint64_t{1} << 20;
+  const SwapEngine engine(g, res);
+  row.budget_bytes = res.mem_budget;
+  row.lane_budget_bytes = engine.budget_policy().lane_budget();
+  row.width = engine.preferred_width() == DistWidth::U8 ? "u8" : "u16";
+  if (engine.budget_policy().storage_for(n, engine.preferred_width()) != RowStorage::Budgeted) {
+    std::cerr << "FATAL: far_filter bench budget did not force budgeted storage at n=" << n
+              << "\n";
+    std::exit(1);
+  }
+
+  SwapEngine::Scratch scratch;
+  bool improvable = false;
+  const double seconds = time_seconds([&] {
+    for (Vertex v = 0; v < n; ++v) {
+      improvable |= engine
+                        .best_deviation(v, UsageCost::Max, scratch, /*include_deletions=*/true,
+                                        &row.moves)
+                        .has_value();
+    }
+  });
+  const EquilibriumCertificate dense =
+      SwapEngine(g, res.width).certify(UsageCost::Max, /*include_deletions=*/true);
+  if (dense.is_equilibrium == improvable || dense.moves_checked != row.moves) {
+    std::cerr << "FATAL: far_filter sweep disagrees with the dense certificate on "
+              << row.instance << "\n";
+    std::exit(1);
+  }
+  row.ms_per_agent = seconds * 1e3 / n;
+  row.misses_per_agent = static_cast<double>(scratch.row_cache_stats().misses) / n;
+  row.reach_traversals_per_agent = static_cast<double>(scratch.reach_traversals()) / n;
+  std::cout << "far_filter " << row.instance << " n=" << n << " width=" << row.width
+            << " ms_per_agent=" << row.ms_per_agent << " misses_per_agent=" << row.misses_per_agent
+            << " reach_traversals_per_agent=" << row.reach_traversals_per_agent << "\n";
+  return row;
+}
+
+// ---------------------------------------------------------------------------
 // Kernel microbenchmarks: scalar vs the startup-active dispatch level.
 
 struct KernelRow {
@@ -758,6 +835,8 @@ int main(int argc, char** argv) {
   const std::vector<TreeRow> tree_rows = measure_tree_game(max_n);
   const std::vector<RowCacheRow> row_cache_rows = measure_row_cache_all(max_n);
   const std::vector<MaskedRowsRow> masked_rows = measure_masked_rows_all(max_n);
+  std::vector<FarFilterRow> far_filter_rows;
+  if (max_n >= 1024) far_filter_rows.push_back(measure_far_filter(26));
 
   const std::vector<KernelRow> kernel_rows = measure_all_kernels();
   for (const KernelRow& k : kernel_rows) {
@@ -849,6 +928,19 @@ int main(int argc, char** argv) {
         << ", \"changed_entry_fraction\": " << r.changed_entry_fraction
         << ", \"peak_patch_bytes\": " << r.peak_patch_bytes << "}"
         << (i + 1 < masked_rows.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n";
+  out << "  \"far_filter\": [\n";
+  for (std::size_t i = 0; i < far_filter_rows.size(); ++i) {
+    const FarFilterRow& r = far_filter_rows[i];
+    out << "    {\"instance\": \"" << r.instance << "\", \"n\": " << r.n << ", \"m\": " << r.m
+        << ", \"model\": \"max+del\", \"width\": \"" << r.width << "\""
+        << ", \"budget_bytes\": " << r.budget_bytes
+        << ", \"lane_budget_bytes\": " << r.lane_budget_bytes
+        << ", \"moves_checked\": " << r.moves << ", \"ms_per_agent\": " << r.ms_per_agent
+        << ", \"misses_per_agent\": " << r.misses_per_agent
+        << ", \"reach_traversals_per_agent\": " << r.reach_traversals_per_agent << "}"
+        << (i + 1 < far_filter_rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
   out << "  \"kernels\": [\n";

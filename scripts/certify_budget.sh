@@ -16,9 +16,9 @@
 #
 #   CLEAN leg — a worker shard over agents [0, AGENTS) of the pristine
 #     torus under the same budget, asserted violation-free. This prices the
-#     real per-agent equilibrium scan (the far-shell stream); the slice
+#     real per-agent equilibrium scan (the far-set reach filter); the slice
 #     size keeps the smoke inside a tier-1 timeout on a single core, where
-#     the full 131072-agent sweep measures ≈ 2.9 s/agent ≈ 100 h. The full
+#     the full 131072-agent sweep measures ≈ 0.6 s/agent ≈ 22 h. The full
 #     sweep is the same command with CERTIFY_BUDGET_AGENTS=131072 (plus a
 #     dispatcher fan-out across real cores, scripts/certify_fanout.sh).
 #

@@ -77,6 +77,18 @@ expect_rc 1 "unreadable graph file" "$bin" certify --graph "$work_dir/no-such-fi
 printf '2 1\n0 1\n5\n' >"$work_dir/trailing.edges"
 expect_rc 1 "graph file with trailing tokens" "$bin" certify --graph "$work_dir/trailing.edges"
 expect_rc 1 "no mode at all" "$bin"
+# A header claiming 2·10⁹ vertices is refused by the reader's guard before
+# anything is allocated: exit 1 with that diagnosis, not a bad_alloc.
+printf '2000000000 0\n' >"$work_dir/huge.edges"
+expect_rc 1 "graph file whose header claims 2e9 vertices" \
+  "$bin" certify --graph "$work_dir/huge.edges"
+"$bin" certify --graph "$work_dir/huge.edges" >/dev/null 2>"$work_dir/huge.log" || true
+if grep -q 'exceeds the supported maximum' "$work_dir/huge.log"; then
+  echo "certify_exit_codes: OK   huge vertex count refused by the header guard"
+else
+  echo "certify_exit_codes: FAIL huge vertex count not refused by the header guard" >&2
+  failures=$(( failures + 1 ))
+fi
 # The service modes obey the same taxonomy: a bad invocation is a one-line
 # usage diagnostic and exit 1, never 0, a throw, or a late guard refusal.
 expect_rc 1 "serve with an unknown flag" \

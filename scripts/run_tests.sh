@@ -9,10 +9,12 @@
 # Environment knobs (the CI matrix drives these; defaults reproduce the
 # plain local run):
 #   BUILD_TYPE=Release|RelWithDebInfo|Debug   CMake build type
-#   BNCG_SANITIZE=ON|OFF                      ASan+UBSan build (CI Sanitize leg)
+#   BNCG_SANITIZE=ON|OFF|thread               ON: ASan+UBSan build (CI Sanitize
+#     leg); thread: ThreadSanitizer build (CI ThreadSanitizer leg, run with
+#     the -R filter of the concurrent suites)
 #   BNCG_BUILD_DIR=path                       override the build directory
-#     (default ./build for the plain config, ./build-<type>[-san] otherwise,
-#     so sanitized and plain object files never mix)
+#     (default ./build for the plain config, ./build-<type>[-san|-tsan]
+#     otherwise, so sanitized and plain object files never mix)
 #   BNCG_CTEST_TIMEOUT=seconds                global per-test ceiling (default
 #     600) — a backstop under the per-test TIMEOUT properties so a hung test
 #     can never wedge the suite
@@ -32,7 +34,11 @@ elif [ "${build_type}" = "Release" ] && [ "${sanitize}" = "OFF" ]; then
   build_dir="${repo_root}/build"
 else
   suffix="$(echo "${build_type}" | tr '[:upper:]' '[:lower:]')"
-  [ "${sanitize}" = "OFF" ] || suffix="${suffix}-san"
+  case "${sanitize}" in
+    OFF) ;;
+    thread) suffix="${suffix}-tsan" ;;
+    *) suffix="${suffix}-san" ;;
+  esac
   build_dir="${repo_root}/build-${suffix}"
 fi
 

@@ -1,6 +1,7 @@
 #include "core/swap_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdlib>
 #include <map>
@@ -45,6 +46,11 @@ constexpr Dist engine_max_finite() {
 
 constexpr std::size_t words_for(std::uint32_t bits) {
   return (static_cast<std::size_t>(bits) + 63) / 64;
+}
+
+/// The word with bits 0..count−1 set (count ≤ 64).
+constexpr std::uint64_t low_bits(std::size_t count) {
+  return count >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1;
 }
 
 /// Coverage masks of one cover instance, scored from cached symmetric
@@ -411,10 +417,17 @@ bool SwapEngine::scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_f
           : kern.deletion_ecc(rows.min1.data(), n, kInf);
 
   rows.mrow.resize(n);
-  s.far_.resize(n);
+  // Max model: a swap improves iff the candidate reaches the removed edge's
+  // far set within cap (DESIGN.md §4). cap is signed: old_cost = 1 makes
+  // improvement impossible (and leaves no candidate to test).
+  const std::int32_t cap =
+      old_cost == kInfCost ? std::int32_t{kInf} - 1 : static_cast<std::int32_t>(old_cost) - 2;
+  std::uint64_t saturated_edges = 0;  // far sets of the current edge group holding a
+                                      // width-saturating vertex, one bit per edge
 
   std::optional<Deviation> best;
-  for (const Vertex w : nbrs) {
+  for (std::size_t e = 0; e < nbrs.size(); ++e) {
+    const Vertex w = nbrs[e];
     Dist* m = rows.mrow.data();
     kern.select_mrow(m, rows.min1.data(), rows.min2.data(), s.argmin_.data(), w, n);
     m[v] = 0;
@@ -464,42 +477,26 @@ bool SwapEngine::scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_f
         }
       }
     } else {
-      // Streamed far filter. The dense scan tests every candidate against
-      // the far set with an early break; by symmetry d(f, w₂) = d(w₂, f)
-      // the same comparisons read COLUMN-wise from far-vertex rows: pass i
-      // filters the survivors of passes 0..i−1 against far row f_i, so a
-      // candidate is eliminated at exactly its dense break index and the
-      // survivor set is identical. Far rows are fetched lazily — passes
-      // stop the moment the survivor list empties, which on equilibrium
-      // instances is after a handful of rows — and survivors are *proven*
-      // improvers (cost' ≤ cap + 1 < old_cost), so only their rows ever
-      // materialize. Pass order over the far set is free (survival is
-      // conjunctive): descending M^w visits the most exclusive far
-      // vertices first, emptying the list sooner.
-      const std::int32_t cap =
-          old_cost == kInfCost ? std::int32_t{kInf} - 1 : static_cast<std::int32_t>(old_cost) - 2;
-      const std::uint32_t far_count = kern.collect_above(m, n, cap, /*skip=*/v, s.far_.data());
+      // Reach far filter (DESIGN.md §16): survivors are the candidates that
+      // reach the whole far set {u ≠ v : M^w_u > cap} within cap — the same
+      // ascending list the dense scan's far test accepts. Reach words come
+      // per group of ≤ 64 removed edges, one traversal per ≤ 64 vertices of
+      // the group's union far set, and survivors are *proven* improvers
+      // (cost' ≤ cap + 1 < old_cost), so only their rows ever materialize.
       if (moves_checked != nullptr) *moves_checked += candidate_count;
-      std::sort(s.far_.data(), s.far_.data() + far_count,
-                [&](Vertex a, Vertex b) { return m[a] > m[b] || (m[a] == m[b] && a < b); });
-
-      auto& surv = s.survivors_;
-      auto& next = s.survivors_next_;
-      surv.clear();
+      if (candidate_count == 0) continue;
+      const std::size_t bit = e % 64;
+      if (bit == 0) {
+        saturated_edges =
+            reach_filter_t<Dist>(v, e, std::min<std::size_t>(64, nbrs.size() - e), cap, s);
+      }
+      // Width fallback stays lazy: a far vertex whose row saturates the
+      // width sends the agent to u16 only if the far passes reach it.
+      if ((saturated_edges >> bit & 1) != 0 && !replay_far_passes_t<Dist>(v, m, cap, s)) {
+        return false;
+      }
       for (Vertex w2 = 0; w2 < n; ++w2) {
-        if (s.is_nbr_[w2] == 0) surv.push_back(w2);
-      }
-      for (std::uint32_t i = 0; i < far_count && !surv.empty(); ++i) {
-        const Dist* f = provider.row(s.far_[i], s.bfs_);
-        if (f == nullptr) return false;
-        next.clear();
-        for (const Vertex w2 : surv) {
-          if (static_cast<std::int32_t>(f[w2]) <= cap) next.push_back(w2);
-        }
-        surv.swap(next);
-      }
-
-      for (const Vertex w2 : surv) {
+        if ((s.alive_[w2] >> bit & 1) == 0) continue;
         const Dist* c = provider.row(w2, s.bfs_);
         if (c == nullptr) return false;
         const std::uint64_t new_cost = kern.combine_max(m, c, n, kInf);
@@ -524,6 +521,111 @@ bool SwapEngine::scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_f
     }
   }
   out = best;
+  return true;
+}
+
+template <typename Dist>
+std::uint64_t SwapEngine::reach_filter_t(Vertex v, std::size_t first, std::size_t count,
+                                         std::int32_t cap, Scratch& s) const {
+  const Vertex n = csr_.num_vertices();
+  const auto group = csr_.neighbors(v).subspan(first, count);
+  const auto& rows = s.rows<Dist>();
+  const Dist* min1 = rows.min1.data();
+  const Vertex* argmin = s.argmin_.data();
+  // M^w_u is min2[u] for u's argmin neighbor w and min1[u] for the others,
+  // so the union far set is U = {u ≠ v : min2[u] > cap}: a member with
+  // min1[u] > cap is far for every removed edge, any other only for its
+  // argmin edge. The group's members are those far for one of its edges.
+  const auto universal = [&](Vertex u) { return static_cast<std::int32_t>(min1[u]) > cap; };
+  s.far_.resize(n);
+  Vertex* far = s.far_.data();
+  const std::uint32_t far_count =
+      simd::kernels<Dist>().collect_above(rows.min2.data(), n, cap, /*skip=*/v, far);
+  std::uint32_t members = 0;
+  for (std::uint32_t i = 0; i < far_count; ++i) {
+    const Vertex u = far[i];
+    if (universal(u) || (argmin[u] >= group.front() && argmin[u] <= group.back())) {
+      far[members++] = u;
+    }
+  }
+
+  const std::uint64_t group_bits = low_bits(count);
+  s.alive_.resize(n);
+  for (Vertex x = 0; x < n; ++x) s.alive_[x] = s.is_nbr_[x] != 0 ? 0 : group_bits;
+  s.masks_.resize(n);
+  std::uint64_t* reach = s.masks_.data();
+  std::uint64_t saturated_edges = 0;
+  std::array<std::uint64_t, 64> private_bits{};  // per group edge: its chunk members
+  std::array<std::uint32_t, 64> edges{};          // group edges with chunk members
+  for (std::uint32_t base = 0; base < members; base += 64) {
+    const std::uint32_t chunk = std::min<std::uint32_t>(64, members - base);
+    const std::uint64_t saturated = bfs_batch_reach(
+        csr_, std::span<const Vertex>(far + base, chunk), v, cap, engine_max_finite<Dist>(),
+        reach, s.bfs_);
+    ++s.reach_traversals_;
+    std::uint64_t universal_bits = 0;
+    std::size_t edge_count = 0;
+    for (std::uint32_t i = 0; i < chunk; ++i) {
+      const Vertex u = far[base + i];
+      if (universal(u)) {
+        universal_bits |= std::uint64_t{1} << i;
+        continue;
+      }
+      const auto e = static_cast<std::uint32_t>(
+          std::lower_bound(group.begin(), group.end(), argmin[u]) - group.begin());
+      if (private_bits[e] == 0) edges[edge_count++] = e;
+      private_bits[e] |= std::uint64_t{1} << i;
+    }
+    const std::span<const std::uint32_t> chunk_edges(edges.data(), edge_count);
+    if ((saturated & universal_bits) != 0) saturated_edges = group_bits;
+    for (const std::uint32_t e : chunk_edges) {
+      if ((saturated & private_bits[e]) != 0) saturated_edges |= std::uint64_t{1} << e;
+    }
+    for (Vertex x = 0; x < n; ++x) {
+      std::uint64_t alive = s.alive_[x];
+      if (alive == 0) continue;
+      if ((reach[x] & universal_bits) != universal_bits) {
+        alive = 0;
+      } else {
+        for (const std::uint32_t e : chunk_edges) {
+          if ((reach[x] & private_bits[e]) != private_bits[e]) alive &= ~(std::uint64_t{1} << e);
+        }
+      }
+      s.alive_[x] = alive;
+    }
+    for (const std::uint32_t e : chunk_edges) private_bits[e] = 0;
+  }
+  return saturated_edges;
+}
+
+template <typename Dist>
+bool SwapEngine::replay_far_passes_t(Vertex v, const Dist* m, std::int32_t cap,
+                                     Scratch& s) const {
+  const Vertex n = csr_.num_vertices();
+  // Pass order: far vertices by descending M^w, ids ascending on ties.
+  // Pass i tests far[i] iff some candidate survived passes 0..i−1, and a
+  // saturating far[i] reached that way fails the scan.
+  s.hits_.resize(n);
+  Vertex* far = s.hits_.data();
+  const std::uint32_t far_count = simd::kernels<Dist>().collect_above(m, n, cap, /*skip=*/v, far);
+  std::sort(far, far + far_count,
+            [&](Vertex a, Vertex b) { return m[a] > m[b] || (m[a] == m[b] && a < b); });
+  auto& surv = s.survivors_;
+  surv.clear();
+  for (Vertex x = 0; x < n; ++x) {
+    if (s.is_nbr_[x] == 0) surv.push_back(x);
+  }
+  for (std::uint32_t base = 0; base < far_count && !surv.empty(); base += 64) {
+    const std::uint32_t chunk = std::min<std::uint32_t>(64, far_count - base);
+    const std::uint64_t saturated =
+        bfs_batch_reach(csr_, std::span<const Vertex>(far + base, chunk), v, cap,
+                        engine_max_finite<Dist>(), s.masks_.data(), s.bfs_);
+    ++s.reach_traversals_;
+    for (std::uint32_t i = 0; i < chunk && !surv.empty(); ++i) {
+      if ((saturated >> i & 1) != 0) return false;
+      std::erase_if(surv, [&](Vertex x) { return (s.masks_[x] >> i & 1) == 0; });
+    }
+  }
   return true;
 }
 

@@ -30,7 +30,8 @@
 //  3. Far-set filtering (max model). cost'(v) < ecc(v) requires
 //     c_{w₂,u} ≤ ecc(v) − 2 on the far set {u : M^w_u > ecc(v) − 2}, which
 //     is typically tiny — candidates are rejected after |far| comparisons
-//     and the exact combine runs only for actual improvers.
+//     (budgeted scans: one bit-parallel reach word per candidate) and the
+//     exact combine runs only for actual improvers.
 //
 // The scan kernels are templated on the distance storage width
 // (graph/dist_width.hpp): on small-diameter instances the shared slab and
@@ -125,6 +126,9 @@ class SwapEngine {
     /// Combined row-cache counters of both widths (all-zero while every
     /// scan ran dense).
     [[nodiscard]] RowCacheStats row_cache_stats() const;
+    /// Far-set reach traversals (bfs_batch_reach calls) run by budgeted
+    /// max-model scans of this scratch.
+    [[nodiscard]] std::uint64_t reach_traversals() const noexcept { return reach_traversals_; }
 
    private:
     /// Width-typed row buffers of one scan. 64-byte-aligned storage: these
@@ -152,13 +156,17 @@ class SwapEngine {
     std::vector<std::uint16_t> base_;   // d_G(v, ·) of the scanned agent
     std::vector<std::uint8_t> is_nbr_;  // closed neighborhood marks of v
     AlignedVec<Vertex> argmin_;         // neighbor attaining min1
-    AlignedVec<Vertex> far_;            // far set of the removed edge (n slots)
+    AlignedVec<Vertex> far_;            // far set of the removed edge, or the union
+                                        // far set in budgeted scans (n slots)
     std::vector<std::uint8_t> far_mark_;  // membership marks of far_
-    AlignedVec<Vertex> hits_;           // collect_below output (cover masks)
-    std::vector<std::uint64_t> masks_;  // flat per-candidate coverage bitsets
+    AlignedVec<Vertex> hits_;           // collect_below output / replayed far passes
+    std::vector<std::uint64_t> masks_;  // flat per-candidate coverage bitsets (cover
+                                        // masks; budgeted max: far-set reach words)
+    std::vector<std::uint64_t> alive_;  // budgeted max: edges of the group each
+                                        // candidate still survives, one bit per edge
     std::vector<AlphaCandidate> alpha_;  // buffered α-scan candidates
-    std::vector<Vertex> survivors_;      // streamed far-filter survivor list
-    std::vector<Vertex> survivors_next_;
+    std::vector<Vertex> survivors_;      // replayed far-pass survivor list
+    std::uint64_t reach_traversals_ = 0;
     Rows<std::uint8_t> rows8_;
     Rows<std::uint16_t> rows16_;
   };
@@ -305,9 +313,9 @@ class SwapEngine {
   /// through the DistanceProvider's row cache under the per-lane byte
   /// budget instead of a dense n×n slab — the agent's current cost derives
   /// from the neighbor min-fold (source-removal identity at N' = N(v)), the
-  /// max model streams its far filter over far-vertex rows (fetched lazily,
-  /// by symmetry d(f, w₂) = d(w₂, f)) so candidate rows are materialized
-  /// only for proven improvers, and the sum model prunes candidates whose
+  /// max model filters candidates by bit-parallel reach of the far sets
+  /// (reach_filter_t) so candidate rows are materialized only for proven
+  /// improvers, and the sum model prunes candidates whose
   /// triangle-inequality lower bound (Σ M^w − n·M^w_{w₂}) already meets the
   /// old cost. False on width saturation (u8: dispatcher widens; u16: the
   /// instance exceeds the 16-bit encoding and the dispatcher fails loudly).
@@ -315,6 +323,26 @@ class SwapEngine {
   [[nodiscard]] bool scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_first,
                                            bool include_deletions, std::uint64_t* moves_checked,
                                            Scratch& scratch, std::optional<Deviation>& out) const;
+
+  /// Far filter of the budgeted max scan for the removed edges
+  /// nbrs[first, first + count), count ≤ 64, over the scan tables in
+  /// `scratch`: sets bit e − first of scratch.alive_[x] iff candidate x
+  /// reaches every vertex of edge e's far set within `cap` in G − v. Runs
+  /// one bfs_batch_reach per ≤ 64 vertices of the group's union far set.
+  /// Returns the group's edges whose far set holds a vertex whose masked
+  /// row saturates the width (DESIGN.md §16).
+  template <typename Dist>
+  [[nodiscard]] std::uint64_t reach_filter_t(Vertex v, std::size_t first, std::size_t count,
+                                             std::int32_t cap, Scratch& scratch) const;
+
+  /// The lazy width-fallback rule of the far filter, for one removed edge
+  /// whose far set holds a saturating vertex: false iff, filtering the
+  /// candidates by one far vertex at a time in pass order (descending M^w,
+  /// ids ascending), a saturating vertex comes up while some candidate
+  /// still survives. `m` is the edge's M^w.
+  template <typename Dist>
+  [[nodiscard]] bool replay_far_passes_t(Vertex v, const Dist* m, std::int32_t cap,
+                                         Scratch& scratch) const;
 
   /// The snapshot's unmasked capped APSP at width `Dist`, built on first
   /// need (on the pool) and shared read-only by every lane and by the

@@ -72,7 +72,8 @@ template <typename Dist>
 }
 
 /// Word-parallel level-synchronous BFS: one frontier bit per source,
-/// direction-optimizing per level.
+/// direction-optimizing per level. The level loop shared by the row and the
+/// reach traversals.
 ///
 /// Fat levels run the **pull** formulation: every unsettled vertex gathers
 /// the OR of its neighbors' previous-level frontier words in one streaming
@@ -85,21 +86,17 @@ template <typename Dist>
 /// so the mode sequence is invisible in the output; the masked edge costs
 /// one extra comparison on whichever side touches it.
 ///
-/// Distance rows are written once per settled bit — the settles of one
-/// level sweep u in ascending order, so the writes form ≤ 64 interleaved
-/// sequential streams (a transposed-tile variant was measured slower: the
-/// extra full-matrix transpose pass costs more than the stream writes) —
-/// and unreached entries are back-filled with `inf_value` at the end, so
-/// the common connected case never pays an O(batch·n) infinity pre-fill.
-///
-/// Returns false the moment any bit settles at a level above `max_finite`
-/// (the exact saturation condition — a frontier that dies at max_finite is
-/// not saturation).
-template <typename Dist>
-[[nodiscard]] bool bitparallel_batch(const CsrGraph& g, std::span<const Vertex> sources,
-                                     MaskedEdge mask, Dist* rows, std::size_t stride,
-                                     BatchBfsWorkspace& ws, Vertex masked_vertex, Dist inf_value,
-                                     Dist max_finite) {
+/// `settle(u, newly, level)` sees every vertex that gains bits at a level
+/// ≥ 1, in ascending u within a pull level; returning false aborts the
+/// traversal (and the function returns false). `level_done(level)` runs
+/// after each completed level, level 0 being the sources themselves;
+/// returning false stops the traversal early. On return the workspace's
+/// visited words hold every bit settled so far.
+template <typename Settle, typename LevelDone>
+[[nodiscard]] bool bitparallel_levels(const CsrGraph& g, std::span<const Vertex> sources,
+                                      MaskedEdge mask, BatchBfsWorkspace& ws,
+                                      Vertex masked_vertex, Settle&& settle,
+                                      LevelDone&& level_done) {
   const Vertex n = g.num_vertices();
   auto& cur = BatchBfsAccess::cur(ws);
   auto& next = BatchBfsAccess::next(ws);
@@ -118,18 +115,15 @@ template <typename Dist>
       sources.size() == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << sources.size()) - 1;
   // A masked vertex starts saturated: it never settles, never enters a
   // frontier, and its cur word stays 0, so nothing traverses through it.
-  if (masked_vertex < n) {
-    visited[masked_vertex] = batch_mask;
-    for (std::size_t i = 0; i < sources.size(); ++i) rows[i * stride + masked_vertex] = inf_value;
-  }
+  if (masked_vertex < n) visited[masked_vertex] = batch_mask;
   for (std::size_t i = 0; i < sources.size(); ++i) {
     const Vertex s = sources[i];
-    if (s == masked_vertex) continue;  // absent source: row back-fills to ∞
+    if (s == masked_vertex) continue;  // absent source: reaches nothing
     if (cur[s] == 0) frontier.push_back(s);
     visited[s] |= std::uint64_t{1} << i;
     cur[s] |= std::uint64_t{1} << i;
-    rows[i * stride + s] = 0;
   }
+  if (!level_done(Vertex{0})) return true;
 
   // Invariant at each loop top: cur[u] holds the previous level's frontier
   // word of u (zero elsewhere) and `frontier` lists exactly the u with
@@ -163,58 +157,89 @@ template <typename Dist>
       for (const Vertex t : touched) {
         const std::uint64_t newly = next[t] & ~visited[t];
         if (newly == 0) continue;
-        if (level > max_finite) return false;  // saturated settle
+        if (!settle(t, newly, level)) return false;
         active = true;
         visited[t] |= newly;
         cur[t] = newly;
         spare.push_back(t);
-        std::uint64_t bits = newly;
-        while (bits != 0) {
-          const int b = std::countr_zero(bits);
-          bits &= bits - 1;
-          rows[static_cast<std::size_t>(b) * stride + t] = static_cast<Dist>(level);
-        }
       }
       frontier.swap(spare);
-      continue;
-    }
-    frontier.clear();
-    const simd::WordKernels& wk = simd::words();
-    for (Vertex u = 0; u < n; ++u) {
-      // Saturated vertices (all sources arrived) can gain nothing; skip the
-      // gather — this makes late, mostly-settled levels nearly free.
-      if (visited[u] == batch_mask) {
-        next[u] = 0;
-        continue;
-      }
-      std::uint64_t word = 0;
-      if (mask.active() && (u == mask.u || u == mask.v)) [[unlikely]] {
-        const Vertex other = u == mask.u ? mask.v : mask.u;
-        for (const Vertex t : g.neighbors(u)) {
-          if (t != other) word |= cur[t];
+    } else {
+      frontier.clear();
+      const simd::WordKernels& wk = simd::words();
+      for (Vertex u = 0; u < n; ++u) {
+        // Saturated vertices (all sources arrived) can gain nothing; skip
+        // the gather — this makes late, mostly-settled levels nearly free.
+        if (visited[u] == batch_mask) {
+          next[u] = 0;
+          continue;
         }
-      } else {
-        const auto nbrs = g.neighbors(u);
-        word = wk.or_gather(cur.data(), nbrs.data(), nbrs.size());
+        std::uint64_t word = 0;
+        if (mask.active() && (u == mask.u || u == mask.v)) [[unlikely]] {
+          const Vertex other = u == mask.u ? mask.v : mask.u;
+          for (const Vertex t : g.neighbors(u)) {
+            if (t != other) word |= cur[t];
+          }
+        } else {
+          const auto nbrs = g.neighbors(u);
+          word = wk.or_gather(cur.data(), nbrs.data(), nbrs.size());
+        }
+        const std::uint64_t newly = word & ~visited[u];
+        next[u] = newly;
+        if (newly == 0) continue;
+        if (!settle(u, newly, level)) return false;
+        active = true;
+        visited[u] |= newly;
+        frontier.push_back(u);
       }
-      const std::uint64_t newly = word & ~visited[u];
-      next[u] = newly;
-      if (newly == 0) continue;
-      if (level > max_finite) return false;  // saturated: this settle is unrepresentable
-      active = true;
-      visited[u] |= newly;
-      frontier.push_back(u);
-      std::uint64_t bits = newly;
-      while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        rows[static_cast<std::size_t>(b) * stride + u] = static_cast<Dist>(level);
-      }
+      std::swap(cur, next);
     }
-    std::swap(cur, next);
+    if (active && !level_done(level)) return true;
   }
+  return true;
+}
+
+/// Row-writing batch over bitparallel_levels. Distance rows are written
+/// once per settled bit — the settles of one level sweep u in ascending
+/// order, so the writes form ≤ 64 interleaved sequential streams (a
+/// transposed-tile variant was measured slower: the extra full-matrix
+/// transpose pass costs more than the stream writes) — and unreached
+/// entries are back-filled with `inf_value` at the end, so the common
+/// connected case never pays an O(batch·n) infinity pre-fill.
+///
+/// Returns false the moment any bit settles at a level above `max_finite`
+/// (the exact saturation condition — a frontier that dies at max_finite is
+/// not saturation).
+template <typename Dist>
+[[nodiscard]] bool bitparallel_batch(const CsrGraph& g, std::span<const Vertex> sources,
+                                     MaskedEdge mask, Dist* rows, std::size_t stride,
+                                     BatchBfsWorkspace& ws, Vertex masked_vertex, Dist inf_value,
+                                     Dist max_finite) {
+  const Vertex n = g.num_vertices();
+  if (masked_vertex < n) {
+    for (std::size_t i = 0; i < sources.size(); ++i) rows[i * stride + masked_vertex] = inf_value;
+  }
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    if (sources[i] != masked_vertex) rows[i * stride + sources[i]] = 0;
+  }
+  const bool fits = bitparallel_levels(
+      g, sources, mask, ws, masked_vertex,
+      [&](Vertex u, std::uint64_t newly, Vertex level) {
+        if (level > max_finite) return false;  // saturated: this settle is unrepresentable
+        while (newly != 0) {
+          const int b = std::countr_zero(newly);
+          newly &= newly - 1;
+          rows[static_cast<std::size_t>(b) * stride + u] = static_cast<Dist>(level);
+        }
+        return true;
+      },
+      [](Vertex) { return true; });
+  if (!fits) return false;
 
   // Back-fill unreached entries (no-op on connected graphs).
+  const std::uint64_t batch_mask =
+      sources.size() == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << sources.size()) - 1;
+  const auto& visited = BatchBfsAccess::visited(ws);
   for (Vertex u = 0; u < n; ++u) {
     if (u == masked_vertex) continue;
     std::uint64_t missing = batch_mask & ~visited[u];
@@ -333,6 +358,36 @@ template bool bfs_batch_capped<std::uint16_t>(const CsrGraph&, std::span<const V
                                               MaskedEdge, std::uint16_t*, std::size_t,
                                               BatchBfsWorkspace&, Vertex, std::uint16_t,
                                               std::uint16_t);
+
+std::uint64_t bfs_batch_reach(const CsrGraph& g, std::span<const Vertex> sources,
+                              Vertex masked_vertex, std::int32_t cap, Vertex max_finite,
+                              std::uint64_t* reach, BatchBfsWorkspace& ws) {
+  BNCG_REQUIRE(sources.size() <= 64, "at most 64 sources per batch");
+  const Vertex n = g.num_vertices();
+  const auto& visited = BatchBfsAccess::visited(ws);
+  bool captured = cap < 0;
+  if (captured) std::fill(reach, reach + n, std::uint64_t{0});
+  // Bits settling at level max_finite + 1 are exactly the saturating
+  // sources (BFS levels are contiguous, so every later settle of a source
+  // implies one at that level) — the traversal stops there.
+  std::uint64_t saturated = 0;
+  (void)bitparallel_levels(
+      g, sources, MaskedEdge{}, ws, masked_vertex,
+      [&](Vertex, std::uint64_t newly, Vertex level) {
+        if (level > max_finite) saturated |= newly;
+        return true;
+      },
+      [&](Vertex level) {
+        if (!captured && std::int64_t{level} == cap) {
+          std::memcpy(reach, visited.data(), std::size_t{n} * sizeof(std::uint64_t));
+          captured = true;
+        }
+        return level <= max_finite;
+      });
+  if (!captured) std::memcpy(reach, visited.data(), std::size_t{n} * sizeof(std::uint64_t));
+  if (masked_vertex < n) reach[masked_vertex] = 0;  // pre-saturated, never reached
+  return saturated;
+}
 
 void csr_apsp(const CsrGraph& g, MaskedEdge mask, std::uint16_t* rows, BatchBfsWorkspace& ws,
               Vertex masked_vertex) {

@@ -96,6 +96,22 @@ template <typename Dist>
                                     BatchBfsWorkspace& ws, Vertex masked_vertex, Dist inf_value,
                                     Dist max_finite);
 
+/// Bit-parallel reach: the ≤ 64-source traversal of `bfs_batch` without
+/// distance rows. On return reach[u] (n words) has bit i set iff
+/// d(sources[i], u) ≤ cap in the snapshot with `masked_vertex` removed
+/// (cap < 0 reaches nothing; the masked vertex is never reached). Returns
+/// the bits of the sources whose traversal settles a vertex above
+/// `max_finite` — exactly the sources on which `bfs_batch_capped` at that
+/// bound reports saturation. Reach bits of a saturating source are exact
+/// up to level max_finite + 1, where the traversal stops. This is the far
+/// filter of the budgeted max scan (DESIGN.md §16): one traversal answers
+/// "which vertices reach these ≤ 64 far vertices within cap" for every
+/// candidate at once, where rows would cost 64 single-source fills.
+[[nodiscard]] std::uint64_t bfs_batch_reach(const CsrGraph& g, std::span<const Vertex> sources,
+                                            Vertex masked_vertex, std::int32_t cap,
+                                            Vertex max_finite, std::uint64_t* reach,
+                                            BatchBfsWorkspace& ws);
+
 /// All-pairs shortest paths of the (masked) snapshot into an n×n row-major
 /// 16-bit matrix: rows[v·n + x] = d(v, x). Serial; callers parallelize over
 /// higher-level work units (agents, removed edges). Masking a vertex yields

@@ -17,8 +17,16 @@ namespace bncg {
 /// Writes "n m" on the first line, then one "u v" pair per edge.
 void write_edge_list(std::ostream& os, const Graph& g);
 
+/// Largest vertex count an edge-list header may claim: 2²⁴, 128 times the
+/// 2¹⁷-vertex torus of the budgeted certification smoke, with an empty
+/// adjacency of under half a GiB. The header sizes the graph before any
+/// edge is read, so a larger claim is refused up front instead of
+/// attempting the allocation.
+inline constexpr Vertex kMaxEdgeListVertices = Vertex{1} << 24;
+
 /// Parses the write_edge_list format. Throws std::invalid_argument on
-/// malformed input (bad counts, out-of-range ids, duplicate edges).
+/// malformed input (bad counts, a vertex count above kMaxEdgeListVertices,
+/// out-of-range ids, duplicate edges, trailing tokens).
 [[nodiscard]] Graph read_edge_list(std::istream& is);
 
 /// Graphviz DOT (undirected). `name` is the graph identifier in the output.

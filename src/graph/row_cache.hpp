@@ -9,8 +9,8 @@
 //  * Storage is carved into fixed-size BLOCKS of `block_rows` row slots.
 //    A block is an allocation arena, not an address range of sources — any
 //    slot can hold any source's row, so scattered access patterns (neighbor
-//    rows, far-set rows, surviving candidates) pack densely instead of
-//    dragging in 64-aligned strangers.
+//    rows, surviving candidates) pack densely instead of dragging in
+//    64-aligned strangers.
 //  * A miss materializes the row by exact BFS (`bfs_batch_capped`, the
 //    positional twin of `csr_apsp_rows_capped`): misses queued by
 //    prefetch() fill contiguous slots of one block in ≤ 64-source

@@ -2,15 +2,19 @@
 // the mutable Graph and its queue BFS: structure round-trips exactly,
 // masked-edge traversals agree with physically removing the edge, and the
 // batched APSP reproduces per-source BFS bit for bit on dense and sparse
-// (queue-fallback) instances alike.
+// (queue-fallback) instances alike, and the bit-parallel reach kernel agrees
+// with per-source capped rows, saturation bits included.
 #include "graph/bfs_batch.hpp"
 #include "graph/csr.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "gen/classic.hpp"
+#include "gen/paper.hpp"
 #include "gen/random.hpp"
 #include "graph/apsp.hpp"
 #include "graph/bfs.hpp"
@@ -216,6 +220,126 @@ TEST(BatchBfs, PartialBatchWithExplicitSources) {
       EXPECT_EQ(rows[i * 12 + x], want);
     }
   }
+}
+
+// ------------------------------------------------------------------ reach
+
+/// `g` with its vertex ids shuffled by a seeded permutation.
+Graph relabeled(const Graph& g, Xoshiro256ss& rng) {
+  const Vertex n = g.num_vertices();
+  std::vector<Vertex> perm(n);
+  for (Vertex i = 0; i < n; ++i) perm[i] = i;
+  for (Vertex i = n; i > 1; --i) std::swap(perm[i - 1], perm[rng.below(i)]);
+  Graph h(n);
+  for (const Edge& e : g.edges()) h.add_edge(perm[e.u], perm[e.v]);
+  return h;
+}
+
+/// Per-source reference row: one single-source bfs_batch_capped (the queue
+/// traversal) at the given saturation bound. False when it saturates.
+bool reference_row(const CsrGraph& csr, Vertex source, Vertex masked, std::uint16_t max_finite,
+                   std::vector<std::uint16_t>& row, BatchBfsWorkspace& ws) {
+  row.resize(csr.num_vertices());
+  const Vertex one[1] = {source};
+  return bfs_batch_capped<std::uint16_t>(csr, one, MaskedEdge{}, row.data(), row.size(), ws,
+                                         masked, kInfDist16, max_finite);
+}
+
+/// bfs_batch_reach against per-source rows: bit i of reach[u] must read
+/// d(sources[i], u) ≤ cap, and no source saturates an unreachable bound.
+void expect_reach_matches(const CsrGraph& csr, const std::vector<Vertex>& sources, Vertex masked,
+                          std::int32_t cap, const std::string& ctx) {
+  const Vertex n = csr.num_vertices();
+  BatchBfsWorkspace ws;
+  std::vector<std::uint64_t> reach(n, 0xA5A5A5A5A5A5A5A5ull);  // poison: every word is written
+  const std::uint64_t saturated =
+      bfs_batch_reach(csr, sources, masked, cap, kInfDist16 - 1, reach.data(), ws);
+  EXPECT_EQ(saturated, 0u) << ctx;
+  std::vector<std::uint16_t> row;
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    ASSERT_TRUE(reference_row(csr, sources[i], masked, kInfDist16 - 1, row, ws)) << ctx;
+    for (Vertex u = 0; u < n; ++u) {
+      const bool want = row[u] != kInfDist16 && static_cast<std::int32_t>(row[u]) <= cap;
+      ASSERT_EQ((reach[u] >> i & 1) != 0, want)
+          << ctx << " source=" << sources[i] << " u=" << u << " cap=" << cap;
+    }
+  }
+}
+
+TEST(BatchBfs, ReachMatchesPerSourceCappedRows) {
+  Xoshiro256ss rng(0x4EAC);
+  std::vector<std::pair<Graph, std::string>> instances;
+  for (int trial = 0; trial < 4; ++trial) {
+    const Vertex n = 70 + static_cast<Vertex>(rng.below(80));
+    instances.emplace_back(random_connected_gnm(n, 2 * static_cast<std::size_t>(n), rng),
+                           "gnm" + std::to_string(trial));
+  }
+  instances.emplace_back(path(90), "path90");
+  instances.emplace_back(cycle(101), "cycle101");
+  instances.emplace_back(relabeled(rotated_torus(6).graph(), rng), "torus6");
+  instances.emplace_back(relabeled(rotated_torus(9).graph(), rng), "torus9");
+  for (const auto& [g, name] : instances) {
+    const CsrGraph csr(g);
+    const Vertex n = g.num_vertices();
+    std::vector<Vertex> ids(n);
+    for (Vertex i = 0; i < n; ++i) ids[i] = i;
+    for (const std::size_t count : {std::size_t{1}, std::size_t{7}, std::size_t{33},
+                                    std::size_t{64}}) {
+      for (Vertex i = n; i > 1; --i) std::swap(ids[i - 1], ids[rng.below(i)]);
+      const std::vector<Vertex> sources(ids.begin(), ids.begin() + count);
+      // No mask, a mask among the sources, and a mask elsewhere.
+      for (const Vertex masked : {kNoVertex, sources[0], ids[count]}) {
+        for (const std::int32_t cap : {-1, 0, 1, static_cast<std::int32_t>(n / 8),
+                                       static_cast<std::int32_t>(n)}) {
+          expect_reach_matches(csr, sources, masked, cap,
+                               name + " count=" + std::to_string(count) +
+                                   " masked=" + std::to_string(masked));
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchBfs, ReachSaturationBitsMatchCappedRowsOnPath) {
+  // On path(300) the masked eccentricity of a source is its distance to the
+  // far end of its piece, so a small max_finite splits the sources into
+  // saturating and fitting ones (unmasked, every source saturates).
+  const Graph g = path(300);
+  const CsrGraph csr(g);
+  BatchBfsWorkspace ws;
+  constexpr std::uint16_t kMaxFinite = 120;
+  std::vector<Vertex> sources;
+  for (Vertex s = 0; s < 300; s += 5) sources.push_back(s);  // 60 sources
+  std::vector<std::uint64_t> reach(300);
+  std::vector<std::uint16_t> row;
+  const std::uint64_t all = (std::uint64_t{1} << sources.size()) - 1;
+  std::uint64_t seen_saturated = 0;
+  std::uint64_t seen_fitting = 0;
+  for (const Vertex masked : {kNoVertex, Vertex{150}, Vertex{40}}) {
+    for (const std::int32_t cap : {0, 60, static_cast<std::int32_t>(kMaxFinite) + 1}) {
+      const std::uint64_t saturated =
+          bfs_batch_reach(csr, sources, masked, cap, kMaxFinite, reach.data(), ws);
+      std::uint64_t want_saturated = 0;
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        if (!reference_row(csr, sources[i], masked, kMaxFinite, row, ws)) {
+          want_saturated |= std::uint64_t{1} << i;
+        }
+        // Reach stays exact up to level max_finite + 1 for every source.
+        ASSERT_TRUE(reference_row(csr, sources[i], masked, kInfDist16 - 1, row, ws));
+        for (Vertex u = 0; u < 300; ++u) {
+          const bool want = row[u] != kInfDist16 && static_cast<std::int32_t>(row[u]) <= cap;
+          ASSERT_EQ((reach[u] >> i & 1) != 0, want)
+              << "masked=" << masked << " source=" << sources[i] << " u=" << u;
+        }
+      }
+      EXPECT_EQ(saturated, want_saturated) << "masked=" << masked << " cap=" << cap;
+      seen_saturated |= want_saturated;
+      seen_fitting |= all & ~want_saturated;
+    }
+  }
+  EXPECT_NE(seen_saturated, 0u);  // both kinds of source occur
+  EXPECT_NE(seen_fitting, 0u);
 }
 
 TEST(DistanceMatrix, StillMatchesGraphBfsThroughCsrBackend) {

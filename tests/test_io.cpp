@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "gen/classic.hpp"
 #include "gen/paper.hpp"
@@ -57,6 +58,21 @@ TEST(Io, EdgeListRejectsTrailingTokens) {
       ADD_FAILURE() << "accepted trailing tokens: " << text;
     } catch (const std::invalid_argument& e) {
       EXPECT_STREQ(e.what(), "edge list: trailing tokens");
+    }
+  }
+}
+
+TEST(Io, EdgeListRefusesHugeVertexCountBeforeAllocating) {
+  // The header alone would size a 2·10⁹-vertex graph (tens of GiB of
+  // adjacency): refused as malformed input, not a bad_alloc.
+  for (const char* text : {"2000000000 0\n", "16777217 0\n", "4294967296 1\n0 1\n"}) {
+    std::stringstream ss(text);
+    try {
+      (void)read_edge_list(ss);
+      ADD_FAILURE() << "accepted header: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("exceeds the supported maximum"), std::string::npos)
+          << e.what();
     }
   }
 }

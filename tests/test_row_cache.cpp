@@ -83,9 +83,10 @@ constexpr RunSpec kRuns[] = {
 
 constexpr WidthPolicy kWidths[] = {WidthPolicy::ForceU8, WidthPolicy::ForceU16};
 
-/// Dense vs budgeted certificate for one (graph, run, width) cell.
-void check_parity(const Graph& g, const RunSpec& run, WidthPolicy width, std::uint64_t budget,
-                  const std::string& ctx) {
+/// Dense vs budgeted certificate for one (graph, run, width) cell; returns
+/// the budgeted one.
+ShardedCertificate check_parity(const Graph& g, const RunSpec& run, WidthPolicy width,
+                                std::uint64_t budget, const std::string& ctx) {
   ShardedCertifyConfig dense_cfg;
   dense_cfg.resources.width = width;
   const ShardedCertificate dense =
@@ -96,6 +97,41 @@ void check_parity(const Graph& g, const RunSpec& run, WidthPolicy width, std::ui
   const ShardedCertificate budgeted =
       certify_sharded(g, run.model, run.include_deletions, budget_cfg);
   expect_cert_eq(dense, budgeted, ctx);
+  return budgeted;
+}
+
+/// A cycle plus a hub adjacent to every rim vertex except the multiples of
+/// `skip`: with skip = 0 the hub sees the whole rim and has no swap
+/// candidate at all.
+Graph wheel(Vertex rim, Vertex skip = 0) {
+  Graph g = cycle(rim);
+  const Vertex hub = g.add_vertex();
+  for (Vertex x = 0; x < rim; ++x) {
+    if (skip == 0 || x % skip != 0) g.add_edge(hub, x);
+  }
+  return g;
+}
+
+/// A cycle of 120–199 vertices with five random chords, plus a hub joined
+/// to 65–134 random rim vertices: the hub's removed edges span two 64-edge
+/// groups of the budgeted far filter, and its far sets mix members far for
+/// every edge with members far for one edge only.
+Graph chorded_hub(std::uint64_t seed) {
+  Xoshiro256ss rng(seed);
+  const Vertex n = 120 + static_cast<Vertex>(rng.below(80));
+  Graph g = cycle(n);
+  for (int i = 0; i < 5; ++i) {
+    const Vertex a = static_cast<Vertex>(rng.below(n));
+    const Vertex b = static_cast<Vertex>(rng.below(n));
+    if (a != b && !g.has_edge(a, b)) g.add_edge(a, b);
+  }
+  const Vertex hub = g.add_vertex();
+  const Vertex want = 65 + static_cast<Vertex>(rng.below(70));
+  for (Vertex k = 0; k < 3 * want && g.degree(hub) < want; ++k) {
+    const Vertex x = static_cast<Vertex>(rng.below(n));
+    if (!g.has_edge(hub, x)) g.add_edge(hub, x);
+  }
+  return g;
 }
 
 // ------------------------------------------------------------------ units
@@ -210,23 +246,49 @@ TEST(RowCache, DifferentialCertifyGnm) {
   }
 }
 
+/// A cycle with one diameter chord: masking a chord endpoint leaves paths
+/// of length ≈ len/2 + len/4, past the u8 cap at len = 100.
+Graph chorded_cycle(Vertex len) {
+  Graph g = cycle(len);
+  g.add_edge(0, len / 2);
+  return g;
+}
+
 // Structured instances: equilibria (torus — exercises the prune fast
-// path), near-equilibria, and a path long enough that ForceU8 saturates
-// and falls back to u16 in BOTH storage modes.
+// path), near-equilibria, wheels (an agent with no candidate, an agent
+// whose removed edges span two 64-edge groups), and paths and cycles long
+// enough that ForceU8 saturates and falls back to u16 in BOTH storage
+// modes. The budgeted max-model fallback counts are pinned:
+// the far filter falls back lazily, a saturating far vertex counting only
+// if the far passes reach it (DESIGN.md §16).
 TEST(RowCache, DifferentialCertifyStructured) {
-  std::vector<std::pair<Graph, const char*>> instances;
-  instances.emplace_back(rotated_torus(5).graph(), "torus5");
-  instances.emplace_back(rotated_torus(6).graph(), "torus6");
-  instances.emplace_back(cycle(48), "cycle48");
-  instances.emplace_back(path(70), "path70");  // masked dist > u8 cap
-  instances.emplace_back(complete_bipartite(6, 10), "k6_10");
-  for (const auto& [g, name] : instances) {
+  struct Structured {
+    Graph g;
+    const char* name;
+    std::uint64_t max_fallbacks;  // ForceU8 budgeted, max and max+del
+  };
+  std::vector<Structured> instances;
+  instances.push_back({rotated_torus(5).graph(), "torus5", 0});
+  instances.push_back({rotated_torus(6).graph(), "torus6", 0});
+  instances.push_back({cycle(48), "cycle48", 0});
+  instances.push_back({path(70), "path70", 14});  // masked dist > u8 cap
+  instances.push_back({cycle(130), "cycle130", 130});
+  instances.push_back({chorded_cycle(100), "chorded100", 50});
+  instances.push_back({complete_bipartite(6, 10), "k6_10", 0});
+  instances.push_back({wheel(20), "wheel20", 0});
+  // A degree-100 hub: its removed edges span two 64-edge groups.
+  instances.push_back({wheel(150, 3), "hub150", 1});
+  for (const auto& [g, name, max_fallbacks] : instances) {
     for (const RunSpec& run : kRuns) {
       for (const WidthPolicy width : kWidths) {
         const std::string ctx = std::string(name) + " run=" + run.name +
                                 " width=" + (width == WidthPolicy::ForceU8 ? "u8" : "u16");
-        check_parity(g, run, width, forcing_budget(g.num_vertices()), ctx);
+        const ShardedCertificate budgeted =
+            check_parity(g, run, width, forcing_budget(g.num_vertices()), ctx);
         if (HasFatalFailure()) return;
+        if (run.model == UsageCost::Max && width == WidthPolicy::ForceU8) {
+          EXPECT_EQ(budgeted.width_fallbacks, max_fallbacks) << ctx;
+        }
       }
     }
   }
@@ -258,10 +320,20 @@ TEST(RowCache, DifferentialStopOnViolationVerdict) {
 // moves_checked counter and first_deviation's early-exit accounting — the
 // sharpest-grained equivalence the certificate parity above aggregates.
 TEST(RowCache, DifferentialPerAgentMoves) {
+  // Four G(n, 1.5n) instances, a wheel — one scratch scans every agent in
+  // turn, so its hub (no candidate) follows rim agents that had some — and
+  // a hub of degree > 64.
+  std::vector<Graph> graphs;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     Xoshiro256ss rng(seed + 100);
     const Vertex n = static_cast<Vertex>(24 + seed * 8);
-    const Graph g = random_connected_gnm(n, n + n / 2, rng);
+    graphs.push_back(random_connected_gnm(n, n + n / 2, rng));
+  }
+  graphs.push_back(wheel(20));
+  graphs.push_back(chorded_hub(44));
+  for (std::size_t seed = 1; seed <= graphs.size(); ++seed) {
+    const Graph& g = graphs[seed - 1];
+    const Vertex n = g.num_vertices();
     for (const RunSpec& run : kRuns) {
       for (const WidthPolicy width : kWidths) {
         ResourceConfig dense_res;
@@ -270,11 +342,15 @@ TEST(RowCache, DifferentialPerAgentMoves) {
         budget_res.mem_budget = forcing_budget(n);
         const SwapEngine dense(g, dense_res);
         const SwapEngine budgeted(g, budget_res);
-        SwapEngine::Scratch ds, bs;
+        // One scratch pair per entry point, so first_deviation's scratch
+        // only ever sees early-exiting scans.
+        SwapEngine::Scratch scratch[2][2];
         for (Vertex v = 0; v < n; ++v) {
           const std::string ctx = "seed=" + std::to_string(seed) + " v=" + std::to_string(v) +
                                   " run=" + run.name;
           for (const bool first : {false, true}) {
+            SwapEngine::Scratch& ds = scratch[first][0];
+            SwapEngine::Scratch& bs = scratch[first][1];
             std::uint64_t dense_moves = 0, budget_moves = 0;
             const auto want =
                 first ? dense.first_deviation(v, run.model, ds, run.include_deletions,
