@@ -490,11 +490,9 @@ bool SwapEngine::scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_f
         saturated_edges =
             reach_filter_t<Dist>(v, e, std::min<std::size_t>(64, nbrs.size() - e), cap, s);
       }
-      // Width fallback stays lazy: a far vertex whose row saturates the
-      // width sends the agent to u16 only if the far passes reach it.
-      if ((saturated_edges >> bit & 1) != 0 && !replay_far_passes_t<Dist>(v, m, cap, s)) {
-        return false;
-      }
+      // A far vertex whose masked row saturates the width sends the agent
+      // to u16 (DESIGN.md §16).
+      if ((saturated_edges >> bit & 1) != 0) return false;
       for (Vertex w2 = 0; w2 < n; ++w2) {
         if ((s.alive_[w2] >> bit & 1) == 0) continue;
         const Dist* c = provider.row(w2, s.bfs_);
@@ -596,37 +594,6 @@ std::uint64_t SwapEngine::reach_filter_t(Vertex v, std::size_t first, std::size_
     for (const std::uint32_t e : chunk_edges) private_bits[e] = 0;
   }
   return saturated_edges;
-}
-
-template <typename Dist>
-bool SwapEngine::replay_far_passes_t(Vertex v, const Dist* m, std::int32_t cap,
-                                     Scratch& s) const {
-  const Vertex n = csr_.num_vertices();
-  // Pass order: far vertices by descending M^w, ids ascending on ties.
-  // Pass i tests far[i] iff some candidate survived passes 0..i−1, and a
-  // saturating far[i] reached that way fails the scan.
-  s.hits_.resize(n);
-  Vertex* far = s.hits_.data();
-  const std::uint32_t far_count = simd::kernels<Dist>().collect_above(m, n, cap, /*skip=*/v, far);
-  std::sort(far, far + far_count,
-            [&](Vertex a, Vertex b) { return m[a] > m[b] || (m[a] == m[b] && a < b); });
-  auto& surv = s.survivors_;
-  surv.clear();
-  for (Vertex x = 0; x < n; ++x) {
-    if (s.is_nbr_[x] == 0) surv.push_back(x);
-  }
-  for (std::uint32_t base = 0; base < far_count && !surv.empty(); base += 64) {
-    const std::uint32_t chunk = std::min<std::uint32_t>(64, far_count - base);
-    const std::uint64_t saturated =
-        bfs_batch_reach(csr_, std::span<const Vertex>(far + base, chunk), v, cap,
-                        engine_max_finite<Dist>(), s.masks_.data(), s.bfs_);
-    ++s.reach_traversals_;
-    for (std::uint32_t i = 0; i < chunk && !surv.empty(); ++i) {
-      if ((saturated >> i & 1) != 0) return false;
-      std::erase_if(surv, [&](Vertex x) { return (s.masks_[x] >> i & 1) == 0; });
-    }
-  }
-  return true;
 }
 
 template <typename Dist>

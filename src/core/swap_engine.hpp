@@ -159,13 +159,12 @@ class SwapEngine {
     AlignedVec<Vertex> far_;            // far set of the removed edge, or the union
                                         // far set in budgeted scans (n slots)
     std::vector<std::uint8_t> far_mark_;  // membership marks of far_
-    AlignedVec<Vertex> hits_;           // collect_below output / replayed far passes
+    AlignedVec<Vertex> hits_;           // collect_below output (cover masks)
     std::vector<std::uint64_t> masks_;  // flat per-candidate coverage bitsets (cover
                                         // masks; budgeted max: far-set reach words)
     std::vector<std::uint64_t> alive_;  // budgeted max: edges of the group each
                                         // candidate still survives, one bit per edge
     std::vector<AlphaCandidate> alpha_;  // buffered α-scan candidates
-    std::vector<Vertex> survivors_;      // replayed far-pass survivor list
     std::uint64_t reach_traversals_ = 0;
     Rows<std::uint8_t> rows8_;
     Rows<std::uint16_t> rows16_;
@@ -334,15 +333,6 @@ class SwapEngine {
   template <typename Dist>
   [[nodiscard]] std::uint64_t reach_filter_t(Vertex v, std::size_t first, std::size_t count,
                                              std::int32_t cap, Scratch& scratch) const;
-
-  /// The lazy width-fallback rule of the far filter, for one removed edge
-  /// whose far set holds a saturating vertex: false iff, filtering the
-  /// candidates by one far vertex at a time in pass order (descending M^w,
-  /// ids ascending), a saturating vertex comes up while some candidate
-  /// still survives. `m` is the edge's M^w.
-  template <typename Dist>
-  [[nodiscard]] bool replay_far_passes_t(Vertex v, const Dist* m, std::int32_t cap,
-                                         Scratch& scratch) const;
 
   /// The snapshot's unmasked capped APSP at width `Dist`, built on first
   /// need (on the pool) and shared read-only by every lane and by the

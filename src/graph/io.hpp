@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "graph/csr.hpp"
 #include "graph/graph.hpp"
@@ -17,12 +18,14 @@ namespace bncg {
 /// Writes "n m" on the first line, then one "u v" pair per edge.
 void write_edge_list(std::ostream& os, const Graph& g);
 
-/// Largest vertex count an edge-list header may claim: 2²⁴, 128 times the
-/// 2¹⁷-vertex torus of the budgeted certification smoke, with an empty
-/// adjacency of under half a GiB. The header sizes the graph before any
-/// edge is read, so a larger claim is refused up front instead of
-/// attempting the allocation.
-inline constexpr Vertex kMaxEdgeListVertices = Vertex{1} << 24;
+/// Largest vertex count an edge-list header may claim. The header sizes the
+/// graph before any edge is read, one empty adjacency list per vertex, so a
+/// claim whose empty adjacency alone would exceed 4 GiB — the hard memory
+/// cap budgeted certification is built to run under (DESIGN.md §16) — is
+/// refused up front instead of attempting the allocation: about 1.8·10⁸
+/// vertices with 24-byte vectors.
+inline constexpr Vertex kMaxEdgeListVertices =
+    static_cast<Vertex>((std::uint64_t{1} << 32) / sizeof(std::vector<Vertex>));
 
 /// Parses the write_edge_list format. Throws std::invalid_argument on
 /// malformed input (bad counts, a vertex count above kMaxEdgeListVertices,

@@ -65,7 +65,9 @@ TEST(Io, EdgeListRejectsTrailingTokens) {
 TEST(Io, EdgeListRefusesHugeVertexCountBeforeAllocating) {
   // The header alone would size a 2·10⁹-vertex graph (tens of GiB of
   // adjacency): refused as malformed input, not a bad_alloc.
-  for (const char* text : {"2000000000 0\n", "16777217 0\n", "4294967296 1\n0 1\n"}) {
+  const std::string just_above = std::to_string(std::uint64_t{kMaxEdgeListVertices} + 1) + " 0\n";
+  for (const std::string& text : {std::string("2000000000 0\n"), just_above,
+                                  std::string("4294967296 1\n0 1\n")}) {
     std::stringstream ss(text);
     try {
       (void)read_edge_list(ss);

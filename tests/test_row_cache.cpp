@@ -342,29 +342,35 @@ TEST(RowCache, DifferentialPerAgentMoves) {
         budget_res.mem_budget = forcing_budget(n);
         const SwapEngine dense(g, dense_res);
         const SwapEngine budgeted(g, budget_res);
-        // One scratch pair per entry point, so first_deviation's scratch
-        // only ever sees early-exiting scans.
-        SwapEngine::Scratch scratch[2][2];
+        // Two scratch histories: scratch[0] / scratch[1] belong to one entry
+        // point each, so first_deviation's only ever sees early-exiting
+        // scans; scratch[2] is shared, so best_deviation(v) runs on what an
+        // early-exiting first_deviation(v − 1) left behind.
+        SwapEngine::Scratch scratch[3][2];
         for (Vertex v = 0; v < n; ++v) {
           const std::string ctx = "seed=" + std::to_string(seed) + " v=" + std::to_string(v) +
                                   " run=" + run.name;
           for (const bool first : {false, true}) {
-            SwapEngine::Scratch& ds = scratch[first][0];
-            SwapEngine::Scratch& bs = scratch[first][1];
-            std::uint64_t dense_moves = 0, budget_moves = 0;
-            const auto want =
-                first ? dense.first_deviation(v, run.model, ds, run.include_deletions,
-                                              &dense_moves)
-                      : dense.best_deviation(v, run.model, ds, run.include_deletions,
-                                             &dense_moves);
-            const auto got =
-                first ? budgeted.first_deviation(v, run.model, bs, run.include_deletions,
-                                                 &budget_moves)
-                      : budgeted.best_deviation(v, run.model, bs, run.include_deletions,
-                                                &budget_moves);
-            expect_dev_eq(want, got, ctx + (first ? " first" : " best"));
-            EXPECT_EQ(dense_moves, budget_moves) << ctx << (first ? " first" : " best");
-            if (HasFatalFailure()) return;
+            for (const int history : {static_cast<int>(first), 2}) {
+              SwapEngine::Scratch& ds = scratch[history][0];
+              SwapEngine::Scratch& bs = scratch[history][1];
+              const std::string where = ctx + (first ? " first" : " best") +
+                                        (history == 2 ? " shared" : " split");
+              std::uint64_t dense_moves = 0, budget_moves = 0;
+              const auto want =
+                  first ? dense.first_deviation(v, run.model, ds, run.include_deletions,
+                                                &dense_moves)
+                        : dense.best_deviation(v, run.model, ds, run.include_deletions,
+                                               &dense_moves);
+              const auto got =
+                  first ? budgeted.first_deviation(v, run.model, bs, run.include_deletions,
+                                                   &budget_moves)
+                        : budgeted.best_deviation(v, run.model, bs, run.include_deletions,
+                                                  &budget_moves);
+              expect_dev_eq(want, got, where);
+              EXPECT_EQ(dense_moves, budget_moves) << where;
+              if (HasFatalFailure()) return;
+            }
           }
         }
       }
