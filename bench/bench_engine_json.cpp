@@ -43,7 +43,11 @@
 // against the full masked APSP it replaced (both serial, one lane), the
 // fractions of rows and entries masking changes, and the peak patch bytes
 // one lane held. Every repaired row is asserted equal to the masked APSP
-// before a row is written.
+// before a row is written. The same agents are then scanned serially by the
+// dense engine at u8 (sum model on G(n, m), max with deletions on the
+// torus), which repairs rows on demand: the row reports the rows that scan
+// repaired per agent, the time to repair exactly those rows, and the whole
+// scan's time per agent.
 //
 // A "far_filter" section prices the budgeted max scan's far filter
 // (DESIGN.md §16) on the seeded-relabel rotated torus at k = 26 under a
@@ -488,11 +492,15 @@ struct MaskedRowsRow {
   double affected_row_fraction = 0;
   double changed_entry_fraction = 0;
   std::size_t peak_patch_bytes = 0;
+  UsageCost model = UsageCost::Sum;  // of the on-demand scan (max: with deletions)
+  double lazy_rows = 0;            // per agent, rows the on-demand scan repaired
+  double lazy_repair_seconds = 0;  // per agent, repairing exactly those rows
+  double lazy_scan_seconds = 0;    // per agent, the whole on-demand scan
 
   [[nodiscard]] double speedup() const { return masked_apsp_seconds / repair_seconds; }
 };
 
-MaskedRowsRow measure_masked_rows(std::string instance, const Graph& g) {
+MaskedRowsRow measure_masked_rows(std::string instance, const Graph& g, UsageCost model) {
   using Dist = std::uint8_t;
   constexpr Dist kInf = kSearchInf8;
   constexpr Dist kMax = kMaxFiniteFor<std::uint8_t>;
@@ -502,6 +510,7 @@ MaskedRowsRow measure_masked_rows(std::string instance, const Graph& g) {
 
   MaskedRowsRow row;
   row.instance = std::move(instance);
+  row.model = model;
   row.n = n;
   row.m = g.num_edges();
   AlignedVec<Dist> slab(cells), masked(cells);
@@ -511,19 +520,36 @@ MaskedRowsRow measure_masked_rows(std::string instance, const Graph& g) {
       time_repeated([&] { fits = build_unmasked_slab<Dist>(csr, slab.data(), kInf, kMax); });
   BatchBfsWorkspace ws;
   MaskedRowRepair<Dist> repair;
+  const bool deletions = model == UsageCost::Max;
+  const SwapEngine engine(g, WidthPolicy::ForceU8);
+  engine.build_shared_rows();
+  SwapEngine::Scratch scratch;
+  std::vector<Vertex> lazy_rows;
   std::uint64_t affected = 0;
   std::uint64_t changed = 0;
   const Vertex step = std::max<Vertex>(1, n / 128);
   for (Vertex v = 0; v < n; v += step) {
     bool ok = fits;
-    row.repair_seconds +=
-        time_seconds([&] { ok = ok && repair.run(csr, slab.data(), v, kInf, kMax); });
+    const std::uint64_t rows_before = scratch.repaired_rows();
+    row.lazy_scan_seconds +=
+        time_seconds([&] { (void)engine.best_deviation(v, model, scratch, deletions); });
+    row.lazy_rows += static_cast<double>(scratch.repaired_rows() - rows_before);
+    const auto scanned = scratch.repair8().agent_rows();
+    lazy_rows.assign(scanned.begin(), scanned.end());
+    row.lazy_repair_seconds += time_seconds([&] {
+      repair.begin(csr, slab.data(), v, kInf, kMax);
+      for (const Vertex x : lazy_rows) ok = ok && repair.repair(x).has_value();
+    });
+    row.repair_seconds += time_seconds([&] {
+      repair.begin(csr, slab.data(), v, kInf, kMax);
+      ok = ok && repair.repair_all();
+    });
     row.masked_apsp_seconds += time_seconds([&] {
       ok = ok && csr_apsp_capped<Dist>(csr, MaskedEdge{}, masked.data(), ws, v, kInf, kMax);
     });
     for (Vertex x = 0; ok && x < n; ++x) {
       if (x == v) continue;
-      repair.materialize(x, repaired.data());
+      ok = ok && repair.materialize(x, repaired.data());
       const Dist* want = masked.data() + static_cast<std::size_t>(x) * n;
       for (Vertex u = 0; u < n; ++u) ok = ok && (u == v || repaired[u] == want[u]);
     }
@@ -538,6 +564,9 @@ MaskedRowsRow measure_masked_rows(std::string instance, const Graph& g) {
   }
   row.repair_seconds /= row.agents;
   row.masked_apsp_seconds /= row.agents;
+  row.lazy_rows /= row.agents;
+  row.lazy_repair_seconds /= row.agents;
+  row.lazy_scan_seconds /= row.agents;
   row.affected_row_fraction =
       static_cast<double>(affected) / (static_cast<double>(row.agents) * (n - 1));
   row.changed_entry_fraction =
@@ -550,10 +579,12 @@ std::vector<MaskedRowsRow> measure_masked_rows_all(Vertex max_n) {
   std::vector<MaskedRowsRow> rows;
   if (max_n >= 1024) {
     Xoshiro256ss rng(0xBE7C ^ Vertex{1024});
-    rows.push_back(measure_masked_rows("gnm", random_connected_gnm(1024, 2048, rng)));
+    rows.push_back(
+        measure_masked_rows("gnm", random_connected_gnm(1024, 2048, rng), UsageCost::Sum));
   }
   if (max_n >= 512) {
-    rows.push_back(measure_masked_rows("torus_k20", rotated_torus(20).graph()));
+    rows.push_back(
+        measure_masked_rows("torus_k20", rotated_torus(20).graph(), UsageCost::Max));
   }
   for (const MaskedRowsRow& r : rows) {
     std::cout << "masked_rows " << r.instance << " n=" << r.n << " agents=" << r.agents
@@ -561,7 +592,9 @@ std::vector<MaskedRowsRow> measure_masked_rows_all(Vertex max_n) {
               << r.masked_apsp_seconds * 1e3 << "ms speedup=" << r.speedup()
               << "x affected_rows=" << r.affected_row_fraction
               << " changed_entries=" << r.changed_entry_fraction
-              << " peak_patch_bytes=" << r.peak_patch_bytes << "\n";
+              << " peak_patch_bytes=" << r.peak_patch_bytes << " lazy_rows=" << r.lazy_rows
+              << " lazy_repair=" << r.lazy_repair_seconds * 1e6
+              << "us lazy_scan=" << r.lazy_scan_seconds * 1e6 << "us\n";
   }
   return rows;
 }
@@ -926,7 +959,11 @@ int main(int argc, char** argv) {
         << ", \"speedup\": " << r.speedup()
         << ", \"affected_row_fraction\": " << r.affected_row_fraction
         << ", \"changed_entry_fraction\": " << r.changed_entry_fraction
-        << ", \"peak_patch_bytes\": " << r.peak_patch_bytes << "}"
+        << ", \"peak_patch_bytes\": " << r.peak_patch_bytes
+        << ", \"lazy_scan_model\": \"" << (r.model == UsageCost::Sum ? "sum" : "max+deletions")
+        << "\", \"lazy_rows_repaired_per_agent\": " << r.lazy_rows
+        << ", \"lazy_repair_seconds_per_agent\": " << r.lazy_repair_seconds
+        << ", \"lazy_scan_seconds_per_agent\": " << r.lazy_scan_seconds << "}"
         << (i + 1 < masked_rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";

@@ -89,6 +89,26 @@ else
   echo "certify_exit_codes: FAIL huge vertex count not refused by the header guard" >&2
   failures=$(( failures + 1 ))
 fi
+# The game is defined on connected graphs: a disconnected input is refused
+# before any scan (exit 1, with that reason), never certified — by every
+# mode that loads a graph to certify.
+printf '3 1\n0 1\n' >"$work_dir/disconnected.edges"
+expect_rc 1 "certify of a disconnected graph" \
+  "$bin" certify --graph "$work_dir/disconnected.edges"
+expect_rc 1 "worker range of a disconnected graph" \
+  "$bin" worker --graph "$work_dir/disconnected.edges" --range 0:3 --shard-index 0 \
+  --shard-count 1 --out "$work_dir/disconnected.shard"
+expect_rc 1 "serve of a disconnected graph" \
+  "$bin" serve --graph "$work_dir/disconnected.edges" --listen "unix:$work_dir/d.sock"
+"$bin" certify --graph "$work_dir/disconnected.edges" >"$work_dir/disconnected.out" \
+  2>"$work_dir/disconnected.log" || true
+if grep -q 'disconnected graph .*: 2 components' "$work_dir/disconnected.log" &&
+   ! grep -q 'verdict=' "$work_dir/disconnected.out"; then
+  echo "certify_exit_codes: OK   disconnected graph refused with its reason, no verdict"
+else
+  echo "certify_exit_codes: FAIL disconnected graph not refused with its reason" >&2
+  failures=$(( failures + 1 ))
+fi
 # The service modes obey the same taxonomy: a bad invocation is a one-line
 # usage diagnostic and exit 1, never 0, a throw, or a late guard refusal.
 expect_rc 1 "serve with an unknown flag" \

@@ -240,6 +240,15 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
   const std::uint64_t old_cost =
       ecc >= kInf ? kInfCost : (model == UsageCost::Sum ? std::uint64_t{row_sum} : ecc);
 
+  // The masked rows of G − v come as sparse patches over the shared slab,
+  // repaired on demand: the neighbor rows below, and a candidate's row only
+  // once its unmasked lower bound cannot rule it out. A repaired distance
+  // beyond the width means this agent does not fit — bail so the dispatcher
+  // redoes it at u16.
+  auto& rows = s.rows<Dist>();
+  MaskedRowRepair<Dist>& repair = rows.repair;
+  repair.begin(csr_, slab, v, kInf, engine_max_finite<Dist>());
+
   const auto nbrs = csr_.neighbors(v);
   out.reset();
   if (nbrs.empty()) return true;
@@ -250,14 +259,6 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
   s.is_nbr_[v] = 1;
   for (const Vertex w : nbrs) s.is_nbr_[w] = 1;
 
-  // The agent's only traversal bill: repair the masked rows of G − v as
-  // sparse patches over the shared slab. A repaired distance beyond the
-  // width means this agent does not fit — bail so the dispatcher redoes it
-  // at u16.
-  auto& rows = s.rows<Dist>();
-  MaskedRowRepair<Dist>& repair = rows.repair;
-  if (!repair.run(csr_, slab, v, kInf, engine_max_finite<Dist>())) return false;
-
   // Elementwise min / argmin / second-min over the masked neighbor rows —
   // the only rows materialized, one at a time — so each removed edge's
   // kept-neighbor profile M^w is an O(n) select.
@@ -265,11 +266,21 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
   rows.min2.assign(n, kInf);
   s.argmin_.assign(n, kNoVertex);
   rows.arow.resize(n);
+  Dist reach = 0;  // largest finite entry of the masked neighbor rows
   for (const Vertex z : nbrs) {
-    repair.materialize(z, rows.arow.data());
+    if (!repair.materialize(z, rows.arow.data())) return false;
     kern.scan_min_update(rows.min1.data(), rows.min2.data(), s.argmin_.data(), rows.arow.data(),
                          z, n);
+    Dist ecc = 0;
+    kern.finite_max2(rows.arow.data(), rows.arow.data(), n, kInf, &ecc, &ecc);
+    reach = std::max(reach, ecc);
   }
+  // Width guard: every lost pair (x, u) lies in the G − v component of
+  // some neighbor a, so its masked distance is at most 2·ecc_{G−v}(a) ≤
+  // 2·reach. Within the width no row can saturate, and skipping the rows
+  // the scan never reads cannot hide a fallback; otherwise repair every row
+  // up front, exactly as the fallback rule reads them (DESIGN.md §17).
+  if (2 * std::uint32_t{reach} > engine_max_finite<Dist>() && !repair.repair_all()) return false;
   rows.mrow.resize(n);
   s.far_.resize(n);
   s.far_mark_.assign(n, 0);
@@ -302,9 +313,15 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
       for (Vertex w2 = 0; w2 < n; ++w2) {
         if (s.is_nbr_[w2] != 0) continue;
         if (moves_checked != nullptr) ++*moves_checked;
+        // Masking only lengthens entries, so the unmasked combine is a lower
+        // bound: a candidate it already keeps from improving, or from
+        // beating the best so far, needs no repaired row.
         const Dist* c = slab + w2 * stride;
-        const std::uint64_t new_cost =
-            patched_sum(kern.combine_sum(m, c, n, kInf), m, c, repair.patches(w2), n, kInf);
+        const std::uint64_t bound = kern.combine_sum(m, c, n, kInf);
+        if (bound >= old_cost || (best && bound >= best->cost_after)) continue;
+        const auto patches = repair.repair(w2);
+        if (!patches) return false;
+        const std::uint64_t new_cost = patched_sum(bound, m, c, *patches, n, kInf);
         if (new_cost >= old_cost) continue;
         if (!best || new_cost < best->cost_after) {
           best = Deviation{{v, w, w2}, old_cost, new_cost, Deviation::Kind::ImprovingSwap};
@@ -328,19 +345,22 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
         if (s.is_nbr_[w2] != 0) continue;
         if (moves_checked != nullptr) ++*moves_checked;
         // Masking only lengthens distances, so an unmasked far entry above
-        // cap already rejects; survivors then check the patched far entries.
+        // cap already rejects; only survivors repair their row and check
+        // the patched far entries.
         const Dist* c = slab + w2 * stride;
-        const auto patches = repair.patches(w2);
         bool improves = true;
         for (std::uint32_t i = 0; i < far_count && improves; ++i) {
           improves = c[s.far_[i]] <= cap;
         }
-        for (std::size_t i = 0; i < patches.size() && improves; ++i) {
-          improves = s.far_mark_[patches[i].u] == 0 || patches[i].d <= cap;
+        if (!improves) continue;
+        const auto patches = repair.repair(w2);
+        if (!patches) return false;
+        for (std::size_t i = 0; i < patches->size() && improves; ++i) {
+          improves = s.far_mark_[(*patches)[i].u] == 0 || (*patches)[i].d <= cap;
         }
         if (!improves) continue;
         const std::uint64_t new_cost =
-            patched_max(kern.combine_max(m, c, n, kInf), m, patches, kInf);
+            patched_max(kern.combine_max(m, c, n, kInf), m, *patches, kInf);
         if (!best || new_cost < best->cost_after ||
             (best->kind == Deviation::Kind::NonCriticalDelete &&
              new_cost <= best->cost_after)) {
@@ -645,22 +665,27 @@ void SwapEngine::build_shared_rows() const {
   if (budget_policy_.dense_fits(n, DistWidth::U16)) (void)shared_rows<std::uint16_t>();
 }
 
-bool SwapEngine::masked_exceeds_u8(Vertex v, const Scratch& s) const {
+bool SwapEngine::masked_exceeds_u8(Vertex v, Scratch& s) const {
   constexpr std::uint16_t kCap8 = kMaxFiniteFor<std::uint8_t>;
-  const MaskedRowRepair<std::uint16_t>& repair = s.rows16_.repair;
-  if (repair.max_finite_patch() > kCap8) return true;
+  // Every row is repaired here (u16 never saturates under n < 65535).
   // Unpatched entries keep their unmasked value, and a patched entry only
   // grows, so the over-cap entries of G − v are the finite patches above
-  // the cap (none, by now) plus the unmasked over-cap entries off v's row
-  // and column that masking did not cut off.
+  // the cap plus the unmasked over-cap entries off v's row and column that
+  // masking did not cut off.
+  MaskedRowRepair<std::uint16_t>& repair = s.rows16_.repair;
   const SharedRows<std::uint16_t>& sh = shared16_;
   const Vertex n = csr_.num_vertices();
   BNCG_REQUIRE(sh.over_u8.size() == n, "u16 slab built without its over-cap counts");
   const std::uint16_t* slab = sh.rows.data();
   std::uint64_t cut = 0;
   for (Vertex x = 0; x < n; ++x) {
-    for (const MaskedPatch<std::uint16_t>& p : repair.patches(x)) {
-      if (p.d == kInfDist16 && slab[static_cast<std::size_t>(x) * n + p.u] > kCap8) ++cut;
+    const auto patches = repair.repair(x);
+    for (const MaskedPatch<std::uint16_t>& p : *patches) {
+      if (p.d != kInfDist16) {
+        if (p.d > kCap8) return true;
+      } else if (slab[static_cast<std::size_t>(x) * n + p.u] > kCap8) {
+        ++cut;
+      }
     }
   }
   return sh.over_u8_total - 2 * std::uint64_t{sh.over_u8[v]} > cut;

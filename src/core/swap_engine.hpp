@@ -24,9 +24,12 @@
 //     free: its post-move profile is 1 + M^w. The masked distances come by
 //     repair, not recompute (graph/masked_repair.hpp, DESIGN.md §17): one
 //     unmasked APSP per snapshot, shared read-only by every lane, plus
-//     sparse per-agent patches of the entries masking v lengthens.
-//     Candidate rows are read straight from the shared slab and each
-//     combine is corrected by that row's patches alone.
+//     sparse per-agent patches of the entries masking v lengthens, repaired
+//     row by row on demand. The neighbor rows are always repaired;
+//     candidate rows are read straight from the shared slab, and since
+//     masking only lengthens entries the unmasked combine (sum) or far test
+//     (max) bounds the masked one — only candidates that bound cannot rule
+//     out repair their row and correct their combine by its patches.
 //  3. Far-set filtering (max model). cost'(v) < ecc(v) requires
 //     c_{w₂,u} ≤ ecc(v) − 2 on the far set {u : M^w_u > ecc(v) − 2}, which
 //     is typically tiny — candidates are rejected after |far| comparisons
@@ -129,6 +132,15 @@ class SwapEngine {
     /// Far-set reach traversals (bfs_batch_reach calls) run by budgeted
     /// max-model scans of this scratch.
     [[nodiscard]] std::uint64_t reach_traversals() const noexcept { return reach_traversals_; }
+    /// Masked rows repaired by dense scans of this scratch, both widths.
+    [[nodiscard]] std::uint64_t repaired_rows() const noexcept {
+      return rows8_.repair.repaired_rows() + rows16_.repair.repaired_rows();
+    }
+    /// The u8 dense scans' repair state — which rows the last agent
+    /// repaired, for benches; patches are readable only through a scan.
+    [[nodiscard]] const MaskedRowRepair<std::uint8_t>& repair8() const noexcept {
+      return rows8_.repair;
+    }
 
    private:
     /// Width-typed row buffers of one scan. 64-byte-aligned storage: these
@@ -292,7 +304,8 @@ class SwapEngine {
                                       Scratch& scratch) const;
 
   /// Width-typed dense scan body over the shared unmasked slab `slab`,
-  /// with the agent's masked rows repaired into scratch (DESIGN.md §17).
+  /// with the agent's masked rows repaired into scratch as the scan reads
+  /// them (DESIGN.md §17).
   /// Returns false — with `out` and the move count untouched by the caller —
   /// when a repaired distance saturates the width (only possible for u8);
   /// the dispatcher then redoes the agent at u16.
@@ -304,8 +317,9 @@ class SwapEngine {
 
   /// Fallback rule for agents scanned at u16 because the u8 slab itself
   /// saturates: true iff G − v, excluding v's row and column, holds a
-  /// finite distance above the u8 cap. Reads the u16 repair in `scratch`.
-  [[nodiscard]] bool masked_exceeds_u8(Vertex v, const Scratch& scratch) const;
+  /// finite distance above the u8 cap. Repairs every row of the u16 repair
+  /// in `scratch`, which the u16 scan of `v` began.
+  [[nodiscard]] bool masked_exceeds_u8(Vertex v, Scratch& scratch) const;
 
   /// Width-typed BUDGETED scan body: same enumeration order, acceptance
   /// rules, move counts, and results as scan_agent_t, but rows stream

@@ -53,65 +53,79 @@ void MaskedRowRepair<Dist>::next_epoch() {
 }
 
 template <typename Dist>
-bool MaskedRowRepair<Dist>::run(const CsrGraph& g, const Dist* slab, Vertex v, Dist inf,
-                                Dist max_finite) {
+void MaskedRowRepair<Dist>::begin(const CsrGraph& g, const Dist* slab, Vertex v, Dist inf,
+                                  Dist max_finite) {
   g_ = &g;
   slab_ = slab;
-  n_ = g.num_vertices();
   v_ = v;
   inf_ = inf;
-  max_finite_patch_ = 0;
+  max_finite_ = max_finite;
   affected_rows_ = 0;
   patches_.clear();
-  offsets_.resize(static_cast<std::size_t>(n_) + 1);
-  if (lost_mark_.size() != n_) {
+  if (n_ != g.num_vertices() || offsets_.size() != n_) {
+    n_ = g.num_vertices();
+    offsets_.assign(n_, {kUnrepaired, kUnrepaired});
     lost_mark_.assign(n_, 0);
     seen_mark_.assign(n_, 0);
     done_mark_.assign(n_, 0);
     dist_.resize(n_);
     epoch_ = 0;
+  } else {
+    for (const Vertex x : repaired_) offsets_[x].first = kUnrepaired;
   }
+  repaired_.clear();
+}
 
-  // Affected rows with their seeds: x is affected through neighbor c iff c
-  // is a child of v in x's BFS DAG and no other neighbor of c sits at v's
-  // level. By symmetry the test reads column x of rows d(c,·) and d(c′,·),
-  // so the sweep over x streams the neighbors' rows. Unreachable x never
-  // pass (∞ ≠ ∞ + 1 in uint32).
-  const std::size_t n = n_;
-  const Dist* dv = slab + static_cast<std::size_t>(v) * n;
-  const auto nbrs = g.neighbors(v);
-  for (Vertex x = 0; x < n_; ++x) {
-    offsets_[x] = static_cast<std::uint32_t>(patches_.size());
-    if (x == v) continue;
-    const std::uint32_t level = dv[x];
+template <typename Dist>
+std::optional<std::span<const MaskedPatch<Dist>>> MaskedRowRepair<Dist>::repair(Vertex x) {
+  if (x == v_) return std::span<const Patch>{};
+  auto& span = offsets_[x];
+  if (span.first == kUnrepaired) {
+    // Affected test: x is affected through neighbor c iff c is a child of v
+    // in x's BFS DAG and no other neighbor of c sits at v's level. By
+    // symmetry the test reads column x of rows d(c,·) and d(c′,·).
+    // Unreachable x never pass (∞ ≠ ∞ + 1 in uint32).
+    const CsrGraph& g = *g_;
+    const std::size_t n = n_;
+    const std::uint32_t level = slab_[static_cast<std::size_t>(v_) * n + x];
     seeds_.clear();
-    for (const Vertex c : nbrs) {
-      if (std::uint32_t{slab[static_cast<std::size_t>(c) * n + x]} != level + 1) continue;
+    for (const Vertex c : g.neighbors(v_)) {
+      if (std::uint32_t{slab_[static_cast<std::size_t>(c) * n + x]} != level + 1) continue;
       bool only_parent = true;
       for (const Vertex other : g.neighbors(c)) {
-        if (other != v && std::uint32_t{slab[static_cast<std::size_t>(other) * n + x]} == level) {
+        if (other != v_ && std::uint32_t{slab_[static_cast<std::size_t>(other) * n + x]} == level) {
           only_parent = false;
           break;
         }
       }
       if (only_parent) seeds_.push_back(c);
     }
-    if (seeds_.empty()) continue;
-    ++affected_rows_;
-    if (!repair_row(x, seeds_, max_finite)) {
-      std::fill(offsets_.begin() + x + 1, offsets_.end(),
-                static_cast<std::uint32_t>(patches_.size()));
-      return false;
+    const auto first = static_cast<std::uint32_t>(patches_.size());
+    if (!seeds_.empty()) {
+      if (!repair_row(x, seeds_)) {
+        patches_.resize(first);
+        return std::nullopt;
+      }
+      ++affected_rows_;
+      peak_bytes_ = std::max(peak_bytes_, patches_.capacity() * sizeof(Patch));
     }
+    span = {first, static_cast<std::uint32_t>(patches_.size())};
+    repaired_.push_back(x);
+    ++repaired_total_;
   }
-  offsets_[n_] = static_cast<std::uint32_t>(patches_.size());
-  peak_bytes_ = std::max(peak_bytes_, patches_.capacity() * sizeof(Patch));
+  return std::span<const Patch>(patches_.data() + span.first, span.second - span.first);
+}
+
+template <typename Dist>
+bool MaskedRowRepair<Dist>::repair_all() {
+  for (Vertex x = 0; x < n_; ++x) {
+    if (!repair(x)) return false;
+  }
   return true;
 }
 
 template <typename Dist>
-bool MaskedRowRepair<Dist>::repair_row(Vertex x, std::span<const Vertex> seeds,
-                                       Dist max_finite) {
+bool MaskedRowRepair<Dist>::repair_row(Vertex x, std::span<const Vertex> seeds) {
   const CsrGraph& g = *g_;
   next_epoch();
   const Dist* dx = slab_ + static_cast<std::size_t>(x) * n_;
@@ -204,19 +218,21 @@ bool MaskedRowRepair<Dist>::repair_row(Vertex x, std::span<const Vertex> seeds,
       patches_.push_back({u, inf_});
       continue;
     }
-    if (d > max_finite) return false;
-    max_finite_patch_ = std::max(max_finite_patch_, static_cast<Dist>(d));
+    if (d > max_finite_) return false;
     patches_.push_back({u, static_cast<Dist>(d)});
   }
   return true;
 }
 
 template <typename Dist>
-void MaskedRowRepair<Dist>::materialize(Vertex x, Dist* out) const {
+bool MaskedRowRepair<Dist>::materialize(Vertex x, Dist* out) {
+  const auto patches = repair(x);
+  if (!patches) return false;
   const std::size_t n = n_;
   std::memcpy(out, slab_ + x * n, n * sizeof(Dist));
-  for (const Patch& p : patches(x)) out[p.u] = p.d;
+  for (const Patch& p : *patches) out[p.u] = p.d;
   out[v_] = inf_;
+  return true;
 }
 
 template class MaskedRowRepair<std::uint8_t>;

@@ -23,12 +23,19 @@
 //
 // Every other entry of row x keeps its unmasked value, so (slab row x) +
 // (patches of row x) with entry v set to ∞ is row x of the masked matrix,
-// and every patch strictly lengthens its entry. The patch set holds O(total
-// changed entries) — the scans read candidate rows straight from the slab
-// and correct their combines by the patches alone.
+// and every patch strictly lengthens its entry. The patch set holds O(changed
+// entries) — the scans read candidate rows straight from the slab and
+// correct their combines by the patches alone.
+//
+// Rows are repaired on demand: begin() starts an agent with no row repaired,
+// and repair(x) runs the three steps above for row x alone, once per agent.
+// A scan repairs only the rows it reads — the neighbor rows of v and the
+// candidates its unmasked lower bound cannot rule out (DESIGN.md §17);
+// repair_all() is the same call over every row.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -61,33 +68,41 @@ class MaskedRowRepair {
  public:
   using Patch = MaskedPatch<Dist>;
 
-  /// Repairs every row x ≠ v of the symmetric unmasked slab `slab` (n×n
-  /// over `g`, `inf` for unreachable) for the masked vertex `v`. Returns
-  /// false as soon as a repaired finite distance exceeds `max_finite`
-  /// (the caller redoes the agent wider); the patches are then incomplete.
-  [[nodiscard]] bool run(const CsrGraph& g, const Dist* slab, Vertex v, Dist inf,
-                         Dist max_finite);
+  /// Starts the masked vertex `v` over the symmetric unmasked slab `slab`
+  /// (n×n over `g`, `inf` for unreachable). No row is repaired yet, and
+  /// nothing of the previous agent stays readable.
+  void begin(const CsrGraph& g, const Dist* slab, Vertex v, Dist inf, Dist max_finite);
 
-  /// Changed entries of row x (empty for unaffected rows and for x = v).
-  [[nodiscard]] std::span<const Patch> patches(Vertex x) const noexcept {
-    return {patches_.data() + offsets_[x], patches_.data() + offsets_[x + 1]};
-  }
+  /// Repairs row x of G − v on first call per agent and returns its changed
+  /// entries (empty for unaffected rows and for x = v); later calls return
+  /// the same patches. nullopt when a repaired finite distance exceeds
+  /// `max_finite` (the caller redoes the agent wider). The span stays valid
+  /// until the next repair call.
+  [[nodiscard]] std::optional<std::span<const Patch>> repair(Vertex x);
+
+  /// Repairs every row (false on saturation, as repair()).
+  [[nodiscard]] bool repair_all();
 
   /// Row x of the masked matrix: slab row x, its patches, and [v] = ∞.
-  void materialize(Vertex x, Dist* out) const;
+  /// Repairs the row first; false on saturation.
+  [[nodiscard]] bool materialize(Vertex x, Dist* out);
 
-  /// Rows with at least one changed entry in the last run.
+  /// Rows repaired since begin(), in repair order.
+  [[nodiscard]] std::span<const Vertex> agent_rows() const noexcept { return repaired_; }
+  /// Rows repaired since construction, over every agent.
+  [[nodiscard]] std::uint64_t repaired_rows() const noexcept { return repaired_total_; }
+  /// Rows with at least one changed entry, among those repaired since begin().
   [[nodiscard]] std::uint32_t affected_rows() const noexcept { return affected_rows_; }
-  /// Changed entries (ordered pairs) of the last run.
+  /// Changed entries (ordered pairs) of the rows repaired since begin().
   [[nodiscard]] std::size_t changed_entries() const noexcept { return patches_.size(); }
-  /// Largest finite patched distance of the last run (0 if none).
-  [[nodiscard]] Dist max_finite_patch() const noexcept { return max_finite_patch_; }
   /// High-water mark of the patch storage in bytes since construction.
   [[nodiscard]] std::size_t peak_patch_bytes() const noexcept { return peak_bytes_; }
 
  private:
+  static constexpr std::uint32_t kUnrepaired = ~std::uint32_t{0};
+
   /// Lost set of row x from its seeds, re-settled into patches_.
-  [[nodiscard]] bool repair_row(Vertex x, std::span<const Vertex> seeds, Dist max_finite);
+  [[nodiscard]] bool repair_row(Vertex x, std::span<const Vertex> seeds);
   void next_epoch();
 
   const CsrGraph* g_ = nullptr;
@@ -95,12 +110,16 @@ class MaskedRowRepair {
   Vertex n_ = 0;
   Vertex v_ = kNoVertex;
   Dist inf_ = 0;
-  Dist max_finite_patch_ = 0;
+  Dist max_finite_ = 0;
   std::uint32_t affected_rows_ = 0;
+  std::uint64_t repaired_total_ = 0;
   std::size_t peak_bytes_ = 0;
 
   std::vector<Patch> patches_;
-  std::vector<std::uint32_t> offsets_;          // n+1: row x owns [offsets_[x], offsets_[x+1])
+  // Row x owns [first, second) of patches_ once repaired for the current
+  // agent; first == kUnrepaired until then.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> offsets_;
+  std::vector<Vertex> repaired_;                // rows repaired since begin(), in order
   std::vector<Vertex> seeds_;                   // lost neighbors of v in one row
   std::vector<Vertex> lost_;                    // lost set of one row, level order
   std::vector<std::pair<std::uint32_t, Vertex>> keyed_;  // (boundary key, lost vertex)

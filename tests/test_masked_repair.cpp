@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/certify_sharded.hpp"
 #include "core/equilibrium.hpp"
 #include "core/swap_engine.hpp"
 #include "gen/classic.hpp"
@@ -127,7 +128,8 @@ int check_rows(const Named& inst) {
                             std::to_string(v);
     const bool masked_fits = csr_apsp_capped<Dist>(csr, MaskedEdge{}, masked.data(), ws, v, kInf,
                                                    kMax);
-    const bool repaired = repair.run(csr, slab.data(), v, kInf, kMax);
+    repair.begin(csr, slab.data(), v, kInf, kMax);
+    const bool repaired = repair.repair_all();
     EXPECT_EQ(repaired, masked_fits) << ctx;
     if (!repaired || !masked_fits) continue;
     ++agents;
@@ -135,7 +137,7 @@ int check_rows(const Named& inst) {
     std::uint32_t affected = 0;
     for (Vertex x = 0; x < n; ++x) {
       if (x == v) continue;
-      repair.materialize(x, row.data());
+      EXPECT_TRUE(repair.materialize(x, row.data())) << ctx;
       const Dist* want = masked.data() + static_cast<std::size_t>(x) * n;
       bool row_changed = false;
       for (Vertex u = 0; u < n; ++u) {
@@ -147,12 +149,13 @@ int check_rows(const Named& inst) {
       }
       affected += row_changed ? 1 : 0;
       // Patches are exactly the changed entries, each strictly longer.
-      for (const auto& p : repair.patches(x)) {
+      const auto patches = repair.repair(x);
+      for (const auto& p : *patches) {
         EXPECT_NE(p.u, v) << ctx;
         EXPECT_GT(p.d, slab[static_cast<std::size_t>(x) * n + p.u]) << ctx;
       }
     }
-    EXPECT_TRUE(repair.patches(v).empty()) << ctx;
+    EXPECT_TRUE(repair.repair(v)->empty()) << ctx;
     EXPECT_EQ(repair.changed_entries(), changed) << ctx;
     EXPECT_EQ(repair.affected_rows(), affected) << ctx;
   }
@@ -184,6 +187,99 @@ TEST(MaskedRepair, RowsSaturateExactlyWhenTheMaskedMatrixDoes) {
                             Named{"chorded100", chorded}, Named{"broom", broom(3)}}) {
     (void)check_rows<std::uint8_t>(inst);
     EXPECT_EQ(check_rows<std::uint16_t>(inst), static_cast<int>(inst.g.num_vertices()));
+  }
+}
+
+/// Row-by-row patches of an all-rows repair of agent v (empty when it
+/// saturates).
+template <typename Dist>
+std::vector<std::vector<MaskedPatch<Dist>>> all_rows(MaskedRowRepair<Dist>& repair,
+                                                     const CsrGraph& csr, const Dist* slab,
+                                                     Vertex v) {
+  repair.begin(csr, slab, v, inf_of<Dist>(), max_finite_of<Dist>());
+  if (!repair.repair_all()) return {};
+  std::vector<std::vector<MaskedPatch<Dist>>> rows(csr.num_vertices());
+  for (Vertex x = 0; x < csr.num_vertices(); ++x) {
+    const auto patches = repair.repair(x);
+    rows[x].assign(patches->begin(), patches->end());
+  }
+  return rows;
+}
+
+/// On-demand repair in a shuffled row order, repeated calls included, must
+/// give every row the patches of the all-rows repair; it saturates on some
+/// row exactly when the all-rows repair does. Returns the agents compared.
+template <typename Dist>
+int check_on_demand(const Named& inst, Xoshiro256ss& rng) {
+  const CsrGraph csr(inst.g);
+  const Vertex n = csr.num_vertices();
+  AlignedVec<Dist> slab(static_cast<std::size_t>(n) * n);
+  if (!build_unmasked_slab<Dist>(csr, slab.data(), inf_of<Dist>(), max_finite_of<Dist>())) {
+    return 0;
+  }
+  MaskedRowRepair<Dist> eager;
+  MaskedRowRepair<Dist> lazy;
+  std::vector<Vertex> order(n);
+  std::iota(order.begin(), order.end(), Vertex{0});
+  int agents = 0;
+  for (Vertex v = 0; v < n; ++v) {
+    const std::string ctx = inst.name + " w=" + std::to_string(sizeof(Dist) * 8) + " v=" +
+                            std::to_string(v);
+    const auto want = all_rows(eager, csr, slab.data(), v);
+    rng.shuffle(order);
+    lazy.begin(csr, slab.data(), v, inf_of<Dist>(), max_finite_of<Dist>());
+    EXPECT_TRUE(lazy.agent_rows().empty()) << ctx;
+    EXPECT_EQ(lazy.changed_entries(), 0u) << ctx;
+    bool saturated = false;
+    for (const Vertex x : order) {
+      const auto patches = lazy.repair(x);
+      if (!patches) {
+        saturated = true;
+        continue;
+      }
+      if (want.empty()) continue;
+      const std::vector<MaskedPatch<Dist>> got(patches->begin(), patches->end());
+      EXPECT_EQ(got.size(), want[x].size()) << ctx << " x=" << x;
+      for (std::size_t i = 0; i < std::min(got.size(), want[x].size()); ++i) {
+        EXPECT_EQ(got[i].u, want[x][i].u) << ctx << " x=" << x;
+        EXPECT_EQ(got[i].d, want[x][i].d) << ctx << " x=" << x;
+      }
+      // A second call returns the same patches without repairing again.
+      const std::size_t changed = lazy.changed_entries();
+      const auto again = lazy.repair(x);
+      EXPECT_TRUE(again.has_value()) << ctx;
+      if (!again) continue;
+      EXPECT_EQ(again->data(), patches->data()) << ctx;
+      EXPECT_EQ(again->size(), patches->size()) << ctx;
+      EXPECT_EQ(lazy.changed_entries(), changed) << ctx;
+    }
+    EXPECT_EQ(saturated, want.empty()) << ctx;
+    if (want.empty()) continue;
+    ++agents;
+    EXPECT_EQ(lazy.agent_rows().size(), std::size_t{n} - 1) << ctx;  // row v is never repaired
+    EXPECT_EQ(lazy.changed_entries(), eager.changed_entries()) << ctx;
+    EXPECT_EQ(lazy.affected_rows(), eager.affected_rows()) << ctx;
+    if (testing::Test::HasFailure()) return agents;
+  }
+  return agents;
+}
+
+TEST(MaskedRepair, OnDemandRowsMatchAllRowsInAnyOrder) {
+  Xoshiro256ss rng(0x0D3A);
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    std::vector<Named> instances = corpus(seed * 0x7a11, /*small=*/false);
+    instances.push_back({"path70", path(70)});
+    instances.push_back({"cycle64", cycle(64)});
+    instances.push_back({"cycle130", cycle(130)});
+    int u8_agents = 0;
+    int u16_agents = 0;
+    for (const Named& inst : instances) {
+      u8_agents += check_on_demand<std::uint8_t>(inst, rng);
+      u16_agents += check_on_demand<std::uint16_t>(inst, rng);
+      if (HasFailure()) return;
+    }
+    EXPECT_GT(u8_agents, 0);
+    EXPECT_GT(u16_agents, u8_agents);  // C₆₄'s agents saturate u8 only
   }
 }
 
@@ -279,6 +375,105 @@ TEST(MaskedRepair, WidthFallbackBroom) {
   // handle agents cut 0 off from the leaves, and only the 3 bristle agents
   // keep a finite (0, leaf) distance of 62.
   check_fallbacks(broom(3), 3, "broom");
+}
+
+/// A path of `len` vertices plus a hub adjacent to every `every`-th one:
+/// the unmasked diameter is small, but masking the hub leaves the bare
+/// path, whose distances overflow u8.
+Graph hub_path(Vertex len, Vertex every) {
+  Graph g = path(len);
+  const Vertex hub = g.add_vertex();
+  for (Vertex i = 0; i < len; i += every) g.add_edge(hub, i);
+  return g;
+}
+
+struct PinnedCertificate {
+  UsageCost model = UsageCost::Sum;
+  std::uint64_t moves = 0;
+  EdgeSwap witness;
+  std::uint64_t cost_before = 0;
+  std::uint64_t cost_after = 0;
+  std::uint64_t width_fallbacks = 0;
+};
+
+/// ForceU8 certificates of the hub paths, sharded and not, against the
+/// naive oracle and against the values the all-rows repair produced.
+void check_pinned(const Graph& g, const std::vector<PinnedCertificate>& pins,
+                  const std::string& ctx) {
+  for (const PinnedCertificate& pin : pins) {
+    const bool deletions = pin.model == UsageCost::Max;
+    const std::string at = ctx + (deletions ? " max+del" : " sum");
+    const EquilibriumCertificate want =
+        deletions ? naive::certify_max_equilibrium(g) : naive::certify_sum_equilibrium(g);
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+      ShardedCertifyConfig config;
+      config.shards = shards;
+      config.resources.width = WidthPolicy::ForceU8;
+      const ShardedCertificate cert = certify_sharded(g, pin.model, deletions, config);
+      const std::string sat = at + " shards=" + std::to_string(shards);
+      EXPECT_FALSE(cert.certificate.is_equilibrium) << sat;
+      EXPECT_EQ(cert.certificate.is_equilibrium, want.is_equilibrium) << sat;
+      EXPECT_EQ(cert.certificate.moves_checked, want.moves_checked) << sat;
+      EXPECT_EQ(cert.certificate.moves_checked, pin.moves) << sat;
+      expect_same_deviation(cert.certificate.witness, want.witness, sat);
+      ASSERT_TRUE(cert.certificate.witness.has_value()) << sat;
+      EXPECT_EQ(cert.certificate.witness->swap, pin.witness) << sat;
+      EXPECT_EQ(cert.certificate.witness->cost_before, pin.cost_before) << sat;
+      EXPECT_EQ(cert.certificate.witness->cost_after, pin.cost_after) << sat;
+      EXPECT_EQ(cert.width_fallbacks, pin.width_fallbacks) << sat;
+    }
+  }
+}
+
+/// Agents of a serial ForceU8 sum sweep that repaired every row without
+/// falling back — the agents whose neighbor rows tripped the 2·ecc guard.
+Vertex guard_tripped_agents(const Graph& g) {
+  SwapEngine engine(g, WidthPolicy::ForceU8);
+  SwapEngine::Scratch scratch;
+  Vertex tripped = 0;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    const std::uint64_t fallbacks = engine.width_fallbacks();
+    (void)engine.best_deviation(v, UsageCost::Sum, scratch);
+    if (engine.width_fallbacks() == fallbacks &&
+        scratch.repair8().agent_rows().size() == g.num_vertices() - std::size_t{1}) {
+      ++tripped;
+    }
+  }
+  return tripped;
+}
+
+TEST(MaskedRepair, GuardedInstancesKeepTheirCertificatesAndFallbacks) {
+  // Path 0..80 plus a vertex v on 19 and 61: the neighbor rows of G − v
+  // reach 61 and fit u8, but row 0 meets d(0, 80) = 80. A scan repairing
+  // only the rows it reads would miss that and keep v at u8; the guard
+  // repairs every row, so v falls back as under the all-rows repair.
+  Graph bypass = path(81);
+  const Vertex v = bypass.add_vertex();
+  bypass.add_edge(v, 19);
+  bypass.add_edge(v, 61);
+  check_pinned(bypass,
+               {{UsageCost::Sum, 12952, {19, 20, 33}, 902, 762, 1},
+                {UsageCost::Max, 13116, {19, 20, 21}, 22, 21, 1}},
+               "bypass81");
+
+  // Hub on every 10th vertex: only the hub agent overflows u8 — its
+  // neighbor rows already do, so it falls back before the guard is read —
+  // and every other agent stays lazy.
+  const Graph hub10 = hub_path(300, 10);
+  EXPECT_EQ(guard_tripped_agents(hub10), 0u);
+  check_pinned(hub10,
+               {{UsageCost::Sum, 195158, {300, 0, 3}, 1070, 1063, 1},
+                {UsageCost::Max, 195816, {290, 291, 293}, 9, 7, 1}},
+               "hub10");
+  // Hub on every 25th vertex: the masked neighbor rows of a path agent
+  // reach past 61 / 2, so the guard repairs every row up front; the rows
+  // still fit, and the hub alone falls back.
+  const Graph hub25 = hub_path(300, 25);
+  EXPECT_GT(guard_tripped_agents(hub25), 250u);
+  check_pinned(hub25,
+               {{UsageCost::Sum, 185204, {300, 0, 8}, 2316, 2268, 1},
+                {UsageCost::Max, 185826, {275, 276, 286}, 24, 14, 1}},
+               "hub25");
 }
 
 }  // namespace

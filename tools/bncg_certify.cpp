@@ -48,7 +48,8 @@
 //
 // Exit codes (tested by scripts/certify_exit_codes.sh):
 //   0  certificate emitted (either verdict)
-//   1  usage or environment error (bad flags, unreadable files)
+//   1  usage or environment error (bad flags, unreadable or malformed
+//      files, a disconnected graph)
 //   2  coverage refusal: serve quarantined ranges and withheld the verdict
 //   3  wire/merge/handshake guard refusal (corrupt or mismatched data)
 //   4  transport failure after bounded retries
@@ -71,6 +72,7 @@
 #include "core/swap_engine.hpp"
 #include "gen/paper.hpp"
 #include "gen/random.hpp"
+#include "graph/connectivity.hpp"
 #include "graph/io.hpp"
 #include "svc/dispatcher.hpp"
 #include "svc/net.hpp"
@@ -123,7 +125,8 @@ using namespace bncg;
          "  run against the blocked row cache. BNCG_MEM_BUDGET sets the same\n"
          "  cap process-wide when the flag is absent.\n"
          "exit codes: 0 certificate emitted (either verdict); 1 usage or\n"
-         "  environment error; 2 coverage refusal (serve quarantined ranges and\n"
+         "  environment error, or a disconnected graph (the game is defined on\n"
+         "  connected graphs); 2 coverage refusal (serve quarantined ranges and\n"
          "  withheld the verdict); 3 wire/merge/handshake guard refusal;\n"
          "  4 transport failure after bounded retries\n";
   std::exit(exit_code);
@@ -254,16 +257,26 @@ void reject_unknown(const Args& args) {
   if (!leftover.empty()) usage("unknown argument: " + leftover.front());
 }
 
+/// Reads a graph to certify. The game is defined on connected graphs, so a
+/// disconnected one is refused here, before any scan, as an input error
+/// (exit 1) — never certified.
 [[nodiscard]] Graph load_graph(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open graph file: " + path);
+  Graph g;
   try {
-    return read_edge_list(in);
+    g = read_edge_list(in);
   } catch (const std::invalid_argument& e) {
     // Re-typed so a malformed *graph* file is reported as an environment
     // failure (exit 1), keeping exit 3 scoped to wire/merge refusals.
     throw std::runtime_error("bad graph file " + path + ": " + e.what());
   }
+  const Vertex components = connected_components(g).count;
+  if (components > 1) {
+    throw std::runtime_error("disconnected graph " + path + ": " + std::to_string(components) +
+                             " components; the game is defined on connected graphs");
+  }
+  return g;
 }
 
 /// The byte-stable certificate block `serve`, `merge`, and `certify` all
