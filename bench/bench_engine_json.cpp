@@ -57,6 +57,13 @@
 // traversals per agent. The sweep's verdict and move count are asserted
 // equal to the dense certificate before the row is written.
 //
+// A "bit_parallel" section prices the shared bit-parallel level loop
+// (graph/bfs_batch.cpp, DESIGN.md §5) serially at u8: µs per
+// bfs_batch_reach on the union far sets of sampled agents of the same
+// relabeled k = 26 torus (the far filter's traversal), and µs per 64-source
+// bfs_batch_capped batch on G(1024, 2048) and on the dense G(2048, 32768),
+// each with its BFS levels per traversal.
+//
 // A second "kernels" section microbenchmarks the dispatched SIMD kernels
 // (util/simd.hpp) directly: each scan-table / combine / addition kernel is
 // timed at n = 1024 once with the dispatch pinned to scalar and once at the
@@ -615,8 +622,9 @@ struct FarFilterRow {
   double reach_traversals_per_agent = 0.0;
 };
 
-FarFilterRow measure_far_filter(Vertex k) {
-  // Seeded relabel, so the far sets are not contiguous id ranges.
+/// Theorem 12's rotated torus with a seeded relabel, so far sets are not
+/// contiguous id ranges — the instance of perfbench's torus-max-service.
+Graph relabeled_torus(Vertex k) {
   const Graph native = rotated_torus(k).graph();
   const Vertex n = native.num_vertices();
   std::vector<Vertex> label(n);
@@ -625,6 +633,12 @@ FarFilterRow measure_far_filter(Vertex k) {
   rng.shuffle(label);
   Graph g(n);
   for (const Edge& e : native.edges()) g.add_edge(label[e.u], label[e.v]);
+  return g;
+}
+
+FarFilterRow measure_far_filter(Vertex k) {
+  const Graph g = relabeled_torus(k);
+  const Vertex n = g.num_vertices();
 
   FarFilterRow row;
   row.instance = "torus_k" + std::to_string(k) + "_relabeled";
@@ -666,6 +680,168 @@ FarFilterRow measure_far_filter(Vertex k) {
             << " ms_per_agent=" << row.ms_per_agent << " misses_per_agent=" << row.misses_per_agent
             << " reach_traversals_per_agent=" << row.reach_traversals_per_agent << "\n";
   return row;
+}
+
+// ---------------------------------------------------------------------------
+// Bit-parallel level loop: the reach traversal and the 64-source row batch.
+
+struct BitParallelRow {
+  std::string call;  // "reach" (bfs_batch_reach) / "rows" (bfs_batch_capped)
+  std::string instance;
+  Vertex n = 0;
+  std::size_t m = 0;
+  std::size_t calls = 0;  // distinct traversals per timed sweep
+  double sources_per_call = 0.0;
+  double levels_per_call = 0.0;
+  double us_per_call = 0.0;
+};
+
+/// BFS levels one traversal from `sources` runs in G − masked: the largest
+/// source eccentricity, cut at the saturation level max_finite + 1.
+Vertex traversal_levels(const CsrGraph& csr, std::span<const Vertex> sources, Vertex masked,
+                        Vertex max_finite, BatchBfsWorkspace& ws) {
+  std::vector<std::uint16_t> dist(csr.num_vertices());
+  Vertex levels = 0;
+  for (const Vertex s : sources) {
+    levels = std::max(levels, csr_bfs(csr, s, MaskedEdge{}, dist.data(), ws, masked).ecc);
+  }
+  return std::min(levels, max_finite + 1);
+}
+
+void print_bit_parallel(const BitParallelRow& row) {
+  std::cout << "bit_parallel " << row.call << " " << row.instance << " n=" << row.n
+            << " calls=" << row.calls << " sources=" << row.sources_per_call
+            << " levels=" << row.levels_per_call << " us_per_call=" << row.us_per_call << "\n";
+}
+
+/// µs per bfs_batch_reach on the budgeted max scan's union far sets
+/// (DESIGN.md §16) of every (n/32)-th agent: cap = ecc(v) − 2 and the far
+/// set {u ≠ v : second-smallest neighbor distance in G − v > cap}, in
+/// ≤ 64-vertex chunks, at the u8 saturation bound.
+BitParallelRow measure_reach_traversals(Vertex k) {
+  using Dist = std::uint8_t;
+  constexpr Dist kInf = kSearchInf8;
+  constexpr Dist kMax = kMaxFiniteFor<Dist>;
+  const Graph g = relabeled_torus(k);
+  const CsrGraph csr(g);
+  const Vertex n = csr.num_vertices();
+  BatchBfsWorkspace ws;
+
+  struct Traversal {
+    Vertex agent;
+    std::int32_t cap;
+    std::vector<Vertex> sources;
+  };
+  std::vector<Traversal> traversals;
+  std::vector<Dist> nbr_rows;
+  std::vector<std::uint16_t> dist(n);
+  for (Vertex v = 0; v < n; v += n / 32) {
+    const auto nbrs = csr.neighbors(v);
+    nbr_rows.resize(nbrs.size() * n);
+    if (!bfs_batch_capped<Dist>(csr, nbrs, MaskedEdge{}, nbr_rows.data(), n, ws, v, kInf, kMax)) {
+      std::cerr << "FATAL: bit_parallel reach bench saturated u8 at agent " << v << "\n";
+      std::exit(1);
+    }
+    const auto cap = static_cast<std::int32_t>(csr_bfs(csr, v, MaskedEdge{}, dist.data(), ws).ecc) - 2;
+    std::vector<Vertex> far;
+    for (Vertex u = 0; u < n; ++u) {
+      Dist min1 = kInf;
+      Dist min2 = kInf;
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        const Dist d = nbr_rows[i * n + u];
+        min2 = std::min(min2, std::max(min1, d));
+        min1 = std::min(min1, d);
+      }
+      if (u != v && min2 > cap) far.push_back(u);
+    }
+    for (std::size_t base = 0; base < far.size(); base += 64) {
+      const std::size_t end = std::min(far.size(), base + 64);
+      traversals.push_back({v, cap, std::vector<Vertex>(far.begin() + base, far.begin() + end)});
+    }
+  }
+
+  BitParallelRow row;
+  row.call = "reach";
+  row.instance = "torus_k" + std::to_string(k) + "_relabeled";
+  row.n = n;
+  row.m = g.num_edges();
+  row.calls = traversals.size();
+  for (const Traversal& t : traversals) {
+    row.sources_per_call += static_cast<double>(t.sources.size());
+    row.levels_per_call += traversal_levels(csr, t.sources, t.agent, kMax, ws);
+  }
+  row.sources_per_call /= static_cast<double>(row.calls);
+  row.levels_per_call /= static_cast<double>(row.calls);
+  std::vector<std::uint64_t> reach(n);
+  std::uint64_t saturated = 0;
+  row.us_per_call = time_repeated([&] {
+                      for (const Traversal& t : traversals) {
+                        saturated |= bfs_batch_reach(csr, t.sources, t.agent, t.cap, kMax,
+                                                     reach.data(), ws);
+                      }
+                    }) *
+                    1e6 / static_cast<double>(row.calls);
+  if (saturated != 0) {
+    std::cerr << "FATAL: bit_parallel reach bench saturated u8 on " << row.instance << "\n";
+    std::exit(1);
+  }
+  print_bit_parallel(row);
+  return row;
+}
+
+/// µs per 64-source u8 bfs_batch_capped batch, over the ⌈n/64⌉ batches of
+/// one unmasked APSP — the slab and row-cache fill primitive.
+BitParallelRow measure_row_batches(std::string instance, const Graph& g) {
+  using Dist = std::uint8_t;
+  const CsrGraph csr(g);
+  const Vertex n = csr.num_vertices();
+  BatchBfsWorkspace ws;
+  std::vector<std::vector<Vertex>> batches;
+  for (Vertex base = 0; base < n; base += 64) {
+    batches.emplace_back();
+    for (Vertex s = base; s < std::min<Vertex>(n, base + 64); ++s) batches.back().push_back(s);
+  }
+
+  BitParallelRow row;
+  row.call = "rows";
+  row.instance = std::move(instance);
+  row.n = n;
+  row.m = g.num_edges();
+  row.calls = batches.size();
+  for (const auto& batch : batches) {
+    row.sources_per_call += static_cast<double>(batch.size());
+    row.levels_per_call += traversal_levels(csr, batch, kNoVertex, kMaxFiniteFor<Dist>, ws);
+  }
+  row.sources_per_call /= static_cast<double>(row.calls);
+  row.levels_per_call /= static_cast<double>(row.calls);
+  std::vector<Dist> rows(std::size_t{64} * n);
+  bool fits = true;
+  row.us_per_call = time_repeated([&] {
+                      for (const auto& batch : batches) {
+                        fits = bfs_batch_capped<Dist>(csr, batch, MaskedEdge{}, rows.data(), n,
+                                                      ws, kNoVertex, kSearchInf8,
+                                                      kMaxFiniteFor<Dist>) &&
+                               fits;
+                      }
+                    }) *
+                    1e6 / static_cast<double>(row.calls);
+  if (!fits) {
+    std::cerr << "FATAL: bit_parallel row bench saturated u8 on " << row.instance << "\n";
+    std::exit(1);
+  }
+  print_bit_parallel(row);
+  return row;
+}
+
+std::vector<BitParallelRow> measure_bit_parallel(Vertex max_n) {
+  std::vector<BitParallelRow> rows;
+  if (max_n < 1024) return rows;
+  rows.push_back(measure_reach_traversals(26));
+  Xoshiro256ss sparse_rng(0xBE7C ^ Vertex{1024});
+  rows.push_back(measure_row_batches("gnm", random_connected_gnm(1024, 2048, sparse_rng)));
+  Xoshiro256ss dense_rng(0xBE7C ^ Vertex{2048});
+  rows.push_back(measure_row_batches("gnm_dense", random_connected_gnm(2048, 32768, dense_rng)));
+  return rows;
 }
 
 // ---------------------------------------------------------------------------
@@ -870,6 +1046,7 @@ int main(int argc, char** argv) {
   const std::vector<MaskedRowsRow> masked_rows = measure_masked_rows_all(max_n);
   std::vector<FarFilterRow> far_filter_rows;
   if (max_n >= 1024) far_filter_rows.push_back(measure_far_filter(26));
+  const std::vector<BitParallelRow> bit_parallel_rows = measure_bit_parallel(max_n);
 
   const std::vector<KernelRow> kernel_rows = measure_all_kernels();
   for (const KernelRow& k : kernel_rows) {
@@ -978,6 +1155,17 @@ int main(int argc, char** argv) {
         << ", \"misses_per_agent\": " << r.misses_per_agent
         << ", \"reach_traversals_per_agent\": " << r.reach_traversals_per_agent << "}"
         << (i + 1 < far_filter_rows.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n";
+  out << "  \"bit_parallel\": [\n";
+  for (std::size_t i = 0; i < bit_parallel_rows.size(); ++i) {
+    const BitParallelRow& r = bit_parallel_rows[i];
+    out << "    {\"call\": \"" << r.call << "\", \"instance\": \"" << r.instance
+        << "\", \"n\": " << r.n << ", \"m\": " << r.m << ", \"width\": \"u8\""
+        << ", \"calls\": " << r.calls << ", \"sources_per_call\": " << r.sources_per_call
+        << ", \"levels_per_call\": " << r.levels_per_call
+        << ", \"us_per_call\": " << r.us_per_call << "}"
+        << (i + 1 < bit_parallel_rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
   out << "  \"kernels\": [\n";

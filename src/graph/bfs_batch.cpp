@@ -4,6 +4,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 #include <type_traits>
@@ -71,32 +72,55 @@ template <typename Dist>
   return true;
 }
 
+/// One completed level of bitparallel_levels: `words[u]` holds the bits
+/// that settled at u at this level (zero for every other vertex), `bits`
+/// their OR, and `list`, when the loop built one, the vertices with a
+/// nonzero word.
+struct SettledLevel {
+  Vertex level;
+  std::uint64_t bits;
+  std::span<const std::uint64_t> words;
+  const std::vector<Vertex>* list;
+
+  /// Calls fn(u, word) for every vertex that settled bits at this level:
+  /// in list order when there is a list, else in ascending u.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    if (list != nullptr) {
+      for (const Vertex u : *list) fn(u, words[u]);
+      return;
+    }
+    for (Vertex u = 0; u < words.size(); ++u) {
+      if (words[u] != 0) fn(u, words[u]);
+    }
+  }
+};
+
 /// Word-parallel level-synchronous BFS: one frontier bit per source,
 /// direction-optimizing per level. The level loop shared by the row and the
 /// reach traversals.
 ///
-/// Fat levels run the **pull** formulation: every unsettled vertex gathers
-/// the OR of its neighbors' previous-level frontier words in one streaming
-/// sweep over the CSR arrays — sequential offset/target reads, no
-/// worklists, no per-edge branches. Thin levels (frontier below n/8
-/// vertices — the first couple of hops from ≤ 64 sources, and the last
-/// stragglers) run a **push** step instead: only the frontier's own edges
-/// are touched, with a level-stamped first-touch scratch so nothing is
-/// zeroed per level. Both steps settle identical bits at identical levels,
-/// so the mode sequence is invisible in the output; the masked edge costs
-/// one extra comparison on whichever side touches it.
+/// Fat levels run the **pull** formulation: every unsaturated vertex ORs
+/// its neighbors' previous-level frontier words in one streaming sweep over
+/// the CSR arrays — sequential offset/target reads, no worklists, no
+/// per-vertex hook and no branch on what arrived. Saturated vertices (every
+/// source arrived) skip the gather, which makes late, mostly-settled levels
+/// nearly free. Thin levels (frontier below n/8 vertices — the first couple
+/// of hops from ≤ 64 sources, and the last stragglers) run a **push** step
+/// instead: only the frontier's own edges are touched, with a level-stamped
+/// first-touch scratch so nothing is zeroed per level. A pull level builds
+/// the frontier list only when the next level will push. Both steps settle
+/// identical bits at identical levels, so the mode sequence is invisible in
+/// the output; the masked edge costs one extra comparison on whichever side
+/// touches it.
 ///
-/// `settle(u, newly, level)` sees every vertex that gains bits at a level
-/// ≥ 1, in ascending u within a pull level; returning false aborts the
-/// traversal (and the function returns false). `level_done(level)` runs
-/// after each completed level, level 0 being the sources themselves;
-/// returning false stops the traversal early. On return the workspace's
-/// visited words hold every bit settled so far.
-template <typename Settle, typename LevelDone>
-[[nodiscard]] bool bitparallel_levels(const CsrGraph& g, std::span<const Vertex> sources,
-                                      MaskedEdge mask, BatchBfsWorkspace& ws,
-                                      Vertex masked_vertex, Settle&& settle,
-                                      LevelDone&& level_done) {
+/// `level_done(SettledLevel)` runs after each level that settled a bit,
+/// level 0 being the sources themselves; returning false stops the
+/// traversal. On return the workspace's visited words hold every bit
+/// settled so far.
+template <typename LevelDone>
+void bitparallel_levels(const CsrGraph& g, std::span<const Vertex> sources, MaskedEdge mask,
+                        BatchBfsWorkspace& ws, Vertex masked_vertex, LevelDone&& level_done) {
   const Vertex n = g.num_vertices();
   auto& cur = BatchBfsAccess::cur(ws);
   auto& next = BatchBfsAccess::next(ws);
@@ -116,24 +140,29 @@ template <typename Settle, typename LevelDone>
   // A masked vertex starts saturated: it never settles, never enters a
   // frontier, and its cur word stays 0, so nothing traverses through it.
   if (masked_vertex < n) visited[masked_vertex] = batch_mask;
+  std::uint64_t bits = 0;
   for (std::size_t i = 0; i < sources.size(); ++i) {
     const Vertex s = sources[i];
     if (s == masked_vertex) continue;  // absent source: reaches nothing
     if (cur[s] == 0) frontier.push_back(s);
     visited[s] |= std::uint64_t{1} << i;
     cur[s] |= std::uint64_t{1} << i;
+    bits |= std::uint64_t{1} << i;
   }
-  if (!level_done(Vertex{0})) return true;
+  // The pull sweep's masked-edge endpoints (kNoVertex when unmasked).
+  const Vertex mask_u = mask.active() ? mask.u : kNoVertex;
+  const Vertex mask_v = mask.active() ? mask.v : kNoVertex;
 
-  // Invariant at each loop top: cur[u] holds the previous level's frontier
-  // word of u (zero elsewhere) and `frontier` lists exactly the u with
-  // cur[u] != 0.
+  // Invariant at each loop top: cur[u] holds the bits settled at u at
+  // `level` (zero elsewhere), and when `listed`, `frontier` lists exactly
+  // the u with cur[u] != 0.
   Vertex level = 0;
-  bool active = true;
-  while (active) {
+  bool listed = true;
+  while (bits != 0 &&
+         level_done(SettledLevel{level, bits, cur, listed ? &frontier : nullptr})) {
     ++level;
-    active = false;
-    if (frontier.size() * 8 < n) {
+    bits = 0;
+    if (listed && frontier.size() * 8 < n) {
       // Push step: accumulate frontier words into next[] behind first-touch
       // stamps (no per-level zeroing), then settle only the touched list.
       touched.clear();
@@ -157,55 +186,80 @@ template <typename Settle, typename LevelDone>
       for (const Vertex t : touched) {
         const std::uint64_t newly = next[t] & ~visited[t];
         if (newly == 0) continue;
-        if (!settle(t, newly, level)) return false;
-        active = true;
         visited[t] |= newly;
         cur[t] = newly;
+        bits |= newly;
         spare.push_back(t);
       }
       frontier.swap(spare);
     } else {
-      frontier.clear();
+      // Pull step. Degree ≥ 8 gathers go through the dispatched or_gather
+      // (8 words per AVX-512 gather); shorter lists are cheaper inline.
+      std::size_t settled = 0;
       const simd::WordKernels& wk = simd::words();
       for (Vertex u = 0; u < n; ++u) {
-        // Saturated vertices (all sources arrived) can gain nothing; skip
-        // the gather — this makes late, mostly-settled levels nearly free.
-        if (visited[u] == batch_mask) {
+        const std::uint64_t seen = visited[u];
+        if (seen == batch_mask) {
           next[u] = 0;
           continue;
         }
+        const auto nbrs = g.neighbors(u);
         std::uint64_t word = 0;
-        if (mask.active() && (u == mask.u || u == mask.v)) [[unlikely]] {
-          const Vertex other = u == mask.u ? mask.v : mask.u;
-          for (const Vertex t : g.neighbors(u)) {
+        if (u == mask_u || u == mask_v) [[unlikely]] {
+          const Vertex other = u == mask_u ? mask_v : mask_u;
+          for (const Vertex t : nbrs) {
             if (t != other) word |= cur[t];
           }
-        } else {
-          const auto nbrs = g.neighbors(u);
+        } else if (nbrs.size() >= 8) {
           word = wk.or_gather(cur.data(), nbrs.data(), nbrs.size());
+        } else {
+          for (const Vertex t : nbrs) word |= cur[t];
         }
-        const std::uint64_t newly = word & ~visited[u];
+        const std::uint64_t newly = word & ~seen;
         next[u] = newly;
-        if (newly == 0) continue;
-        if (!settle(u, newly, level)) return false;
-        active = true;
-        visited[u] |= newly;
-        frontier.push_back(u);
+        visited[u] = seen | newly;
+        bits |= newly;
+        settled += newly != 0 ? 1 : 0;
       }
       std::swap(cur, next);
+      listed = settled * 8 < n;
+      if (listed) {
+        frontier.clear();
+        for (Vertex u = 0; u < n; ++u) {
+          if (cur[u] != 0) frontier.push_back(u);
+        }
+      }
     }
-    if (active && !level_done(level)) return true;
   }
-  return true;
 }
 
-/// Row-writing batch over bitparallel_levels. Distance rows are written
-/// once per settled bit — the settles of one level sweep u in ascending
-/// order, so the writes form ≤ 64 interleaved sequential streams (a
-/// transposed-tile variant was measured slower: the extra full-matrix
-/// transpose pass costs more than the stream writes) — and unreached
-/// entries are back-filled with `inf_value` at the end, so the common
-/// connected case never pays an O(batch·n) infinity pre-fill.
+/// In-place 64×64 bit-matrix transpose: afterwards bit j of m[b] is bit b
+/// of the original m[j]. Each round swaps the off-diagonal blocks of every
+/// diagonal block pair, halving the block size (32, 16, …, 1).
+void transpose64(std::array<std::uint64_t, 64>& m) {
+  std::uint64_t low = 0x00000000FFFFFFFFull;  // low half of each block's rows
+  for (int j = 32; j != 0; j >>= 1, low ^= low << j) {
+    for (int k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((m[k] >> j) ^ m[k | j]) & low;
+      m[k] ^= t << j;
+      m[k | j] ^= t;
+    }
+  }
+}
+
+/// Row-writing batch over bitparallel_levels. After each level one settle
+/// pass writes the level into the distance rows of every bit that arrived,
+/// and unreached entries are back-filled with `inf_value` at the end, so
+/// the common connected case never pays an O(batch·n) infinity pre-fill.
+///
+/// The pass writes column by column — per vertex, one entry in each row
+/// that gained it — in ascending u on a pull level, so the writes form
+/// ≤ 64 interleaved sequential streams. When the row stride is a multiple
+/// of 1 KiB, though, one vertex's ≤ 64 row lines share at most four L1 sets
+/// and evict each other at every vertex (the u8 batch of the dense
+/// G(2048, 32768) ran at ~3.4 ns per entry). Such strides write a pull
+/// level tile by tile instead: 64 vertices' words are transposed into one
+/// mask per row, and each row segment is written at once.
 ///
 /// Returns false the moment any bit settles at a level above `max_finite`
 /// (the exact saturation condition — a frontier that dies at max_finite is
@@ -219,21 +273,38 @@ template <typename Dist>
   if (masked_vertex < n) {
     for (std::size_t i = 0; i < sources.size(); ++i) rows[i * stride + masked_vertex] = inf_value;
   }
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    if (sources[i] != masked_vertex) rows[i * stride + sources[i]] = 0;
-  }
-  const bool fits = bitparallel_levels(
-      g, sources, mask, ws, masked_vertex,
-      [&](Vertex u, std::uint64_t newly, Vertex level) {
-        if (level > max_finite) return false;  // saturated: this settle is unrepresentable
-        while (newly != 0) {
-          const int b = std::countr_zero(newly);
-          newly &= newly - 1;
-          rows[static_cast<std::size_t>(b) * stride + u] = static_cast<Dist>(level);
+  const bool tiled = stride * sizeof(Dist) % 1024 == 0;
+  std::array<std::uint64_t, 64> tile;
+  bool fits = true;
+  bitparallel_levels(g, sources, mask, ws, masked_vertex, [&](const SettledLevel& settled) {
+    if (settled.level > max_finite) {  // saturated: these settles are unrepresentable
+      fits = false;
+      return false;
+    }
+    const auto d = static_cast<Dist>(settled.level);
+    if (!tiled || settled.list != nullptr) {
+      settled.for_each([&](Vertex u, std::uint64_t newly) {
+        for (; newly != 0; newly &= newly - 1) {
+          rows[static_cast<std::size_t>(std::countr_zero(newly)) * stride + u] = d;
         }
-        return true;
-      },
-      [](Vertex) { return true; });
+      });
+      return true;
+    }
+    for (Vertex base = 0; base < n; base += 64) {
+      const Vertex width = std::min<Vertex>(64, n - base);
+      std::uint64_t present = 0;
+      for (Vertex j = 0; j < width; ++j) present |= tile[j] = settled.words[base + j];
+      if (present == 0) continue;
+      std::fill(tile.begin() + width, tile.end(), std::uint64_t{0});
+      transpose64(tile);
+      for (; present != 0; present &= present - 1) {
+        const int b = std::countr_zero(present);
+        Dist* row = rows + static_cast<std::size_t>(b) * stride + base;
+        for (std::uint64_t m = tile[b]; m != 0; m &= m - 1) row[std::countr_zero(m)] = d;
+      }
+    }
+    return true;
+  });
   if (!fits) return false;
 
   // Back-fill unreached entries (no-op on connected graphs).
@@ -371,19 +442,15 @@ std::uint64_t bfs_batch_reach(const CsrGraph& g, std::span<const Vertex> sources
   // sources (BFS levels are contiguous, so every later settle of a source
   // implies one at that level) — the traversal stops there.
   std::uint64_t saturated = 0;
-  (void)bitparallel_levels(
-      g, sources, MaskedEdge{}, ws, masked_vertex,
-      [&](Vertex, std::uint64_t newly, Vertex level) {
-        if (level > max_finite) saturated |= newly;
-        return true;
-      },
-      [&](Vertex level) {
-        if (!captured && std::int64_t{level} == cap) {
-          std::memcpy(reach, visited.data(), std::size_t{n} * sizeof(std::uint64_t));
-          captured = true;
-        }
-        return level <= max_finite;
-      });
+  bitparallel_levels(g, sources, MaskedEdge{}, ws, masked_vertex,
+                     [&](const SettledLevel& settled) {
+                       if (settled.level > max_finite) saturated = settled.bits;
+                       if (!captured && std::int64_t{settled.level} == cap) {
+                         std::memcpy(reach, visited.data(), std::size_t{n} * sizeof(std::uint64_t));
+                         captured = true;
+                       }
+                       return settled.level <= max_finite;
+                     });
   if (!captured) std::memcpy(reach, visited.data(), std::size_t{n} * sizeof(std::uint64_t));
   if (masked_vertex < n) reach[masked_vertex] = 0;  // pre-saturated, never reached
   return saturated;

@@ -18,6 +18,7 @@
 #include "gen/random.hpp"
 #include "graph/apsp.hpp"
 #include "graph/bfs.hpp"
+#include "graph/dist_width.hpp"
 #include "util/rng.hpp"
 
 namespace bncg {
@@ -340,6 +341,189 @@ TEST(BatchBfs, ReachSaturationBitsMatchCappedRowsOnPath) {
   }
   EXPECT_NE(seen_saturated, 0u);  // both kinds of source occur
   EXPECT_NE(seen_fitting, 0u);
+}
+
+// ------------------------------------------------- level loop differential
+
+/// Instances whose bit-parallel level sequence mixes pull steps (fat
+/// frontiers) and push steps (frontiers below n/8), all dense enough
+/// (m ≥ n + n/4) that ≥ 8-source row batches take the bit-parallel path.
+std::vector<std::pair<std::string, Graph>> level_loop_instances(Xoshiro256ss& rng) {
+  std::vector<std::pair<std::string, Graph>> out;
+  // K_12 with an 80-vertex path tail: pull levels in the clique, push levels
+  // down the tail, and clique sources pass the u8 bound (61) on the tail.
+  Graph tail(92);
+  for (Vertex a = 0; a < 12; ++a) {
+    for (Vertex b = a + 1; b < 12; ++b) tail.add_edge(a, b);
+  }
+  for (Vertex x = 12; x < 92; ++x) tail.add_edge(x - 1, x);
+  out.emplace_back("clique_tail", tail);
+  // Eight 16-vertex arms around a hub, neighboring arms joined at every
+  // other step.
+  Graph star(129);
+  for (Vertex arm = 0; arm < 8; ++arm) {
+    for (Vertex step = 0; step < 16; ++step) {
+      const Vertex x = 1 + arm * 16 + step;
+      star.add_edge(step == 0 ? 0 : x - 1, x);
+      if (step % 2 == 1) star.add_edge(x, 1 + (arm + 1) % 8 * 16 + step);
+    }
+  }
+  out.emplace_back("star_of_paths", star);
+  out.emplace_back("torus8", relabeled(rotated_torus(8).graph(), rng));
+  // A degree-70 hub over a sparse random graph: the pull step's long gather.
+  Graph hub = random_connected_gnm(200, 260, rng);
+  for (Vertex added = 0; added < 70;) {
+    added += hub.add_edge_if_absent(0, 1 + static_cast<Vertex>(rng.below(199))) ? 1 : 0;
+  }
+  out.emplace_back("hub70", hub);
+  // Two components: every source leaves the other's entries to back-fill.
+  Graph split(122);
+  for (const Edge& e : tail.edges()) split.add_edge(e.u, e.v);
+  for (Vertex i = 0; i < 30; ++i) split.add_edge(92 + i, 92 + (i + 1) % 30);
+  out.emplace_back("clique_tail+cycle30", split);
+  return out;
+}
+
+/// Per-source queue BFS rows (csr_bfs, 16-bit) for the given mask.
+std::vector<std::vector<std::uint16_t>> queue_rows(const CsrGraph& csr,
+                                                   const std::vector<Vertex>& sources,
+                                                   MaskedEdge mask, Vertex masked) {
+  BatchBfsWorkspace ws;
+  std::vector<std::vector<std::uint16_t>> rows(sources.size(),
+                                               std::vector<std::uint16_t>(csr.num_vertices()));
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    (void)csr_bfs(csr, sources[i], mask, rows[i].data(), ws, masked);
+  }
+  return rows;
+}
+
+/// bfs_batch_capped rows against the queue rows, at a compact stride and at
+/// a stride of whole KiB (the tiled settle pass). Saturation must be
+/// reported exactly when some finite distance exceeds max_finite.
+template <typename Dist>
+void expect_batch_rows_match(const CsrGraph& csr, const std::vector<Vertex>& sources,
+                             MaskedEdge mask, Vertex masked, Dist inf_value, Dist max_finite,
+                             const std::string& ctx) {
+  const Vertex n = csr.num_vertices();
+  const auto want = queue_rows(csr, sources, mask, masked);
+  bool want_fits = true;
+  for (const auto& row : want) {
+    for (const std::uint16_t d : row) want_fits = want_fits && (d == kInfDist16 || d <= max_finite);
+  }
+  const std::size_t per_kib = 1024 / sizeof(Dist);
+  for (const std::size_t stride : {std::size_t{n}, (n + per_kib - 1) / per_kib * per_kib}) {
+    BatchBfsWorkspace ws;
+    std::vector<Dist> rows(sources.size() * stride, static_cast<Dist>(0xA5));  // poison
+    const bool fits = bfs_batch_capped<Dist>(csr, sources, mask, rows.data(), stride, ws, masked,
+                                             inf_value, max_finite);
+    ASSERT_EQ(fits, want_fits) << ctx << " stride=" << stride;
+    if (!fits) continue;
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      for (Vertex u = 0; u < stride; ++u) {
+        const std::uint16_t d = u < n ? want[i][u] : std::uint16_t{0xA5};  // padding: untouched
+        ASSERT_EQ(rows[i * stride + u], d == kInfDist16 ? inf_value : static_cast<Dist>(d))
+            << ctx << " stride=" << stride << " source=" << sources[i] << " u=" << u;
+      }
+    }
+  }
+}
+
+/// bfs_batch_reach against the queue rows: bit i of reach[u] reads
+/// d(sources[i], u) ≤ cap, cut at max_finite + 1 where a saturating
+/// traversal stops, and the saturation bits name exactly the sources with a
+/// finite distance above max_finite.
+void expect_reach_matches_queue(const CsrGraph& csr, const std::vector<Vertex>& sources,
+                                Vertex masked, std::int32_t cap, Vertex max_finite,
+                                const std::string& ctx) {
+  const Vertex n = csr.num_vertices();
+  const auto want = queue_rows(csr, sources, MaskedEdge{}, masked);
+  BatchBfsWorkspace ws;
+  std::vector<std::uint64_t> reach(n, 0xA5A5A5A5A5A5A5A5ull);
+  const std::uint64_t saturated =
+      bfs_batch_reach(csr, sources, masked, cap, max_finite, reach.data(), ws);
+  const std::int64_t bound = std::min<std::int64_t>(cap, std::int64_t{max_finite} + 1);
+  std::uint64_t want_saturated = 0;
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    for (Vertex u = 0; u < n; ++u) {
+      const std::uint16_t d = want[i][u];
+      if (d != kInfDist16 && d > max_finite) want_saturated |= std::uint64_t{1} << i;
+      ASSERT_EQ((reach[u] >> i & 1) != 0, d != kInfDist16 && d <= bound)
+          << ctx << " cap=" << cap << " source=" << sources[i] << " u=" << u;
+    }
+  }
+  EXPECT_EQ(saturated, want_saturated) << ctx << " cap=" << cap;
+}
+
+/// Largest finite queue-BFS distance from any of `sources`: the last level.
+std::int32_t last_level(const CsrGraph& csr, const std::vector<Vertex>& sources, Vertex masked) {
+  std::int32_t last = 0;
+  for (const auto& row : queue_rows(csr, sources, MaskedEdge{}, masked)) {
+    for (const std::uint16_t d : row) {
+      if (d != kInfDist16) last = std::max<std::int32_t>(last, d);
+    }
+  }
+  return last;
+}
+
+TEST(BatchBfs, LevelLoopRowsMatchQueueBfs) {
+  Xoshiro256ss rng(0x1E7E);
+  for (const auto& [name, g] : level_loop_instances(rng)) {
+    const CsrGraph csr(g);
+    const Vertex n = g.num_vertices();
+    const auto edges = g.edges();
+    std::vector<Vertex> ids(n);
+    for (Vertex i = 0; i < n; ++i) ids[i] = i;
+    for (const std::size_t count : {std::size_t{8}, std::size_t{41}, std::size_t{64}}) {
+      for (Vertex i = n; i > 1; --i) std::swap(ids[i - 1], ids[rng.below(i)]);
+      std::vector<Vertex> sources(ids.begin(), ids.begin() + count);
+      if (count == 64) sources[5] = 0;  // the clique / hub itself
+      const Edge e = edges[rng.below(edges.size())];
+      const std::vector<std::pair<MaskedEdge, Vertex>> masks = {
+          {MaskedEdge{}, kNoVertex},
+          {MaskedEdge{e.u, e.v}, kNoVertex},
+          {MaskedEdge{}, sources[1]},  // a masked source
+          {MaskedEdge{}, ids[count]},  // a masked non-source
+      };
+      for (const auto& [mask, masked] : masks) {
+        const std::string ctx = name + " count=" + std::to_string(count) +
+                                " edge=" + std::to_string(mask.u) + "-" + std::to_string(mask.v) +
+                                " masked=" + std::to_string(masked);
+        expect_batch_rows_match<std::uint8_t>(csr, sources, mask, masked, kSearchInf8,
+                                              kMaxFiniteFor<std::uint8_t>, ctx + " u8");
+        expect_batch_rows_match<std::uint16_t>(csr, sources, mask, masked, kInfDist16,
+                                               kInfDist16 - 1, ctx + " u16");
+        expect_batch_rows_match<std::uint16_t>(csr, sources, mask, masked, kInfDist16, 9,
+                                               ctx + " u16 max_finite=9");
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(BatchBfs, LevelLoopReachMatchesQueueBfs) {
+  Xoshiro256ss rng(0x4EAD);
+  for (const auto& [name, g] : level_loop_instances(rng)) {
+    const CsrGraph csr(g);
+    const Vertex n = g.num_vertices();
+    std::vector<Vertex> ids(n);
+    for (Vertex i = 0; i < n; ++i) ids[i] = i;
+    for (const std::size_t count : {std::size_t{1}, std::size_t{8}, std::size_t{64}}) {
+      for (Vertex i = n; i > 1; --i) std::swap(ids[i - 1], ids[rng.below(i)]);
+      const std::vector<Vertex> sources(ids.begin(), ids.begin() + count);
+      for (const Vertex masked : {kNoVertex, sources[0], ids[count]}) {
+        const std::int32_t last = last_level(csr, sources, masked);
+        for (const Vertex max_finite : {Vertex{kMaxFiniteFor<std::uint8_t>}, Vertex{9}}) {
+          for (const std::int32_t cap : {-1, 0, 1, last / 2, last, last + 5}) {
+            expect_reach_matches_queue(csr, sources, masked, cap, max_finite,
+                                       name + " count=" + std::to_string(count) +
+                                           " masked=" + std::to_string(masked) +
+                                           " max_finite=" + std::to_string(max_finite));
+            if (HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(DistanceMatrix, StillMatchesGraphBfsThroughCsrBackend) {
