@@ -81,19 +81,6 @@ struct SettledLevel {
   std::uint64_t bits;
   std::span<const std::uint64_t> words;
   const std::vector<Vertex>* list;
-
-  /// Calls fn(u, word) for every vertex that settled bits at this level:
-  /// in list order when there is a list, else in ascending u.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    if (list != nullptr) {
-      for (const Vertex u : *list) fn(u, words[u]);
-      return;
-    }
-    for (Vertex u = 0; u < words.size(); ++u) {
-      if (words[u] != 0) fn(u, words[u]);
-    }
-  }
 };
 
 /// Word-parallel level-synchronous BFS: one frontier bit per source,
@@ -282,12 +269,17 @@ template <typename Dist>
       return false;
     }
     const auto d = static_cast<Dist>(settled.level);
-    if (!tiled || settled.list != nullptr) {
-      settled.for_each([&](Vertex u, std::uint64_t newly) {
-        for (; newly != 0; newly &= newly - 1) {
-          rows[static_cast<std::size_t>(std::countr_zero(newly)) * stride + u] = d;
-        }
-      });
+    const auto write_column = [&](Vertex u, std::uint64_t newly) {
+      for (; newly != 0; newly &= newly - 1) {
+        rows[static_cast<std::size_t>(std::countr_zero(newly)) * stride + u] = d;
+      }
+    };
+    if (settled.list != nullptr) {
+      for (const Vertex u : *settled.list) write_column(u, settled.words[u]);
+      return true;
+    }
+    if (!tiled) {
+      for (Vertex u = 0; u < n; ++u) write_column(u, settled.words[u]);
       return true;
     }
     for (Vertex base = 0; base < n; base += 64) {
