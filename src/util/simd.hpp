@@ -178,7 +178,8 @@ struct Kernels {
 /// Kernels over the bit-parallel BFS's 64-bit frontier words.
 struct WordKernels {
   /// OR-reduction of a gathered index set: words[idx[0]] | … — the pull
-  /// step's per-vertex neighbor gather.
+  /// step's neighbor gather for vertices of degree ≥ 8 (shorter lists are
+  /// gathered inline; DESIGN.md §5).
   std::uint64_t (*or_gather)(const std::uint64_t* words, const std::uint32_t* idx,
                              std::size_t count);
 };

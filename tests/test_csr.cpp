@@ -475,8 +475,8 @@ TEST(BatchBfs, LevelLoopRowsMatchQueueBfs) {
     for (Vertex i = 0; i < n; ++i) ids[i] = i;
     for (const std::size_t count : {std::size_t{8}, std::size_t{41}, std::size_t{64}}) {
       for (Vertex i = n; i > 1; --i) std::swap(ids[i - 1], ids[rng.below(i)]);
-      std::vector<Vertex> sources(ids.begin(), ids.begin() + count);
-      if (count == 64) sources[5] = 0;  // the clique / hub itself
+      if (count == 64) std::swap(ids[5], *std::find(ids.begin(), ids.end(), 0));  // clique / hub
+      const std::vector<Vertex> sources(ids.begin(), ids.begin() + count);
       const Edge e = edges[rng.below(edges.size())];
       const std::vector<std::pair<MaskedEdge, Vertex>> masks = {
           {MaskedEdge{}, kNoVertex},
