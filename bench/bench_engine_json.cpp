@@ -623,7 +623,7 @@ struct FarFilterRow {
 };
 
 /// Theorem 12's rotated torus with a seeded relabel, so far sets are not
-/// contiguous id ranges — the instance of perfbench's torus-max-service.
+/// contiguous id ranges — the family perfbench's torus-max-service serves.
 Graph relabeled_torus(Vertex k) {
   const Graph native = rotated_torus(k).graph();
   const Vertex n = native.num_vertices();
