@@ -182,12 +182,12 @@ Row measure(Vertex n, std::size_t m, UsageCost model, bool measure_naive) {
   row.width = dist_width_name(engine_auto.preferred_width());
   row.width_fallbacks = engine_auto.width_fallbacks() / reps;  // per-certification count
 
-  const SwapEngine engine_u8(g, WidthPolicy::ForceU8);
+  const SwapEngine engine_u8(g, ResourceConfig{.width = WidthPolicy::ForceU8});
   EquilibriumCertificate cert_u8;
   row.u8_seconds = time_repeated([&] { cert_u8 = engine_u8.certify(model, deletions); });
   check(cert, cert_u8, "engine auto/u8");
 
-  const SwapEngine engine_u16(g, WidthPolicy::ForceU16);
+  const SwapEngine engine_u16(g, ResourceConfig{.width = WidthPolicy::ForceU16});
   EquilibriumCertificate cert_u16;
   row.u16_seconds = time_repeated([&] { cert_u16 = engine_u16.certify(model, deletions); });
   check(cert, cert_u16, "engine auto/u16");
@@ -431,7 +431,7 @@ RowCacheRow measure_row_cache(std::string instance, const Graph& g, UsageCost mo
   budgeted_res.mem_budget = static_cast<std::uint64_t>(lanes) * n * n;
   row.budget_bytes = static_cast<std::uint64_t>(n) * n;
 
-  const SwapEngine dense_engine(g, WidthPolicy::ForceU16);
+  const SwapEngine dense_engine(g, ResourceConfig{.width = WidthPolicy::ForceU16});
   const SwapEngine budgeted_engine(g, budgeted_res);
   if (budgeted_engine.budget_policy().storage_for(n, DistWidth::U16) != RowStorage::Budgeted) {
     std::cerr << "FATAL: row_cache bench budget did not force budgeted storage at n=" << n
@@ -528,7 +528,7 @@ MaskedRowsRow measure_masked_rows(std::string instance, const Graph& g, UsageCos
   BatchBfsWorkspace ws;
   MaskedRowRepair<Dist> repair;
   const bool deletions = model == UsageCost::Max;
-  const SwapEngine engine(g, WidthPolicy::ForceU8);
+  const SwapEngine engine(g, ResourceConfig{.width = WidthPolicy::ForceU8});
   engine.build_shared_rows();
   SwapEngine::Scratch scratch;
   std::vector<Vertex> lazy_rows;
@@ -667,7 +667,8 @@ FarFilterRow measure_far_filter(Vertex k) {
     }
   });
   const EquilibriumCertificate dense =
-      SwapEngine(g, res.width).certify(UsageCost::Max, /*include_deletions=*/true);
+      SwapEngine(g, ResourceConfig{.width = res.width})
+          .certify(UsageCost::Max, /*include_deletions=*/true);
   if (dense.is_equilibrium == improvable || dense.moves_checked != row.moves) {
     std::cerr << "FATAL: far_filter sweep disagrees with the dense certificate on "
               << row.instance << "\n";

@@ -83,7 +83,7 @@ Row measure(Vertex n, UsageCost model, std::uint64_t steps) {
 
   AnnealStats incremental_stats;
   config.evaluation = UnrestEval::Incremental;
-  config.dist_width = WidthPolicy::Auto;
+  config.resources.width = WidthPolicy::Auto;
   std::optional<Graph> incremental_result;
   row.incremental_seconds = time_seconds(
       [&] { incremental_result = anneal_equilibrium(start, config, &incremental_stats); });
@@ -91,7 +91,7 @@ Row measure(Vertex n, UsageCost model, std::uint64_t steps) {
   row.width_promotions = incremental_stats.width_promotions;
 
   AnnealStats u16_stats;
-  config.dist_width = WidthPolicy::ForceU16;
+  config.resources.width = WidthPolicy::ForceU16;
   std::optional<Graph> u16_result;
   row.u16_seconds =
       time_seconds([&] { u16_result = anneal_equilibrium(start, config, &u16_stats); });

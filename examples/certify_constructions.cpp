@@ -61,8 +61,7 @@ int main(int argc, char** argv) {
               << timer.millis() << " ms total)\n";
 
     // The same verdict through the Instance facade over the large-n
-    // sharded driver (the path used past the engine's auto cap), with its
-    // width/shard telemetry.
+    // sharded driver, with its width/shard telemetry.
     const Instance inst{Graph(g)};
     RunConfig run;
     run.model = UsageCost::Max;

@@ -49,9 +49,9 @@ int main(int argc, char** argv) {
   config.max_moves = 200'000;
   config.seed = seed;
 
-  const char* provider = search_state_enabled(start)  ? "incremental SearchState"
-                         : swap_engine_enabled(start) ? "SwapEngine"
-                                                      : "naive oracle";
+  const char* provider = search_state_enabled(start) ? "incremental SearchState"
+                         : force_naive_requested()    ? "naive oracle"
+                                                      : "SwapEngine";
   std::cout << "family=" << family << " n=" << n << " m=" << start.num_edges()
             << " model=" << model << " provider=" << provider << "\n\n";
   const DynamicsResult r = run_dynamics(start, config);

@@ -64,12 +64,6 @@ void scan_range(const SwapEngine& engine, UsageCost model, bool include_deletion
 
 }  // namespace
 
-ResourceConfig resolved_resources(const ShardedCertifyConfig& config) {
-  ResourceConfig resources = config.resources;
-  if (resources.width == WidthPolicy::Auto) resources.width = config.width;
-  return resources;
-}
-
 ShardResult certify_agent_range(const SwapEngine& engine, const AgentRange& range,
                                 UsageCost model, bool include_deletions, bool stop_on_violation,
                                 SwapEngine::Scratch* scratch, std::atomic<bool>* abort) {
@@ -165,7 +159,7 @@ ShardedCertificate certify_sharded(const Graph& g, UsageCost model, bool include
     out.certificate.is_equilibrium = true;
     return out;
   }
-  SwapEngine engine(g, resolved_resources(config));
+  SwapEngine engine(g, config.resources);
 
   ThreadPool& pool = ThreadPool::global();
   const std::size_t threads = pool.size();

@@ -1,16 +1,17 @@
 // Sharded certification — the large-n driver over the swap engine.
 //
 // SwapEngine::certify parallelizes one flat pool loop over agents, which is
-// the right shape while the per-agent cost is uniform. Past n ≈ 4096 it is
-// not: agent costs spread out (degree skew makes some agents' masked-row
-// repairs and combines several times pricier than others), a single straggler holds the whole loop's implicit
-// barrier, and a verdict-only caller still pays for the full best-witness
-// scan of every agent. certify_sharded repackages the same per-agent scans
-// as OpenMP *task* shards:
+// the right shape while the per-agent cost is uniform. On large instances
+// it is not: agent costs spread out (degree skew makes some agents'
+// masked-row repairs and combines several times pricier than others), a
+// single straggler holds the whole loop's implicit barrier, and a
+// verdict-only caller still pays for the full best-witness scan of every
+// agent. certify_sharded repackages the same per-agent scans
+// as shards on the thread pool (util/thread_pool.hpp):
 //
-//  * the agent range splits into `shards` contiguous blocks dispatched as
-//    untied-scheduler-friendly tasks, so threads steal whole blocks and a
-//    straggling shard overlaps the rest instead of gating a barrier;
+//  * the agent range splits into `shards` contiguous blocks that pool lanes
+//    claim one at a time, so a straggling shard overlaps the rest instead
+//    of gating a barrier;
 //  * each shard folds its own best witness locally; the final merge walks
 //    shards in index order — which IS agent order — picking the strictly
 //    better cost_after, so the certificate (witness, tie-breaks,
@@ -64,19 +65,12 @@ struct ShardedCertifyConfig {
   /// shard once any violation is found. Witness/moves become
   /// schedule-dependent; is_equilibrium stays deterministic.
   bool stop_on_violation = false;
-  /// DEPRECATED (one PR): pre-ResourceConfig width knob, honored only while
-  /// resources.width stays Auto. Use resources.width instead.
-  WidthPolicy width = WidthPolicy::Auto;
   /// Width + memory budget of the underlying engine
   /// (core/dist_provider.hpp). A budget below the dense n×n slab switches
   /// the per-agent scans to the blocked row cache — same certificate bytes,
   /// bounded memory; how certification reaches n = 2¹⁷ and beyond.
   ResourceConfig resources;
 };
-
-/// Effective engine resources of a sharded config: resources, with the
-/// deprecated width field taking over while resources.width is Auto.
-[[nodiscard]] ResourceConfig resolved_resources(const ShardedCertifyConfig& config);
 
 /// Outcome of certify_sharded: the standard certificate plus the sharding
 /// and width telemetry the benches record.
@@ -192,11 +186,10 @@ class ShardFold {
 /// tie-breaks, moves_checked — is bit-identical to SwapEngine::certify and
 /// the bncg::naive certifiers (differential-tested in
 /// tests/test_certify_sharded.cpp). `include_deletions` selects the max
-/// model's deletion clause, exactly as in SwapEngine::certify. Intended for
-/// the n ≥ 4096 tier above kSwapEngineAutoMaxVertices, correct at any size;
-/// with a memory budget (config.resources) the scans run against the
-/// blocked row cache, which is what admits n ≥ 65535 instances the dense
-/// O(n²) storage provably cannot fit.
+/// model's deletion clause, exactly as in SwapEngine::certify. Correct at
+/// any size; with a memory budget (config.resources) the scans run against
+/// the blocked row cache, which is what admits n ≥ 65535 instances the
+/// dense O(n²) storage provably cannot fit.
 [[nodiscard]] ShardedCertificate certify_sharded(const Graph& g, UsageCost model,
                                                  bool include_deletions = false,
                                                  const ShardedCertifyConfig& config = {});

@@ -160,7 +160,7 @@ std::optional<ClassicMove> ClassicGame::best_deviation_engine(const SwapEngine& 
 }
 
 std::optional<ClassicMove> ClassicGame::best_deviation(Vertex v, BfsWorkspace& ws) const {
-  if (!swap_engine_enabled(graph_)) return best_deviation_naive(v, ws);
+  if (force_naive_requested()) return best_deviation_naive(v, ws);
   SwapEngine engine(graph_);
   SwapEngine::Scratch scratch;
   return best_deviation_engine(engine, scratch, v);
@@ -204,7 +204,7 @@ AlphaInterval ClassicGame::alpha_equilibrium_interval_naive() const {
 }
 
 AlphaInterval ClassicGame::alpha_equilibrium_interval() const {
-  if (!swap_engine_enabled(graph_)) return alpha_equilibrium_interval_naive();
+  if (force_naive_requested()) return alpha_equilibrium_interval_naive();
   AlphaInterval interval;
   const SwapEngine engine(graph_);
   SwapEngine::Scratch scratch;
@@ -258,7 +258,7 @@ void ClassicGame::apply(const ClassicMove& move) {
 }
 
 bool ClassicGame::is_greedy_equilibrium() const {
-  if (!swap_engine_enabled(graph_)) {
+  if (force_naive_requested()) {
     BfsWorkspace ws;
     for (Vertex v = 0; v < graph_.num_vertices(); ++v) {
       if (best_deviation_naive(v, ws)) return false;
@@ -278,7 +278,7 @@ ClassicGame::RunResult ClassicGame::run_best_response(std::uint64_t max_moves) {
   RunResult result;
   BfsWorkspace ws;
   const Vertex n = graph_.num_vertices();
-  const bool engine_path = swap_engine_enabled(graph_);
+  const bool engine_path = !force_naive_requested();
   std::optional<SwapEngine> engine;
   SwapEngine::Scratch scratch;
   if (engine_path) engine.emplace(graph_);

@@ -87,8 +87,8 @@ class ClassicGame {
 
   /// Best greedy deviation (add/delete/swap) for agent `v`; nullopt when
   /// none improves strictly. Routed: SwapEngine-backed (one masked APSP per
-  /// agent instead of one BFS per candidate) when swap_engine_enabled(),
-  /// else the naive scan — identical moves, gains, and tie-breaks either way
+  /// agent instead of one BFS per candidate) unless force_naive_requested(),
+  /// then the naive scan — identical moves, gains, and tie-breaks either way
   /// (differential suite: tests/test_classic_game_engine.cpp).
   [[nodiscard]] std::optional<ClassicMove> best_deviation(Vertex v, BfsWorkspace& ws) const;
 

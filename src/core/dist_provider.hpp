@@ -9,15 +9,16 @@
 //
 //   width      — the storage-width preference (graph/dist_width.hpp),
 //   mem_budget — a byte budget for distance-row storage (0 = take
-//                BNCG_MEM_BUDGET from the environment; unset = unlimited),
-//   force_naive— route the accelerated tiers to the exact naive oracles
-//                (OR-ed with BNCG_FORCE_NAIVE, the historical env toggle).
+//                BNCG_MEM_BUDGET from the environment; unset = unlimited).
+//
+// Routing to the exact naive oracles is not a resource: BNCG_FORCE_NAIVE,
+// read once by force_naive_requested() (core/swap_engine.hpp), is the only
+// toggle.
 //
 // WidthAndBudgetPolicy turns a ResourceConfig into the two decisions the
 // scan tiers need: which width to prefer (absorbing the diameter probe that
-// lived in SwapEngine::rebuild and the matrix-driven
-// DistanceMatrix::recommended_width()), and whether a dense n×n scan slab
-// fits the per-lane budget share — when it does not, the scan runs in
+// lived in SwapEngine::rebuild), and whether a dense n×n scan slab fits the
+// per-lane budget share — when it does not, the scan runs in
 // BUDGETED mode against the blocked row cache (graph/row_cache.hpp), where
 // rows materialize on demand by exact BFS and an eccentricity/landmark
 // bound proves most rows can never affect the verdict, so they are never
@@ -43,9 +44,8 @@
 namespace bncg {
 
 /// The shared resource knobs of every scan tier (engine, search state,
-/// sharded certifier, svc worker, facade). Replaces the per-config
-/// width/naive toggles that AnnealConfig, DynamicsConfig, and the worker
-/// ConnectConfig each grew separately.
+/// sharded certifier, svc worker, facade) — the one place a width
+/// preference or a memory budget is set.
 struct ResourceConfig {
   /// Distance storage width preference; results are width-independent.
   WidthPolicy width = WidthPolicy::Auto;
@@ -54,9 +54,6 @@ struct ResourceConfig {
   /// is unset too, storage is unlimited and every tier keeps its dense
   /// fast path. The budget is shared evenly across scan lanes.
   std::uint64_t mem_budget = 0;
-  /// Route the public certifier tiers to the exact naive oracles (OR-ed
-  /// with the BNCG_FORCE_NAIVE environment toggle).
-  bool force_naive = false;
 };
 
 /// Parses a byte count with optional binary suffix: "1073741824", "512K",
@@ -89,8 +86,7 @@ class WidthAndBudgetPolicy {
   /// Per-lane budget share (0 = unlimited).
   [[nodiscard]] std::uint64_t lane_budget() const noexcept { return lane_budget_; }
 
-  /// Exact width for a known maximum finite distance — the policy form of
-  /// the retired DistanceMatrix::recommended_width(): callers already
+  /// Exact width for a known maximum finite distance: callers already
   /// holding a matrix (or a diameter) seed Force policies from it instead
   /// of re-probing (search.cpp / dynamics.cpp / metrics-driven sites).
   [[nodiscard]] static DistWidth width_for_max_distance(std::uint64_t max_distance) noexcept {

@@ -21,8 +21,7 @@ namespace {
 ///  * SwapEngine-backed (n too large for the matrix cache): one CSR snapshot
 ///    and one shared unmasked APSP per accepted move, one masked-row repair
 ///    per scan.
-///  * naive (BNCG_FORCE_NAIVE, or n too large for 16-bit distances): the
-///    original BFS-per-candidate oracle.
+///  * naive (BNCG_FORCE_NAIVE): the original BFS-per-candidate oracle.
 /// All three return bit-identical deviations, so trajectories do not depend
 /// on the tier (differential-tested in tests/test_search_state.cpp).
 class MoveProvider {
@@ -30,14 +29,12 @@ class MoveProvider {
   MoveProvider(const Graph& g, const DynamicsConfig& config)
       : config_(config),
         use_state_(search_state_enabled(g)),
-        use_engine_(!use_state_ && swap_engine_enabled(g)) {
-    const WidthPolicy width =
-        config.resources.width != WidthPolicy::Auto ? config.resources.width : config.dist_width;
+        use_engine_(!use_state_ && !force_naive_requested()) {
     if (use_state_) {
       state_.emplace(g, config.cost,
                      /*include_deletions=*/config.cost == UsageCost::Max &&
                          config.allow_neutral_deletions,
-                     /*parallel=*/true, width);
+                     /*parallel=*/true, config.resources.width);
     } else if (use_engine_) {
       engine_.emplace(g, config.resources);
     }

@@ -24,7 +24,6 @@
 #include "core/dist_provider.hpp"
 #include "core/equilibrium.hpp"
 #include "core/usage_cost.hpp"
-#include "graph/dist_width.hpp"
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
 
@@ -65,9 +64,6 @@ struct DynamicsConfig {
   /// best-response cycles are a genuine open possibility — this is the
   /// instrument for probing it. Memory: O(moves · n²/6) bytes.
   bool detect_revisits = false;
-  /// DEPRECATED (one PR): pre-ResourceConfig width knob, honored only while
-  /// resources.width stays Auto. Use resources.width instead.
-  WidthPolicy dist_width = WidthPolicy::Auto;
   /// Shared resource knobs (core/dist_provider.hpp) of the SearchState /
   /// SwapEngine tiers. Purely speed/memory preferences; moves are
   /// width-independent.

@@ -173,38 +173,38 @@ EquilibriumCertificate certify_max_equilibrium(const Graph& g) {
 }  // namespace naive
 
 std::optional<Deviation> best_sum_deviation(const Graph& g, Vertex v, BfsWorkspace& ws) {
-  if (!swap_engine_enabled(g)) return naive::best_sum_deviation(g, v, ws);
+  if (force_naive_requested()) return naive::best_sum_deviation(g, v, ws);
   SwapEngine engine(g);
   return engine.best_deviation(v, UsageCost::Sum);
 }
 
 std::optional<Deviation> first_sum_deviation(const Graph& g, Vertex v, BfsWorkspace& ws) {
-  if (!swap_engine_enabled(g)) return naive::first_sum_deviation(g, v, ws);
+  if (force_naive_requested()) return naive::first_sum_deviation(g, v, ws);
   SwapEngine engine(g);
   return engine.first_deviation(v, UsageCost::Sum);
 }
 
 std::optional<Deviation> best_max_deviation(const Graph& g, Vertex v, BfsWorkspace& ws) {
-  if (!swap_engine_enabled(g)) return naive::best_max_deviation(g, v, ws);
+  if (force_naive_requested()) return naive::best_max_deviation(g, v, ws);
   SwapEngine engine(g);
   return engine.best_deviation(v, UsageCost::Max);
 }
 
 std::optional<Deviation> first_max_deviation(const Graph& g, Vertex v, BfsWorkspace& ws,
                                              bool include_deletions) {
-  if (!swap_engine_enabled(g)) return naive::first_max_deviation(g, v, ws, include_deletions);
+  if (force_naive_requested()) return naive::first_max_deviation(g, v, ws, include_deletions);
   SwapEngine engine(g);
   return engine.first_deviation(v, UsageCost::Max, include_deletions);
 }
 
 EquilibriumCertificate certify_sum_equilibrium(const Graph& g) {
-  if (!swap_engine_enabled(g)) return naive::certify_sum_equilibrium(g);
+  if (force_naive_requested()) return naive::certify_sum_equilibrium(g);
   const SwapEngine engine(g);
   return engine.certify(UsageCost::Sum, /*include_deletions=*/false);
 }
 
 EquilibriumCertificate certify_max_equilibrium(const Graph& g) {
-  if (!swap_engine_enabled(g)) return naive::certify_max_equilibrium(g);
+  if (force_naive_requested()) return naive::certify_max_equilibrium(g);
   const SwapEngine engine(g);
   return engine.certify(UsageCost::Max, /*include_deletions=*/true);
 }
@@ -218,7 +218,7 @@ bool is_deletion_critical(const Graph& g) {
   // diameters. Disconnecting deletions count as +∞ and therefore pass.
   // One masked-APSP row read per endpoint on the CSR snapshot.
   std::vector<Vertex> base_ecc = eccentricities(g);
-  if (swap_engine_enabled(g)) {
+  if (!force_naive_requested()) {
     const CsrGraph csr(g);
     BatchBfsWorkspace ws;
     std::vector<std::uint16_t> dist(g.num_vertices());

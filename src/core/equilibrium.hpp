@@ -104,9 +104,9 @@ struct EquilibriumCertificate {
 
 /// Brute-force oracle: one scoped mutation plus one full BFS per candidate
 /// move. The public entry points above route through the delta-evaluation
-/// SwapEngine (core/swap_engine.hpp) unless BNCG_FORCE_NAIVE is set; these
-/// are the reference implementations the engine is differential-tested
-/// against, and the fallback for graphs too large for 16-bit distances.
+/// SwapEngine (core/swap_engine.hpp) at every size unless BNCG_FORCE_NAIVE
+/// is set; these are the reference implementations the engine is
+/// differential-tested against.
 namespace naive {
 [[nodiscard]] std::optional<Deviation> best_sum_deviation(const Graph& g, Vertex v,
                                                           BfsWorkspace& ws);

@@ -252,26 +252,26 @@ KStabilityReport swap_stability_at(const Graph& g, Vertex v, Vertex k) {
 // ------------------------------------------------------- routed entry points
 
 KStabilityReport insertion_stability_at(const Graph& g, Vertex v, Vertex k) {
-  if (!swap_engine_enabled(g)) return naive::insertion_stability_at(g, v, k);
+  if (force_naive_requested()) return naive::insertion_stability_at(g, v, k);
   SwapEngine engine(g);
   SwapEngine::Scratch scratch;
   return engine.insertion_stability_at(v, k, scratch);
 }
 
 KStabilityReport insertion_stability(const Graph& g, Vertex k) {
-  if (!swap_engine_enabled(g)) return naive::insertion_stability(g, k);
+  if (force_naive_requested()) return naive::insertion_stability(g, k);
   return SwapEngine(g).insertion_stability(k);
 }
 
 Vertex max_tolerated_insertions(const Graph& g, Vertex v, Vertex k_max) {
-  if (!swap_engine_enabled(g)) return naive::max_tolerated_insertions(g, v, k_max);
+  if (force_naive_requested()) return naive::max_tolerated_insertions(g, v, k_max);
   SwapEngine engine(g);
   SwapEngine::Scratch scratch;
   return engine.max_tolerated_insertions(v, k_max, scratch);
 }
 
 KStabilityReport swap_stability_at(const Graph& g, Vertex v, Vertex k) {
-  if (!swap_engine_enabled(g)) return naive::swap_stability_at(g, v, k);
+  if (force_naive_requested()) return naive::swap_stability_at(g, v, k);
   SwapEngine engine(g);
   SwapEngine::Scratch scratch;
   return engine.swap_stability_at(v, k, scratch);

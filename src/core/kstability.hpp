@@ -43,8 +43,8 @@ struct KStabilityReport {
                                                       Vertex k);
 
 /// Graph-level single-agent form, routed through the SwapEngine k-insertion
-/// evaluator when swap_engine_enabled(g) (bit-identical verdict AND witness
-/// to the naive oracle — DESIGN.md §14), else bncg::naive::.
+/// evaluator unless force_naive_requested() (bit-identical verdict AND
+/// witness to the naive oracle — DESIGN.md §14), then bncg::naive::.
 [[nodiscard]] KStabilityReport insertion_stability_at(const Graph& g, Vertex v, Vertex k);
 
 /// Checks every vertex; exact. O(n) cover instances. Routed: the engine path

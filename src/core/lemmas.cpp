@@ -33,7 +33,7 @@ bool lemma6_diameter2_vertices_are_stable(const Graph& g) {
   // One shared snapshot/scratch for the whole loop; the public per-agent
   // entry point would rebuild the engine per vertex.
   std::optional<SwapEngine> engine;
-  if (swap_engine_enabled(g)) engine.emplace(g);
+  if (!force_naive_requested()) engine.emplace(g);
   BfsWorkspace ws;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     if (ecc[v] == kInfDist || ecc[v] > 2) continue;

@@ -28,7 +28,7 @@ std::uint64_t deviation_unrest(const std::optional<Deviation>& dev) {
 
 std::uint64_t sum_unrest(const Graph& g) {
   std::uint64_t total = 0;
-  if (swap_engine_enabled(g)) {
+  if (!force_naive_requested()) {
     // One CSR snapshot serves every agent's scan (the public per-agent API
     // would rebuild it n times).
     SwapEngine engine(g);
@@ -47,7 +47,7 @@ std::uint64_t sum_unrest(const Graph& g) {
 
 std::uint64_t max_unrest(const Graph& g) {
   std::uint64_t total = 0;
-  if (swap_engine_enabled(g)) {
+  if (!force_naive_requested()) {
     SwapEngine engine(g);
     SwapEngine::Scratch scratch;
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
@@ -108,8 +108,7 @@ std::optional<Graph> anneal_equilibrium(Graph start, const AnnealConfig& config,
     // policy (ForceU8 exactly when the target diameter fits the narrow
     // encoding) instead of the state's own ecc(0) screen — one less probe,
     // identical trajectories (saturation still promotes exactly).
-    WidthPolicy width =
-        config.resources.width != WidthPolicy::Auto ? config.resources.width : config.dist_width;
+    WidthPolicy width = config.resources.width;
     if (width == WidthPolicy::Auto) {
       width = WidthAndBudgetPolicy::policy_for_max_distance(config.target_diameter);
     }

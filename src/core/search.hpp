@@ -61,9 +61,6 @@ struct AnnealConfig {
   std::uint64_t seed = 0x5ea2c4;
   UsageCost cost = UsageCost::Sum;            ///< which unrest is annealed
   UnrestEval evaluation = UnrestEval::Auto;   ///< proposal evaluation path
-  /// DEPRECATED (one PR): pre-ResourceConfig width knob, honored only while
-  /// resources.width stays Auto. Use resources.width instead.
-  WidthPolicy dist_width = WidthPolicy::Auto;
   /// Shared resource knobs (core/dist_provider.hpp). Width is purely a
   /// speed/memory preference: trajectories are identical at any width — the
   /// state promotes u8 → u16 exactly rather than approximate. Under Auto

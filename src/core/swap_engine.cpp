@@ -180,15 +180,6 @@ bool force_naive_requested() {
   return forced_naive;
 }
 
-bool swap_engine_enabled(const Graph& g) {
-  return !force_naive_requested() && g.num_vertices() <= kSwapEngineAutoMaxVertices;
-}
-
-void SwapEngine::rebuild(const Graph& g, WidthPolicy width) {
-  resources_.width = width;
-  rebuild(g);
-}
-
 void SwapEngine::rebuild(const Graph& g, const ResourceConfig& resources) {
   resources_ = resources;
   rebuild(g);

@@ -71,24 +71,11 @@
 
 namespace bncg {
 
-/// Largest n for which the public entry points auto-select the engine. The
-/// engine holds one shared unmasked n×n slab per scanned width (16 MB at
-/// this cap in u8, twice that in u16), so unbounded auto-enablement would
-/// trade the naive path's O(n) memory for multi-gigabyte allocations long
-/// before the 16-bit encoding limit. Callers that accept the memory bill
-/// can always construct a SwapEngine directly (hard limit: n < 65535);
-/// core/certify_sharded.hpp is the packaged way to do that for large-n
-/// certification.
-inline constexpr Vertex kSwapEngineAutoMaxVertices = 4096;
-
 /// True iff BNCG_FORCE_NAIVE is set (read once per process): every
 /// accelerated tier — SwapEngine and SearchState alike — must consult this
-/// one helper so the env var toggles them together.
+/// one helper so the env var toggles them together. It is the only gate
+/// between the public certifier entry points and the engine.
 [[nodiscard]] bool force_naive_requested();
-
-/// True when the engine should back the public certifier entry points:
-/// n within the auto-enable cap and BNCG_FORCE_NAIVE is not set.
-[[nodiscard]] bool swap_engine_enabled(const Graph& g);
 
 /// One α-game usage evaluation from SwapEngine::alpha_scan, emitted in
 /// exactly the order ClassicGame's naive scan enumerates moves (adds by
@@ -182,28 +169,21 @@ class SwapEngine {
     Rows<std::uint16_t> rows16_;
   };
 
-  /// Snapshots `g`. The width policy governs which storage width scans
-  /// *prefer* (graph/dist_width.hpp); results are width-independent.
-  /// Unlimited-memory construction: scans read the shared unmasked slab
-  /// whenever n < 65535; larger instances automatically run budgeted scans.
-  explicit SwapEngine(const Graph& g, WidthPolicy width = WidthPolicy::Auto) {
-    rebuild(g, width);
+  /// Snapshots `g` (core/dist_provider.hpp): scan widths follow
+  /// resources.width, a preference only (graph/dist_width.hpp), and any
+  /// width whose n×n slab would exceed the per-lane share of
+  /// resources.mem_budget runs BUDGETED — distance rows materialize on
+  /// demand in the blocked row cache, and no shared slab is ever built at
+  /// that width. Without a budget, scans read the shared unmasked slab
+  /// whenever n < 65535; larger instances run budgeted. Both modes are
+  /// exact; width and budget change memory, never results.
+  explicit SwapEngine(const Graph& g, const ResourceConfig& resources = {}) {
+    rebuild(g, resources);
   }
-
-  /// Budget-aware construction (core/dist_provider.hpp): scan widths follow
-  /// resources.width, and any width whose n×n slab would exceed the
-  /// per-lane share of resources.mem_budget runs BUDGETED — distance rows
-  /// materialize on demand in the blocked row cache, and no shared slab is
-  /// ever built at that width. Both modes are exact; the budget changes
-  /// memory, never results.
-  SwapEngine(const Graph& g, const ResourceConfig& resources) { rebuild(g, resources); }
 
   /// Re-snapshots after an accepted move (storage reused, width preference
   /// re-probed under the current policy).
   void rebuild(const Graph& g);
-
-  /// Re-snapshots and changes the width policy.
-  void rebuild(const Graph& g, WidthPolicy width);
 
   /// Re-snapshots and changes the resource configuration.
   void rebuild(const Graph& g, const ResourceConfig& resources);

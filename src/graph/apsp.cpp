@@ -43,8 +43,4 @@ Vertex DistanceMatrix::max_finite_distance() const noexcept {
   return max_d;
 }
 
-DistWidth DistanceMatrix::recommended_width() const noexcept {
-  return fits_u8(max_finite_distance()) ? DistWidth::U8 : DistWidth::U16;
-}
-
 }  // namespace bncg

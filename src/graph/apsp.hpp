@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "graph/bfs.hpp"
-#include "graph/dist_width.hpp"
 #include "graph/graph.hpp"
 #include "util/simd.hpp"
 
@@ -55,13 +54,6 @@ class DistanceMatrix {
   /// (core/dist_provider.hpp) — callers that already paid for a full matrix
   /// seed engine/state width policies from this instead of re-probing.
   [[nodiscard]] Vertex max_finite_distance() const noexcept;
-
-  /// DEPRECATED (one PR): the pre-policy form of the width decision. Equals
-  /// WidthAndBudgetPolicy::width_for_max_distance(max_finite_distance());
-  /// new call sites should go through the policy so the dense-vs-budgeted
-  /// storage decision rides along. Kept for the width fuzz suite, which
-  /// uses it to engineer cap-adjacent instances.
-  [[nodiscard]] DistWidth recommended_width() const noexcept;
 
  private:
   Vertex n_ = 0;

@@ -62,12 +62,6 @@ inline constexpr std::uint16_t kSearchInfFor<std::uint16_t> = kSearchInf16;
 template <typename Dist>
 inline constexpr Dist kMaxFiniteFor = static_cast<Dist>(kSearchInfFor<Dist> - 2);
 
-/// True when every finite distance of an instance whose largest distance is
-/// `max_distance` fits the 8-bit encoding.
-[[nodiscard]] constexpr bool fits_u8(std::uint32_t max_distance) noexcept {
-  return max_distance <= kMaxFiniteFor<std::uint8_t>;
-}
-
 [[nodiscard]] constexpr const char* dist_width_name(DistWidth w) noexcept {
   return w == DistWidth::U8 ? "u8" : "u16";
 }

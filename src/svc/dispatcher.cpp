@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/certify_wire.hpp"
-#include "graph/io.hpp"
 #include "svc/net.hpp"
 #include "svc/protocol.hpp"
 #include "svc/sink.hpp"
@@ -855,38 +854,6 @@ MultiServeOutcome serve_jobs(const std::vector<JobSpec>& jobs, const MultiServeC
                "serve: --resume requires a journal directory");
   Dispatcher dispatcher(jobs, config, log);
   return dispatcher.run();
-}
-
-ServeOutcome serve_certification(const Graph& g, const ServeConfig& config, std::ostream* log) {
-  BNCG_REQUIRE(g.num_vertices() >= 1, "serve: empty instance");
-  JobSpec job;
-  job.fingerprint = graph_fingerprint(g);
-  job.n = g.num_vertices();
-  job.m = g.num_edges();
-  job.model = config.model;
-  job.include_deletions = config.include_deletions;
-  job.stop_on_violation = config.stop_on_violation;
-  job.shards = config.shards;
-
-  MultiServeConfig multi;
-  multi.address = config.address;
-  multi.lease_ms = config.lease_ms;
-  multi.max_retries = config.max_retries;
-  multi.backoff_ms = config.backoff_ms;
-  multi.journal_root = config.journal_dir;
-  multi.resume = config.resume;
-  multi.flat_journal = true;  // PR6 layout: journal_dir IS the session dir
-  multi.accept_submissions = 0;
-
-  MultiServeOutcome outcome = serve_jobs({job}, multi, log);
-  ServeOutcome out;
-  out.stats = outcome.stats;
-  SessionOutcome& s = outcome.sessions.front();
-  out.complete = s.complete;
-  out.certificate = std::move(s.certificate);
-  out.quarantined = std::move(s.quarantined);
-  out.agents_uncovered = s.agents_uncovered;
-  return out;
 }
 
 }  // namespace bncg::svc

@@ -34,9 +34,9 @@
 // matter which workers computed which ranges, in what order, after how
 // many failures, or how many sibling sessions ran concurrently.
 //
-// serve_certification is the single-job legacy entry point (flat journal
-// layout, refusal of unmatched workers at handshake); it is a thin wrapper
-// over serve_jobs.
+// A single-job serve is serve_jobs with one JobSpec; flat_journal keeps the
+// legacy layout in which the journal directory IS that session's directory,
+// so journals written in that layout still resume.
 #pragma once
 
 #include <cstdint>
@@ -51,33 +51,6 @@
 #include "svc/journal.hpp"
 
 namespace bncg::svc {
-
-struct ServeConfig {
-  /// Listen address ("unix:/path" or "tcp:host:port"; tcp port 0 lets the
-  /// kernel choose — the resolved address is logged).
-  std::string address;
-  /// Number of agent ranges (leases); 0 = auto: min(n, 16).
-  std::size_t shards = 0;
-  UsageCost model = UsageCost::Sum;
-  bool include_deletions = false;
-  bool stop_on_violation = false;
-  /// Lease deadline: a range not delivered within this window is
-  /// re-dispatched to other workers (the original holder may still
-  /// deliver late — first valid result wins).
-  std::uint64_t lease_ms = 5000;
-  /// Re-dispatch budget per range: a range failing more than max_retries
-  /// times (disconnect, expiry, corruption) is quarantined.
-  std::uint32_t max_retries = 3;
-  /// Exponential backoff base: the k-th failure of a range delays its
-  /// re-dispatch by redispatch_delay_ms(backoff_ms, k) — backoff_ms·2^(k−1)
-  /// capped at 64·backoff_ms and saturating at kMaxRedispatchDelayMs.
-  std::uint64_t backoff_ms = 50;
-  /// Journal directory ("" = no journal). With resume=false the directory
-  /// must not already hold a session.
-  std::string journal_dir;
-  /// Reopen journal_dir and skip every range it already certified.
-  bool resume = false;
-};
 
 /// One queued certification job of a multi-session serve. Identity only —
 /// the dispatcher never needs the graph itself, just the fingerprint it
@@ -95,9 +68,18 @@ struct JobSpec {
 };
 
 struct MultiServeConfig {
+  /// Listen address ("unix:/path" or "tcp:host:port"; tcp port 0 lets the
+  /// kernel choose — the resolved address is logged).
   std::string address;
+  /// Lease deadline: a range not delivered within this window is
+  /// re-dispatched to other workers (the original holder may still
+  /// deliver late — first valid result wins).
   std::uint64_t lease_ms = 5000;
+  /// Re-dispatch budget per range: a range failing more than max_retries
+  /// times (disconnect, expiry, corruption) is quarantined.
   std::uint32_t max_retries = 3;
+  /// Exponential backoff base: the k-th failure of a range delays its
+  /// re-dispatch by redispatch_delay_ms(backoff_ms, k).
   std::uint64_t backoff_ms = 50;
   /// Root of the per-session journals ("" = throwaway spool sinks). Each
   /// session journals under <journal_root>/<session_dir_name(header)>.
@@ -106,7 +88,8 @@ struct MultiServeConfig {
   /// the job specs key to) and skip every range already certified.
   bool resume = false;
   /// Legacy single-job layout: journal_root IS the one session's journal
-  /// directory (requires exactly one job). serve_certification sets this.
+  /// directory (requires exactly one job); `bncg_certify serve --graph`
+  /// sets this.
   bool flat_journal = false;
   /// Number of Submit-created sessions to accept before submissions
   /// close. While submissions are open, a worker whose instance matches
@@ -162,16 +145,6 @@ struct MultiServeOutcome {
   ServeStats stats;
 };
 
-struct ServeOutcome {
-  /// True when every range completed; `certificate` is then the merged
-  /// fold, byte-for-byte the single-process result.
-  bool complete = false;
-  std::optional<ShardedCertificate> certificate;
-  std::vector<QuarantinedRange> quarantined;
-  Vertex agents_uncovered = 0;
-  ServeStats stats;
-};
-
 /// Ceiling of any re-dispatch backoff delay (one hour): the saturation
 /// point of redispatch_delay_ms for arbitrarily large backoff bases.
 inline constexpr std::uint64_t kMaxRedispatchDelayMs = 3'600'000;
@@ -191,12 +164,5 @@ inline constexpr std::uint64_t kMaxRedispatchDelayMs = 3'600'000;
 [[nodiscard]] MultiServeOutcome serve_jobs(const std::vector<JobSpec>& jobs,
                                            const MultiServeConfig& config,
                                            std::ostream* log = nullptr);
-
-/// Legacy single-job entry point: one session, flat journal layout
-/// (journal_dir is the session directory), unmatched workers refused at
-/// handshake. A thin wrapper over serve_jobs with identical semantics to
-/// the PR6 dispatcher.
-[[nodiscard]] ServeOutcome serve_certification(const Graph& g, const ServeConfig& config,
-                                               std::ostream* log = nullptr);
 
 }  // namespace bncg::svc

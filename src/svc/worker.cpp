@@ -77,11 +77,7 @@ WorkerReport run_connect_worker(const Graph& g, const ConnectConfig& config, std
   if (reply.type == FrameType::Done) return report;
   (void)parse_welcome(reply);  // validated; run config now arrives per lease
 
-  // Resolve the deprecated width knob into the resource bundle: the old
-  // field keeps steering only while resources.width stays Auto.
-  ResourceConfig resources = config.resources;
-  if (resources.width == WidthPolicy::Auto) resources.width = config.width;
-  const SwapEngine engine(g, resources);
+  const SwapEngine engine(g, config.resources);
   SwapEngine::Scratch scratch;
   Xoshiro256ss rng(config.chaos.seed);
   const ChaosConfig::Mode mode = config.chaos.mode;

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "core/dist_provider.hpp"
-#include "graph/dist_width.hpp"
 #include "graph/graph.hpp"
 #include "svc/protocol.hpp"
 
@@ -54,9 +53,6 @@ struct ChaosConfig {
 
 struct ConnectConfig {
   std::string address;
-  /// DEPRECATED (one PR): pre-ResourceConfig width knob, honored only while
-  /// resources.width stays Auto. Use resources.width instead.
-  WidthPolicy width = WidthPolicy::Auto;
   /// Engine resources of this worker (core/dist_provider.hpp): width plus
   /// the per-process memory budget. A budget below the dense n×n slab runs
   /// the leased scans against the blocked row cache — how one worker box

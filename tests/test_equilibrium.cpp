@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "core/swap_engine.hpp"
+
 #include "gen/classic.hpp"
 #include "gen/paper.hpp"
 #include "gen/random.hpp"
@@ -345,6 +349,42 @@ TEST(Certifier, MovesCheckedGrowsWithInstanceSize) {
   const auto small = certify_sum_equilibrium(star(6));
   const auto large = certify_sum_equilibrium(star(16));
   EXPECT_GT(large.moves_checked, small.moves_checked);
+}
+
+// ------------------------------------------------------------- public API
+
+void expect_same_deviation(const std::optional<Deviation>& got,
+                           const std::optional<Deviation>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (!got) return;
+  EXPECT_EQ(got->swap.v, want->swap.v);
+  EXPECT_EQ(got->swap.remove_w, want->swap.remove_w);
+  EXPECT_EQ(got->swap.add_w, want->swap.add_w);
+  EXPECT_EQ(got->cost_before, want->cost_before);
+  EXPECT_EQ(got->cost_after, want->cost_after);
+  EXPECT_EQ(got->kind, want->kind);
+}
+
+// The public entry points reach the engine at every n: no size gate sends
+// large instances to the Θ(n³) naive scan. n = 4097 is one past the cap
+// such a gate once had; through the naive path this test would run far
+// past its ctest TIMEOUT. Not in the BNCG_FORCE_NAIVE ctest entry's
+// filter, and skipped when the toggle is set, for that same reason.
+TEST(PublicApi, MaxCertifierAboveFormerNaiveCapMatchesEngine) {
+  if (force_naive_requested()) GTEST_SKIP() << "BNCG_FORCE_NAIVE routes to the Θ(n³) oracle";
+  const Graph g = star(4097);
+  SwapEngine engine(g);
+
+  const EquilibriumCertificate got = certify_max_equilibrium(g);
+  const EquilibriumCertificate want = engine.certify(UsageCost::Max, /*include_deletions=*/true);
+  EXPECT_EQ(got.is_equilibrium, want.is_equilibrium);
+  EXPECT_EQ(got.moves_checked, want.moves_checked);
+  expect_same_deviation(got.witness, want.witness);
+
+  const Vertex leaf = 4096;
+  BfsWorkspace ws;
+  expect_same_deviation(best_max_deviation(g, leaf, ws),
+                        engine.best_deviation(leaf, UsageCost::Max));
 }
 
 }  // namespace

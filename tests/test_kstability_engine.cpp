@@ -89,8 +89,8 @@ TEST(KStabilityEngine, InsertionVerdictAndWitnessParity) {
     for (int trial = 0; trial < 104; ++trial) {
       const Graph g = instance(trial, rng);
       const DistanceMatrix dm(g);
-      SwapEngine e8(g, WidthPolicy::ForceU8);
-      SwapEngine e16(g, WidthPolicy::ForceU16);
+      SwapEngine e8(g, ResourceConfig{.width = WidthPolicy::ForceU8});
+      SwapEngine e16(g, ResourceConfig{.width = WidthPolicy::ForceU16});
       SwapEngine::Scratch s8, s16;
       for (Vertex k = 1; k <= 3; ++k) {
         for (Vertex v = 0; v < g.num_vertices(); ++v) {
@@ -129,8 +129,8 @@ TEST(KStabilityEngine, SwapVerdictAndWitnessParity) {
     for (int trial = 0; trial < 104; ++trial) {
       const Graph g = instance(trial, rng);
       if (g.num_vertices() > 24) continue;  // oracle cost guard
-      SwapEngine e8(g, WidthPolicy::ForceU8);
-      SwapEngine e16(g, WidthPolicy::ForceU16);
+      SwapEngine e8(g, ResourceConfig{.width = WidthPolicy::ForceU8});
+      SwapEngine e16(g, ResourceConfig{.width = WidthPolicy::ForceU16});
       SwapEngine::Scratch s8, s16;
       for (Vertex k = 1; k <= 2; ++k) {
         for (Vertex v = 0; v < g.num_vertices(); ++v) {

@@ -297,7 +297,7 @@ void expect_same_deviation(const std::optional<Deviation>& got,
 /// counts follow the enumeration (one per candidate, plus one deletion
 /// check per incident edge in the max+deletions scan).
 void check_scans(const Graph& g, WidthPolicy width, const std::string& ctx) {
-  SwapEngine engine(g, width);
+  SwapEngine engine(g, ResourceConfig{.width = width});
   SwapEngine::Scratch scratch;
   BfsWorkspace ws;
   const Vertex n = g.num_vertices();
@@ -352,7 +352,7 @@ TEST(MaskedRepair, ScansMatchNaiveAtBothWidthsAndSimdExtremes) {
 void check_fallbacks(const Graph& g, std::uint64_t want_fallbacks, const std::string& ctx) {
   for (const bool deletions : {false, true}) {
     const UsageCost model = deletions ? UsageCost::Max : UsageCost::Sum;
-    SwapEngine e8(g, WidthPolicy::ForceU8);
+    SwapEngine e8(g, ResourceConfig{.width = WidthPolicy::ForceU8});
     const EquilibriumCertificate cert = e8.certify(model, deletions);
     const EquilibriumCertificate want =
         deletions ? naive::certify_max_equilibrium(g) : naive::certify_sum_equilibrium(g);
@@ -428,7 +428,7 @@ void check_pinned(const Graph& g, const std::vector<PinnedCertificate>& pins,
 /// Agents of a serial ForceU8 sum sweep that repaired every row without
 /// falling back — the agents whose neighbor rows tripped the 2·ecc guard.
 Vertex guard_tripped_agents(const Graph& g) {
-  SwapEngine engine(g, WidthPolicy::ForceU8);
+  SwapEngine engine(g, ResourceConfig{.width = WidthPolicy::ForceU8});
   SwapEngine::Scratch scratch;
   Vertex tripped = 0;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {

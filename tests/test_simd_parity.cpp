@@ -366,7 +366,7 @@ struct Snapshot {
 Snapshot snapshot_instance(const Graph& g, UsageCost model, WidthPolicy width) {
   Snapshot snap;
   const bool deletions = model == UsageCost::Max;
-  SwapEngine engine(g, width);
+  SwapEngine engine(g, ResourceConfig{.width = width});
   const EquilibriumCertificate cert = engine.certify(model, deletions);
   snap.is_eq = cert.is_equilibrium;
   snap.moves = cert.moves_checked;

@@ -140,18 +140,31 @@ class SvcDispatcherTest : public ::testing::Test {
     });
   }
 
-  [[nodiscard]] ServeOutcome serve(const ServeConfig& config) {
-    return serve_certification(g_, config, nullptr);
+  /// Outcome of a single-job serve: its one session plus the run's stats.
+  struct SingleServe {
+    SessionOutcome session;
+    ServeStats stats;
+  };
+
+  /// Serves g_ as `bncg_certify serve --graph` does: one JobSpec keyed to
+  /// the graph, the flat journal layout, no submissions.
+  [[nodiscard]] SingleServe serve(JobSpec job, MultiServeConfig config) {
+    job.fingerprint = graph_fingerprint(g_);
+    job.n = g_.num_vertices();
+    job.m = g_.num_edges();
+    config.flat_journal = true;
+    MultiServeOutcome out = serve_jobs({job}, config, nullptr);
+    return {std::move(out.sessions.front()), out.stats};
   }
 
-  void expect_parity(const ServeOutcome& outcome, UsageCost model, bool deletions,
+  void expect_parity(const SingleServe& outcome, UsageCost model, bool deletions,
                      const std::string& context) {
-    ASSERT_TRUE(outcome.complete) << context;
-    ASSERT_TRUE(outcome.certificate.has_value()) << context;
+    ASSERT_TRUE(outcome.session.complete) << context;
+    ASSERT_TRUE(outcome.session.certificate.has_value()) << context;
     const SwapEngine engine(g_);
-    expect_same_certificate(outcome.certificate->certificate, engine.certify(model, deletions),
-                            context);
-    EXPECT_EQ(outcome.certificate->agents_scanned, g_.num_vertices()) << context;
+    expect_same_certificate(outcome.session.certificate->certificate,
+                            engine.certify(model, deletions), context);
+    EXPECT_EQ(outcome.session.certificate->agents_scanned, g_.num_vertices()) << context;
   }
 
   std::string dir_;
@@ -161,14 +174,15 @@ class SvcDispatcherTest : public ::testing::Test {
 };
 
 TEST_F(SvcDispatcherTest, HonestWorkersReproduceTheCertificate) {
-  ServeConfig config;
+  JobSpec job;
+  MultiServeConfig config;
   config.address = socket_address("honest");
-  config.shards = 6;
-  config.model = UsageCost::Max;
-  config.include_deletions = true;
+  job.shards = 6;
+  job.model = UsageCost::Max;
+  job.include_deletions = true;
   spawn_worker(g_, {.address = config.address});
   spawn_worker(g_, {.address = config.address});
-  const ServeOutcome outcome = serve(config);
+  const SingleServe outcome = serve(job, config);
   expect_parity(outcome, UsageCost::Max, true, "two honest workers");
   EXPECT_EQ(outcome.stats.redispatches, 0u);
   EXPECT_EQ(outcome.stats.corrupt_results, 0u);
@@ -180,9 +194,10 @@ TEST_F(SvcDispatcherTest, WrongInstanceWorkerRefusedAtHandshake) {
   Xoshiro256ss rng(0xBAD);
   const Graph wrong = random_connected_gnm(48, 120, rng);
   ASSERT_NE(graph_fingerprint(wrong), graph_fingerprint(g_));
-  ServeConfig config;
+  JobSpec job;
+  MultiServeConfig config;
   config.address = socket_address("refuse");
-  config.shards = 3;
+  job.shards = 3;
 
   // The honest worker starts only after the wrong-instance worker has
   // been refused, so the refusal can never race the run's completion.
@@ -204,7 +219,7 @@ TEST_F(SvcDispatcherTest, WrongInstanceWorkerRefusedAtHandshake) {
   });
   spawn_worker(g_, {.address = config.address}, &refused);
 
-  const ServeOutcome outcome = serve(config);
+  const SingleServe outcome = serve(job, config);
   expect_parity(outcome, UsageCost::Sum, false, "refusal then honest completion");
   join_workers();
   ASSERT_TRUE(wrong_report.has_value());
@@ -215,14 +230,15 @@ TEST_F(SvcDispatcherTest, WrongInstanceWorkerRefusedAtHandshake) {
 }
 
 TEST_F(SvcDispatcherTest, DisconnectMidLeaseIsRedispatched) {
-  ServeConfig config;
+  JobSpec job;
+  MultiServeConfig config;
   config.address = socket_address("drop");
-  config.shards = 4;
+  job.shards = 4;
   config.backoff_ms = 10;
   std::atomic<bool> dropped{false};
   spawn_lease_dropper(config.address, dropped);
   spawn_worker(g_, {.address = config.address}, &dropped);
-  const ServeOutcome outcome = serve(config);
+  const SingleServe outcome = serve(job, config);
   expect_parity(outcome, UsageCost::Sum, false, "disconnect re-dispatch");
   EXPECT_GE(outcome.stats.disconnects, 1u);
   EXPECT_GE(outcome.stats.redispatches, 1u);
@@ -230,9 +246,10 @@ TEST_F(SvcDispatcherTest, DisconnectMidLeaseIsRedispatched) {
 }
 
 TEST_F(SvcDispatcherTest, ExpiredLeaseIsStolenByHonestWorker) {
-  ServeConfig config;
+  JobSpec job;
+  MultiServeConfig config;
   config.address = socket_address("hang");
-  config.shards = 4;
+  job.shards = 4;
   config.lease_ms = 400;  // the hang worker sleeps ~850 ms past its grant
   config.backoff_ms = 10;
   ConnectConfig hanging;
@@ -246,40 +263,42 @@ TEST_F(SvcDispatcherTest, ExpiredLeaseIsStolenByHonestWorker) {
   slowed.chaos.mode = ChaosConfig::Mode::Slow;
   slowed.chaos.delay_ms = 100;
   spawn_worker(g_, slowed);
-  const ServeOutcome outcome = serve(config);
+  const SingleServe outcome = serve(job, config);
   expect_parity(outcome, UsageCost::Sum, false, "straggler work stealing");
   EXPECT_GE(outcome.stats.expired_leases, 1u);
   EXPECT_GE(outcome.stats.redispatches, 1u);
 }
 
 TEST_F(SvcDispatcherTest, CorruptionExhaustsRetriesIntoRefusalNeverAWrongVerdict) {
-  ServeConfig config;
+  JobSpec job;
+  MultiServeConfig config;
   config.address = socket_address("corrupt");
-  config.shards = 1;
+  job.shards = 1;
   config.max_retries = 0;  // first strike quarantines
   ConnectConfig corrupting;
   corrupting.address = config.address;
   corrupting.chaos.mode = ChaosConfig::Mode::CorruptAll;
   corrupting.chaos.seed = 7;
   spawn_worker(g_, corrupting);
-  const ServeOutcome outcome = serve(config);
-  EXPECT_FALSE(outcome.complete);
-  EXPECT_FALSE(outcome.certificate.has_value());
-  ASSERT_EQ(outcome.quarantined.size(), 1u);
-  EXPECT_EQ(outcome.quarantined.front().failures, 1u);
-  EXPECT_EQ(outcome.agents_uncovered, g_.num_vertices());
+  const SingleServe outcome = serve(job, config);
+  EXPECT_FALSE(outcome.session.complete);
+  EXPECT_FALSE(outcome.session.certificate.has_value());
+  ASSERT_EQ(outcome.session.quarantined.size(), 1u);
+  EXPECT_EQ(outcome.session.quarantined.front().failures, 1u);
+  EXPECT_EQ(outcome.session.agents_uncovered, g_.num_vertices());
   EXPECT_GE(outcome.stats.corrupt_results, 1u);
 }
 
 TEST_F(SvcDispatcherTest, DuplicateResultsAreCountedNotDoubleFolded) {
-  ServeConfig config;
+  JobSpec job;
+  MultiServeConfig config;
   config.address = socket_address("dup");
-  config.shards = 5;
+  job.shards = 5;
   ConnectConfig duplicating;
   duplicating.address = config.address;
   duplicating.chaos.mode = ChaosConfig::Mode::Duplicate;
   spawn_worker(g_, duplicating);
-  const ServeOutcome outcome = serve(config);
+  const SingleServe outcome = serve(job, config);
   expect_parity(outcome, UsageCost::Sum, false, "double-sent results");
   // The final range's duplicate may race the dispatcher's own shutdown;
   // every earlier one must have been seen and ignored.
@@ -288,10 +307,11 @@ TEST_F(SvcDispatcherTest, DuplicateResultsAreCountedNotDoubleFolded) {
 }
 
 TEST_F(SvcDispatcherTest, JournalResumeRecomputesNothingAlreadyCertified) {
-  ServeConfig config;
+  JobSpec job;
+  MultiServeConfig config;
   config.address = socket_address("journal");
-  config.shards = 5;
-  config.journal_dir = dir_ + "/journal";
+  job.shards = 5;
+  config.journal_root = dir_ + "/journal";
 
   // Seed the journal exactly as a killed dispatcher would have left it:
   // a valid session plus two completed ranges.
@@ -301,7 +321,7 @@ TEST_F(SvcDispatcherTest, JournalResumeRecomputesNothingAlreadyCertified) {
     header.n = g_.num_vertices();
     header.m = g_.num_edges();
     header.shard_count = 5;
-    ShardJournal journal = ShardJournal::create(config.journal_dir, header);
+    ShardJournal journal = ShardJournal::create(config.journal_root, header);
     const SwapEngine engine(g_);
     for (const std::uint32_t idx : {0u, 3u}) {
       AgentRange range;
@@ -315,7 +335,7 @@ TEST_F(SvcDispatcherTest, JournalResumeRecomputesNothingAlreadyCertified) {
 
   config.resume = true;
   spawn_worker(g_, {.address = config.address});
-  const ServeOutcome outcome = serve(config);
+  const SingleServe outcome = serve(job, config);
   expect_parity(outcome, UsageCost::Sum, false, "partial resume");
   EXPECT_EQ(outcome.stats.resumed_ranges, 2u);
   EXPECT_EQ(outcome.stats.leases_granted, 3u);  // only the missing ranges
@@ -324,7 +344,7 @@ TEST_F(SvcDispatcherTest, JournalResumeRecomputesNothingAlreadyCertified) {
   // Second resume: the journal now covers everything — the dispatcher
   // must finish without granting a single lease (and without a listener:
   // no worker is even spawned).
-  const ServeOutcome replay = serve(config);
+  const SingleServe replay = serve(job, config);
   expect_parity(replay, UsageCost::Sum, false, "full resume");
   EXPECT_EQ(replay.stats.resumed_ranges, 5u);
   EXPECT_EQ(replay.stats.leases_granted, 0u);
@@ -341,11 +361,12 @@ TEST_F(SvcDispatcherTest, ResumeRefusesForeignJournal) {
   header.shard_count = 2;
   { (void)ShardJournal::create(dir_ + "/foreign", header); }
 
-  ServeConfig config;
+  JobSpec job;
+  MultiServeConfig config;
   config.address = socket_address("foreign");
-  config.journal_dir = dir_ + "/foreign";
+  config.journal_root = dir_ + "/foreign";
   config.resume = true;
-  EXPECT_THROW((void)serve(config), std::invalid_argument);
+  EXPECT_THROW((void)serve(job, config), std::invalid_argument);
 
   // Same instance but a different run configuration is refused too.
   JournalHeader mine;
@@ -355,28 +376,29 @@ TEST_F(SvcDispatcherTest, ResumeRefusesForeignJournal) {
   mine.model = UsageCost::Max;
   mine.shard_count = 2;
   { (void)ShardJournal::create(dir_ + "/othermodel", mine); }
-  config.journal_dir = dir_ + "/othermodel";
-  EXPECT_THROW((void)serve(config), std::invalid_argument);
+  config.journal_root = dir_ + "/othermodel";
+  EXPECT_THROW((void)serve(job, config), std::invalid_argument);
 }
 
 TEST_F(SvcDispatcherTest, ResumePinsTheJournalShardCount) {
-  ServeConfig config;
+  JobSpec job;
+  MultiServeConfig config;
   config.address = socket_address("pin");
-  config.shards = 4;
-  config.journal_dir = dir_ + "/pin";
+  job.shards = 4;
+  config.journal_root = dir_ + "/pin";
   spawn_worker(g_, {.address = config.address});
-  const ServeOutcome first = serve(config);
+  const SingleServe first = serve(job, config);
   expect_parity(first, UsageCost::Sum, false, "journaled run");
   join_workers();
 
   // Re-serve with a different --shards: the journal's split must win, and
   // with all 4 ranges recovered no worker is needed at all.
-  config.shards = 9;
+  job.shards = 9;
   config.resume = true;
-  const ServeOutcome resumed = serve(config);
+  const SingleServe resumed = serve(job, config);
   expect_parity(resumed, UsageCost::Sum, false, "resume with shard override");
   EXPECT_EQ(resumed.stats.resumed_ranges, 4u);
-  EXPECT_EQ(resumed.certificate->shards_used, 4u);
+  EXPECT_EQ(resumed.session.certificate->shards_used, 4u);
 }
 
 // --- session multiplexing (serve_jobs) --------------------------------------
@@ -527,9 +549,10 @@ TEST_F(SvcDispatcherTest, StaleCorruptFrameCountsExactlyOneStrike) {
   // holds the current lease, so neither the corruption nor the resulting
   // close may fail the range again), and the honest worker's re-dispatched
   // result still completes the run.
-  ServeConfig config;
+  JobSpec job;
+  MultiServeConfig config;
   config.address = socket_address("onestrike");
-  config.shards = 1;
+  job.shards = 1;
   config.lease_ms = 300;
   config.backoff_ms = 10;
   config.max_retries = 3;
@@ -567,7 +590,7 @@ TEST_F(SvcDispatcherTest, StaleCorruptFrameCountsExactlyOneStrike) {
   // the single range must go to the saboteur first.
   spawn_worker(g_, {.address = config.address}, &expired_and_sent);
 
-  const ServeOutcome outcome = serve(config);
+  const SingleServe outcome = serve(job, config);
   expect_parity(outcome, UsageCost::Sum, false, "stale corrupt frame");
   EXPECT_EQ(outcome.stats.expired_leases, 1u);
   EXPECT_EQ(outcome.stats.corrupt_results, 1u);

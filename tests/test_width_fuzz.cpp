@@ -112,8 +112,8 @@ TEST(WidthFuzz, EngineWidthsAgreeWithEachOtherAndNaive) {
   std::uint64_t fallbacks_seen = 0;
   for (int trial = 0; trial < 120; ++trial) {
     const Graph g = fuzz_instance(trial, rng);
-    SwapEngine e8(g, WidthPolicy::ForceU8);
-    SwapEngine e16(g, WidthPolicy::ForceU16);
+    SwapEngine e8(g, ResourceConfig{.width = WidthPolicy::ForceU8});
+    SwapEngine e16(g, ResourceConfig{.width = WidthPolicy::ForceU16});
     for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
       const bool deletions = model == UsageCost::Max;
       for (Vertex v = 0; v < g.num_vertices(); ++v) {
@@ -148,7 +148,7 @@ TEST(WidthFuzz, EngineWidthsAgreeWithEachOtherAndNaive) {
   // cycle(130)'s exceed the cap outright, and the chorded cycle saturates
   // only for the chord endpoints' masked matrices.
   for (const Graph& g : {path(70), cycle(130), chorded_cycle(100)}) {
-    SwapEngine e8(g, WidthPolicy::ForceU8);
+    SwapEngine e8(g, ResourceConfig{.width = WidthPolicy::ForceU8});
     for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
       const bool deletions = model == UsageCost::Max;
       const auto c8 = e8.certify(model, deletions);
@@ -354,9 +354,9 @@ TEST(WidthFuzz, AnnealTrajectoriesIdenticalAcrossWidthsIncludingPromotion) {
       config.evaluation = UnrestEval::Incremental;
 
       AnnealStats st8, st16, stfull;
-      config.dist_width = WidthPolicy::ForceU8;
+      config.resources.width = WidthPolicy::ForceU8;
       const auto r8 = anneal_equilibrium(cases[i].start, config, &st8);
-      config.dist_width = WidthPolicy::ForceU16;
+      config.resources.width = WidthPolicy::ForceU16;
       const auto r16 = anneal_equilibrium(cases[i].start, config, &st16);
       config.evaluation = UnrestEval::FullRecompute;
       const auto rfull = anneal_equilibrium(cases[i].start, config, &stfull);
@@ -439,9 +439,9 @@ TEST(WidthFuzz, ShardedCertifyAgreesAcrossWidths) {
       const bool deletions = model == UsageCost::Max;
       ShardedCertifyConfig cfg;
       cfg.shards = 3;
-      cfg.width = WidthPolicy::ForceU8;
+      cfg.resources.width = WidthPolicy::ForceU8;
       const auto c8 = certify_sharded(g, model, deletions, cfg);
-      cfg.width = WidthPolicy::ForceU16;
+      cfg.resources.width = WidthPolicy::ForceU16;
       const auto c16 = certify_sharded(g, model, deletions, cfg);
       EXPECT_EQ(c8.certificate.is_equilibrium, c16.certificate.is_equilibrium);
       EXPECT_EQ(c8.certificate.moves_checked, c16.certificate.moves_checked);

@@ -120,10 +120,11 @@ using namespace bncg;
          "               [--stop-on-violation] [--width auto|u8|u16] [--mem-budget B]\n"
          "               [--shards N]\n"
          "addresses: unix:/path/to.sock or tcp:HOST:PORT (IPv4 literal)\n"
-         "--mem-budget B caps distance storage per engine lane (bytes, with\n"
-         "  optional K/M/G binary suffix); scans whose dense rows do not fit\n"
-         "  run against the blocked row cache. BNCG_MEM_BUDGET sets the same\n"
-         "  cap process-wide when the flag is absent.\n"
+         "--mem-budget B caps distance storage for the whole process (bytes,\n"
+         "  with optional K/M/G binary suffix), split evenly across the\n"
+         "  BNCG_THREADS engine lanes; scans whose dense rows do not fit their\n"
+         "  lane's share run against the blocked row cache. BNCG_MEM_BUDGET\n"
+         "  sets the same cap when the flag is absent.\n"
          "exit codes: 0 certificate emitted (either verdict); 1 usage or\n"
          "  environment error, or a disconnected graph (the game is defined on\n"
          "  connected graphs); 2 coverage refusal (serve quarantined ranges and\n"
@@ -366,7 +367,7 @@ int run_connected(Args& args, svc::ChaosConfig chaos) {
   svc::ConnectConfig config;
   config.address = args.required("--connect");
   const std::string graph_path = args.required("--graph");
-  config.width = parse_width(args.value("--width").value_or("auto"));
+  config.resources.width = parse_width(args.value("--width").value_or("auto"));
   config.resources.mem_budget = parse_mem_budget(args);
   if (args.value("--connect-retries")) {
     config.connect_retries = parse_u32(*args.value("--connect-retries"), "--connect-retries");
@@ -455,6 +456,15 @@ int run_chaos_worker(Args& args) {
   return run_connected(args, chaos);
 }
 
+/// `job` keyed to the instance in `path`: its fingerprint, n and m.
+[[nodiscard]] svc::JobSpec job_for_graph(const std::string& path, svc::JobSpec job) {
+  const Graph g = load_graph(path);
+  job.fingerprint = graph_fingerprint(g);
+  job.n = g.num_vertices();
+  job.m = g.num_edges();
+  return job;
+}
+
 /// One `--jobs` spec: FILE[,model=sum|max][,shards=K][,include-deletions]
 /// [,stop-on-violation]. Omitted keys inherit the serve-level defaults.
 [[nodiscard]] svc::JobSpec parse_job_spec(const std::string& text, const svc::JobSpec& defaults) {
@@ -480,14 +490,19 @@ int run_chaos_worker(Args& args) {
     }
     comma = next;
   }
-  const Graph g = load_graph(path);
-  job.fingerprint = graph_fingerprint(g);
-  job.n = g.num_vertices();
-  job.m = g.num_edges();
-  return job;
+  return job_for_graph(path, job);
 }
 
-int run_serve_jobs(Args& args, const std::vector<std::string>& specs) {
+/// `serve --graph FILE` is the single-job form of `serve --jobs`: one job
+/// keyed to FILE, the flat journal layout (--journal DIR is the session's
+/// own directory, so such journals keep resuming), and a certificate block
+/// without a session marker, byte-identical to `certify`.
+int run_serve(Args& args) {
+  const std::vector<std::string> specs = args.values("--jobs");
+  const bool single =
+      specs.empty() && !args.value("--accept-submissions") && !args.value("--certs-dir");
+  const std::string graph_path = single ? args.required("--graph") : std::string();
+
   svc::JobSpec defaults;
   defaults.model = parse_model(args.value("--model").value_or("sum"));
   defaults.include_deletions = args.flag("--include-deletions");
@@ -498,6 +513,7 @@ int run_serve_jobs(Args& args, const std::vector<std::string>& specs) {
 
   svc::MultiServeConfig config;
   config.address = args.required("--listen");
+  config.flat_journal = single;
   if (args.value("--lease-ms")) {
     config.lease_ms = parse_u64(*args.value("--lease-ms"), "--lease-ms");
   }
@@ -507,6 +523,8 @@ int run_serve_jobs(Args& args, const std::vector<std::string>& specs) {
   if (args.value("--backoff-ms")) {
     config.backoff_ms = parse_u64(*args.value("--backoff-ms"), "--backoff-ms");
   }
+  // Zero here would make every lease or re-dispatch deadline degenerate;
+  // reject it as a usage error, not a guard refusal deep in the service.
   if (config.lease_ms == 0) usage("--lease-ms must be >= 1");
   if (config.backoff_ms == 0) usage("--backoff-ms must be >= 1");
   if (args.value("--journal")) config.journal_root = *args.value("--journal");
@@ -517,13 +535,17 @@ int run_serve_jobs(Args& args, const std::vector<std::string>& specs) {
   }
   const std::string certs_dir = args.value("--certs-dir").value_or("");
   reject_unknown(args);
-  if (specs.empty() && config.accept_submissions == 0) {
+  if (!single && specs.empty() && config.accept_submissions == 0) {
     usage("serve --jobs mode needs at least one --jobs spec or --accept-submissions");
   }
 
   std::vector<svc::JobSpec> jobs;
-  jobs.reserve(specs.size());
-  for (const std::string& spec : specs) jobs.push_back(parse_job_spec(spec, defaults));
+  if (single) {
+    jobs.push_back(job_for_graph(graph_path, defaults));
+  } else {
+    jobs.reserve(specs.size());
+    for (const std::string& spec : specs) jobs.push_back(parse_job_spec(spec, defaults));
+  }
 
   if (!certs_dir.empty()) std::filesystem::create_directories(certs_dir);
   Timer timer;
@@ -542,10 +564,11 @@ int run_serve_jobs(Args& args, const std::vector<std::string>& specs) {
       continue;
     }
     const svc::JournalHeader& h = s.header;
-    // stdout interleaves every session's block behind a session marker;
-    // --certs-dir additionally writes each block alone to session_<id>.cert
-    // so scripts can diff it byte-for-byte against single-process certify.
-    std::cout << "== session " << s.session_id << " ==\n";
+    // With several sessions stdout interleaves their blocks behind session
+    // markers; --certs-dir additionally writes each block alone to
+    // session_<id>.cert so scripts can diff it byte-for-byte against
+    // single-process certify.
+    if (!single) std::cout << "== session " << s.session_id << " ==\n";
     print_certificate(h.fingerprint, h.n, h.m, h.model, h.include_deletions,
                       h.stop_on_violation, *s.certificate);
     if (!certs_dir.empty()) {
@@ -561,55 +584,6 @@ int run_serve_jobs(Args& args, const std::vector<std::string>& specs) {
   std::cerr << "serve: " << (outcome.sessions.size() - refused) << "/" << outcome.sessions.size()
             << " session(s) certified in " << timer.millis() << " ms\n";
   return refused == 0 ? 0 : 2;
-}
-
-int run_serve(Args& args) {
-  const std::vector<std::string> specs = args.values("--jobs");
-  if (!specs.empty() || args.value("--accept-submissions") || args.value("--certs-dir")) {
-    return run_serve_jobs(args, specs);
-  }
-
-  const std::string graph_path = args.required("--graph");
-  svc::ServeConfig config;
-  config.address = args.required("--listen");
-  config.model = parse_model(args.value("--model").value_or("sum"));
-  config.include_deletions = args.flag("--include-deletions");
-  config.stop_on_violation = args.flag("--stop-on-violation");
-  if (args.value("--shards")) {
-    config.shards = static_cast<std::size_t>(parse_u64(*args.value("--shards"), "--shards"));
-  }
-  if (args.value("--lease-ms")) {
-    config.lease_ms = parse_u64(*args.value("--lease-ms"), "--lease-ms");
-  }
-  if (args.value("--max-retries")) {
-    config.max_retries = parse_u32(*args.value("--max-retries"), "--max-retries");
-  }
-  if (args.value("--backoff-ms")) {
-    config.backoff_ms = parse_u64(*args.value("--backoff-ms"), "--backoff-ms");
-  }
-  // Zero here would make every lease or re-dispatch deadline degenerate;
-  // reject it as a usage error, not a guard refusal deep in the service.
-  if (config.lease_ms == 0) usage("--lease-ms must be >= 1");
-  if (config.backoff_ms == 0) usage("--backoff-ms must be >= 1");
-  if (args.value("--journal")) config.journal_dir = *args.value("--journal");
-  config.resume = args.flag("--resume");
-  reject_unknown(args);
-
-  const Graph g = load_graph(graph_path);
-  Timer timer;
-  const svc::ServeOutcome outcome = svc::serve_certification(g, config, &std::cerr);
-  if (!outcome.complete) {
-    std::cerr << "bncg_certify: serve refused: " << outcome.quarantined.size()
-              << " range(s) quarantined, " << outcome.agents_uncovered
-              << " agents uncovered — certificate withheld"
-              << (config.journal_dir.empty() ? "" : "; completed ranges are journaled, rerun with --resume")
-              << "\n";
-    return 2;
-  }
-  print_certificate(graph_fingerprint(g), g.num_vertices(), g.num_edges(), config.model,
-                    config.include_deletions, config.stop_on_violation, *outcome.certificate);
-  std::cerr << "serve: certificate complete in " << timer.millis() << " ms\n";
-  return 0;
 }
 
 /// Shared by `submit` and `status`: the one-frame control-client config.
