@@ -18,20 +18,24 @@
 // count) before a row is written. Plain std::chrono harness (no
 // google-benchmark) so the output format is fully under our control.
 //
-// Three game-variant sections track the PR-8 k-move engine paths, each
+// Four game-variant sections track the k-move engine paths, each
 // engine-vs-naive on the same instance with the answers asserted identical
 // before a row is written:
 //   * "kstability" — whole-graph k-insertion sweeps (k ∈ {1,2,3}) of the
 //     star equilibrium (n = 256 and n = 1024), stable at every agent so the
 //     sweep runs full length; the exact cover solver is shared code, so the
 //     rows isolate the distance machinery the engine accelerates,
+//   * "kswap" — swap_stability_at (k ∈ {1,2}) over an agent sample of the
+//     rotated torus and of G(n, 2n) (engine: the repaired rows of G − v
+//     over the shared slab; naive: one distance matrix per deletion
+//     subset),
 //   * "alpha_game" — α-game greedy-deviation scans over an agent sample
-//     (engine: one masked APSP per agent; naive: one BFS per candidate
-//     move),
+//     (engine: the repaired rows of G − v over the shared slab; naive: one
+//     BFS per candidate move),
 //   * "tree_game" — best tree swaps for every agent of a random tree
 //     (single-rooting O(n) rerooting sweep vs the component-BFS oracle).
 //
-// A "row_cache" section (PR 10) prices the budgeted distance provider:
+// A "row_cache" section prices the budgeted row cache:
 // the same instance is certified dense and under a half-slab memory budget
 // (certificates asserted identical), then a single-scratch sweep harvests
 // the cache's hit/miss/eviction/peak-bytes counters — the telemetry DESIGN.md
@@ -269,6 +273,80 @@ std::vector<KStabilityRow> measure_kstability(Vertex max_n) {
       std::cout << "kstability " << row.instance << " n=" << row.n << " k=" << k
                 << " stable=" << row.stable << " engine=" << row.engine_seconds
                 << "s naive=" << row.naive_seconds << "s speedup=" << row.speedup() << "x\n";
+      rows.push_back(row);
+    }
+  }
+  return rows;
+}
+
+struct KSwapRow {
+  std::string instance;
+  Vertex n = 0;
+  std::size_t m = 0;
+  Vertex k = 0;
+  Vertex agents = 0;
+  Vertex unstable = 0;
+  double engine_seconds = 0.0;
+  double naive_seconds = 0.0;
+
+  [[nodiscard]] double speedup() const { return naive_seconds / engine_seconds; }
+};
+
+std::vector<KSwapRow> measure_kswap(Vertex max_n) {
+  // swap_stability_at over the first `agents` agents (the naive side pays
+  // one DistanceMatrix per deletion subset, so samples stay small; the
+  // ratio is per agent). Engine timing includes the SwapEngine build and
+  // its shared slab, as in the alpha_game rows. The rotated torus is the
+  // Theorem 12 family; G(n, 2n) has the varied degrees that make the
+  // subset enumeration grow. On G(1024, 2048) at k = 2 the shared exact
+  // cover solver takes seconds per agent on both sides, so that tier would
+  // time the solver, not the distance machinery; it is left out.
+  struct Tier {
+    std::string instance;
+    Graph g;
+    Vertex agents;
+  };
+  std::vector<Tier> tiers;
+  Xoshiro256ss rng(0x5A9F);
+  if (max_n >= 242) tiers.push_back({"rotated_torus_k11", rotated_torus(11).graph(), 32});
+  if (max_n >= 256) tiers.push_back({"gnm_2n", random_connected_gnm(256, 512, rng), 32});
+  if (max_n >= 800) tiers.push_back({"rotated_torus_k20", rotated_torus(20).graph(), 8});
+  std::vector<KSwapRow> rows;
+  for (const Tier& tier : tiers) {
+    for (Vertex k = 1; k <= 2; ++k) {
+      KSwapRow row;
+      row.instance = tier.instance;
+      row.n = tier.g.num_vertices();
+      row.m = tier.g.num_edges();
+      row.k = k;
+      row.agents = tier.agents;
+      std::vector<KStabilityReport> engine_reports(tier.agents), naive_reports(tier.agents);
+      row.engine_seconds = time_repeated([&] {
+        const SwapEngine engine(tier.g);
+        SwapEngine::Scratch scratch;
+        for (Vertex v = 0; v < tier.agents; ++v) {
+          engine_reports[v] = engine.swap_stability_at(v, k, scratch);
+        }
+      });
+      row.naive_seconds = time_seconds([&] {
+        for (Vertex v = 0; v < tier.agents; ++v) {
+          naive_reports[v] = naive::swap_stability_at(tier.g, v, k);
+        }
+      });
+      for (Vertex v = 0; v < tier.agents; ++v) {
+        const KStabilityReport& a = engine_reports[v];
+        const KStabilityReport& b = naive_reports[v];
+        if (a.stable != b.stable || a.witness_vertex != b.witness_vertex ||
+            a.witness_endpoints != b.witness_endpoints ||
+            a.witness_deletions != b.witness_deletions) {
+          variant_mismatch("kswap", row.n);
+        }
+        row.unstable += a.stable ? 0 : 1;
+      }
+      std::cout << "kswap " << row.instance << " n=" << row.n << " k=" << k
+                << " agents=" << row.agents << " unstable=" << row.unstable
+                << " engine=" << row.engine_seconds << "s naive=" << row.naive_seconds
+                << "s speedup=" << row.speedup() << "x\n";
       rows.push_back(row);
     }
   }
@@ -1041,6 +1119,7 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<KStabilityRow> kstability_rows = measure_kstability(max_n);
+  const std::vector<KSwapRow> kswap_rows = measure_kswap(max_n);
   const std::vector<AlphaRow> alpha_rows = measure_alpha_game(max_n);
   const std::vector<TreeRow> tree_rows = measure_tree_game(max_n);
   const std::vector<RowCacheRow> row_cache_rows = measure_row_cache_all(max_n);
@@ -1091,6 +1170,16 @@ int main(int argc, char** argv) {
         << ", \"engine_seconds\": " << r.engine_seconds
         << ", \"naive_seconds\": " << r.naive_seconds << ", \"speedup\": " << r.speedup()
         << "}" << (i + 1 < kstability_rows.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n";
+  out << "  \"kswap\": [\n";
+  for (std::size_t i = 0; i < kswap_rows.size(); ++i) {
+    const KSwapRow& r = kswap_rows[i];
+    out << "    {\"instance\": \"" << r.instance << "\", \"n\": " << r.n << ", \"m\": " << r.m
+        << ", \"k\": " << r.k << ", \"agents\": " << r.agents
+        << ", \"unstable\": " << r.unstable << ", \"engine_seconds\": " << r.engine_seconds
+        << ", \"naive_seconds\": " << r.naive_seconds << ", \"speedup\": " << r.speedup()
+        << "}" << (i + 1 < kswap_rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
   out << "  \"alpha_game\": [\n";

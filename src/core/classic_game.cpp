@@ -130,7 +130,7 @@ std::optional<ClassicMove> ClassicGame::best_deviation_engine(const SwapEngine& 
   const auto as_usage = [](std::uint64_t usage) {
     return usage == kInfCost ? kHugeCost : static_cast<double>(usage);
   };
-  const double old_usage = as_usage(engine.agent_cost(v, UsageCost::Sum, scratch));
+  const double old_usage = as_usage(engine.agent_cost(v, UsageCost::Sum));
   const double old_cost = alpha_ * edges_bought(v) + old_usage;
 
   std::optional<ClassicMove> best;
@@ -218,7 +218,7 @@ AlphaInterval ClassicGame::alpha_equilibrium_interval() const {
     for (const Vertex w : graph_.neighbors(v)) {
       owned[w] = owner_.at(key(v, w)) == v ? 1 : 0;
     }
-    const double old_usage = as_usage(engine.agent_cost(v, UsageCost::Sum, scratch));
+    const double old_usage = as_usage(engine.agent_cost(v, UsageCost::Sum));
     for (const AlphaCandidate& c : engine.alpha_scan(v, owned, scratch)) {
       switch (c.kind) {
         case AlphaCandidate::Kind::Add:

@@ -86,8 +86,8 @@ class ClassicGame {
   [[nodiscard]] double social_cost() const;
 
   /// Best greedy deviation (add/delete/swap) for agent `v`; nullopt when
-  /// none improves strictly. Routed: SwapEngine-backed (one masked APSP per
-  /// agent instead of one BFS per candidate) unless force_naive_requested(),
+  /// none improves strictly. Routed: SwapEngine-backed (the repaired rows of
+  /// G − v instead of one BFS per candidate) unless force_naive_requested(),
   /// then the naive scan — identical moves, gains, and tie-breaks either way
   /// (differential suite: tests/test_classic_game_engine.cpp).
   [[nodiscard]] std::optional<ClassicMove> best_deviation(Vertex v, BfsWorkspace& ws) const;

@@ -89,7 +89,7 @@ bool WidthAndBudgetPolicy::probe_prefers_u8(const CsrGraph& csr, BatchBfsWorkspa
     ecc = std::max<std::uint32_t>(ecc, row[x]);
   }
   // Masked sweeps can exceed the 2·ecc bound — the per-agent u16 fallback
-  // absorbs those exactly, same contract as the old in-engine probe.
+  // absorbs those exactly.
   return spans && 2 * ecc <= kMaxFiniteFor<std::uint8_t>;
 }
 
@@ -100,25 +100,5 @@ bool WidthAndBudgetPolicy::dense_fits(Vertex n, DistWidth w) const noexcept {
       std::uint64_t{n} * n * (w == DistWidth::U8 ? sizeof(std::uint8_t) : sizeof(std::uint16_t));
   return bytes <= lane_budget_;
 }
-
-template <typename Dist>
-void DistanceProvider<Dist>::begin(const CsrGraph& csr, Vertex masked_vertex, Dist inf_value,
-                                   Dist max_finite, std::uint64_t budget_bytes) {
-  const Vertex n = csr.num_vertices();
-  // An unlimited budget (possible at n ≥ 65535, where no dense slab exists
-  // regardless): blocks grow on demand, LRU never needs to evict.
-  const std::uint64_t effective =
-      budget_bytes != 0 ? budget_bytes : std::numeric_limits<std::uint64_t>::max();
-  if (!cache_configured_ || cache_budget_ != effective || cache_n_ != n) {
-    cache_.configure(n, effective);
-    cache_configured_ = true;
-    cache_budget_ = effective;
-    cache_n_ = n;
-  }
-  cache_.begin_context(csr, masked_vertex, inf_value, max_finite);
-}
-
-template class DistanceProvider<std::uint8_t>;
-template class DistanceProvider<std::uint16_t>;
 
 }  // namespace bncg

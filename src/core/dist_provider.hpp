@@ -1,11 +1,7 @@
-// Distance-row provider + the width-and-budget policy — the one interface
-// behind "how do I get distance rows, and under what memory budget".
+// The width-and-budget policy — the one interface behind "at which width,
+// and under what memory budget, does a scan get its distance rows".
 //
-// Before this layer, every tier answered that question by convention:
-// SwapEngine allocated a full n×n masked matrix per scan, SearchState its
-// n·deg row slabs, certify_sharded copied the engine's width knob, the svc
-// worker another, and nothing said how much memory a scan was allowed to
-// use. ResourceConfig makes the answer explicit and shared:
+// ResourceConfig holds the knobs every scan tier shares:
 //
 //   width      — the storage-width preference (graph/dist_width.hpp),
 //   mem_budget — a byte budget for distance-row storage (0 = take
@@ -16,20 +12,15 @@
 // toggle.
 //
 // WidthAndBudgetPolicy turns a ResourceConfig into the two decisions the
-// scan tiers need: which width to prefer (absorbing the diameter probe that
-// lived in SwapEngine::rebuild), and whether a dense n×n scan slab fits the
-// per-lane budget share — when it does not, the scan runs in
+// scan tiers need: which width to prefer, and whether a dense n×n scan
+// slab fits the per-lane budget share — when it does not, the scan runs in
 // BUDGETED mode against the blocked row cache (graph/row_cache.hpp), where
 // rows materialize on demand by exact BFS and an eccentricity/landmark
 // bound proves most rows can never affect the verdict, so they are never
-// materialized (DESIGN.md §16). Both modes are exact; the differential
-// suite (tests/test_row_cache.cpp) pins byte-parity.
-//
-// DistanceProvider<Dist> is the row source of one budgeted agent scan: it
-// opens a row-cache context and serves masked rows lazily under the budget.
-// Dense storage has no provider: those scans read the engine's shared
+// materialized (DESIGN.md §16). Dense scans read the engine's shared
 // unmasked slab and repair the masked rows as sparse patches
-// (graph/masked_repair.hpp, DESIGN.md §17).
+// (graph/masked_repair.hpp, DESIGN.md §17). Both modes are exact; the
+// differential suite (tests/test_row_cache.cpp) pins byte-parity.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +29,6 @@
 #include "graph/bfs_batch.hpp"
 #include "graph/csr.hpp"
 #include "graph/dist_width.hpp"
-#include "graph/row_cache.hpp"
-#include "util/simd.hpp"
 
 namespace bncg {
 
@@ -99,8 +88,8 @@ class WidthAndBudgetPolicy {
                                                                  : WidthPolicy::ForceU16;
   }
 
-  /// The width-preference probe every scan tier used to duplicate: one BFS
-  /// from vertex 0 bounds the diameter by 2·ecc(0); u8 is preferred under
+  /// The width-preference probe of every scan tier: one BFS from vertex 0
+  /// bounds the diameter by 2·ecc(0); u8 is preferred under
   /// the configured policy when that bound fits the narrow encoding.
   /// Masked per-agent sweeps can still exceed the bound — the per-agent
   /// u16 fallback absorbs those exactly. Works at any n (the traversal is
@@ -121,46 +110,5 @@ class WidthAndBudgetPolicy {
   std::uint64_t total_budget_ = 0;
   std::uint64_t lane_budget_ = 0;
 };
-
-/// Row source of one budgeted agent scan at storage width `Dist`.
-///
-/// begin() opens a RowCache context; rows materialize on the first touch
-/// and live under the byte budget with block-LRU eviction. row() returns
-/// exact distances of the masked snapshot (nullptr on width saturation —
-/// the caller redoes the scan wider), and a returned pointer stays valid
-/// until the next materializing call.
-template <typename Dist>
-class DistanceProvider {
- public:
-  /// Prepares a scan context over `csr` with `masked_vertex` removed.
-  /// Width saturation shows lazily, at the failing row() / prefetch().
-  void begin(const CsrGraph& csr, Vertex masked_vertex, Dist inf_value, Dist max_finite,
-             std::uint64_t budget_bytes);
-
-  /// Row of `source` in the current context; nullptr on width saturation.
-  [[nodiscard]] const Dist* row(Vertex source, BatchBfsWorkspace& ws) {
-    return cache_.row(source, ws);
-  }
-
-  /// Batch-materializes missing rows. False on saturation.
-  [[nodiscard]] bool prefetch(std::span<const Vertex> sources, BatchBfsWorkspace& ws) {
-    return cache_.prefetch(sources, ws);
-  }
-
-  /// The cache itself — stats and residency introspection for benches and
-  /// the differential suite.
-  [[nodiscard]] const RowCache<Dist>& cache() const noexcept { return cache_; }
-  /// Cache counters (all-zero if no budgeted scan ran).
-  [[nodiscard]] const RowCacheStats& cache_stats() const noexcept { return cache_.stats(); }
-
- private:
-  RowCache<Dist> cache_;
-  bool cache_configured_ = false;
-  std::uint64_t cache_budget_ = 0;
-  Vertex cache_n_ = 0;
-};
-
-extern template class DistanceProvider<std::uint8_t>;
-extern template class DistanceProvider<std::uint16_t>;
 
 }  // namespace bncg

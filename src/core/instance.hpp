@@ -19,9 +19,9 @@
 // equilibrium question exhaustively (sharded over the thread pool, dense
 // or budgeted row storage per ResourceConfig), `equilibrate` runs
 // best-response dynamics under the same model/resources until equilibrium
-// or budget. The pre-facade free functions (certify_sharded, run_dynamics,
-// certify_sum_equilibrium, …) remain the thin compatibility surface for
-// one PR; new code should start here.
+// or budget. The free functions underneath (certify_sharded, run_dynamics,
+// certify_sum_equilibrium, …) stay public for callers that need one step
+// of this; new code should start here.
 #pragma once
 
 #include <cstdint>

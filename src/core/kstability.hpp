@@ -91,7 +91,7 @@ struct KStabilityReport {
 /// Brute-force oracles: the original full-recompute implementations (one
 /// DistanceMatrix per decision, one per deletion subset for swaps). The
 /// routed entry points above fall back to these when BNCG_FORCE_NAIVE is
-/// set or n exceeds the engine auto-enable cap; the differential suite
+/// set; the differential suite
 /// tests/test_kstability_engine.cpp holds the engine to byte-identical
 /// reports against them.
 namespace naive {

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstdlib>
+#include <limits>
 #include <map>
 
 #include "util/thread_pool.hpp"
@@ -40,9 +41,19 @@ constexpr Dist engine_max_finite() {
 }
 
 // The combine reductions ((n−1) + Σ_u min(m_u, c_u), 1 + max_u min(m_u, c_u),
-// 1 + max_u m_u) and the scan-table maintenance loops now live in
-// util/simd.hpp as runtime-dispatched kernels; simd::kernels<Dist>() below
-// replaces the former local templates with bit-identical semantics.
+// 1 + max_u m_u) and the scan-table maintenance loops live in util/simd.hpp
+// as runtime-dispatched kernels, reached through simd::kernels<Dist>().
+
+/// Usage cost of the agent whose unmasked distance row is `row`: Σ or max
+/// over the row, kInfCost when some entry is the width's infinity.
+template <typename Dist>
+std::uint64_t row_cost(const Dist* row, Vertex n, UsageCost model) {
+  std::uint32_t sum = 0;
+  Dist ecc = 0;
+  simd::kernels<Dist>().row_sum_max(row, n, &sum, &ecc);
+  if (ecc >= engine_inf<Dist>()) return kInfCost;
+  return model == UsageCost::Sum ? std::uint64_t{sum} : ecc;
+}
 
 constexpr std::size_t words_for(std::uint32_t bits) {
   return (static_cast<std::size_t>(bits) + 63) / 64;
@@ -53,16 +64,17 @@ constexpr std::uint64_t low_bits(std::size_t count) {
   return count >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1;
 }
 
-/// Coverage masks of one cover instance, scored from cached symmetric
-/// all-pairs rows: candidate w covers far element idx iff
-/// rows[far[idx]][w] < cap (i.e. d(w, far[idx]) + 2 ≤ ecc with
-/// cap = ecc − 1). One collect_below per far vertex builds the masks
-/// column-sparse; the w-ascending harvest then reproduces the oracle's set
+/// Coverage masks of one cover instance, scored from symmetric all-pairs
+/// rows — `row_of(x)` returns row x, valid until the next call: candidate
+/// w covers far element idx iff row_of(far[idx])[w] < cap (i.e.
+/// d(w, far[idx]) + 2 ≤ ecc with cap = ecc − 1). One collect_below per far
+/// vertex builds the masks column-sparse; the w-ascending harvest then reproduces the oracle's set
 /// order, empty-mask skipping, and (for insertions) its first-label dedup —
 /// so cover_select sees byte-identical instances. The via-v path a real
 /// insertion also offers can be ignored here: for far x it is ≥ ecc + 1
 /// long, which never meets the ≤ ecc − 2 cover condition (DESIGN.md §14),
-/// which is why masked and full-graph rows agree on every mask bit.
+/// which is why masked and full-graph rows agree on every mask bit of an
+/// insertion instance.
 ///
 /// `budget` is the counting bound: `budget` sets cover at most
 /// budget · max|set| far vertices, so when far_count exceeds that product no
@@ -73,19 +85,20 @@ constexpr std::uint64_t low_bits(std::size_t count) {
 /// max|set| is read straight off the wmask popcounts, so triggering it costs
 /// one word scan. The largest set size is always reported via `max_set_out`
 /// so callers probing several k values can reapply the bound per k.
-template <typename Dist>
-void build_cover_sets(const Dist* rows, Vertex n, Vertex v, const Vertex* far,
+template <typename RowOf>
+void build_cover_sets(RowOf&& row_of, Vertex n, Vertex v, const Vertex* far,
                       std::uint32_t far_count, std::int32_t cap, bool dedup,
                       std::uint64_t budget, std::uint32_t* max_set_out,
                       AlignedVec<Vertex>& hits, std::vector<std::uint64_t>& wmask,
                       std::vector<std::vector<std::uint64_t>>& sets, std::vector<Vertex>& labels) {
+  using Dist = std::remove_cvref_t<decltype(*row_of(Vertex{0}))>;
   const simd::Kernels<Dist>& kern = simd::kernels<Dist>();
   const std::size_t words = words_for(far_count);
   wmask.assign(static_cast<std::size_t>(n) * words, 0);
   hits.resize(n);
   for (std::uint32_t idx = 0; idx < far_count; ++idx) {
-    const Dist* row = rows + static_cast<std::size_t>(far[idx]) * n;
-    const std::uint32_t count = kern.collect_below(row, n, cap, /*skip=*/v, hits.data());
+    const std::uint32_t count =
+        kern.collect_below(row_of(far[idx]), n, cap, /*skip=*/v, hits.data());
     for (std::uint32_t i = 0; i < count; ++i) {
       wmask[static_cast<std::size_t>(hits[i]) * words + idx / 64] |= std::uint64_t{1}
                                                                     << (idx % 64);
@@ -161,8 +174,8 @@ std::uint64_t patched_max(std::uint64_t base, const Dist* m,
 }  // namespace
 
 RowCacheStats SwapEngine::Scratch::row_cache_stats() const {
-  const RowCacheStats& a = rows8_.provider.cache_stats();
-  const RowCacheStats& b = rows16_.provider.cache_stats();
+  const RowCacheStats& a = rows8_.cache.stats();
+  const RowCacheStats& b = rows16_.cache.stats();
   RowCacheStats out;
   out.hits = a.hits + b.hits;
   out.misses = a.misses + b.misses;
@@ -202,57 +215,34 @@ void SwapEngine::rebuild(const Graph& g) {
   prefer_u8_ = budget_policy_.probe_prefers_u8(csr_, scratch_.bfs_);
 }
 
-std::uint64_t SwapEngine::agent_cost(Vertex v, UsageCost model, Scratch& s) const {
+std::uint64_t SwapEngine::agent_cost(Vertex v, UsageCost model) const {
   const Vertex n = csr_.num_vertices();
   BNCG_REQUIRE(v < n, "vertex id out of range");
-  BNCG_REQUIRE(n < kInfDist16,
-               "agent_cost is a dense-path query (n < 65535); budgeted scans derive costs "
-               "from the neighbor min-fold instead");
-  s.base_.resize(n);
-  const BfsResult r = csr_bfs(csr_, v, MaskedEdge{}, s.base_.data(), s.bfs_);
-  if (!r.spans(n)) return kInfCost;
-  return model == UsageCost::Sum ? r.dist_sum : r.ecc;
+  const std::size_t row = static_cast<std::size_t>(v) * n;
+  if (prefer_u8_) {
+    if (const std::uint8_t* slab = shared_rows<std::uint8_t>()) {
+      return row_cost(slab + row, n, model);
+    }
+  }
+  return row_cost(shared_rows<std::uint16_t>() + row, n, model);
 }
 
 template <typename Dist>
-bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
-                              bool include_deletions, std::uint64_t* moves_checked,
-                              const Dist* slab, Scratch& s, std::optional<Deviation>& out) const {
+bool SwapEngine::begin_agent_t(const Dist* slab, Vertex v, Scratch& s) const {
   constexpr Dist kInf = engine_inf<Dist>();
   const simd::Kernels<Dist>& kern = simd::kernels<Dist>();
   const Vertex n = csr_.num_vertices();
-  BNCG_REQUIRE(v < n, "vertex id out of range");
-  const std::size_t stride = n;
-
-  // The agent's current cost is row v of the shared slab: d_G(v, ·).
-  std::uint32_t row_sum = 0;
-  Dist ecc = 0;
-  kern.row_sum_max(slab + v * stride, n, &row_sum, &ecc);
-  const std::uint64_t old_cost =
-      ecc >= kInf ? kInfCost : (model == UsageCost::Sum ? std::uint64_t{row_sum} : ecc);
-
-  // The masked rows of G − v come as sparse patches over the shared slab,
-  // repaired on demand: the neighbor rows below, and a candidate's row only
-  // once its unmasked lower bound cannot rule it out. A repaired distance
-  // beyond the width means this agent does not fit — bail so the dispatcher
-  // redoes it at u16.
-  auto& rows = s.rows<Dist>();
-  MaskedRowRepair<Dist>& repair = rows.repair;
-  repair.begin(csr_, slab, v, kInf, engine_max_finite<Dist>());
-
   const auto nbrs = csr_.neighbors(v);
-  out.reset();
-  if (nbrs.empty()) return true;
-
-  // Closed-neighborhood marks: candidates w₂ must be fresh edges (swapping
-  // onto an existing edge is a deletion and never improves either model).
   s.is_nbr_.assign(n, 0);
   s.is_nbr_[v] = 1;
   for (const Vertex w : nbrs) s.is_nbr_[w] = 1;
 
-  // Elementwise min / argmin / second-min over the masked neighbor rows —
-  // the only rows materialized, one at a time — so each removed edge's
+  // Elementwise min / argmin / second-min over the masked neighbor rows,
+  // repaired and materialized one at a time, so each removed edge's
   // kept-neighbor profile M^w is an O(n) select.
+  auto& rows = s.rows<Dist>();
+  MaskedRowRepair<Dist>& repair = rows.repair;
+  repair.begin(csr_, slab, v, kInf, engine_max_finite<Dist>());
   rows.min1.assign(n, kInf);
   rows.min2.assign(n, kInf);
   s.argmin_.assign(n, kNoVertex);
@@ -269,9 +259,36 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
   // Width guard: every lost pair (x, u) lies in the G − v component of
   // some neighbor a, so its masked distance is at most 2·ecc_{G−v}(a) ≤
   // 2·reach. Within the width no row can saturate, and skipping the rows
-  // the scan never reads cannot hide a fallback; otherwise repair every row
+  // a scan never reads cannot hide a fallback; otherwise repair every row
   // up front, exactly as the fallback rule reads them (DESIGN.md §17).
-  if (2 * std::uint32_t{reach} > engine_max_finite<Dist>() && !repair.repair_all()) return false;
+  return 2 * std::uint32_t{reach} <= engine_max_finite<Dist>() || repair.repair_all();
+}
+
+template <typename Dist>
+bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
+                              bool include_deletions, std::uint64_t* moves_checked,
+                              const Dist* slab, Scratch& s, std::optional<Deviation>& out) const {
+  constexpr Dist kInf = engine_inf<Dist>();
+  const simd::Kernels<Dist>& kern = simd::kernels<Dist>();
+  const Vertex n = csr_.num_vertices();
+  BNCG_REQUIRE(v < n, "vertex id out of range");
+  const std::size_t stride = n;
+
+  // The agent's current cost is row v of the shared slab: d_G(v, ·).
+  const std::uint64_t old_cost = row_cost(slab + v * stride, n, model);
+
+  // The masked rows of G − v come as sparse patches over the shared slab,
+  // repaired on demand: the neighbor rows first, and a candidate's row only
+  // once its unmasked lower bound cannot rule it out. A repaired distance
+  // beyond the width means this agent does not fit — bail so at_width
+  // redoes it at u16. Candidates w₂ must be fresh edges (swapping onto an
+  // existing edge is a deletion and never improves either model): the
+  // closed-neighborhood marks skip the rest.
+  out.reset();
+  if (!begin_agent_t(slab, v, s)) return false;
+  auto& rows = s.rows<Dist>();
+  MaskedRowRepair<Dist>& repair = rows.repair;
+  const auto nbrs = csr_.neighbors(v);
   rows.mrow.resize(n);
   s.far_.resize(n);
   s.far_mark_.assign(n, 0);
@@ -392,9 +409,12 @@ bool SwapEngine::scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_f
   for (Vertex x = 0; x < n; ++x) candidate_count += s.is_nbr_[x] == 0 ? 1 : 0;
 
   auto& rows = s.rows<Dist>();
-  auto& provider = rows.provider;
-  provider.begin(csr_, /*masked_vertex=*/v, kInf, engine_max_finite<Dist>(),
-                 budget_policy_.lane_budget());
+  RowCache<Dist>& cache = rows.cache;
+  // An unlimited budget (possible at n ≥ 65535, where no dense slab exists
+  // regardless): blocks grow on demand, LRU never needs to evict.
+  const std::uint64_t budget = budget_policy_.lane_budget();
+  cache.configure(n, budget != 0 ? budget : std::numeric_limits<std::uint64_t>::max());
+  cache.begin_context(csr_, /*masked_vertex=*/v, kInf, engine_max_finite<Dist>());
 
   // Neighbor min-fold, one row at a time: prefetch batches ≤ 64 neighbor
   // rows per traversal; each row is folded once and may be evicted freely
@@ -406,9 +426,9 @@ bool SwapEngine::scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_f
   for (std::size_t i = 0; i < nbrs.size(); i += 64) {
     const std::size_t chunk = std::min<std::size_t>(64, nbrs.size() - i);
     const std::span<const Vertex> group(nbrs.data() + i, chunk);
-    if (!provider.prefetch(group, s.bfs_)) return false;
+    if (!cache.prefetch(group, s.bfs_)) return false;
     for (const Vertex z : group) {
-      const Dist* row = provider.row(z, s.bfs_);
+      const Dist* row = cache.row(z, s.bfs_);
       if (row == nullptr) return false;
       kern.scan_min_update(rows.min1.data(), rows.min2.data(), s.argmin_.data(), row, z, n);
     }
@@ -475,7 +495,7 @@ bool SwapEngine::scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_f
           if (mm == kInfCost) continue;
           if (old_cost != kInfCost && mm >= old_cost + std::uint64_t{n} * a) continue;
         }
-        const Dist* c = provider.row(w2, s.bfs_);
+        const Dist* c = cache.row(w2, s.bfs_);
         if (c == nullptr) return false;
         const std::uint64_t new_cost = kern.combine_sum(m, c, n, kInf);
         if (new_cost >= old_cost) continue;
@@ -506,7 +526,7 @@ bool SwapEngine::scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_f
       if ((saturated_edges >> bit & 1) != 0) return false;
       for (Vertex w2 = 0; w2 < n; ++w2) {
         if ((s.alive_[w2] >> bit & 1) == 0) continue;
-        const Dist* c = provider.row(w2, s.bfs_);
+        const Dist* c = cache.row(w2, s.bfs_);
         if (c == nullptr) return false;
         const std::uint64_t new_cost = kern.combine_max(m, c, n, kInf);
         if (!best || new_cost < best->cost_after ||
@@ -682,57 +702,58 @@ bool SwapEngine::masked_exceeds_u8(Vertex v, Scratch& s) const {
   return sh.over_u8_total - 2 * std::uint64_t{sh.over_u8[v]} > cut;
 }
 
+template <typename Scan>
+void SwapEngine::at_width(Vertex v, Scratch* masked, bool budgeted, Scan&& scan) const {
+  const Vertex n = csr_.num_vertices();
+  const auto dense = [&](DistWidth w) { return !budgeted || budget_policy_.dense_fits(n, w); };
+  bool u8_slab_saturated = false;
+  if (prefer_u8_) {
+    const std::uint8_t* slab = dense(DistWidth::U8) ? shared_rows<std::uint8_t>() : nullptr;
+    u8_slab_saturated = slab == nullptr && dense(DistWidth::U8);
+    if (!u8_slab_saturated) {
+      if (scan(slab)) return;
+      width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  // Dense u16 cannot saturate under its n < 65535 gate. Budgeted u16 can —
+  // a masked diameter beyond 65534 — and there is no wider storage to fall
+  // back to.
+  const std::uint16_t* slab = dense(DistWidth::U16) ? shared_rows<std::uint16_t>() : nullptr;
+  BNCG_REQUIRE(scan(slab),
+               "u16 scan saturated: some masked distance exceeds the 16-bit encoding; this "
+               "instance is beyond the engine's distance range");
+  // Without a u16 slab the masked-matrix rule cannot be evaluated: count
+  // the query as a fallback.
+  if (u8_slab_saturated &&
+      (masked == nullptr || slab == nullptr || masked_exceeds_u8(v, *masked))) {
+    width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
 std::optional<Deviation> SwapEngine::scan_agent(Vertex v, UsageCost model, bool stop_at_first,
                                                 bool include_deletions,
                                                 std::uint64_t* moves_checked,
                                                 Scratch& s) const {
-  const Vertex n = csr_.num_vertices();
+  BNCG_REQUIRE(v < csr_.num_vertices(), "vertex id out of range");
   std::optional<Deviation> out;
-  // u8 preferred but the u8 slab itself saturates: every agent scans at
-  // u16, and the fallback count follows the masked-matrix rule instead.
-  bool u8_slab_saturated = false;
-  if (prefer_u8_) {
-    // Run the narrow scan against a local move counter so a saturating
-    // scan leaves the caller's count untouched — the u16 redo recounts the
+  // An isolated agent has no move to scan, and like every scan it never
+  // falls back.
+  if (csr_.degree(v) == 0) return out;
+  at_width(v, &s, /*budgeted=*/true, [&](const auto* slab) {
+    using Dist = std::remove_cvref_t<decltype(*slab)>;
+    // Each width counts into a local counter, so a saturating u8 scan
+    // leaves the caller's count untouched — the u16 redo recounts the
     // identical scan order, keeping move counts width-independent.
-    std::uint64_t narrow_moves = 0;
-    std::uint64_t* narrow = moves_checked != nullptr ? &narrow_moves : nullptr;
-    bool ok = false;
-    if (!budget_policy_.dense_fits(n, DistWidth::U8)) {
-      ok = scan_agent_budgeted_t<std::uint8_t>(v, model, stop_at_first, include_deletions, narrow,
-                                               s, out);
-    } else if (const std::uint8_t* slab = shared_rows<std::uint8_t>()) {
-      ok = scan_agent_t<std::uint8_t>(v, model, stop_at_first, include_deletions, narrow, slab, s,
-                                      out);
-    } else {
-      u8_slab_saturated = true;
-    }
-    if (ok) {
-      if (moves_checked != nullptr) *moves_checked += narrow_moves;
-      return out;
-    }
-    if (!u8_slab_saturated) width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (budget_policy_.dense_fits(n, DistWidth::U16)) {
-    // Dense u16 cannot saturate under its n < 65535 gate.
-    (void)scan_agent_t<std::uint16_t>(v, model, stop_at_first, include_deletions, moves_checked,
-                                      shared_rows<std::uint16_t>(), s, out);
-    // An isolated agent has no masked rows to repair; like every scan it
-    // never falls back.
-    if (u8_slab_saturated && csr_.degree(v) > 0 && masked_exceeds_u8(v, s)) {
-      width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    // Without a u16 slab the masked-matrix rule cannot be evaluated: count
-    // the agent as a fallback.
-    if (u8_slab_saturated) width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    // Budgeted u16 CAN saturate — a masked diameter beyond 65534 — and
-    // there is no wider storage to fall back to.
-    BNCG_REQUIRE(scan_agent_budgeted_t<std::uint16_t>(v, model, stop_at_first, include_deletions,
-                                                      moves_checked, s, out),
-                 "budgeted u16 scan saturated: some masked distance exceeds the 16-bit "
-                 "encoding; this instance is beyond the engine's distance range");
-  }
+    std::uint64_t moves = 0;
+    std::uint64_t* counter = moves_checked != nullptr ? &moves : nullptr;
+    const bool ok =
+        slab != nullptr
+            ? scan_agent_t<Dist>(v, model, stop_at_first, include_deletions, counter, slab, s, out)
+            : scan_agent_budgeted_t<Dist>(v, model, stop_at_first, include_deletions, counter, s,
+                                          out);
+    if (ok && moves_checked != nullptr) *moves_checked += moves;
+    return ok;
+  });
   return out;
 }
 
@@ -802,7 +823,6 @@ EquilibriumCertificate SwapEngine::certify(UsageCost model, bool include_deletio
 template <typename Dist>
 void SwapEngine::insertion_report_t(const Dist* apsp, Vertex v, Vertex k_lo, Vertex k_hi,
                                     Scratch& s, KStabilityReport& out, Vertex* tolerated) const {
-  constexpr Dist kInf = engine_inf<Dist>();
   const simd::Kernels<Dist>& kern = simd::kernels<Dist>();
   const Vertex n = csr_.num_vertices();
   out = KStabilityReport{};
@@ -810,10 +830,8 @@ void SwapEngine::insertion_report_t(const Dist* apsp, Vertex v, Vertex k_lo, Ver
   if (tolerated != nullptr) *tolerated = k_hi;
 
   const Dist* row_v = apsp + static_cast<std::size_t>(v) * n;
-  std::uint32_t row_sum = 0;
-  Dist ecc = 0;
-  kern.row_sum_max(row_v, n, &row_sum, &ecc);
-  BNCG_REQUIRE(ecc < kInf, "k-stability analysis requires a connected graph");
+  const std::uint64_t ecc = row_cost(row_v, n, UsageCost::Max);
+  BNCG_REQUIRE(ecc != kInfCost, "k-stability analysis requires a connected graph");
   if (ecc <= 1 || k_hi == 0) return;
 
   // Far sphere: ecc is the row max, so "above ecc − 1" is exactly "== ecc".
@@ -829,8 +847,9 @@ void SwapEngine::insertion_report_t(const Dist* apsp, Vertex v, Vertex k_lo, Ver
   std::vector<std::vector<std::uint64_t>> sets;
   std::vector<Vertex> labels;
   std::uint32_t max_set = 0;
-  build_cover_sets(apsp, n, v, s.far_.data(), far_count, cap, /*dedup=*/true,
-                   /*budget=*/k_hi, &max_set, s.hits_, s.masks_, sets, labels);
+  build_cover_sets([&](Vertex x) { return apsp + static_cast<std::size_t>(x) * n; }, n, v,
+                   s.far_.data(), far_count, cap, /*dedup=*/true, /*budget=*/k_hi, &max_set,
+                   s.hits_, s.masks_, sets, labels);
 
   for (Vertex k = std::max<Vertex>(k_lo, 1); k <= k_hi; ++k) {
     if (std::uint64_t{far_count} > std::uint64_t{k} * max_set) continue;
@@ -846,15 +865,10 @@ void SwapEngine::insertion_report_t(const Dist* apsp, Vertex v, Vertex k_lo, Ver
 KStabilityReport SwapEngine::insertion_stability_at(Vertex v, Vertex k, Scratch& s) const {
   BNCG_REQUIRE(v < csr_.num_vertices(), "vertex id out of range");
   KStabilityReport out;
-  if (prefer_u8_) {
-    if (const std::uint8_t* slab = shared_rows<std::uint8_t>()) {
-      insertion_report_t<std::uint8_t>(slab, v, k, k, s, out, nullptr);
-      return out;
-    }
-    width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // u16 distances cannot saturate (n < 65535).
-  insertion_report_t<std::uint16_t>(shared_rows<std::uint16_t>(), v, k, k, s, out, nullptr);
+  at_width(v, /*masked=*/nullptr, /*budgeted=*/false, [&](const auto* slab) {
+    insertion_report_t(slab, v, k, k, s, out, nullptr);
+    return true;
+  });
   return out;
 }
 
@@ -862,15 +876,10 @@ Vertex SwapEngine::max_tolerated_insertions(Vertex v, Vertex k_max, Scratch& s) 
   BNCG_REQUIRE(v < csr_.num_vertices(), "vertex id out of range");
   KStabilityReport out;
   Vertex tolerated = k_max;
-  if (prefer_u8_) {
-    if (const std::uint8_t* slab = shared_rows<std::uint8_t>()) {
-      insertion_report_t<std::uint8_t>(slab, v, 1, k_max, s, out, &tolerated);
-      return tolerated;
-    }
-    width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-  insertion_report_t<std::uint16_t>(shared_rows<std::uint16_t>(), v, 1, k_max, s, out,
-                                    &tolerated);
+  at_width(v, /*masked=*/nullptr, /*budgeted=*/false, [&](const auto* slab) {
+    insertion_report_t(slab, v, 1, k_max, s, out, &tolerated);
+    return true;
+  });
   return tolerated;
 }
 
@@ -918,23 +927,19 @@ KStabilityReport SwapEngine::insertion_stability(Vertex k) const {
   // per-agent traversal survives. Connectivity is checked up front on row 0
   // (spanning from one vertex spans from all) so the per-agent REQUIRE never
   // fires inside the pool.
-  if (prefer_u8_) {
-    if (const std::uint8_t* slab = shared_rows<std::uint8_t>()) {
-      BNCG_REQUIRE(*std::max_element(slab, slab + n) < engine_inf<std::uint8_t>(),
-                   "k-stability analysis requires a connected graph");
-      return insertion_sweep_t<std::uint8_t>(slab, k);
-    }
-    width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-  const std::uint16_t* slab = shared_rows<std::uint16_t>();
-  BNCG_REQUIRE(*std::max_element(slab, slab + n) < engine_inf<std::uint16_t>(),
-               "k-stability analysis requires a connected graph");
-  return insertion_sweep_t<std::uint16_t>(slab, k);
+  KStabilityReport out;
+  at_width(0, /*masked=*/nullptr, /*budgeted=*/false, [&](const auto* slab) {
+    BNCG_REQUIRE(row_cost(slab, n, UsageCost::Max) != kInfCost,
+                 "k-stability analysis requires a connected graph");
+    out = insertion_sweep_t(slab, k);
+    return true;
+  });
+  return out;
 }
 
 template <typename Dist>
-bool SwapEngine::swap_stability_t(Vertex v, Vertex k, std::uint64_t old_ecc, Scratch& s,
-                                  KStabilityReport& out) const {
+bool SwapEngine::swap_stability_t(const Dist* slab, Vertex v, Vertex k, std::uint64_t old_ecc,
+                                  Scratch& s, KStabilityReport& out) const {
   constexpr Dist kInf = engine_inf<Dist>();
   const simd::Kernels<Dist>& kern = simd::kernels<Dist>();
   const Vertex n = csr_.num_vertices();
@@ -952,16 +957,19 @@ bool SwapEngine::swap_stability_t(Vertex v, Vertex k, std::uint64_t old_ecc, Scr
   const Vertex deg = static_cast<Vertex>(nbrs.size());
   BNCG_REQUIRE(deg < 32, "swap-stability subset enumeration requires deg(v) < 32");
 
-  // One masked APSP of G − v serves every deletion subset D: (G − D) − v is
-  // G − v, so each subset only changes WHICH neighbor rows fold into v's
-  // post-deletion profile, never the rows themselves.
+  // The rows of G − v serve every deletion subset D: (G − D) − v is G − v,
+  // so each subset only changes WHICH neighbor rows fold into v's
+  // post-deletion profile, never the rows themselves. They are repaired
+  // over the shared slab as the subsets read them, and past the width
+  // guard of begin_agent_t no repair saturates.
+  if (!begin_agent_t(slab, v, s)) return false;
   auto& rows = s.rows<Dist>();
-  rows.apsp.resize(static_cast<std::size_t>(n) * n);
-  if (!csr_apsp_capped<Dist>(csr_, MaskedEdge{}, rows.apsp.data(), s.bfs_,
-                             /*masked_vertex=*/v, kInf, engine_max_finite<Dist>())) {
-    return false;
-  }
-  rows.arow.resize(n);
+  const auto masked_row = [&](Vertex x) -> const Dist* {
+    BNCG_REQUIRE(rows.repair.materialize(x, rows.arow.data()),
+                 "a masked row saturated past the width guard");
+    return rows.arow.data();
+  };
+  rows.mrow.resize(n);
   s.far_.resize(n);
 
   const Vertex j_max = std::min<Vertex>(k, deg);
@@ -975,16 +983,16 @@ bool SwapEngine::swap_stability_t(Vertex v, Vertex k, std::uint64_t old_ecc, Scr
       // (DESIGN.md §14); 1 + KD is v's distance profile in G − D, so the far
       // set is everything 1 + KD pushes to ≥ old_ecc — collect_above at
       // old_ecc − 2, with empty-fold ∞ entries passing the filter.
-      Dist* kd = rows.arow.data();
+      Dist* kd = rows.mrow.data();
       std::fill(kd, kd + n, kInf);
       for (Vertex i = 0; i < deg; ++i) {
         if ((mask & (1u << i)) != 0) continue;
-        kern.min_fold(kd, rows.apsp.data() + static_cast<std::size_t>(nbrs[i]) * n, n);
+        kern.min_fold(kd, masked_row(nbrs[i]), n);
       }
       const std::uint32_t far_count = kern.collect_above(
           kd, n, static_cast<std::int32_t>(old_ecc) - 2, /*skip=*/v, s.far_.data());
-      build_cover_sets(rows.apsp.data(), n, v, s.far_.data(), far_count, cover_cap,
-                       /*dedup=*/false, /*budget=*/j, nullptr, s.hits_, s.masks_, sets, labels);
+      build_cover_sets(masked_row, n, v, s.far_.data(), far_count, cover_cap, /*dedup=*/false,
+                       /*budget=*/j, nullptr, s.hits_, s.masks_, sets, labels);
       if (const auto selection = cover_select(far_count, sets, j)) {
         out.stable = false;
         for (Vertex i = 0; i < deg; ++i) {
@@ -1000,50 +1008,40 @@ bool SwapEngine::swap_stability_t(Vertex v, Vertex k, std::uint64_t old_ecc, Scr
 
 KStabilityReport SwapEngine::swap_stability_at(Vertex v, Vertex k, Scratch& s) const {
   BNCG_REQUIRE(v < csr_.num_vertices(), "vertex id out of range");
-  const std::uint64_t old_ecc = agent_cost(v, UsageCost::Max, s);
+  const std::uint64_t old_ecc = agent_cost(v, UsageCost::Max);
   BNCG_REQUIRE(old_ecc != kInfCost, "swap-stability analysis requires a connected graph");
   KStabilityReport out;
   out.witness_vertex = v;
   if (old_ecc <= 1 || k == 0) return out;
-  if (prefer_u8_) {
-    if (swap_stability_t<std::uint8_t>(v, k, old_ecc, s, out)) return out;
-    width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-  (void)swap_stability_t<std::uint16_t>(v, k, old_ecc, s, out);
+  at_width(v, &s, /*budgeted=*/false, [&](const auto* slab) {
+    return swap_stability_t(slab, v, k, old_ecc, s, out);
+  });
   return out;
 }
 
 template <typename Dist>
-bool SwapEngine::alpha_scan_t(Vertex v, const std::vector<std::uint8_t>& owned,
+bool SwapEngine::alpha_scan_t(const Dist* slab, Vertex v, const std::vector<std::uint8_t>& owned,
                               Scratch& s) const {
   constexpr Dist kInf = engine_inf<Dist>();
   const simd::Kernels<Dist>& kern = simd::kernels<Dist>();
   const Vertex n = csr_.num_vertices();
+  const std::size_t stride = n;
   s.alpha_.clear();
 
-  const auto nbrs = csr_.neighbors(v);
-  s.is_nbr_.assign(n, 0);
-  s.is_nbr_[v] = 1;
-  for (const Vertex w : nbrs) s.is_nbr_[w] = 1;
-
   // Unlike the basic-game scan, the α-game has ADD moves, so even an
-  // isolated agent runs the masked APSP: an added edge v–w gives the profile
+  // isolated agent reads G − v: an added edge v–w gives the profile
   // 1 + min(min1, c_w) (the source-removal identity over N(v) ∪ {w}).
+  if (!begin_agent_t(slab, v, s)) return false;
   auto& rows = s.rows<Dist>();
-  rows.apsp.resize(static_cast<std::size_t>(n) * n);
-  if (!csr_apsp_capped<Dist>(csr_, MaskedEdge{}, rows.apsp.data(), s.bfs_,
-                             /*masked_vertex=*/v, kInf, engine_max_finite<Dist>())) {
-    return false;
-  }
-  rows.min1.assign(n, kInf);
-  rows.min2.assign(n, kInf);
-  s.argmin_.assign(n, kNoVertex);
-  for (const Vertex z : nbrs) {
-    kern.scan_min_update(rows.min1.data(), rows.min2.data(), s.argmin_.data(),
-                         rows.apsp.data() + static_cast<std::size_t>(z) * n, z, n);
-  }
-  rows.arow.resize(n);
   rows.mrow.resize(n);
+  // Every usage is emitted, so every candidate row w is read: the combine
+  // over its slab row, corrected by its repair patches (patched_sum).
+  const auto usage = [&](const Dist* m, Vertex w) -> std::optional<std::uint64_t> {
+    const auto patches = rows.repair.repair(w);
+    if (!patches) return std::nullopt;
+    const Dist* c = slab + w * stride;
+    return patched_sum(kern.combine_sum(m, c, n, kInf), m, c, *patches, n, kInf);
+  };
 
   // Adds, ascending endpoint (the naive loop order).
   Dist* add_profile = rows.arow.data();
@@ -1051,13 +1049,13 @@ bool SwapEngine::alpha_scan_t(Vertex v, const std::vector<std::uint8_t>& owned,
   add_profile[v] = 0;
   for (Vertex w = 0; w < n; ++w) {
     if (s.is_nbr_[w] != 0) continue;
-    const std::uint64_t usage = kern.combine_sum(
-        add_profile, rows.apsp.data() + static_cast<std::size_t>(w) * n, n, kInf);
-    s.alpha_.push_back({AlphaCandidate::Kind::Add, w, 0, usage});
+    const auto add = usage(add_profile, w);
+    if (!add) return false;
+    s.alpha_.push_back({AlphaCandidate::Kind::Add, w, 0, *add});
   }
 
   // Deletes then swaps, per owned neighbor in ascending (sorted) order.
-  for (const Vertex w : nbrs) {
+  for (const Vertex w : csr_.neighbors(v)) {
     if (owned[w] == 0) continue;
     Dist* m = rows.mrow.data();
     kern.select_mrow(m, rows.min1.data(), rows.min2.data(), s.argmin_.data(), w, n);
@@ -1066,9 +1064,9 @@ bool SwapEngine::alpha_scan_t(Vertex v, const std::vector<std::uint8_t>& owned,
     s.alpha_.push_back({AlphaCandidate::Kind::Delete, w, 0, kern.combine_sum(m, m, n, kInf)});
     for (Vertex w2 = 0; w2 < n; ++w2) {
       if (s.is_nbr_[w2] != 0) continue;
-      const std::uint64_t usage =
-          kern.combine_sum(m, rows.apsp.data() + static_cast<std::size_t>(w2) * n, n, kInf);
-      s.alpha_.push_back({AlphaCandidate::Kind::Swap, w, w2, usage});
+      const auto swap = usage(m, w2);
+      if (!swap) return false;
+      s.alpha_.push_back({AlphaCandidate::Kind::Swap, w, w2, *swap});
     }
   }
   return true;
@@ -1079,11 +1077,8 @@ const std::vector<AlphaCandidate>& SwapEngine::alpha_scan(Vertex v,
                                                           Scratch& s) const {
   BNCG_REQUIRE(v < csr_.num_vertices(), "vertex id out of range");
   BNCG_REQUIRE(owned.size() >= csr_.num_vertices(), "owned flags must cover every vertex");
-  if (prefer_u8_) {
-    if (alpha_scan_t<std::uint8_t>(v, owned, s)) return s.alpha_;
-    width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-  (void)alpha_scan_t<std::uint16_t>(v, owned, s);
+  at_width(v, &s, /*budgeted=*/false,
+           [&](const auto* slab) { return alpha_scan_t(slab, v, owned, s); });
   return s.alpha_;
 }
 

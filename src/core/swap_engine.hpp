@@ -67,6 +67,7 @@
 #include "graph/dist_width.hpp"
 #include "graph/graph.hpp"
 #include "graph/masked_repair.hpp"
+#include "graph/row_cache.hpp"
 #include "util/simd.hpp"
 
 namespace bncg {
@@ -104,15 +105,11 @@ class SwapEngine {
    public:
     friend class SwapEngine;
 
-    /// Budgeted-mode row providers of this scratch (dense scans leave them
+    /// Budgeted-mode row caches of this scratch (dense scans leave them
     /// idle) — residency/stat introspection for benches and the
     /// prune-soundness suite.
-    [[nodiscard]] const DistanceProvider<std::uint8_t>& provider8() const noexcept {
-      return rows8_.provider;
-    }
-    [[nodiscard]] const DistanceProvider<std::uint16_t>& provider16() const noexcept {
-      return rows16_.provider;
-    }
+    [[nodiscard]] const RowCache<std::uint8_t>& cache8() const noexcept { return rows8_.cache; }
+    [[nodiscard]] const RowCache<std::uint16_t>& cache16() const noexcept { return rows16_.cache; }
     /// Combined row-cache counters of both widths (all-zero while every
     /// scan ran dense).
     [[nodiscard]] RowCacheStats row_cache_stats() const;
@@ -134,13 +131,12 @@ class SwapEngine {
     /// are exactly the arrays the SIMD scan kernels stream over.
     template <typename Dist>
     struct Rows {
-      AlignedVec<Dist> apsp;  // all rows of G − v (k-swap and α-game sweeps)
       AlignedVec<Dist> min1;  // elementwise min over neighbor rows
       AlignedVec<Dist> min2;  // elementwise second min
-      AlignedVec<Dist> mrow;  // M^w: min over N(v)∖{w}
-      AlignedVec<Dist> arow;  // masked neighbor row / add-profile / k-way fold target
-      MaskedRowRepair<Dist> repair;     // patches of G − v over the shared slab
-      DistanceProvider<Dist> provider;  // budgeted row cache
+      AlignedVec<Dist> mrow;  // M^w: min over N(v)∖{w} / k-way fold target
+      AlignedVec<Dist> arow;  // one materialized masked row / add-profile
+      MaskedRowRepair<Dist> repair;  // patches of G − v over the shared slab
+      RowCache<Dist> cache;          // budgeted scans' masked rows
     };
     template <typename Dist>
     [[nodiscard]] Rows<Dist>& rows() noexcept {
@@ -152,7 +148,6 @@ class SwapEngine {
     }
 
     BatchBfsWorkspace bfs_;
-    std::vector<std::uint16_t> base_;   // d_G(v, ·) of the scanned agent
     std::vector<std::uint8_t> is_nbr_;  // closed neighborhood marks of v
     AlignedVec<Vertex> argmin_;         // neighbor attaining min1
     AlignedVec<Vertex> far_;            // far set of the removed edge, or the union
@@ -202,15 +197,18 @@ class SwapEngine {
     return prefer_u8_ ? DistWidth::U8 : DistWidth::U16;
   }
 
-  /// Number of agent scans (since the last rebuild) whose masked distances
-  /// (G − v, excluding v's own row and column) held a finite entry above
-  /// the u8 cap, so the agent ran at u16.
+  /// Number of queries (since the last rebuild) that ran at u16 on a
+  /// u8-preferring engine: agent scans, α-game and k-swap queries whose
+  /// masked distances (G − v, excluding v's own row and column) held a
+  /// finite entry above the u8 cap, and k-insertion queries whose unmasked
+  /// u8 slab saturates.
   [[nodiscard]] std::uint64_t width_fallbacks() const noexcept {
     return width_fallbacks_.load(std::memory_order_relaxed);
   }
 
-  /// Usage cost of agent `v` on the snapshot (kInfCost when disconnected).
-  [[nodiscard]] std::uint64_t agent_cost(Vertex v, UsageCost model, Scratch& scratch) const;
+  /// Usage cost of agent `v` on the snapshot (kInfCost when disconnected),
+  /// read off row v of the shared unmasked slab. Dense path (n < 65535).
+  [[nodiscard]] std::uint64_t agent_cost(Vertex v, UsageCost model) const;
 
   /// Best improving deviation of agent `v` (max model scans swaps only;
   /// pass include_deletions for the deletion clause). Identical results and
@@ -248,11 +246,13 @@ class SwapEngine {
   // The k-insertion identity d'(v,x) = min(d(v,x), 1 + min_i d(w_i,x)) makes
   // the "does some ≤ k-insertion lower ecc(v)" question a set-cover instance
   // whose candidate masks the engine scores directly from the shared
-  // unmasked slab (collect_below over its symmetric rows — DESIGN.md §14); the
-  // k-swap variant folds kept-neighbor rows of the one masked APSP of G − v
-  // with the k-way min-fold kernel, since (G − D) − v = G − v for every
-  // deletion subset D at v. All results — verdicts AND witnesses — are
-  // byte-identical to the bncg::naive oracles in core/kstability.
+  // unmasked slab (collect_below over its symmetric rows — DESIGN.md §14).
+  // The k-swap variant reads G − v instead, since (G − D) − v = G − v for
+  // every deletion subset D at v: kept-neighbor rows fold with the k-way
+  // min-fold kernel and the cover masks come from far rows, all repaired
+  // over the same slab (DESIGN.md §17). All results — verdicts AND
+  // witnesses — are byte-identical to the bncg::naive oracles in
+  // core/kstability.
 
   /// Engine form of naive::insertion_stability_at (one agent, budget k).
   [[nodiscard]] KStabilityReport insertion_stability_at(Vertex v, Vertex k, Scratch& scratch) const;
@@ -271,10 +271,11 @@ class SwapEngine {
   /// subset enumeration is a 32-bit mask, as in the oracle).
   [[nodiscard]] KStabilityReport swap_stability_at(Vertex v, Vertex k, Scratch& scratch) const;
 
-  /// α-game usage sweep for agent v: every add/delete/swap usage from one
-  /// masked APSP, in the naive ClassicGame enumeration order. `owned[w]`
-  /// must say whether edge v–w is bought by v (deletes/swaps enumerate owned
-  /// neighbors only). The returned reference aliases `scratch`.
+  /// α-game usage sweep for agent v: every add/delete/swap usage, in the
+  /// naive ClassicGame enumeration order, as combines over the shared slab
+  /// corrected by the repaired rows of G − v. `owned[w]` must say whether
+  /// edge v–w is bought by v (deletes/swaps enumerate owned neighbors
+  /// only). The returned reference aliases `scratch`.
   [[nodiscard]] const std::vector<AlphaCandidate>& alpha_scan(
       Vertex v, const std::vector<std::uint8_t>& owned, Scratch& scratch) const;
 
@@ -283,27 +284,50 @@ class SwapEngine {
                                       bool include_deletions, std::uint64_t* moves_checked,
                                       Scratch& scratch) const;
 
+  /// The one width ladder of the engine's queries. Runs `scan(slab)` over
+  /// the u8 slab when u8 is preferred and that slab fits, and over the u16
+  /// slab when it does not, or when the u8 scan returns false (a repaired
+  /// masked distance beyond the u8 cap) — which counts a width fallback.
+  /// A query that runs at u16 because the u8 slab itself saturates counts
+  /// one too: always for an unmasked query (`masked` null), and for a
+  /// masked query only when G − v exceeds the u8 cap (masked_exceeds_u8
+  /// over the u16 repair `masked` holds after the scan). With `budgeted`,
+  /// a width whose slab exceeds the lane budget passes a null slab and
+  /// `scan` runs budgeted. `scan` takes `const std::uint8_t*` or
+  /// `const std::uint16_t*` and returns false only on saturation.
+  template <typename Scan>
+  void at_width(Vertex v, Scratch* masked, bool budgeted, Scan&& scan) const;
+
+  /// Starts the masked rows of agent v at width `Dist`: closed-neighborhood
+  /// marks, the repair of G − v over `slab` begun, and the repaired
+  /// neighbor rows folded into min1/min2/argmin. Applies the width guard,
+  /// so that afterwards no repair of this agent saturates. False when a
+  /// finite distance of G − v, off v's row and column, exceeds the width
+  /// (only possible for u8).
+  template <typename Dist>
+  [[nodiscard]] bool begin_agent_t(const Dist* slab, Vertex v, Scratch& scratch) const;
+
   /// Width-typed dense scan body over the shared unmasked slab `slab`,
   /// with the agent's masked rows repaired into scratch as the scan reads
   /// them (DESIGN.md §17).
   /// Returns false — with `out` and the move count untouched by the caller —
   /// when a repaired distance saturates the width (only possible for u8);
-  /// the dispatcher then redoes the agent at u16.
+  /// at_width then redoes the agent at u16.
   template <typename Dist>
   [[nodiscard]] bool scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
                                   bool include_deletions, std::uint64_t* moves_checked,
                                   const Dist* slab, Scratch& scratch,
                                   std::optional<Deviation>& out) const;
 
-  /// Fallback rule for agents scanned at u16 because the u8 slab itself
+  /// Fallback rule for masked queries run at u16 because the u8 slab itself
   /// saturates: true iff G − v, excluding v's row and column, holds a
   /// finite distance above the u8 cap. Repairs every row of the u16 repair
-  /// in `scratch`, which the u16 scan of `v` began.
+  /// in `scratch`, which the u16 query of `v` began.
   [[nodiscard]] bool masked_exceeds_u8(Vertex v, Scratch& scratch) const;
 
   /// Width-typed BUDGETED scan body: same enumeration order, acceptance
   /// rules, move counts, and results as scan_agent_t, but rows stream
-  /// through the DistanceProvider's row cache under the per-lane byte
+  /// through the scratch's row cache under the per-lane byte
   /// budget instead of a dense n×n slab — the agent's current cost derives
   /// from the neighbor min-fold (source-removal identity at N' = N(v)), the
   /// max model filters candidates by bit-parallel reach of the far sets
@@ -329,16 +353,17 @@ class SwapEngine {
                                              std::int32_t cap, Scratch& scratch) const;
 
   /// The snapshot's unmasked capped APSP at width `Dist`, built on first
-  /// need (on the pool) and shared read-only by every lane and by the
-  /// k-move paths; nullptr when some distance saturates the width. Dense
-  /// paths only (n < 65535).
+  /// need (on the pool) and shared read-only by every lane and every dense
+  /// query; nullptr when some distance saturates the width. Dense paths
+  /// only (n < 65535).
   template <typename Dist>
   [[nodiscard]] const Dist* shared_rows() const;
 
-  /// Far set + dedup'd coverage sets of agent v over symmetric full-graph
-  /// rows, then cover_select at each budget in [k_lo, k_hi]; fills `out`
-  /// with the verdict at the first coverable budget (stable otherwise) and,
-  /// when `tolerated` is non-null, the max_tolerated_insertions answer.
+  /// Far set + dedup'd coverage sets of agent v over the symmetric rows of
+  /// the unmasked slab `apsp`, then cover_select at each budget in
+  /// [k_lo, k_hi]; fills `out` with the verdict at the first coverable
+  /// budget (stable otherwise) and, when `tolerated` is non-null, the
+  /// max_tolerated_insertions answer.
   template <typename Dist>
   void insertion_report_t(const Dist* apsp, Vertex v, Vertex k_lo, Vertex k_hi, Scratch& scratch,
                           KStabilityReport& out, Vertex* tolerated) const;
@@ -346,13 +371,17 @@ class SwapEngine {
   template <typename Dist>
   [[nodiscard]] KStabilityReport insertion_sweep_t(const Dist* apsp, Vertex k) const;
 
+  /// swap_stability_at's deletion-subset enumeration over the rows of
+  /// G − v repaired from `slab`; false when they saturate the width.
   template <typename Dist>
-  [[nodiscard]] bool swap_stability_t(Vertex v, Vertex k, std::uint64_t old_ecc, Scratch& scratch,
-                                      KStabilityReport& out) const;
+  [[nodiscard]] bool swap_stability_t(const Dist* slab, Vertex v, Vertex k, std::uint64_t old_ecc,
+                                      Scratch& scratch, KStabilityReport& out) const;
 
+  /// alpha_scan's usages from `slab` and the repaired rows of G − v into
+  /// scratch.alpha_; false when they saturate the width.
   template <typename Dist>
-  [[nodiscard]] bool alpha_scan_t(Vertex v, const std::vector<std::uint8_t>& owned,
-                                  Scratch& scratch) const;
+  [[nodiscard]] bool alpha_scan_t(const Dist* slab, Vertex v,
+                                  const std::vector<std::uint8_t>& owned, Scratch& scratch) const;
 
   /// One width's shared slab: built at most once per snapshot under
   /// `mutex`, published through `state` (acquire/release), then read-only.

@@ -88,7 +88,7 @@ void bfs_batch(const CsrGraph& g, std::span<const Vertex> sources, MaskedEdge ma
 /// Deliberately NOT restricted to n < 65535: saturation detection is the
 /// bound — levels are tracked in Vertex width, so a distance the encoding
 /// cannot represent reports failure instead of wrapping, which is what lets
-/// the budgeted row provider run u16 scans on million-node instances whose
+/// the budgeted row cache run u16 scans on million-node instances whose
 /// masked diameters stay under the cap. ≤ 64 sources per call.
 template <typename Dist>
 [[nodiscard]] bool bfs_batch_capped(const CsrGraph& g, std::span<const Vertex> sources,

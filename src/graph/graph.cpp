@@ -117,10 +117,16 @@ Graph complement(const Graph& g) {
 }
 
 std::string to_string(const Graph& g) {
-  std::string out = "n=" + std::to_string(g.num_vertices()) + " m=" + std::to_string(g.num_edges());
+  std::string out = "n=";
+  out += std::to_string(g.num_vertices());
+  out += " m=";
+  out += std::to_string(g.num_edges());
   out += ":";
   for (const auto& [u, v] : g.edges()) {
-    out += " " + std::to_string(u) + "-" + std::to_string(v);
+    out += ' ';
+    out += std::to_string(u);
+    out += '-';
+    out += std::to_string(v);
   }
   return out;
 }

@@ -7,29 +7,30 @@ namespace bncg {
 
 template <typename Dist>
 void RowCache<Dist>::configure(Vertex n, std::uint64_t budget_bytes) {
-  n_ = n;
-  budget_ = budget_bytes;
+  if (max_blocks_ != 0 && n == n_ && budget_bytes == budget_) return;
+  Vertex block_rows = 64;
+  std::size_t max_blocks = 2;
   const std::uint64_t row_bytes = std::uint64_t{n} * sizeof(Dist);
-  if (row_bytes == 0) {
-    // Degenerate n = 0 instance: rows are empty, any budget works.
-    block_rows_ = 64;
-    max_blocks_ = 2;
-  } else {
+  // A degenerate n = 0 instance has empty rows, and any budget works.
+  if (row_bytes != 0) {
     // One bit-parallel batch per block when the budget allows; shrink the
     // block (never below one row) before shrinking the two-block floor that
     // the pointer-stability guarantee rests on.
-    block_rows_ = 64;
-    if (2 * std::uint64_t{block_rows_} * row_bytes > budget_bytes) {
-      block_rows_ = static_cast<Vertex>(budget_bytes / (2 * row_bytes));
+    if (2 * std::uint64_t{block_rows} * row_bytes > budget_bytes) {
+      block_rows = static_cast<Vertex>(budget_bytes / (2 * row_bytes));
     }
-    if (block_rows_ == 0) {
+    if (block_rows == 0) {
       throw std::invalid_argument(
           "row cache budget too small: needs at least two single-row blocks (" +
           std::to_string(2 * row_bytes) + " bytes at n = " + std::to_string(n) + ")");
     }
-    max_blocks_ = std::max<std::size_t>(
-        2, static_cast<std::size_t>(budget_bytes / (std::uint64_t{block_rows_} * row_bytes)));
+    max_blocks = std::max<std::size_t>(
+        2, static_cast<std::size_t>(budget_bytes / (std::uint64_t{block_rows} * row_bytes)));
   }
+  n_ = n;
+  budget_ = budget_bytes;
+  block_rows_ = block_rows;
+  max_blocks_ = max_blocks;
   blocks_.clear();
   filled_.clear();
   clock_ = 0;

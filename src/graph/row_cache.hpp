@@ -1,5 +1,5 @@
 // Blocked LRU distance-row cache — the memory layer behind the budgeted
-// distance provider (core/dist_provider.hpp).
+// swap scans (core/swap_engine.hpp).
 //
 // The dense engines hold full n×n distance matrices (SwapEngine's shared
 // unmasked slab, SearchState's per-agent rows), which is the allocation
@@ -70,7 +70,8 @@ class RowCache {
   /// small budgets; at least TWO blocks are always provisioned (the minimum
   /// for the pointer-stability guarantee above). Throws std::invalid_argument
   /// when the budget cannot hold even two single-row blocks — there is no
-  /// smaller exact configuration to degrade to.
+  /// smaller exact configuration to degrade to. A no-op when n and the
+  /// budget are the ones already configured: storage is kept for reuse.
   void configure(Vertex n, std::uint64_t budget_bytes);
 
   /// Starts a new (snapshot, masked-vertex) context: resident rows of any

@@ -19,6 +19,7 @@
 
 #include "core/certify_sharded.hpp"
 #include "core/equilibrium.hpp"
+#include "core/kstability.hpp"
 #include "core/swap_engine.hpp"
 #include "gen/classic.hpp"
 #include "gen/paper.hpp"
@@ -474,6 +475,126 @@ TEST(MaskedRepair, GuardedInstancesKeepTheirCertificatesAndFallbacks) {
                {{UsageCost::Sum, 185204, {300, 0, 8}, 2316, 2268, 1},
                 {UsageCost::Max, 185826, {275, 276, 286}, 24, 14, 1}},
                "hub25");
+}
+
+
+/// The masked-matrix rule by literal BFS: true iff G − v, excluding v's
+/// row and column, holds a finite distance above the u8 cap.
+bool masked_exceeds_u8_by_bfs(const Graph& g, Vertex v, BfsWorkspace& ws) {
+  Graph masked = g;
+  const std::vector<Vertex> nbrs(g.neighbors(v).begin(), g.neighbors(v).end());
+  for (const Vertex w : nbrs) masked.remove_edge(v, w);
+  for (Vertex x = 0; x < g.num_vertices(); ++x) {
+    if (x != v && bfs(masked, x, ws).ecc > kMaxFiniteFor<std::uint8_t>) return true;
+  }
+  return false;
+}
+
+/// α-game usages of agent v by one BFS per move, in ClassicGame's naive
+/// enumeration order: adds by ascending endpoint, then per owned neighbor
+/// the deletion and the swaps by ascending target.
+std::vector<AlphaCandidate> naive_alpha_usages(const Graph& g, Vertex v,
+                                               const std::vector<std::uint8_t>& owned,
+                                               BfsWorkspace& ws) {
+  std::vector<AlphaCandidate> out;
+  Graph work = g;
+  const Vertex n = g.num_vertices();
+  const auto usage = [&] { return vertex_cost(work, v, UsageCost::Sum, ws); };
+  for (Vertex w = 0; w < n; ++w) {
+    if (w == v || g.has_edge(v, w)) continue;
+    work.add_edge(v, w);
+    out.push_back({AlphaCandidate::Kind::Add, w, 0, usage()});
+    work.remove_edge(v, w);
+  }
+  for (const Vertex w : g.neighbors(v)) {
+    if (owned[w] == 0) continue;
+    work.remove_edge(v, w);
+    out.push_back({AlphaCandidate::Kind::Delete, w, 0, usage()});
+    for (Vertex w2 = 0; w2 < n; ++w2) {
+      if (w2 == v || g.has_edge(v, w2)) continue;
+      work.add_edge(v, w2);
+      out.push_back({AlphaCandidate::Kind::Swap, w, w2, usage()});
+      work.remove_edge(v, w2);
+    }
+    work.add_edge(v, w);
+  }
+  return out;
+}
+
+void expect_same_candidates(const std::vector<AlphaCandidate>& got,
+                            const std::vector<AlphaCandidate>& want, const std::string& ctx) {
+  ASSERT_EQ(got.size(), want.size()) << ctx;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].kind, want[i].kind) << ctx << " i=" << i;
+    EXPECT_EQ(got[i].w, want[i].w) << ctx << " i=" << i;
+    EXPECT_EQ(got[i].w2, want[i].w2) << ctx << " i=" << i;
+    EXPECT_EQ(got[i].usage, want[i].usage) << ctx << " i=" << i;
+  }
+}
+
+void expect_same_report(const KStabilityReport& got, const KStabilityReport& want,
+                        const std::string& ctx) {
+  EXPECT_EQ(got.stable, want.stable) << ctx;
+  EXPECT_EQ(got.witness_vertex, want.witness_vertex) << ctx;
+  EXPECT_EQ(got.witness_endpoints, want.witness_endpoints) << ctx;
+  EXPECT_EQ(got.witness_deletions, want.witness_deletions) << ctx;
+}
+
+/// ForceU8 α-game and k-swap queries, agent by agent: each falls back
+/// exactly when the masked-matrix rule says so, and its answer equals the
+/// ForceU16 engine's and the naive oracle's. Returns the fallbacks of one
+/// sweep of each query.
+std::uint64_t check_alpha_and_kswap_fallbacks(const Graph& g, const std::string& ctx) {
+  SwapEngine e8(g, ResourceConfig{.width = WidthPolicy::ForceU8});
+  SwapEngine e16(g, ResourceConfig{.width = WidthPolicy::ForceU16});
+  SwapEngine::Scratch s8, s16;
+  BfsWorkspace ws;
+  const Vertex n = g.num_vertices();
+  std::uint64_t expected = 0;
+  std::vector<std::uint8_t> owned(n);
+  for (Vertex v = 0; v < n; ++v) {
+    const std::string at = ctx + " v=" + std::to_string(v);
+    const std::uint64_t rule = masked_exceeds_u8_by_bfs(g, v, ws) ? 1 : 0;
+    expected += rule;
+    for (Vertex w = 0; w < n; ++w) owned[w] = w > v ? 1 : 0;
+
+    std::uint64_t before = e8.width_fallbacks();
+    const std::vector<AlphaCandidate> narrow = e8.alpha_scan(v, owned, s8);
+    EXPECT_EQ(e8.width_fallbacks() - before, rule) << at << " alpha";
+    const std::vector<AlphaCandidate> want = naive_alpha_usages(g, v, owned, ws);
+    expect_same_candidates(narrow, want, at + " alpha u8");
+    expect_same_candidates(e16.alpha_scan(v, owned, s16), want, at + " alpha u16");
+
+    for (Vertex k = 1; k <= 2; ++k) {
+      const std::string kat = at + " k=" + std::to_string(k);
+      before = e8.width_fallbacks();
+      const KStabilityReport got = e8.swap_stability_at(v, k, s8);
+      EXPECT_EQ(e8.width_fallbacks() - before, rule) << kat << " kswap";
+      const KStabilityReport oracle = naive::swap_stability_at(g, v, k);
+      expect_same_report(got, oracle, kat + " kswap u8");
+      expect_same_report(e16.swap_stability_at(v, k, s16), oracle, kat + " kswap u16");
+    }
+    if (testing::Test::HasFailure()) break;
+  }
+  EXPECT_EQ(e16.width_fallbacks(), 0u) << ctx;
+  return expected;
+}
+
+TEST(MaskedRepair, AlphaAndKSwapFallbacksFollowTheMaskedRule) {
+  // P₇₀ saturates the u8 slab (diameter 69): agents 0..6 and 63..69 leave
+  // a masked path longer than 61, and they are also the agents with
+  // ecc − 1 > 61. C₁₃₀ saturates the slab too, and every G − v is P₁₂₉.
+  EXPECT_EQ(check_alpha_and_kswap_fallbacks(path(70), "P70"), 14u);
+  EXPECT_EQ(check_alpha_and_kswap_fallbacks(cycle(130), "C130"), 130u);
+  // The chorded C₁₀₀ fits the u8 slab; masking a chord endpoint leaves
+  // P₉₉, and masking a vertex near one leaves a detour longer than 61:
+  // half the agents fall back.
+  Graph chorded = cycle(100);
+  chorded.add_edge(0, 50);
+  EXPECT_EQ(check_alpha_and_kswap_fallbacks(chorded, "chorded100"), 50u);
+  // P₁₂₈: every agent has ecc − 1 > 61, and every G − v keeps a subpath
+  // longer than 61, so every agent falls back.
+  EXPECT_EQ(check_alpha_and_kswap_fallbacks(path(128), "P128"), 128u);
 }
 
 }  // namespace

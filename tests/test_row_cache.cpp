@@ -1,4 +1,4 @@
-// Differential suite for the budgeted distance-row provider (DESIGN.md
+// Differential suite for the budgeted distance rows (DESIGN.md
 // §16): the blocked row cache (graph/row_cache.hpp) + budgeted SwapEngine
 // scans must reproduce the dense path's certificates byte for byte —
 // verdict, move counts, witness fields — across 200+ seeded instances at
@@ -465,7 +465,7 @@ void check_prune_soundness(const Graph& g, UsageCost model, const std::string& n
     if (dev) {
       EXPECT_EQ(dev->cost_before, old_cost) << name << " v=" << v;
     }
-    const auto& cache = scratch.provider16().cache();
+    const auto& cache = scratch.cache16();
     std::vector<std::uint8_t> filled(n, 0);
     for (const Vertex s : cache.context_filled()) filled[s] = 1;
 
