@@ -50,8 +50,9 @@
 // before a row is written. The same agents are then scanned serially by the
 // dense engine at u8 (sum model on G(n, m), max with deletions on the
 // torus), which repairs rows on demand: the row reports the rows that scan
-// repaired per agent, the time to repair exactly those rows, and the whole
-// scan's time per agent.
+// repaired per agent, the time to repair exactly those rows, the whole
+// scan's time per agent, and, timed apart, the scan's first step: begin
+// plus materializing the deg(v) neighbor rows.
 //
 // A "far_filter" section prices the budgeted max scan's far filter
 // (DESIGN.md §16) on the seeded-relabel rotated torus at k = 26 under a
@@ -69,9 +70,10 @@
 // each with its BFS levels per traversal.
 //
 // A second "kernels" section microbenchmarks the dispatched SIMD kernels
-// (util/simd.hpp) directly: each scan-table / combine / addition kernel is
-// timed at n = 1024 once with the dispatch pinned to scalar and once at the
-// startup-active level (cpuid-capped, BNCG_SIMD-overridable), on the same
+// (util/simd.hpp) directly: each scan-table / combine / addition kernel and
+// the far test's keep_within is timed at n = 1024 once with the dispatch
+// pinned to scalar and once at the startup-active level (cpuid-capped,
+// BNCG_SIMD-overridable), on the same
 // inputs and with identical fixed repetition counts, so the per-call ratio
 // is a pure ISA effect. Output checksums are asserted equal across the two
 // levels — the exactness contract, enforced even inside the bench.
@@ -581,6 +583,7 @@ struct MaskedRowsRow {
   double lazy_rows = 0;            // per agent, rows the on-demand scan repaired
   double lazy_repair_seconds = 0;  // per agent, repairing exactly those rows
   double lazy_scan_seconds = 0;    // per agent, the whole on-demand scan
+  double neighbor_rows_seconds = 0;  // per agent, begin + the deg(v) neighbor rows
 
   [[nodiscard]] double speedup() const { return masked_apsp_seconds / repair_seconds; }
 };
@@ -625,6 +628,10 @@ MaskedRowsRow measure_masked_rows(std::string instance, const Graph& g, UsageCos
       repair.begin(csr, slab.data(), v, kInf, kMax);
       for (const Vertex x : lazy_rows) ok = ok && repair.repair(x).has_value();
     });
+    row.neighbor_rows_seconds += time_seconds([&] {
+      repair.begin(csr, slab.data(), v, kInf, kMax);
+      for (const Vertex z : csr.neighbors(v)) ok = ok && repair.materialize(z, repaired.data());
+    });
     row.repair_seconds += time_seconds([&] {
       repair.begin(csr, slab.data(), v, kInf, kMax);
       ok = ok && repair.repair_all();
@@ -652,6 +659,7 @@ MaskedRowsRow measure_masked_rows(std::string instance, const Graph& g, UsageCos
   row.lazy_rows /= row.agents;
   row.lazy_repair_seconds /= row.agents;
   row.lazy_scan_seconds /= row.agents;
+  row.neighbor_rows_seconds /= row.agents;
   row.affected_row_fraction =
       static_cast<double>(affected) / (static_cast<double>(row.agents) * (n - 1));
   row.changed_entry_fraction =
@@ -679,7 +687,8 @@ std::vector<MaskedRowsRow> measure_masked_rows_all(Vertex max_n) {
               << " changed_entries=" << r.changed_entry_fraction
               << " peak_patch_bytes=" << r.peak_patch_bytes << " lazy_rows=" << r.lazy_rows
               << " lazy_repair=" << r.lazy_repair_seconds * 1e6
-              << "us lazy_scan=" << r.lazy_scan_seconds * 1e6 << "us\n";
+              << "us lazy_scan=" << r.lazy_scan_seconds * 1e6
+              << "us neighbor_rows=" << r.neighbor_rows_seconds * 1e6 << "us\n";
   }
   return rows;
 }
@@ -1065,6 +1074,18 @@ void measure_kernels(std::vector<KernelRow>& rows, SimdLevel active) {
                           static_cast<Dist>(3), n, inf);
       },
       [&] { return fold_u64(dst); });
+
+  // keep_within: one far row against a full candidate bitset per call, so
+  // every word is read; about half of the entries pass the cap.
+  std::vector<std::uint64_t> alive(n / 64);
+  const std::int32_t cap = kMaxFiniteFor<Dist> / 2;
+  bench_kernel(
+      rows, width, "keep_within", n, 20000, active, [&] { acc = 0; },
+      [&] {
+        std::fill(alive.begin(), alive.end(), ~std::uint64_t{0});
+        acc += kern.keep_within(alive.data(), c.data(), n, cap) ? 1 : 0;
+      },
+      [&] { return acc ^ fold_u64(alive); });
 }
 
 std::vector<KernelRow> measure_all_kernels() {
@@ -1230,7 +1251,8 @@ int main(int argc, char** argv) {
         << ", \"lazy_scan_model\": \"" << (r.model == UsageCost::Sum ? "sum" : "max+deletions")
         << "\", \"lazy_rows_repaired_per_agent\": " << r.lazy_rows
         << ", \"lazy_repair_seconds_per_agent\": " << r.lazy_repair_seconds
-        << ", \"lazy_scan_seconds_per_agent\": " << r.lazy_scan_seconds << "}"
+        << ", \"lazy_scan_seconds_per_agent\": " << r.lazy_scan_seconds
+        << ", \"neighbor_rows_seconds_per_agent\": " << r.neighbor_rows_seconds << "}"
         << (i + 1 < masked_rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";

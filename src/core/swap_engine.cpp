@@ -227,6 +227,12 @@ std::uint64_t SwapEngine::agent_cost(Vertex v, UsageCost model) const {
   return row_cost(shared_rows<std::uint16_t>() + row, n, model);
 }
 
+std::uint64_t SwapEngine::candidates_through(const Scratch& s, Vertex last) {
+  std::uint64_t count = 0;
+  for (Vertex x = 0; x <= last; ++x) count += s.is_nbr_[x] == 0 ? 1 : 0;
+  return count;
+}
+
 template <typename Dist>
 bool SwapEngine::begin_agent_t(const Dist* slab, Vertex v, Scratch& s) const {
   constexpr Dist kInf = engine_inf<Dist>();
@@ -292,6 +298,17 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
   rows.mrow.resize(n);
   s.far_.resize(n);
   s.far_mark_.assign(n, 0);
+  // Max model: the agent's candidates as a bitset, the far test's start.
+  const std::size_t words = words_for(n);
+  std::uint64_t candidate_count = 0;
+  if (model == UsageCost::Max) {
+    s.candidates_.assign(words, 0);
+    s.alive_.resize(words);
+    for (Vertex x = 0; x < n; ++x) {
+      if (s.is_nbr_[x] == 0) s.candidates_[x / 64] |= std::uint64_t{1} << (x % 64);
+    }
+    candidate_count = candidates_through(s, n - 1);
+  }
 
   std::optional<Deviation> best;
   for (const Vertex w : nbrs) {
@@ -348,34 +365,44 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
       const std::int32_t cap =
           old_cost == kInfCost ? std::int32_t{kInf} - 1 : static_cast<std::int32_t>(old_cost) - 2;
       const std::uint32_t far_count = kern.collect_above(m, n, cap, /*skip=*/v, s.far_.data());
+      if (moves_checked != nullptr) *moves_checked += candidate_count;
+      // Far test, far vertex outer (DESIGN.md §4): w₂ survives iff
+      // d(w₂, u) ≤ cap for every far u. The slab is symmetric, so row u is
+      // column u, and one keep_within per far row tests every candidate;
+      // it stops once none is left. Masking only lengthens distances, so an
+      // unmasked far entry above cap already rejects; only survivors, in
+      // ascending order, repair their row and check the patched far entries.
+      std::uint64_t* alive = s.alive_.data();
+      std::copy(s.candidates_.begin(), s.candidates_.end(), alive);
+      bool any = candidate_count != 0;
+      for (std::uint32_t i = 0; i < far_count && any; ++i) {
+        any = kern.keep_within(alive, slab + s.far_[i] * stride, n, cap);
+      }
+      if (!any) continue;
       for (std::uint32_t i = 0; i < far_count; ++i) s.far_mark_[s.far_[i]] = 1;
-      for (Vertex w2 = 0; w2 < n; ++w2) {
-        if (s.is_nbr_[w2] != 0) continue;
-        if (moves_checked != nullptr) ++*moves_checked;
-        // Masking only lengthens distances, so an unmasked far entry above
-        // cap already rejects; only survivors repair their row and check
-        // the patched far entries.
-        const Dist* c = slab + w2 * stride;
-        bool improves = true;
-        for (std::uint32_t i = 0; i < far_count && improves; ++i) {
-          improves = c[s.far_[i]] <= cap;
-        }
-        if (!improves) continue;
-        const auto patches = repair.repair(w2);
-        if (!patches) return false;
-        for (std::size_t i = 0; i < patches->size() && improves; ++i) {
-          improves = s.far_mark_[(*patches)[i].u] == 0 || (*patches)[i].d <= cap;
-        }
-        if (!improves) continue;
-        const std::uint64_t new_cost =
-            patched_max(kern.combine_max(m, c, n, kInf), m, *patches, kInf);
-        if (!best || new_cost < best->cost_after ||
-            (best->kind == Deviation::Kind::NonCriticalDelete &&
-             new_cost <= best->cost_after)) {
-          best = Deviation{{v, w, w2}, old_cost, new_cost, Deviation::Kind::ImprovingSwap};
-          if (stop_at_first) {
-            out = best;
-            return true;
+      for (std::size_t word = 0; word < words; ++word) {
+        for (std::uint64_t bits = alive[word]; bits != 0; bits &= bits - 1) {
+          const auto w2 = static_cast<Vertex>(word * 64 + std::countr_zero(bits));
+          const auto patches = repair.repair(w2);
+          if (!patches) return false;
+          bool improves = true;
+          for (std::size_t i = 0; i < patches->size() && improves; ++i) {
+            improves = s.far_mark_[(*patches)[i].u] == 0 || (*patches)[i].d <= cap;
+          }
+          if (!improves) continue;
+          const std::uint64_t new_cost =
+              patched_max(kern.combine_max(m, slab + w2 * stride, n, kInf), m, *patches, kInf);
+          if (!best || new_cost < best->cost_after ||
+              (best->kind == Deviation::Kind::NonCriticalDelete &&
+               new_cost <= best->cost_after)) {
+            best = Deviation{{v, w, w2}, old_cost, new_cost, Deviation::Kind::ImprovingSwap};
+            if (stop_at_first) {
+              if (moves_checked != nullptr) {
+                *moves_checked -= candidate_count - candidates_through(s, w2);
+              }
+              out = best;
+              return true;
+            }
           }
         }
       }
@@ -405,8 +432,7 @@ bool SwapEngine::scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_f
   // Candidates per removed edge — the bulk move-count term of the max
   // model, where every candidate is "checked" by the far filter whether or
   // not its row ever materializes.
-  std::uint64_t candidate_count = 0;
-  for (Vertex x = 0; x < n; ++x) candidate_count += s.is_nbr_[x] == 0 ? 1 : 0;
+  const std::uint64_t candidate_count = candidates_through(s, n - 1);
 
   auto& rows = s.rows<Dist>();
   RowCache<Dist>& cache = rows.cache;
@@ -534,13 +560,8 @@ bool SwapEngine::scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_f
              new_cost <= best->cost_after)) {
           best = Deviation{{v, w, w2}, old_cost, new_cost, Deviation::Kind::ImprovingSwap};
           if (stop_at_first) {
-            // The dense scan stops mid-enumeration, counting only the
-            // candidates up to this w₂ — take back the bulk add for the
-            // ones after it.
             if (moves_checked != nullptr) {
-              std::uint64_t up_to = 0;
-              for (Vertex x = 0; x <= w2; ++x) up_to += s.is_nbr_[x] == 0 ? 1 : 0;
-              *moves_checked -= candidate_count - up_to;
+              *moves_checked -= candidate_count - candidates_through(s, w2);
             }
             out = best;
             return true;

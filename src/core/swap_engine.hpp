@@ -32,9 +32,12 @@
 //     out repair their row and correct their combine by its patches.
 //  3. Far-set filtering (max model). cost'(v) < ecc(v) requires
 //     c_{w₂,u} ≤ ecc(v) − 2 on the far set {u : M^w_u > ecc(v) − 2}, which
-//     is typically tiny — candidates are rejected after |far| comparisons
-//     (budgeted scans: one bit-parallel reach word per candidate) and the
-//     exact combine runs only for actual improvers.
+//     is typically tiny. The dense scan tests it far vertex by far vertex:
+//     the slab is symmetric, so far row u is the column d(·, u), and one
+//     SIMD compare-to-bitmask per far row (simd keep_within) strikes every
+//     candidate that misses u, stopping once none is left (budgeted scans:
+//     one bit-parallel reach word per candidate). The exact combine runs
+//     only for the survivors.
 //
 // The scan kernels are templated on the distance storage width
 // (graph/dist_width.hpp): on small-diameter instances the shared slab and
@@ -156,8 +159,11 @@ class SwapEngine {
     AlignedVec<Vertex> hits_;           // collect_below output (cover masks)
     std::vector<std::uint64_t> masks_;  // flat per-candidate coverage bitsets (cover
                                         // masks; budgeted max: far-set reach words)
-    std::vector<std::uint64_t> alive_;  // budgeted max: edges of the group each
-                                        // candidate still survives, one bit per edge
+    std::vector<std::uint64_t> candidates_;  // dense max: the agent's candidates, one
+                                             // bit per vertex
+    std::vector<std::uint64_t> alive_;  // dense max: the removed edge's survivors, one
+                                        // bit per vertex; budgeted max: edges of the
+                                        // group each candidate still survives
     std::vector<AlphaCandidate> alpha_;  // buffered α-scan candidates
     std::uint64_t reach_traversals_ = 0;
     Rows<std::uint8_t> rows8_;
@@ -318,6 +324,12 @@ class SwapEngine {
                                   bool include_deletions, std::uint64_t* moves_checked,
                                   const Dist* slab, Scratch& scratch,
                                   std::optional<Deviation>& out) const;
+
+  /// Candidates x ≤ last of the agent whose closed neighborhood
+  /// scratch.is_nbr_ marks. The max scans count every candidate of a removed
+  /// edge up front (last = n − 1); stop-at-first at candidate w₂ takes back
+  /// the candidates after w₂, which the naive enumeration never reaches.
+  [[nodiscard]] static std::uint64_t candidates_through(const Scratch& scratch, Vertex last);
 
   /// Fallback rule for masked queries run at u16 because the u8 slab itself
   /// saturates: true iff G − v, excluding v's row and column, holds a

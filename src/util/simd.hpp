@@ -161,6 +161,14 @@ struct Kernels {
   /// exactly the endpoints whose insertion would relieve that vertex.
   std::uint32_t (*collect_below)(const Dist* vals, std::uint32_t n, std::int32_t cap,
                                  std::uint32_t skip, std::uint32_t* out);
+  /// Far test, one far row at a time: `alive` is a bitset over 0..n−1 (bit
+  /// y % 64 of word y / 64). Every non-zero word is ANDed with the bits of
+  /// {y < n : int32(row[y]) ≤ cap}, so bits at y ≥ n clear too; zero words
+  /// are not read. Returns whether any bit is left. cap may be negative
+  /// (nothing passes) or exceed the Dist range (everything below n does).
+  /// With `row` the far vertex u's row of a symmetric distance matrix, this
+  /// is the column test d(c, u) ≤ cap for every candidate c at once.
+  bool (*keep_within)(std::uint64_t* alive, const Dist* row, std::uint32_t n, std::int32_t cap);
   /// dst[y] = min(dst[y], row[y]) — one leg of the k-way min fold behind the
   /// k-move deviation identity d'(v,x) = 1 + min_i d_{G−v}(w_i, x). Callers
   /// fold rows in ascending endpoint order (DESIGN.md §14); the fold is

@@ -23,7 +23,9 @@
 //  * addition_row adds in the element width (wrap mod 2^width), matching
 //    the scalar static_cast<Dist> exactly.
 //  * the collect_* filters emit indices in ascending order via
-//    movemask + count-trailing-zeros, preserving the scalar's output order.
+//    movemask + count-trailing-zeros, preserving the scalar's output order;
+//    keep_within tests v ≤ cap as min(v, cap) == v, and its u16 body packs
+//    two compares to bytes before the movemask.
 #include <cstdint>
 
 #include "util/simd_detail.hpp"
@@ -312,6 +314,36 @@ u32 collect_below_u8(const u8* vals, u32 n, std::int32_t cap, u32 skip, u32* out
     if (y != skip && static_cast<std::int32_t>(vals[y]) < cap) out[count++] = y;
   }
   return count;
+}
+
+/// Bits of the 32 lanes at p with p[i] ≤ cap: min(v, cap) == v.
+inline u64 within32_u8(const u8* p, __m256i capv) {
+  const __m256i v = loadu(p);
+  return static_cast<u32>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(_mm256_min_epu8(v, capv), v)));
+}
+
+bool keep_within_u8(u64* alive, const u8* row, u32 n, std::int32_t cap) {
+  const u32 words = (n + 63) / 64;
+  if (cap < 0) {
+    std::fill(alive, alive + words, u64{0});
+    return false;
+  }
+  const u8 c = static_cast<u8>(std::min<std::int32_t>(cap, 0xFF));
+  const __m256i capv = _mm256_set1_epi8(static_cast<char>(c));
+  u64 any = 0;
+  for (u32 j = 0; j < words; ++j) {
+    if (alive[j] == 0) continue;
+    const u32 y = j * 64;
+    u64 bits = 0;
+    if (n - y >= 64) {
+      bits = within32_u8(row + y, capv) | within32_u8(row + y + 32, capv) << 32;
+    } else {
+      for (u32 i = 0; y + i < n; ++i) bits |= u64{row[y + i] <= c} << i;
+    }
+    alive[j] &= bits;
+    any |= alive[j];
+  }
+  return any != 0;
 }
 
 void min_fold_u8(u8* dst, const u8* row, u32 n) {
@@ -609,6 +641,41 @@ u32 collect_below_u16(const u16* vals, u32 n, std::int32_t cap, u32 skip, u32* o
   return count;
 }
 
+/// Bits of the 32 lanes at p with p[i] ≤ cap. packs interleaves the two
+/// 16-lane compares by 128-bit half; the permute restores lane order.
+inline u64 within32_u16(const u16* p, __m256i capv) {
+  const __m256i a = loadu(p);
+  const __m256i b = loadu(p + 16);
+  const __m256i ka = _mm256_cmpeq_epi16(_mm256_min_epu16(a, capv), a);
+  const __m256i kb = _mm256_cmpeq_epi16(_mm256_min_epu16(b, capv), b);
+  const __m256i packed = _mm256_permute4x64_epi64(_mm256_packs_epi16(ka, kb), 0xD8);
+  return static_cast<u32>(_mm256_movemask_epi8(packed));
+}
+
+bool keep_within_u16(u64* alive, const u16* row, u32 n, std::int32_t cap) {
+  const u32 words = (n + 63) / 64;
+  if (cap < 0) {
+    std::fill(alive, alive + words, u64{0});
+    return false;
+  }
+  const u16 c = static_cast<u16>(std::min<std::int32_t>(cap, 0xFFFF));
+  const __m256i capv = _mm256_set1_epi16(static_cast<short>(c));
+  u64 any = 0;
+  for (u32 j = 0; j < words; ++j) {
+    if (alive[j] == 0) continue;
+    const u32 y = j * 64;
+    u64 bits = 0;
+    if (n - y >= 64) {
+      bits = within32_u16(row + y, capv) | within32_u16(row + y + 32, capv) << 32;
+    } else {
+      for (u32 i = 0; y + i < n; ++i) bits |= u64{row[y + i] <= c} << i;
+    }
+    alive[j] &= bits;
+    any |= alive[j];
+  }
+  return any != 0;
+}
+
 void min_fold_u16(u16* dst, const u16* row, u32 n) {
   u32 y = 0;
   for (; y + 16 <= n; y += 16) {
@@ -698,6 +765,7 @@ bool fill_avx2(Kernels<u8>& k8, Kernels<u16>& k16, WordKernels& kw) {
   k8.finite_max2 = &finite_max2_u8;
   k8.collect_above = &collect_above_u8;
   k8.collect_below = &collect_below_u8;
+  k8.keep_within = &keep_within_u8;
   k8.min_fold = &min_fold_u8;
   k8.collect_absdiff_eq1 = &collect_absdiff_eq1_u8;
   k8.collect_absdiff_gt1 = &collect_absdiff_gt1_u8;
@@ -714,6 +782,7 @@ bool fill_avx2(Kernels<u8>& k8, Kernels<u16>& k16, WordKernels& kw) {
   k16.finite_max2 = &finite_max2_u16;
   k16.collect_above = &collect_above_u16;
   k16.collect_below = &collect_below_u16;
+  k16.keep_within = &keep_within_u16;
   k16.min_fold = &min_fold_u16;
   k16.collect_absdiff_eq1 = &collect_absdiff_eq1_u16;
   k16.collect_absdiff_gt1 = &collect_absdiff_gt1_u16;

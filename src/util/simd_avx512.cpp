@@ -287,6 +287,24 @@ u32 collect_below_u8(const u8* vals, u32 n, std::int32_t cap, u32 skip, u32* out
   return count;
 }
 
+bool keep_within_u8(u64* alive, const u8* row, u32 n, std::int32_t cap) {
+  const u32 words = (n + 63) / 64;
+  if (cap < 0) {
+    std::fill(alive, alive + words, u64{0});
+    return false;
+  }
+  const __m512i capv = _mm512_set1_epi8(static_cast<char>(std::min<std::int32_t>(cap, 0xFF)));
+  u64 any = 0;
+  for (u32 j = 0; j < words; ++j) {
+    if (alive[j] == 0) continue;
+    const u32 y = j * 64;
+    const __mmask64 lanes = n - y >= 64 ? ~u64{0} : (u64{1} << (n - y)) - 1;
+    alive[j] &= _mm512_mask_cmple_epu8_mask(lanes, _mm512_maskz_loadu_epi8(lanes, row + y), capv);
+    any |= alive[j];
+  }
+  return any != 0;
+}
+
 void min_fold_u8(u8* dst, const u8* row, u32 n) {
   u32 y = 0;
   for (; y + 64 <= n; y += 64) {
@@ -563,6 +581,29 @@ u32 collect_below_u16(const u16* vals, u32 n, std::int32_t cap, u32 skip, u32* o
   return count;
 }
 
+bool keep_within_u16(u64* alive, const u16* row, u32 n, std::int32_t cap) {
+  const u32 words = (n + 63) / 64;
+  if (cap < 0) {
+    std::fill(alive, alive + words, u64{0});
+    return false;
+  }
+  const __m512i capv =
+      _mm512_set1_epi16(static_cast<short>(std::min<std::int32_t>(cap, 0xFFFF)));
+  // One 32-lane compare per half word; the lane masks keep the tail loads in
+  // bounds.
+  const auto half = [&](u32 y) -> u64 {
+    const __mmask32 lanes = y >= n ? 0 : n - y >= 32 ? ~u32{0} : (u32{1} << (n - y)) - 1;
+    return _mm512_mask_cmple_epu16_mask(lanes, _mm512_maskz_loadu_epi16(lanes, row + y), capv);
+  };
+  u64 any = 0;
+  for (u32 j = 0; j < words; ++j) {
+    if (alive[j] == 0) continue;
+    alive[j] &= half(j * 64) | half(j * 64 + 32) << 32;
+    any |= alive[j];
+  }
+  return any != 0;
+}
+
 void min_fold_u16(u16* dst, const u16* row, u32 n) {
   u32 y = 0;
   for (; y + 32 <= n; y += 32) {
@@ -648,6 +689,7 @@ bool fill_avx512(Kernels<u8>& k8, Kernels<u16>& k16, WordKernels& kw) {
   k8.finite_max2 = &finite_max2_u8;
   k8.collect_above = &collect_above_u8;
   k8.collect_below = &collect_below_u8;
+  k8.keep_within = &keep_within_u8;
   k8.min_fold = &min_fold_u8;
   k8.collect_absdiff_eq1 = &collect_absdiff_eq1_u8;
   k8.collect_absdiff_gt1 = &collect_absdiff_gt1_u8;
@@ -664,6 +706,7 @@ bool fill_avx512(Kernels<u8>& k8, Kernels<u16>& k16, WordKernels& kw) {
   k16.finite_max2 = &finite_max2_u16;
   k16.collect_above = &collect_above_u16;
   k16.collect_below = &collect_below_u16;
+  k16.keep_within = &keep_within_u16;
   k16.min_fold = &min_fold_u16;
   k16.collect_absdiff_eq1 = &collect_absdiff_eq1_u16;
   k16.collect_absdiff_gt1 = &collect_absdiff_gt1_u16;

@@ -243,6 +243,55 @@ void fuzz_kernels_width(std::uint64_t seed) {
             });
       }
 
+      // --- far test bitset (keep_within) -----------------------------------
+      // Every level, scalar included, is held against the definition, since
+      // the scalar body is SWAR rather than the plain loop below. The second
+      // row spans the whole Dist range (the engine's u16 infinity is 0xFFFF),
+      // so lanes with the top bit set are exercised too.
+      std::vector<Dist> wide(n);
+      for (auto& x : wide) x = static_cast<Dist>(rng.below(std::uint64_t{Dist(~Dist{0})} + 1));
+      const std::size_t words = (n + 63) / 64;
+      std::vector<std::uint64_t> alive0(words);
+      // Zero words must stay zero; bits at y ≥ n start set and must clear.
+      for (auto& word : alive0) word = rng.below(4) == 0 ? 0 : rng();
+      const std::int32_t within_caps[] = {-7,     -1,    0,      static_cast<std::int32_t>(inf) / 2,
+                                          static_cast<std::int32_t>(inf) - 1,
+                                          static_cast<std::int32_t>(inf), 0x7E, 0x7F, 0x80,
+                                          0xFF, 0x7FFE, 0x7FFF, 0xFFFF, 0x10000};
+      for (const Dist* row : {m, static_cast<const Dist*>(wide.data())}) {
+        for (const std::int32_t cap : within_caps) {
+          std::vector<std::uint64_t> want = alive0;
+          for (std::size_t j = 0; j < words; ++j) {
+            std::uint64_t bits = 0;
+            for (std::size_t i = 0; i < 64 && j * 64 + i < n; ++i) {
+              if (static_cast<std::int32_t>(row[j * 64 + i]) <= cap) bits |= std::uint64_t{1} << i;
+            }
+            want[j] &= bits;
+          }
+          const bool want_any =
+              std::any_of(want.begin(), want.end(), [](std::uint64_t w) { return w != 0; });
+          LevelGuard guard;
+          for (const SimdLevel level : available_levels()) {
+            ASSERT_EQ(simd_set_level(level), level);
+            std::vector<std::uint64_t> got = alive0;
+            const bool any = simd::kernels<Dist>().keep_within(got.data(), row, n, cap);
+            const std::string lctx = ctx + " keep_within cap=" + std::to_string(cap) +
+                                     " wide=" + std::to_string(row == wide.data()) +
+                                     " level=" + simd_level_name(level);
+            EXPECT_EQ(got, want) << lctx;
+            EXPECT_EQ(any, want_any) << lctx;
+            for (std::size_t j = 0; j < words; ++j) {
+              if (alive0[j] == 0) EXPECT_EQ(got[j], 0u) << lctx << " word=" << j;
+            }
+            if (cap == static_cast<std::int32_t>(inf) - 1) {
+              for (std::uint32_t y = 0; y < n; ++y) {
+                if (row[y] >= inf) EXPECT_EQ(got[y / 64] >> (y % 64) & 1, 0u) << lctx << " y=" << y;
+              }
+            }
+          }
+        }
+      }
+
       // --- k-way min fold ---------------------------------------------------
       const auto fold_src = rand_row<Dist>(rng, n, inf, all_inf);
       const auto fold_base = rand_row<Dist>(rng, n, inf, false);

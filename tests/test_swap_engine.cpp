@@ -201,22 +201,66 @@ TEST(SwapEngine, RebuildTracksGraphMutations) {
   EXPECT_EQ(rebuilt.moves_checked, expected.moves_checked);
 }
 
+/// Moves the naive scan of agent v enumerates until it stops at `stop`, or
+/// all of them when there is no stop: per incident edge in neighbor order,
+/// the deletion check when `deletions`, then one candidate per
+/// non-neighbor ≠ v in ascending order.
+std::uint64_t hand_count(const Graph& g, Vertex v, bool deletions,
+                         const std::optional<Deviation>& stop) {
+  std::uint64_t moves = 0;
+  for (const Vertex w : g.neighbors(v)) {
+    const bool stops_here = stop && stop->swap.remove_w == w;
+    if (deletions) ++moves;
+    if (stops_here && stop->kind == Deviation::Kind::NonCriticalDelete) return moves;
+    for (Vertex w2 = 0; w2 < g.num_vertices(); ++w2) {
+      if (w2 == v || g.has_edge(v, w2)) continue;
+      ++moves;
+      if (stops_here && stop->swap.add_w == w2) return moves;
+    }
+  }
+  return moves;
+}
+
 TEST(SwapEngine, MoveCountsMatchOracle) {
+  // Every agent's move counter, per scan, against a hand enumeration of the
+  // naive scan order, cut where the bncg::naive first deviation stops; and
+  // the max + deletions counts summed over agents against the naive
+  // certificate. The max scans count a removed edge's candidates up front
+  // and take back the ones after a stop-at-first witness, so the first
+  // deviation counts are where an off-by-one would show.
   Xoshiro256ss rng(0xC0DE);
   SwapEngine::Scratch scratch;
   BfsWorkspace ws;
   for (int trial = 0; trial < 20; ++trial) {
     const Vertex n = 5 + static_cast<Vertex>(rng.below(10));
     const Graph g = random_connected_gnm(n, n + rng.below(n), rng);
-    const SwapEngine engine(g);
-    // Certifier move counters already compared in expect_certificates_match;
-    // here compare a single agent's counter against a hand enumeration:
-    // per incident edge, one candidate per non-neighbor (≠ v).
-    const Vertex v = static_cast<Vertex>(rng.below(n));
-    std::uint64_t moves = 0;
-    (void)engine.best_deviation(v, UsageCost::Sum, scratch, false, &moves);
-    const std::uint64_t non_neighbors = n - 1 - g.degree(v);
-    EXPECT_EQ(moves, static_cast<std::uint64_t>(g.degree(v)) * non_neighbors);
+    const std::uint64_t naive_max_moves = naive::certify_max_equilibrium(g).moves_checked;
+    for (const WidthPolicy width : {WidthPolicy::Auto, WidthPolicy::ForceU16}) {
+      const SwapEngine engine(g, ResourceConfig{.width = width});
+      std::uint64_t max_total = 0;
+      for (Vertex v = 0; v < n; ++v) {
+        std::uint64_t moves = 0;
+        (void)engine.best_deviation(v, UsageCost::Sum, scratch, false, &moves);
+        EXPECT_EQ(moves, hand_count(g, v, false, std::nullopt)) << "best sum v=" << v;
+        moves = 0;
+        (void)engine.first_deviation(v, UsageCost::Sum, scratch, false, &moves);
+        EXPECT_EQ(moves, hand_count(g, v, false, naive::first_sum_deviation(g, v, ws)))
+            << "first sum v=" << v;
+        for (const bool deletions : {false, true}) {
+          moves = 0;
+          (void)engine.best_deviation(v, UsageCost::Max, scratch, deletions, &moves);
+          EXPECT_EQ(moves, hand_count(g, v, deletions, std::nullopt))
+              << "best max v=" << v << " deletions=" << deletions;
+          if (deletions) max_total += moves;
+          moves = 0;
+          (void)engine.first_deviation(v, UsageCost::Max, scratch, deletions, &moves);
+          EXPECT_EQ(moves,
+                    hand_count(g, v, deletions, naive::first_max_deviation(g, v, ws, deletions)))
+              << "first max v=" << v << " deletions=" << deletions;
+        }
+      }
+      EXPECT_EQ(max_total, naive_max_moves);
+    }
   }
 }
 
