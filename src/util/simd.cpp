@@ -143,13 +143,11 @@ std::uint32_t collect_below_scalar(const Dist* vals, std::uint32_t n, std::int32
   return count;
 }
 
-/// Bit i set iff row[i] ≤ c, for the 64 entries at `row`: SWAR over eight
-/// bytes at a time, with H the lanes' top bits. While c + 1 < H (every u8
-/// engine cap, and every finite u16 one), x > c ⇔ top(x | ((x | H) − (c + 1)));
-/// otherwise c ≥ x is decided on the low bits by (c | H) − (x & ~H) and on
-/// the top bits directly. Neither subtraction borrows across lanes. One
-/// multiply then gathers the lane flags.
-template <typename Dist, bool kSmallCap>
+/// Bit i set iff row[i] ≤ c, for the 64 entries at `row`, for any c with
+/// c + 1 < H, the lanes' top bit (every u8 engine cap, and every finite u16
+/// one): SWAR over eight bytes at a time, x > c ⇔ top(x | ((x | H) − (c + 1))),
+/// where no lane borrows from the next. One multiply gathers the lane flags.
+template <typename Dist>
 std::uint64_t within_word_swar(const Dist* row, Dist c) {
   constexpr unsigned kLaneBits = 8 * sizeof(Dist);
   constexpr unsigned kLanes = 8 / sizeof(Dist);
@@ -158,14 +156,12 @@ std::uint64_t within_word_swar(const Dist* row, Dist c) {
   // Lane i's flag, at bit i·kLaneBits, lands on bit 64 − kLaneBits + i;
   // every other product lands below that range or above bit 63.
   constexpr std::uint64_t kGather = sizeof(Dist) == 1 ? 0x0102040810204080 : 0x0001000200040008;
-  const std::uint64_t cs = kOnes * c;
+  const std::uint64_t above = kOnes * (c + 1u);
   std::uint64_t out = 0;
   for (unsigned k = 0; k < 64 / kLanes; ++k) {
     std::uint64_t x;
     std::memcpy(&x, row + k * kLanes, sizeof x);
-    const std::uint64_t le =
-        kSmallCap ? ~(x | ((x | kHigh) - (cs + kOnes))) & kHigh
-                  : ((cs & ~x) | (~(cs ^ x) & ((cs | kHigh) - (x & ~kHigh)))) & kHigh;
+    const std::uint64_t le = ~(x | ((x | kHigh) - above)) & kHigh;
     out |= ((le >> (kLaneBits - 1)) * kGather >> (64 - kLaneBits)) << (k * kLanes);
   }
   return out;
@@ -180,14 +176,17 @@ bool keep_within_scalar(std::uint64_t* alive, const Dist* row, std::uint32_t n,
     return false;
   }
   const Dist c = static_cast<Dist>(std::min<std::int32_t>(cap, Dist(~Dist{0})));
-  const bool small_cap = cap + 1 < (1 << (8 * sizeof(Dist) - 1));
+  // The tail word, caps at or above the top bit (u16 with old cost ∞: cap
+  // 0xFFFE) and big-endian hosts take the plain loop.
+  const bool swar = std::endian::native == std::endian::little &&
+                    cap + 1 < (1 << (8 * sizeof(Dist) - 1));
   std::uint64_t any = 0;
   for (std::uint32_t j = 0; j < words; ++j) {
     if (alive[j] == 0) continue;
     const Dist* r = row + std::size_t{j} * 64;
     std::uint64_t bits = 0;
-    if (std::endian::native == std::endian::little && std::size_t{j} * 64 + 64 <= n) {
-      bits = small_cap ? within_word_swar<Dist, true>(r, c) : within_word_swar<Dist, false>(r, c);
+    if (swar && std::size_t{j} * 64 + 64 <= n) {
+      bits = within_word_swar(r, c);
     } else {
       for (std::uint32_t i = 0; j * 64 + i < n && i < 64; ++i) {
         bits |= std::uint64_t{r[i] <= c} << i;
