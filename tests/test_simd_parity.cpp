@@ -254,10 +254,10 @@ void fuzz_kernels_width(std::uint64_t seed) {
       std::vector<std::uint64_t> alive0(words);
       // Zero words must stay zero; bits at y ≥ n start set and must clear.
       for (auto& word : alive0) word = rng.below(4) == 0 ? 0 : rng();
-      const std::int32_t within_caps[] = {-7,     -1,    0,      static_cast<std::int32_t>(inf) / 2,
-                                          static_cast<std::int32_t>(inf) - 1,
-                                          static_cast<std::int32_t>(inf), 0x7E, 0x7F, 0x80,
-                                          0xFF, 0x7FFE, 0x7FFF, 0xFFFF, 0x10000};
+      const auto inf32 = static_cast<std::int32_t>(inf);
+      // Around 0, kInf and the lanes' top bit, and past the Dist range.
+      const std::int32_t within_caps[] = {-7,   -1,   0,    inf32 / 2, inf32 - 1, inf32, 0x7E,
+                                          0x7F, 0x80, 0xFF, 0x7FFE,    0x7FFF,    0xFFFF, 0x10000};
       for (const Dist* row : {m, static_cast<const Dist*>(wide.data())}) {
         for (const std::int32_t cap : within_caps) {
           std::vector<std::uint64_t> want = alive0;
@@ -283,7 +283,7 @@ void fuzz_kernels_width(std::uint64_t seed) {
             for (std::size_t j = 0; j < words; ++j) {
               if (alive0[j] == 0) EXPECT_EQ(got[j], 0u) << lctx << " word=" << j;
             }
-            if (cap == static_cast<std::int32_t>(inf) - 1) {
+            if (cap == inf32 - 1) {
               for (std::uint32_t y = 0; y < n; ++y) {
                 if (row[y] >= inf) EXPECT_EQ(got[y / 64] >> (y % 64) & 1, 0u) << lctx << " y=" << y;
               }
