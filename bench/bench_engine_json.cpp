@@ -624,24 +624,27 @@ MaskedRowsRow measure_masked_rows(std::string instance, const Graph& g, UsageCos
     row.lazy_rows += static_cast<double>(scratch.repaired_rows() - rows_before);
     const auto scanned = scratch.repair8().agent_rows();
     lazy_rows.assign(scanned.begin(), scanned.end());
+    const auto unmasked = [&](Vertex x) { return slab.data() + static_cast<std::size_t>(x) * n; };
     row.lazy_repair_seconds += time_seconds([&] {
-      repair.begin(csr, slab.data(), v, kInf, kMax);
-      for (const Vertex x : lazy_rows) ok = ok && repair.repair(x).has_value();
+      repair.begin(csr, v, kInf, kMax);
+      for (const Vertex x : lazy_rows) ok = ok && repair.repair(x, unmasked(x)).has_value();
     });
     row.neighbor_rows_seconds += time_seconds([&] {
-      repair.begin(csr, slab.data(), v, kInf, kMax);
-      for (const Vertex z : csr.neighbors(v)) ok = ok && repair.materialize(z, repaired.data());
+      repair.begin(csr, v, kInf, kMax);
+      for (const Vertex z : csr.neighbors(v)) {
+        ok = ok && repair.materialize(z, unmasked(z), repaired.data());
+      }
     });
     row.repair_seconds += time_seconds([&] {
-      repair.begin(csr, slab.data(), v, kInf, kMax);
-      ok = ok && repair.repair_all();
+      repair.begin(csr, v, kInf, kMax);
+      ok = ok && repair.repair_all(slab.data());
     });
     row.masked_apsp_seconds += time_seconds([&] {
       ok = ok && csr_apsp_capped<Dist>(csr, MaskedEdge{}, masked.data(), ws, v, kInf, kMax);
     });
     for (Vertex x = 0; ok && x < n; ++x) {
       if (x == v) continue;
-      ok = ok && repair.materialize(x, repaired.data());
+      ok = ok && repair.materialize(x, unmasked(x), repaired.data());
       const Dist* want = masked.data() + static_cast<std::size_t>(x) * n;
       for (Vertex u = 0; u < n; ++u) ok = ok && (u == v || repaired[u] == want[u]);
     }

@@ -29,7 +29,9 @@
 #
 # Usage: scripts/certify_budget.sh [options]
 #   --k K              torus parameter (default 256, n = 2k² = 131072)
-#   --mem-budget B     per-lane distance-row budget (default 64M)
+#   --mem-budget B     distance-row budget of each certifier process
+#                      (default 64M), split evenly across its BNCG_THREADS
+#                      scan lanes
 #   --agents N         clean-leg agent count (default 12)
 #   --rss-cap-kb KB    peak-RSS assertion, also the ulimit -v cap
 #                      (default 4194304 = 4 GiB)

@@ -15,12 +15,13 @@
 // scan tiers need: which width to prefer, and whether a dense n×n scan
 // slab fits the per-lane budget share — when it does not, the scan runs in
 // BUDGETED mode against the blocked row cache (graph/row_cache.hpp), where
-// rows materialize on demand by exact BFS and an eccentricity/landmark
-// bound proves most rows can never affect the verdict, so they are never
-// materialized (DESIGN.md §16). Dense scans read the engine's shared
-// unmasked slab and repair the masked rows as sparse patches
-// (graph/masked_repair.hpp, DESIGN.md §17). Both modes are exact; the
-// differential suite (tests/test_row_cache.cpp) pins byte-parity.
+// unmasked rows materialize on demand by exact BFS (DESIGN.md §16). Dense
+// scans read the same rows from the engine's shared unmasked slab. Either
+// way the scan repairs the masked rows it reads as sparse patches
+// (graph/masked_repair.hpp, DESIGN.md §17), and its unmasked lower bound
+// (sum) or far filter (max) rules out most candidates before their row is
+// repaired. Both modes are exact; the differential suite
+// (tests/test_row_cache.cpp) pins byte-parity.
 #pragma once
 
 #include <cstdint>

@@ -234,6 +234,12 @@ std::uint64_t SwapEngine::candidates_through(const Scratch& s, Vertex last) {
 }
 
 template <typename Dist>
+const Dist* SwapEngine::unmasked_row(const Dist* slab, Vertex x, Scratch& s) const {
+  if (slab != nullptr) return slab + static_cast<std::size_t>(x) * csr_.num_vertices();
+  return s.rows<Dist>().cache.row(x, s.bfs_);
+}
+
+template <typename Dist>
 bool SwapEngine::begin_agent_t(const Dist* slab, Vertex v, Scratch& s) const {
   constexpr Dist kInf = engine_inf<Dist>();
   const simd::Kernels<Dist>& kern = simd::kernels<Dist>();
@@ -243,31 +249,51 @@ bool SwapEngine::begin_agent_t(const Dist* slab, Vertex v, Scratch& s) const {
   s.is_nbr_[v] = 1;
   for (const Vertex w : nbrs) s.is_nbr_[w] = 1;
 
-  // Elementwise min / argmin / second-min over the masked neighbor rows,
-  // repaired and materialized one at a time, so each removed edge's
-  // kept-neighbor profile M^w is an O(n) select.
   auto& rows = s.rows<Dist>();
   MaskedRowRepair<Dist>& repair = rows.repair;
-  repair.begin(csr_, slab, v, kInf, engine_max_finite<Dist>());
+  repair.begin(csr_, v, kInf, engine_max_finite<Dist>());
+  if (slab == nullptr) {
+    // Budgeted: the agent's unmasked rows stream through the row cache.
+    // An unlimited budget (possible at n ≥ 65535, where no dense slab
+    // exists regardless) lets blocks grow on demand without eviction.
+    const std::uint64_t budget = budget_policy_.lane_budget();
+    rows.cache.configure(n, budget != 0 ? budget : std::numeric_limits<std::uint64_t>::max());
+    rows.cache.begin_context(csr_, kInf, engine_max_finite<Dist>());
+  }
+
+  // Elementwise min / argmin / second-min over the masked neighbor rows,
+  // repaired and materialized one at a time, so each removed edge's
+  // kept-neighbor profile M^w is an O(n) select. Budgeted scans fill the
+  // unmasked neighbor rows ≤ 64 per bit-parallel batch first.
   rows.min1.assign(n, kInf);
   rows.min2.assign(n, kInf);
   s.argmin_.assign(n, kNoVertex);
   rows.arow.resize(n);
   Dist reach = 0;  // largest finite entry of the masked neighbor rows
-  for (const Vertex z : nbrs) {
-    if (!repair.materialize(z, rows.arow.data())) return false;
-    kern.scan_min_update(rows.min1.data(), rows.min2.data(), s.argmin_.data(), rows.arow.data(),
-                         z, n);
-    Dist ecc = 0;
-    kern.finite_max2(rows.arow.data(), rows.arow.data(), n, kInf, &ecc, &ecc);
-    reach = std::max(reach, ecc);
+  for (std::size_t i = 0; i < nbrs.size(); i += 64) {
+    const auto group = nbrs.subspan(i, std::min<std::size_t>(64, nbrs.size() - i));
+    if (slab == nullptr && !rows.cache.prefetch(group, s.bfs_)) return false;
+    for (const Vertex z : group) {
+      const Dist* row = unmasked_row(slab, z, s);
+      if (row == nullptr || !repair.materialize(z, row, rows.arow.data())) return false;
+      kern.scan_min_update(rows.min1.data(), rows.min2.data(), s.argmin_.data(),
+                           rows.arow.data(), z, n);
+      if (slab != nullptr) {
+        Dist ecc = 0;
+        kern.finite_max2(rows.arow.data(), rows.arow.data(), n, kInf, &ecc, &ecc);
+        reach = std::max(reach, ecc);
+      }
+    }
   }
-  // Width guard: every lost pair (x, u) lies in the G − v component of
-  // some neighbor a, so its masked distance is at most 2·ecc_{G−v}(a) ≤
-  // 2·reach. Within the width no row can saturate, and skipping the rows
-  // a scan never reads cannot hide a fallback; otherwise repair every row
-  // up front, exactly as the fallback rule reads them (DESIGN.md §17).
-  return 2 * std::uint32_t{reach} <= engine_max_finite<Dist>() || repair.repair_all();
+  // Width guard of the dense scans: every lost pair (x, u) lies in the
+  // G − v component of some neighbor a, so its masked distance is at most
+  // 2·ecc_{G−v}(a) ≤ 2·reach. Within the width no row can saturate, and
+  // skipping the rows a scan never reads cannot hide a fallback; otherwise
+  // repair every row up front, exactly as the masked-matrix rule reads them
+  // (DESIGN.md §17). Budgeted scans fall back lazily instead: on the first
+  // row they read that saturates.
+  return slab == nullptr || 2 * std::uint32_t{reach} <= engine_max_finite<Dist>() ||
+         repair.repair_all(slab);
 }
 
 template <typename Dist>
@@ -278,46 +304,67 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
   const simd::Kernels<Dist>& kern = simd::kernels<Dist>();
   const Vertex n = csr_.num_vertices();
   BNCG_REQUIRE(v < n, "vertex id out of range");
-  const std::size_t stride = n;
 
-  // The agent's current cost is row v of the shared slab: d_G(v, ·).
-  const std::uint64_t old_cost = row_cost(slab + v * stride, n, model);
-
-  // The masked rows of G − v come as sparse patches over the shared slab,
+  // The masked rows of G − v come as sparse patches over the unmasked rows,
   // repaired on demand: the neighbor rows first, and a candidate's row only
-  // once its unmasked lower bound cannot rule it out. A repaired distance
-  // beyond the width means this agent does not fit — bail so at_width
-  // redoes it at u16. Candidates w₂ must be fresh edges (swapping onto an
-  // existing edge is a deletion and never improves either model): the
-  // closed-neighborhood marks skip the rest.
+  // once its unmasked lower bound cannot rule it out. A row read beyond the
+  // width means this agent does not fit — bail so at_width redoes it at
+  // u16. Candidates w₂ must be fresh edges (swapping onto an existing edge
+  // is a deletion and never improves either model): the closed-neighborhood
+  // marks skip the rest.
   out.reset();
   if (!begin_agent_t(slab, v, s)) return false;
   auto& rows = s.rows<Dist>();
   MaskedRowRepair<Dist>& repair = rows.repair;
   const auto nbrs = csr_.neighbors(v);
+
+  // The agent's current cost falls out of the fold: with min1[v] pinned to
+  // 0, 1 + min1 is exactly d_G(v, ·) (source-removal identity at N' = N(v)).
+  // argmin_[v] stays kNoVertex (no masked row reaches v), so select_mrow
+  // copies the pinned 0 into every M^w.
+  rows.min1[v] = 0;
+  const std::uint64_t old_cost = model == UsageCost::Sum
+                                     ? kern.combine_sum(rows.min1.data(), rows.min1.data(), n, kInf)
+                                     : kern.deletion_ecc(rows.min1.data(), n, kInf);
+
   rows.mrow.resize(n);
   s.far_.resize(n);
   s.far_mark_.assign(n, 0);
-  // Max model: the agent's candidates as a bitset, the far test's start.
   const std::size_t words = words_for(n);
-  std::uint64_t candidate_count = 0;
+  // Candidates per removed edge — the bulk move-count term of the max
+  // model, where the far test "checks" every candidate whether or not its
+  // row is ever read.
+  const std::uint64_t candidate_count = candidates_through(s, n - 1);
+  // Max model: cost'(v) < old_cost iff candidate w₂ covers the removed
+  // edge's far set — the vertices the kept neighbors do not already serve
+  // within old_cost − 1 — within cap = old_cost − 2 (reads "repair
+  // connectivity" when old_cost = ∞). cap is signed: old_cost = 1 makes
+  // improvement impossible and the far test rejects everything.
+  const std::int32_t cap =
+      old_cost == kInfCost ? std::int32_t{kInf} - 1 : static_cast<std::int32_t>(old_cost) - 2;
+  // Budgeted, one bit per edge of the current group of ≤ 64 removed edges:
+  // edges whose far set holds a width-saturating vertex, and edges some
+  // candidate survives.
+  std::uint64_t saturated_edges = 0;
+  std::uint64_t surviving_edges = 0;
   if (model == UsageCost::Max) {
-    s.candidates_.assign(words, 0);
     s.alive_.resize(words);
-    for (Vertex x = 0; x < n; ++x) {
-      if (s.is_nbr_[x] == 0) s.candidates_[x / 64] |= std::uint64_t{1} << (x % 64);
+    if (slab != nullptr) {
+      s.candidates_.assign(words, 0);
+      for (Vertex x = 0; x < n; ++x) {
+        if (s.is_nbr_[x] == 0) s.candidates_[x / 64] |= std::uint64_t{1} << (x % 64);
+      }
     }
-    candidate_count = candidates_through(s, n - 1);
   }
 
   std::optional<Deviation> best;
-  for (const Vertex w : nbrs) {
-    // M^w_u = min_{z ∈ N(v)∖{w}} d_{G−v}(z, u); the v entry is pinned to 0
-    // so whole-row combines need no special case for u = v — which is also
-    // why the slab's finite column v never shows in a combine.
+  for (std::size_t e = 0; e < nbrs.size(); ++e) {
+    const Vertex w = nbrs[e];
+    // M^w_u = min_{z ∈ N(v)∖{w}} d_{G−v}(z, u), with the v entry 0 so
+    // whole-row combines need no special case for u = v — which is also why
+    // the finite column v of an unmasked row never shows in a combine.
     Dist* m = rows.mrow.data();
     kern.select_mrow(m, rows.min1.data(), rows.min2.data(), s.argmin_.data(), w, n);
-    m[v] = 0;
 
     if (model == UsageCost::Max && include_deletions) {
       // Deletion clause: removing {v, w} must *strictly* increase v's local
@@ -341,10 +388,11 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
         // Masking only lengthens entries, so the unmasked combine is a lower
         // bound: a candidate it already keeps from improving, or from
         // beating the best so far, needs no repaired row.
-        const Dist* c = slab + w2 * stride;
+        const Dist* c = unmasked_row(slab, w2, s);
+        if (c == nullptr) return false;
         const std::uint64_t bound = kern.combine_sum(m, c, n, kInf);
         if (bound >= old_cost || (best && bound >= best->cost_after)) continue;
-        const auto patches = repair.repair(w2);
+        const auto patches = repair.repair(w2, c);
         if (!patches) return false;
         const std::uint64_t new_cost = patched_sum(bound, m, c, *patches, n, kInf);
         if (new_cost >= old_cost) continue;
@@ -356,208 +404,74 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
           }
         }
       }
-    } else {
-      // Far set of the removed edge: vertices the kept neighbors do not
-      // already serve within old_cost − 1. The swap improves iff candidate
-      // w₂ covers the whole far set within old_cost − 2 (reads "repair
-      // connectivity" when old_cost = ∞). cap is signed: old_cost = 1 makes
-      // improvement impossible and the far test rejects everything.
-      const std::int32_t cap =
-          old_cost == kInfCost ? std::int32_t{kInf} - 1 : static_cast<std::int32_t>(old_cost) - 2;
-      const std::uint32_t far_count = kern.collect_above(m, n, cap, /*skip=*/v, s.far_.data());
-      if (moves_checked != nullptr) *moves_checked += candidate_count;
-      // Far test, far vertex outer (DESIGN.md §4): w₂ survives iff
+      continue;
+    }
+
+    // Far test: the removed edge's survivors into alive, one bit per
+    // vertex. It is the one step that depends on storage.
+    if (moves_checked != nullptr) *moves_checked += candidate_count;
+    if (candidate_count == 0) continue;
+    std::uint64_t* alive = s.alive_.data();
+    std::uint32_t far_count = 0;
+    bool any = false;
+    if (slab != nullptr) {
+      // Dense, far vertex outer (DESIGN.md §4): w₂ survives iff
       // d(w₂, u) ≤ cap for every far u. The slab is symmetric, so row u is
-      // column u, and one keep_within per far row tests every candidate;
-      // it stops once none is left. Masking only lengthens distances, so an
-      // unmasked far entry above cap already rejects; only survivors, in
-      // ascending order, repair their row and check the patched far entries.
-      std::uint64_t* alive = s.alive_.data();
+      // column u, and one keep_within per far row tests every candidate; it
+      // stops once none is left. Masking only lengthens distances, so an
+      // unmasked far entry above cap already rejects; survivors check their
+      // patched far entries below.
+      far_count = kern.collect_above(m, n, cap, /*skip=*/v, s.far_.data());
       std::copy(s.candidates_.begin(), s.candidates_.end(), alive);
-      bool any = candidate_count != 0;
+      any = true;
       for (std::uint32_t i = 0; i < far_count && any; ++i) {
-        any = kern.keep_within(alive, slab + s.far_[i] * stride, n, cap);
-      }
-      if (!any) continue;
-      for (std::uint32_t i = 0; i < far_count; ++i) s.far_mark_[s.far_[i]] = 1;
-      for (std::size_t word = 0; word < words; ++word) {
-        for (std::uint64_t bits = alive[word]; bits != 0; bits &= bits - 1) {
-          const auto w2 = static_cast<Vertex>(word * 64 + std::countr_zero(bits));
-          const auto patches = repair.repair(w2);
-          if (!patches) return false;
-          bool improves = true;
-          for (std::size_t i = 0; i < patches->size() && improves; ++i) {
-            improves = s.far_mark_[(*patches)[i].u] == 0 || (*patches)[i].d <= cap;
-          }
-          if (!improves) continue;
-          const std::uint64_t new_cost =
-              patched_max(kern.combine_max(m, slab + w2 * stride, n, kInf), m, *patches, kInf);
-          if (!best || new_cost < best->cost_after ||
-              (best->kind == Deviation::Kind::NonCriticalDelete &&
-               new_cost <= best->cost_after)) {
-            best = Deviation{{v, w, w2}, old_cost, new_cost, Deviation::Kind::ImprovingSwap};
-            if (stop_at_first) {
-              if (moves_checked != nullptr) {
-                *moves_checked -= candidate_count - candidates_through(s, w2);
-              }
-              out = best;
-              return true;
-            }
-          }
-        }
-      }
-      for (std::uint32_t i = 0; i < far_count; ++i) s.far_mark_[s.far_[i]] = 0;
-    }
-  }
-  out = best;
-  return true;
-}
-
-template <typename Dist>
-bool SwapEngine::scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_first,
-                                       bool include_deletions, std::uint64_t* moves_checked,
-                                       Scratch& s, std::optional<Deviation>& out) const {
-  constexpr Dist kInf = engine_inf<Dist>();
-  const simd::Kernels<Dist>& kern = simd::kernels<Dist>();
-  const Vertex n = csr_.num_vertices();
-  BNCG_REQUIRE(v < n, "vertex id out of range");
-
-  const auto nbrs = csr_.neighbors(v);
-  out.reset();
-  if (nbrs.empty()) return true;
-
-  s.is_nbr_.assign(n, 0);
-  s.is_nbr_[v] = 1;
-  for (const Vertex w : nbrs) s.is_nbr_[w] = 1;
-  // Candidates per removed edge — the bulk move-count term of the max
-  // model, where every candidate is "checked" by the far filter whether or
-  // not its row ever materializes.
-  const std::uint64_t candidate_count = candidates_through(s, n - 1);
-
-  auto& rows = s.rows<Dist>();
-  RowCache<Dist>& cache = rows.cache;
-  // An unlimited budget (possible at n ≥ 65535, where no dense slab exists
-  // regardless): blocks grow on demand, LRU never needs to evict.
-  const std::uint64_t budget = budget_policy_.lane_budget();
-  cache.configure(n, budget != 0 ? budget : std::numeric_limits<std::uint64_t>::max());
-  cache.begin_context(csr_, /*masked_vertex=*/v, kInf, engine_max_finite<Dist>());
-
-  // Neighbor min-fold, one row at a time: prefetch batches ≤ 64 neighbor
-  // rows per traversal; each row is folded once and may be evicted freely
-  // afterwards. This is the only stage that materializes rows
-  // unconditionally — everything below is filtered or pruned first.
-  rows.min1.assign(n, kInf);
-  rows.min2.assign(n, kInf);
-  s.argmin_.assign(n, kNoVertex);
-  for (std::size_t i = 0; i < nbrs.size(); i += 64) {
-    const std::size_t chunk = std::min<std::size_t>(64, nbrs.size() - i);
-    const std::span<const Vertex> group(nbrs.data() + i, chunk);
-    if (!cache.prefetch(group, s.bfs_)) return false;
-    for (const Vertex z : group) {
-      const Dist* row = cache.row(z, s.bfs_);
-      if (row == nullptr) return false;
-      kern.scan_min_update(rows.min1.data(), rows.min2.data(), s.argmin_.data(), row, z, n);
-    }
-  }
-
-  // The agent's current cost derives from the fold it already paid for:
-  // with min1[v] pinned to 0, 1 + min1 is exactly d_G(v, ·) (source-removal
-  // identity at N' = N(v)), so ecc and Σ fall out of the combine kernels —
-  // no unmasked BFS, which at budgeted scale would be a third traversal
-  // family. Pinning min1[v] itself is safe: argmin_[v] stays kNoVertex (no
-  // masked row reaches v), so select_mrow below copies the pinned 0 into
-  // every M^w exactly where the dense scan pins m[v] after the select.
-  rows.min1[v] = 0;
-  const std::uint64_t old_cost =
-      model == UsageCost::Sum
-          ? kern.combine_sum(rows.min1.data(), rows.min1.data(), n, kInf)
-          : kern.deletion_ecc(rows.min1.data(), n, kInf);
-
-  rows.mrow.resize(n);
-  // Max model: a swap improves iff the candidate reaches the removed edge's
-  // far set within cap (DESIGN.md §4). cap is signed: old_cost = 1 makes
-  // improvement impossible (and leaves no candidate to test).
-  const std::int32_t cap =
-      old_cost == kInfCost ? std::int32_t{kInf} - 1 : static_cast<std::int32_t>(old_cost) - 2;
-  std::uint64_t saturated_edges = 0;  // far sets of the current edge group holding a
-                                      // width-saturating vertex, one bit per edge
-
-  std::optional<Deviation> best;
-  for (std::size_t e = 0; e < nbrs.size(); ++e) {
-    const Vertex w = nbrs[e];
-    Dist* m = rows.mrow.data();
-    kern.select_mrow(m, rows.min1.data(), rows.min2.data(), s.argmin_.data(), w, n);
-    m[v] = 0;
-
-    if (model == UsageCost::Max && include_deletions) {
-      if (moves_checked != nullptr) ++*moves_checked;
-      const std::uint64_t del_cost = kern.deletion_ecc(m, n, kInf);
-      if (del_cost <= old_cost) {
-        const Deviation dev{{v, w, w}, old_cost, del_cost, Deviation::Kind::NonCriticalDelete};
-        if (!best || dev.cost_after < best->cost_after) best = dev;
-        if (stop_at_first) {
-          out = best;
-          return true;
-        }
-      }
-    }
-
-    if (model == UsageCost::Sum) {
-      // Σ-prune: for any candidate w₂ with A = M^w_{w₂} finite, the kept
-      // neighbor z* attaining A gives m_u ≤ A + c_u for every u (triangle
-      // through w₂), so min(m_u, c_u) ≥ m_u − A and
-      //   cost'(v) ≥ combine_sum(M^w, M^w) − n·A.
-      // When that bound already meets old_cost the dense scan would have
-      // computed cost' and continued — prune without materializing the row.
-      // A = ∞ (w₂ outside the kept component) can still repair
-      // connectivity, so it always evaluates; Σ M^w = ∞ with A finite means
-      // some u is unreachable from w₂ too, so cost' = ∞ — always prune.
-      const std::uint64_t mm = kern.combine_sum(m, m, n, kInf);
-      for (Vertex w2 = 0; w2 < n; ++w2) {
-        if (s.is_nbr_[w2] != 0) continue;
-        if (moves_checked != nullptr) ++*moves_checked;
-        const std::uint64_t a = m[w2];
-        if (a < kInf) {
-          if (mm == kInfCost) continue;
-          if (old_cost != kInfCost && mm >= old_cost + std::uint64_t{n} * a) continue;
-        }
-        const Dist* c = cache.row(w2, s.bfs_);
-        if (c == nullptr) return false;
-        const std::uint64_t new_cost = kern.combine_sum(m, c, n, kInf);
-        if (new_cost >= old_cost) continue;
-        if (!best || new_cost < best->cost_after) {
-          best = Deviation{{v, w, w2}, old_cost, new_cost, Deviation::Kind::ImprovingSwap};
-          if (stop_at_first) {
-            out = best;
-            return true;
-          }
-        }
+        any = kern.keep_within(alive, slab + static_cast<std::size_t>(s.far_[i]) * n, n, cap);
       }
     } else {
-      // Reach far filter (DESIGN.md §16): survivors are the candidates that
-      // reach the whole far set {u ≠ v : M^w_u > cap} within cap — the same
-      // ascending list the dense scan's far test accepts. Reach words come
-      // per group of ≤ 64 removed edges, one traversal per ≤ 64 vertices of
-      // the group's union far set, and survivors are *proven* improvers
-      // (cost' ≤ cap + 1 < old_cost), so only their rows ever materialize.
-      if (moves_checked != nullptr) *moves_checked += candidate_count;
-      if (candidate_count == 0) continue;
+      // Budgeted, by reach (DESIGN.md §16): one bit-parallel traversal of
+      // G − v per ≤ 64 vertices of the union far set of a group of ≤ 64
+      // removed edges. Survivors already cover their far set in G − v. A
+      // far vertex whose masked row saturates the width sends the agent to
+      // u16.
       const std::size_t bit = e % 64;
       if (bit == 0) {
         saturated_edges =
             reach_filter_t<Dist>(v, e, std::min<std::size_t>(64, nbrs.size() - e), cap, s);
+        surviving_edges = 0;
+        for (Vertex x = 0; x < n; ++x) surviving_edges |= s.candidates_[x];
       }
-      // A far vertex whose masked row saturates the width sends the agent
-      // to u16 (DESIGN.md §16).
       if ((saturated_edges >> bit & 1) != 0) return false;
-      for (Vertex w2 = 0; w2 < n; ++w2) {
-        if ((s.alive_[w2] >> bit & 1) == 0) continue;
-        const Dist* c = cache.row(w2, s.bfs_);
+      any = (surviving_edges >> bit & 1) != 0;
+      if (any) {
+        std::fill(alive, alive + words, 0);
+        for (Vertex x = 0; x < n; ++x) {
+          alive[x / 64] |= (s.candidates_[x] >> bit & 1) << (x % 64);
+        }
+      }
+    }
+    if (!any) continue;
+
+    // Survivors, in ascending order: repair the row, check its patched far
+    // entries, and take the exact combine.
+    for (std::uint32_t i = 0; i < far_count; ++i) s.far_mark_[s.far_[i]] = 1;
+    for (std::size_t word = 0; word < words; ++word) {
+      for (std::uint64_t bits = alive[word]; bits != 0; bits &= bits - 1) {
+        const auto w2 = static_cast<Vertex>(word * 64 + std::countr_zero(bits));
+        const Dist* c = unmasked_row(slab, w2, s);
         if (c == nullptr) return false;
-        const std::uint64_t new_cost = kern.combine_max(m, c, n, kInf);
-        if (!best || new_cost < best->cost_after ||
-            (best->kind == Deviation::Kind::NonCriticalDelete &&
-             new_cost <= best->cost_after)) {
+        const auto patches = repair.repair(w2, c);
+        if (!patches) return false;
+        bool improves = true;
+        for (std::size_t i = 0; i < patches->size() && improves; ++i) {
+          improves = s.far_mark_[(*patches)[i].u] == 0 || (*patches)[i].d <= cap;
+        }
+        if (!improves) continue;
+        // A survivor costs at most cap + 1 < old_cost, and a deletion never
+        // costs less than old_cost, so a swap always displaces a deletion
+        // best — the oracle's tie rule.
+        const std::uint64_t new_cost =
+            patched_max(kern.combine_max(m, c, n, kInf), m, *patches, kInf);
+        if (!best || new_cost < best->cost_after) {
           best = Deviation{{v, w, w2}, old_cost, new_cost, Deviation::Kind::ImprovingSwap};
           if (stop_at_first) {
             if (moves_checked != nullptr) {
@@ -569,6 +483,7 @@ bool SwapEngine::scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_f
         }
       }
     }
+    for (std::uint32_t i = 0; i < far_count; ++i) s.far_mark_[s.far_[i]] = 0;
   }
   out = best;
   return true;
@@ -600,8 +515,10 @@ std::uint64_t SwapEngine::reach_filter_t(Vertex v, std::size_t first, std::size_
   }
 
   const std::uint64_t group_bits = low_bits(count);
-  s.alive_.resize(n);
-  for (Vertex x = 0; x < n; ++x) s.alive_[x] = s.is_nbr_[x] != 0 ? 0 : group_bits;
+  // Per candidate, the group's edges it still survives.
+  s.candidates_.resize(n);
+  std::uint64_t* alive = s.candidates_.data();
+  for (Vertex x = 0; x < n; ++x) alive[x] = s.is_nbr_[x] != 0 ? 0 : group_bits;
   s.masks_.resize(n);
   std::uint64_t* reach = s.masks_.data();
   std::uint64_t saturated_edges = 0;
@@ -632,16 +549,18 @@ std::uint64_t SwapEngine::reach_filter_t(Vertex v, std::size_t first, std::size_
       if ((saturated & private_bits[e]) != 0) saturated_edges |= std::uint64_t{1} << e;
     }
     for (Vertex x = 0; x < n; ++x) {
-      std::uint64_t alive = s.alive_[x];
-      if (alive == 0) continue;
+      std::uint64_t edges_alive = alive[x];
+      if (edges_alive == 0) continue;
       if ((reach[x] & universal_bits) != universal_bits) {
-        alive = 0;
+        edges_alive = 0;
       } else {
         for (const std::uint32_t e : chunk_edges) {
-          if ((reach[x] & private_bits[e]) != private_bits[e]) alive &= ~(std::uint64_t{1} << e);
+          if ((reach[x] & private_bits[e]) != private_bits[e]) {
+            edges_alive &= ~(std::uint64_t{1} << e);
+          }
         }
       }
-      s.alive_[x] = alive;
+      alive[x] = edges_alive;
     }
     for (const std::uint32_t e : chunk_edges) private_bits[e] = 0;
   }
@@ -711,7 +630,7 @@ bool SwapEngine::masked_exceeds_u8(Vertex v, Scratch& s) const {
   const std::uint16_t* slab = sh.rows.data();
   std::uint64_t cut = 0;
   for (Vertex x = 0; x < n; ++x) {
-    const auto patches = repair.repair(x);
+    const auto patches = repair.repair(x, slab + static_cast<std::size_t>(x) * n);
     for (const MaskedPatch<std::uint16_t>& p : *patches) {
       if (p.d != kInfDist16) {
         if (p.d > kCap8) return true;
@@ -768,10 +687,7 @@ std::optional<Deviation> SwapEngine::scan_agent(Vertex v, UsageCost model, bool 
     std::uint64_t moves = 0;
     std::uint64_t* counter = moves_checked != nullptr ? &moves : nullptr;
     const bool ok =
-        slab != nullptr
-            ? scan_agent_t<Dist>(v, model, stop_at_first, include_deletions, counter, slab, s, out)
-            : scan_agent_budgeted_t<Dist>(v, model, stop_at_first, include_deletions, counter, s,
-                                          out);
+        scan_agent_t<Dist>(v, model, stop_at_first, include_deletions, counter, slab, s, out);
     if (ok && moves_checked != nullptr) *moves_checked += moves;
     return ok;
   });
@@ -986,7 +902,8 @@ bool SwapEngine::swap_stability_t(const Dist* slab, Vertex v, Vertex k, std::uin
   if (!begin_agent_t(slab, v, s)) return false;
   auto& rows = s.rows<Dist>();
   const auto masked_row = [&](Vertex x) -> const Dist* {
-    BNCG_REQUIRE(rows.repair.materialize(x, rows.arow.data()),
+    BNCG_REQUIRE(rows.repair.materialize(x, slab + static_cast<std::size_t>(x) * n,
+                                         rows.arow.data()),
                  "a masked row saturated past the width guard");
     return rows.arow.data();
   };
@@ -1058,9 +975,9 @@ bool SwapEngine::alpha_scan_t(const Dist* slab, Vertex v, const std::vector<std:
   // Every usage is emitted, so every candidate row w is read: the combine
   // over its slab row, corrected by its repair patches (patched_sum).
   const auto usage = [&](const Dist* m, Vertex w) -> std::optional<std::uint64_t> {
-    const auto patches = rows.repair.repair(w);
-    if (!patches) return std::nullopt;
     const Dist* c = slab + w * stride;
+    const auto patches = rows.repair.repair(w, c);
+    if (!patches) return std::nullopt;
     return patched_sum(kern.combine_sum(m, c, n, kInf), m, c, *patches, n, kInf);
   };
 

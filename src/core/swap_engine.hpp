@@ -35,9 +35,9 @@
 //     is typically tiny. The dense scan tests it far vertex by far vertex:
 //     the slab is symmetric, so far row u is the column d(·, u), and one
 //     SIMD compare-to-bitmask per far row (simd keep_within) strikes every
-//     candidate that misses u, stopping once none is left (budgeted scans:
-//     one bit-parallel reach word per candidate). The exact combine runs
-//     only for the survivors.
+//     candidate that misses u, stopping once none is left (budgeted scans,
+//     which hold no slab: one bit-parallel reach word per candidate). The
+//     exact combine runs only for the survivors.
 //
 // The scan kernels are templated on the distance storage width
 // (graph/dist_width.hpp): on small-diameter instances the shared slab and
@@ -108,25 +108,24 @@ class SwapEngine {
    public:
     friend class SwapEngine;
 
-    /// Budgeted-mode row caches of this scratch (dense scans leave them
-    /// idle) — residency/stat introspection for benches and the
-    /// prune-soundness suite.
-    [[nodiscard]] const RowCache<std::uint8_t>& cache8() const noexcept { return rows8_.cache; }
-    [[nodiscard]] const RowCache<std::uint16_t>& cache16() const noexcept { return rows16_.cache; }
     /// Combined row-cache counters of both widths (all-zero while every
     /// scan ran dense).
     [[nodiscard]] RowCacheStats row_cache_stats() const;
     /// Far-set reach traversals (bfs_batch_reach calls) run by budgeted
     /// max-model scans of this scratch.
     [[nodiscard]] std::uint64_t reach_traversals() const noexcept { return reach_traversals_; }
-    /// Masked rows repaired by dense scans of this scratch, both widths.
+    /// Masked rows repaired by scans of this scratch, both widths.
     [[nodiscard]] std::uint64_t repaired_rows() const noexcept {
       return rows8_.repair.repaired_rows() + rows16_.repair.repaired_rows();
     }
-    /// The u8 dense scans' repair state — which rows the last agent
-    /// repaired, for benches; patches are readable only through a scan.
+    /// The repair state of one width — which rows the last agent at that
+    /// width repaired, for benches and the prune-soundness suite; patches
+    /// are readable only through a scan.
     [[nodiscard]] const MaskedRowRepair<std::uint8_t>& repair8() const noexcept {
       return rows8_.repair;
+    }
+    [[nodiscard]] const MaskedRowRepair<std::uint16_t>& repair16() const noexcept {
+      return rows16_.repair;
     }
 
    private:
@@ -138,8 +137,8 @@ class SwapEngine {
       AlignedVec<Dist> min2;  // elementwise second min
       AlignedVec<Dist> mrow;  // M^w: min over N(v)∖{w} / k-way fold target
       AlignedVec<Dist> arow;  // one materialized masked row / add-profile
-      MaskedRowRepair<Dist> repair;  // patches of G − v over the shared slab
-      RowCache<Dist> cache;          // budgeted scans' masked rows
+      MaskedRowRepair<Dist> repair;  // patches of G − v over the unmasked rows
+      RowCache<Dist> cache;          // budgeted scans' unmasked rows
     };
     template <typename Dist>
     [[nodiscard]] Rows<Dist>& rows() noexcept {
@@ -154,16 +153,16 @@ class SwapEngine {
     std::vector<std::uint8_t> is_nbr_;  // closed neighborhood marks of v
     AlignedVec<Vertex> argmin_;         // neighbor attaining min1
     AlignedVec<Vertex> far_;            // far set of the removed edge, or the union
-                                        // far set in budgeted scans (n slots)
+                                        // far set in budgeted max scans (n slots)
     std::vector<std::uint8_t> far_mark_;  // membership marks of far_
     AlignedVec<Vertex> hits_;           // collect_below output (cover masks)
     std::vector<std::uint64_t> masks_;  // flat per-candidate coverage bitsets (cover
                                         // masks; budgeted max: far-set reach words)
     std::vector<std::uint64_t> candidates_;  // dense max: the agent's candidates, one
-                                             // bit per vertex
-    std::vector<std::uint64_t> alive_;  // dense max: the removed edge's survivors, one
-                                        // bit per vertex; budgeted max: edges of the
-                                        // group each candidate still survives
+                                             // bit per vertex; budgeted max: per
+                                             // vertex, the group edges it survives
+    std::vector<std::uint64_t> alive_;  // max: the removed edge's survivors, one bit
+                                        // per vertex
     std::vector<AlphaCandidate> alpha_;  // buffered α-scan candidates
     std::uint64_t reach_traversals_ = 0;
     Rows<std::uint8_t> rows8_;
@@ -304,21 +303,33 @@ class SwapEngine {
   template <typename Scan>
   void at_width(Vertex v, Scratch* masked, bool budgeted, Scan&& scan) const;
 
+  /// Unmasked row x at width `Dist`: row x of the shared slab `slab`, or,
+  /// when `slab` is null (budgeted), the row of the scratch's row cache,
+  /// valid until the next row read. nullptr when a cache fill saturates
+  /// the width.
+  template <typename Dist>
+  [[nodiscard]] const Dist* unmasked_row(const Dist* slab, Vertex x, Scratch& scratch) const;
+
   /// Starts the masked rows of agent v at width `Dist`: closed-neighborhood
-  /// marks, the repair of G − v over `slab` begun, and the repaired
-  /// neighbor rows folded into min1/min2/argmin. Applies the width guard,
-  /// so that afterwards no repair of this agent saturates. False when a
-  /// finite distance of G − v, off v's row and column, exceeds the width
-  /// (only possible for u8).
+  /// marks, the repair of G − v begun (and, budgeted, a row-cache context),
+  /// and the repaired neighbor rows folded into min1/min2/argmin. Dense
+  /// (`slab` non-null), it applies the width guard, so that afterwards no
+  /// repair of this agent saturates, and returns false when a finite
+  /// distance of G − v, off v's row and column, exceeds the width (only
+  /// possible for u8). Budgeted, it returns false when a row it reads
+  /// saturates.
   template <typename Dist>
   [[nodiscard]] bool begin_agent_t(const Dist* slab, Vertex v, Scratch& scratch) const;
 
-  /// Width-typed dense scan body over the shared unmasked slab `slab`,
-  /// with the agent's masked rows repaired into scratch as the scan reads
-  /// them (DESIGN.md §17).
-  /// Returns false — with `out` and the move count untouched by the caller —
-  /// when a repaired distance saturates the width (only possible for u8);
-  /// at_width then redoes the agent at u16.
+  /// Width-typed scan body of both storage modes: the unmasked rows come
+  /// from the shared slab `slab`, or from the row cache under the per-lane
+  /// budget when `slab` is null, and the agent's masked rows are repaired
+  /// from them as the scan reads them (DESIGN.md §17). Only the max far
+  /// test differs: keep_within over slab rows when dense, reach_filter_t
+  /// when budgeted. Returns false — with `out` and the move count untouched
+  /// by the caller — when a row saturates the width: a dense u8 agent whose
+  /// masked matrix exceeds the cap, or a budgeted agent reading a
+  /// saturating row or far vertex; at_width then redoes the agent at u16.
   template <typename Dist>
   [[nodiscard]] bool scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
                                   bool include_deletions, std::uint64_t* moves_checked,
@@ -337,25 +348,9 @@ class SwapEngine {
   /// in `scratch`, which the u16 query of `v` began.
   [[nodiscard]] bool masked_exceeds_u8(Vertex v, Scratch& scratch) const;
 
-  /// Width-typed BUDGETED scan body: same enumeration order, acceptance
-  /// rules, move counts, and results as scan_agent_t, but rows stream
-  /// through the scratch's row cache under the per-lane byte
-  /// budget instead of a dense n×n slab — the agent's current cost derives
-  /// from the neighbor min-fold (source-removal identity at N' = N(v)), the
-  /// max model filters candidates by bit-parallel reach of the far sets
-  /// (reach_filter_t) so candidate rows are materialized only for proven
-  /// improvers, and the sum model prunes candidates whose
-  /// triangle-inequality lower bound (Σ M^w − n·M^w_{w₂}) already meets the
-  /// old cost. False on width saturation (u8: dispatcher widens; u16: the
-  /// instance exceeds the 16-bit encoding and the dispatcher fails loudly).
-  template <typename Dist>
-  [[nodiscard]] bool scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_first,
-                                           bool include_deletions, std::uint64_t* moves_checked,
-                                           Scratch& scratch, std::optional<Deviation>& out) const;
-
   /// Far filter of the budgeted max scan for the removed edges
   /// nbrs[first, first + count), count ≤ 64, over the scan tables in
-  /// `scratch`: sets bit e − first of scratch.alive_[x] iff candidate x
+  /// `scratch`: sets bit e − first of scratch.candidates_[x] iff candidate x
   /// reaches every vertex of edge e's far set within `cap` in G − v. Runs
   /// one bfs_batch_reach per ≤ 64 vertices of the group's union far set.
   /// Returns the group's edges whose far set holds a vertex whose masked

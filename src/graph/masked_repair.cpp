@@ -53,10 +53,8 @@ void MaskedRowRepair<Dist>::next_epoch() {
 }
 
 template <typename Dist>
-void MaskedRowRepair<Dist>::begin(const CsrGraph& g, const Dist* slab, Vertex v, Dist inf,
-                                  Dist max_finite) {
+void MaskedRowRepair<Dist>::begin(const CsrGraph& g, Vertex v, Dist inf, Dist max_finite) {
   g_ = &g;
-  slab_ = slab;
   v_ = v;
   inf_ = inf;
   max_finite_ = max_finite;
@@ -77,23 +75,23 @@ void MaskedRowRepair<Dist>::begin(const CsrGraph& g, const Dist* slab, Vertex v,
 }
 
 template <typename Dist>
-std::optional<std::span<const MaskedPatch<Dist>>> MaskedRowRepair<Dist>::repair(Vertex x) {
+std::optional<std::span<const MaskedPatch<Dist>>> MaskedRowRepair<Dist>::repair(Vertex x,
+                                                                              const Dist* row) {
   if (x == v_) return std::span<const Patch>{};
   auto& span = offsets_[x];
   if (span.first == kUnrepaired) {
     // Affected test: x is affected through neighbor c iff c is a child of v
-    // in x's BFS DAG and no other neighbor of c sits at v's level. By
-    // symmetry the test reads column x of rows d(c,·) and d(c′,·).
-    // Unreachable x never pass (∞ ≠ ∞ + 1 in uint32).
+    // in x's BFS DAG and no other neighbor of c sits at v's level — entries
+    // d(x, v), d(x, c) and d(x, c′) of row x. Unreachable x never pass
+    // (∞ ≠ ∞ + 1 in uint32).
     const CsrGraph& g = *g_;
-    const std::size_t n = n_;
-    const std::uint32_t level = slab_[static_cast<std::size_t>(v_) * n + x];
+    const std::uint32_t level = row[v_];
     seeds_.clear();
     for (const Vertex c : g.neighbors(v_)) {
-      if (std::uint32_t{slab_[static_cast<std::size_t>(c) * n + x]} != level + 1) continue;
+      if (std::uint32_t{row[c]} != level + 1) continue;
       bool only_parent = true;
       for (const Vertex other : g.neighbors(c)) {
-        if (other != v_ && std::uint32_t{slab_[static_cast<std::size_t>(other) * n + x]} == level) {
+        if (other != v_ && std::uint32_t{row[other]} == level) {
           only_parent = false;
           break;
         }
@@ -102,7 +100,7 @@ std::optional<std::span<const MaskedPatch<Dist>>> MaskedRowRepair<Dist>::repair(
     }
     const auto first = static_cast<std::uint32_t>(patches_.size());
     if (!seeds_.empty()) {
-      if (!repair_row(x, seeds_)) {
+      if (!repair_row(row, seeds_)) {
         patches_.resize(first);
         return std::nullopt;
       }
@@ -117,18 +115,17 @@ std::optional<std::span<const MaskedPatch<Dist>>> MaskedRowRepair<Dist>::repair(
 }
 
 template <typename Dist>
-bool MaskedRowRepair<Dist>::repair_all() {
+bool MaskedRowRepair<Dist>::repair_all(const Dist* slab) {
   for (Vertex x = 0; x < n_; ++x) {
-    if (!repair(x)) return false;
+    if (!repair(x, slab + static_cast<std::size_t>(x) * n_)) return false;
   }
   return true;
 }
 
 template <typename Dist>
-bool MaskedRowRepair<Dist>::repair_row(Vertex x, std::span<const Vertex> seeds) {
+bool MaskedRowRepair<Dist>::repair_row(const Dist* dx, std::span<const Vertex> seeds) {
   const CsrGraph& g = *g_;
   next_epoch();
-  const Dist* dx = slab_ + static_cast<std::size_t>(x) * n_;
 
   // Lost set, level by level. When u (level ℓ) is popped, every vertex at
   // levels ℓ − 1 … ℓ + 1 around it has its final status: levels ≤ ℓ were
@@ -225,11 +222,10 @@ bool MaskedRowRepair<Dist>::repair_row(Vertex x, std::span<const Vertex> seeds) 
 }
 
 template <typename Dist>
-bool MaskedRowRepair<Dist>::materialize(Vertex x, Dist* out) {
-  const auto patches = repair(x);
+bool MaskedRowRepair<Dist>::materialize(Vertex x, const Dist* row, Dist* out) {
+  const auto patches = repair(x, row);
   if (!patches) return false;
-  const std::size_t n = n_;
-  std::memcpy(out, slab_ + x * n, n * sizeof(Dist));
+  std::memcpy(out, row, std::size_t{n_} * sizeof(Dist));
   for (const Patch& p : *patches) out[p.u] = p.d;
   out[v_] = inf_;
   return true;

@@ -1,17 +1,17 @@
 // Masked rows by repair: the distances of G − v as sparse patches over the
-// unmasked all-pairs matrix of G (DESIGN.md §17).
+// unmasked rows of G (DESIGN.md §17).
 //
 // Every agent scan of the swap engine needs d_{G−v}(x, ·) for every x ≠ v
 // (the source-removal identity, DESIGN.md §3). Recomputing the whole masked
 // matrix per agent is a full batched APSP, yet removing one vertex changes
 // only a tiny fraction of the entries — the pairs all of whose shortest
-// paths run through v. MaskedRowRepair computes exactly those entries from
-// one shared, read-only unmasked slab:
+// paths run through v. MaskedRowRepair computes exactly those entries of
+// row x from the unmasked row d(x, ·) alone:
 //
 //  * Affected rows. Row x changes iff some neighbor c of v is a child of v
 //    in x's BFS DAG (d(x,c) = d(x,v) + 1) whose only parent is v (no
-//    c′ ∈ N(c)∖{v} with d(x,c′) = d(x,v)). By symmetry d(x,·) = d(·,x), so
-//    the test reads column x of rows d(c,·), d(c′,·), d(v,·) of the slab.
+//    c′ ∈ N(c)∖{v} with d(x,c′) = d(x,v)). Every distance the test reads
+//    is an entry of row x.
 //  * Lost set. In an affected row, the vertices whose every shortest path
 //    from x runs through v are v's descendants in x's BFS DAG with no parent
 //    outside lost ∪ {v}; a level-ordered walk from the seeds above finds
@@ -21,17 +21,18 @@
 //    — by a BFS with staggered start times inside the lost set; unreachable
 //    ones become ∞.
 //
-// Every other entry of row x keeps its unmasked value, so (slab row x) +
+// Every other entry of row x keeps its unmasked value, so (unmasked row x) +
 // (patches of row x) with entry v set to ∞ is row x of the masked matrix,
-// and every patch strictly lengthens its entry. The patch set holds O(changed
-// entries) — the scans read candidate rows straight from the slab and
-// correct their combines by the patches alone.
+// and every patch strictly lengthens its entry. The patch set holds
+// O(changed entries) — the scans read candidate rows unmasked, from the
+// shared slab or the row cache, and correct their combines by the patches
+// alone.
 //
 // Rows are repaired on demand: begin() starts an agent with no row repaired,
-// and repair(x) runs the three steps above for row x alone, once per agent.
-// A scan repairs only the rows it reads — the neighbor rows of v and the
-// candidates its unmasked lower bound cannot rule out (DESIGN.md §17);
-// repair_all() is the same call over every row.
+// and repair(x, row) runs the three steps above for row x alone, once per
+// agent. A scan repairs only the rows it reads — the neighbor rows of v and
+// the candidates its unmasked lower bound cannot rule out (DESIGN.md §17);
+// repair_all() is the same call over every row of a slab.
 #pragma once
 
 #include <cstdint>
@@ -68,24 +69,25 @@ class MaskedRowRepair {
  public:
   using Patch = MaskedPatch<Dist>;
 
-  /// Starts the masked vertex `v` over the symmetric unmasked slab `slab`
-  /// (n×n over `g`, `inf` for unreachable). No row is repaired yet, and
-  /// nothing of the previous agent stays readable.
-  void begin(const CsrGraph& g, const Dist* slab, Vertex v, Dist inf, Dist max_finite);
+  /// Starts the masked vertex `v` of `g` (`inf` for unreachable). No row is
+  /// repaired yet, and nothing of the previous agent stays readable.
+  void begin(const CsrGraph& g, Vertex v, Dist inf, Dist max_finite);
 
   /// Repairs row x of G − v on first call per agent and returns its changed
   /// entries (empty for unaffected rows and for x = v); later calls return
-  /// the same patches. nullopt when a repaired finite distance exceeds
+  /// the same patches. `row` is the unmasked row d(x, ·), read on the first
+  /// call only. nullopt when a repaired finite distance exceeds
   /// `max_finite` (the caller redoes the agent wider). The span stays valid
   /// until the next repair call.
-  [[nodiscard]] std::optional<std::span<const Patch>> repair(Vertex x);
+  [[nodiscard]] std::optional<std::span<const Patch>> repair(Vertex x, const Dist* row);
 
-  /// Repairs every row (false on saturation, as repair()).
-  [[nodiscard]] bool repair_all();
+  /// Repairs every row of the n×n unmasked slab `slab` (false on
+  /// saturation, as repair()).
+  [[nodiscard]] bool repair_all(const Dist* slab);
 
-  /// Row x of the masked matrix: slab row x, its patches, and [v] = ∞.
-  /// Repairs the row first; false on saturation.
-  [[nodiscard]] bool materialize(Vertex x, Dist* out);
+  /// Row x of the masked matrix: the unmasked row `row`, its patches, and
+  /// [v] = ∞. Repairs the row first; false on saturation.
+  [[nodiscard]] bool materialize(Vertex x, const Dist* row, Dist* out);
 
   /// Rows repaired since begin(), in repair order.
   [[nodiscard]] std::span<const Vertex> agent_rows() const noexcept { return repaired_; }
@@ -101,12 +103,12 @@ class MaskedRowRepair {
  private:
   static constexpr std::uint32_t kUnrepaired = ~std::uint32_t{0};
 
-  /// Lost set of row x from its seeds, re-settled into patches_.
-  [[nodiscard]] bool repair_row(Vertex x, std::span<const Vertex> seeds);
+  /// Lost set of the unmasked row `dx` from its seeds, re-settled into
+  /// patches_.
+  [[nodiscard]] bool repair_row(const Dist* dx, std::span<const Vertex> seeds);
   void next_epoch();
 
   const CsrGraph* g_ = nullptr;
-  const Dist* slab_ = nullptr;
   Vertex n_ = 0;
   Vertex v_ = kNoVertex;
   Dist inf_ = 0;

@@ -32,7 +32,6 @@ void RowCache<Dist>::configure(Vertex n, std::uint64_t budget_bytes) {
   block_rows_ = block_rows;
   max_blocks_ = max_blocks;
   blocks_.clear();
-  filled_.clear();
   clock_ = 0;
   epoch_ = 0;
   slot_block_.assign(n, 0);
@@ -42,17 +41,14 @@ void RowCache<Dist>::configure(Vertex n, std::uint64_t budget_bytes) {
 }
 
 template <typename Dist>
-void RowCache<Dist>::begin_context(const CsrGraph& g, Vertex masked_vertex, Dist inf_value,
-                                   Dist max_finite) {
+void RowCache<Dist>::begin_context(const CsrGraph& g, Dist inf_value, Dist max_finite) {
   BNCG_REQUIRE(g.num_vertices() == n_, "row cache configured for a different instance size");
   BNCG_REQUIRE(max_finite < inf_value, "max_finite must stay below inf_value");
   csr_ = &g;
-  masked_vertex_ = masked_vertex;
   inf_value_ = inf_value;
   max_finite_ = max_finite;
   ++epoch_;
   for (Block& b : blocks_) b.used = 0;  // storage kept, residency dropped
-  filled_.clear();
   ++stats_.contexts;
 }
 
@@ -109,7 +105,7 @@ bool RowCache<Dist>::fill_batch(std::span<const Vertex> sources, BatchBfsWorkspa
         {sources.size() - done, static_cast<std::size_t>(block_rows_ - block.used), 64});
     const std::span<const Vertex> group = sources.subspan(done, chunk);
     Dist* base = block.data.data() + static_cast<std::size_t>(block.used) * n_;
-    if (!bfs_batch_capped<Dist>(*csr_, group, MaskedEdge{}, base, n_, ws, masked_vertex_,
+    if (!bfs_batch_capped<Dist>(*csr_, group, MaskedEdge{}, base, n_, ws, kNoVertex,
                                 inf_value_, max_finite_)) {
       return false;  // saturated: rows unspecified, nothing registered
     }
@@ -122,7 +118,6 @@ bool RowCache<Dist>::fill_batch(std::span<const Vertex> sources, BatchBfsWorkspa
       stamp_[src] = epoch_;
     }
     block.used += static_cast<Vertex>(chunk);
-    filled_.insert(filled_.end(), group.begin(), group.end());
     stats_.misses += chunk;
     touch(block_id);
     done += chunk;

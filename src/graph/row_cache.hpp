@@ -1,10 +1,12 @@
 // Blocked LRU distance-row cache — the memory layer behind the budgeted
 // swap scans (core/swap_engine.hpp).
 //
-// The dense engines hold full n×n distance matrices (SwapEngine's shared
-// unmasked slab, SearchState's per-agent rows), which is the allocation
-// that stops them cold at n = 10⁵–10⁶ (ROADMAP: million-node memory architecture). This cache keeps
-// only the rows a scan actually touches, under an explicit byte budget:
+// The dense scans read one shared n×n unmasked slab, which is the
+// allocation that stops them at n = 10⁵–10⁶. A budgeted scan reads the same
+// unmasked rows d(x, ·) of the snapshot through this cache instead, under
+// an explicit byte budget, and turns them into rows of G − v by the same
+// repair the dense scan runs over slab rows (graph/masked_repair.hpp,
+// DESIGN.md §17) — one scan body serves both storage modes:
 //
 //  * Storage is carved into fixed-size BLOCKS of `block_rows` row slots.
 //    A block is an allocation arena, not an address range of sources — any
@@ -25,10 +27,10 @@
 //    the victim, so the row pointer returned by the LAST row()/prefetch()
 //    call stays valid until the next materializing call — the only
 //    lifetime the scan loops in core/swap_engine.cpp need.
-//  * Rows are keyed by (context, source): begin_context() invalidates the
-//    index in O(1) via an epoch stamp whenever the snapshot or the masked
-//    vertex changes, while the block storage itself is reused allocation-
-//    free across contexts (one agent scan = one context).
+//  * begin_context() drops every resident row in O(1) via an epoch stamp
+//    while the block storage is reused allocation-free. The scans call it
+//    once per agent, so residency never outlives an agent scan and the
+//    cache holds at most what one agent reads.
 //
 // Width saturation follows the engine contract (graph/dist_width.hpp): a
 // fill that meets a finite distance above `max_finite` reports failure and
@@ -58,7 +60,7 @@ struct RowCacheStats {
   std::uint64_t peak_bytes = 0;  ///< high-water mark of block storage bytes
 };
 
-/// Fixed-budget cache of masked distance rows, one instantiation per
+/// Fixed-budget cache of unmasked distance rows, one instantiation per
 /// storage width (u8/u16). Not thread-safe: one cache per scan scratch.
 template <typename Dist>
 class RowCache {
@@ -74,10 +76,10 @@ class RowCache {
   /// budget are the ones already configured: storage is kept for reuse.
   void configure(Vertex n, std::uint64_t budget_bytes);
 
-  /// Starts a new (snapshot, masked-vertex) context: resident rows of any
+  /// Starts a new context over the snapshot `g`: resident rows of any
   /// previous context become invisible (O(1) epoch bump), storage is kept.
   /// The snapshot reference must outlive the context.
-  void begin_context(const CsrGraph& g, Vertex masked_vertex, Dist inf_value, Dist max_finite);
+  void begin_context(const CsrGraph& g, Dist inf_value, Dist max_finite);
 
   /// The distance row of `source` in the current context, materializing it
   /// on miss. Returns nullptr when the fill saturates the width (caller
@@ -92,18 +94,11 @@ class RowCache {
   [[nodiscard]] bool prefetch(std::span<const Vertex> sources, BatchBfsWorkspace& ws);
 
   /// True when `source`'s row is resident in the current context — i.e. it
-  /// was materialized and has not been evicted. Test/introspection hook for
-  /// the prune-soundness suite ("rows never materialized never mattered").
+  /// was materialized and has not been evicted.
   [[nodiscard]] bool resident(Vertex source) const;
 
   /// Every source with a resident row in the current context, ascending.
   [[nodiscard]] std::vector<Vertex> resident_sources() const;
-
-  /// Every source MATERIALIZED in the current context, in fill order —
-  /// unlike resident_sources() this survives eviction, so it is the exact
-  /// "rows the scan ever looked at" set the prune-soundness suite
-  /// complements ("rows never filled never mattered").
-  [[nodiscard]] const std::vector<Vertex>& context_filled() const noexcept { return filled_; }
 
   [[nodiscard]] const RowCacheStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = RowCacheStats{}; }
@@ -127,7 +122,6 @@ class RowCache {
   [[nodiscard]] bool fill_batch(std::span<const Vertex> sources, BatchBfsWorkspace& ws);
 
   const CsrGraph* csr_ = nullptr;
-  Vertex masked_vertex_ = kNoVertex;
   Dist inf_value_ = 0;
   Dist max_finite_ = 0;
 
@@ -146,7 +140,6 @@ class RowCache {
   std::uint64_t epoch_ = 0;
 
   std::vector<Vertex> missing_;  // prefetch scratch
-  std::vector<Vertex> filled_;   // sources materialized this context
 
   RowCacheStats stats_;
 };

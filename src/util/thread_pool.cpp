@@ -148,7 +148,9 @@ void ThreadPool::run(std::uint64_t count, std::uint64_t grain, RawFn fn, void* c
     run_inline(tl_tid);
     return;
   }
-  if (lanes_ == 1) {
+  // One lane, or one chunk: there is nothing to share, so run it as lane 0
+  // without waking the workers.
+  if (lanes_ == 1 || count <= grain) {
     run_inline(0);
     return;
   }

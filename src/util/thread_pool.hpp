@@ -34,7 +34,9 @@
 // Lane count: BNCG_THREADS (clamped to [1, 256]) if set, else
 // hardware_concurrency, else 1. A one-lane pool spawns no threads and runs
 // everything inline — the serial build is the degenerate case, not a
-// special path.
+// special path. A range of one chunk (count ≤ grain) runs inline as lane 0
+// too: publishing it would only make the caller wait for every worker to
+// wake and find nothing to claim.
 #pragma once
 
 #include <cstdint>

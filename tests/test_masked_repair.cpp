@@ -1,5 +1,5 @@
 // Masked rows by repair (graph/masked_repair.hpp, DESIGN.md §17): every
-// repaired row — shared unmasked slab row plus the agent's patches — must
+// repaired row — unmasked row plus the agent's patches — must
 // equal the literal masked APSP of G − v on every entry u ≠ v, at both
 // storage widths; the dense scans built on the repair must match the naive
 // oracle per agent (verdict, witness, move count) at u8 and u16 and at both
@@ -129,8 +129,8 @@ int check_rows(const Named& inst) {
                             std::to_string(v);
     const bool masked_fits = csr_apsp_capped<Dist>(csr, MaskedEdge{}, masked.data(), ws, v, kInf,
                                                    kMax);
-    repair.begin(csr, slab.data(), v, kInf, kMax);
-    const bool repaired = repair.repair_all();
+    repair.begin(csr, v, kInf, kMax);
+    const bool repaired = repair.repair_all(slab.data());
     EXPECT_EQ(repaired, masked_fits) << ctx;
     if (!repaired || !masked_fits) continue;
     ++agents;
@@ -138,25 +138,26 @@ int check_rows(const Named& inst) {
     std::uint32_t affected = 0;
     for (Vertex x = 0; x < n; ++x) {
       if (x == v) continue;
-      EXPECT_TRUE(repair.materialize(x, row.data())) << ctx;
+      const Dist* unmasked = slab.data() + static_cast<std::size_t>(x) * n;
+      EXPECT_TRUE(repair.materialize(x, unmasked, row.data())) << ctx;
       const Dist* want = masked.data() + static_cast<std::size_t>(x) * n;
       bool row_changed = false;
       for (Vertex u = 0; u < n; ++u) {
         if (u == v) continue;
         EXPECT_EQ(row[u], want[u]) << ctx << " x=" << x << " u=" << u;
-        const bool differs = slab[static_cast<std::size_t>(x) * n + u] != want[u];
+        const bool differs = unmasked[u] != want[u];
         changed += differs ? 1 : 0;
         row_changed |= differs;
       }
       affected += row_changed ? 1 : 0;
       // Patches are exactly the changed entries, each strictly longer.
-      const auto patches = repair.repair(x);
+      const auto patches = repair.repair(x, unmasked);
       for (const auto& p : *patches) {
         EXPECT_NE(p.u, v) << ctx;
-        EXPECT_GT(p.d, slab[static_cast<std::size_t>(x) * n + p.u]) << ctx;
+        EXPECT_GT(p.d, unmasked[p.u]) << ctx;
       }
     }
-    EXPECT_TRUE(repair.repair(v)->empty()) << ctx;
+    EXPECT_TRUE(repair.repair(v, slab.data() + static_cast<std::size_t>(v) * n)->empty()) << ctx;
     EXPECT_EQ(repair.changed_entries(), changed) << ctx;
     EXPECT_EQ(repair.affected_rows(), affected) << ctx;
   }
@@ -197,11 +198,11 @@ template <typename Dist>
 std::vector<std::vector<MaskedPatch<Dist>>> all_rows(MaskedRowRepair<Dist>& repair,
                                                      const CsrGraph& csr, const Dist* slab,
                                                      Vertex v) {
-  repair.begin(csr, slab, v, inf_of<Dist>(), max_finite_of<Dist>());
-  if (!repair.repair_all()) return {};
+  repair.begin(csr, v, inf_of<Dist>(), max_finite_of<Dist>());
+  if (!repair.repair_all(slab)) return {};
   std::vector<std::vector<MaskedPatch<Dist>>> rows(csr.num_vertices());
   for (Vertex x = 0; x < csr.num_vertices(); ++x) {
-    const auto patches = repair.repair(x);
+    const auto patches = repair.repair(x, slab + static_cast<std::size_t>(x) * csr.num_vertices());
     rows[x].assign(patches->begin(), patches->end());
   }
   return rows;
@@ -228,12 +229,13 @@ int check_on_demand(const Named& inst, Xoshiro256ss& rng) {
                             std::to_string(v);
     const auto want = all_rows(eager, csr, slab.data(), v);
     rng.shuffle(order);
-    lazy.begin(csr, slab.data(), v, inf_of<Dist>(), max_finite_of<Dist>());
+    lazy.begin(csr, v, inf_of<Dist>(), max_finite_of<Dist>());
     EXPECT_TRUE(lazy.agent_rows().empty()) << ctx;
     EXPECT_EQ(lazy.changed_entries(), 0u) << ctx;
     bool saturated = false;
     for (const Vertex x : order) {
-      const auto patches = lazy.repair(x);
+      const Dist* unmasked = slab.data() + static_cast<std::size_t>(x) * n;
+      const auto patches = lazy.repair(x, unmasked);
       if (!patches) {
         saturated = true;
         continue;
@@ -247,7 +249,7 @@ int check_on_demand(const Named& inst, Xoshiro256ss& rng) {
       }
       // A second call returns the same patches without repairing again.
       const std::size_t changed = lazy.changed_entries();
-      const auto again = lazy.repair(x);
+      const auto again = lazy.repair(x, unmasked);
       EXPECT_TRUE(again.has_value()) << ctx;
       if (!again) continue;
       EXPECT_EQ(again->data(), patches->data()) << ctx;

@@ -82,6 +82,21 @@ TEST(ThreadPool, NestedCallsRunInlineOnTheCallersLane) {
   EXPECT_FALSE(mismatch.load());
 }
 
+TEST(ThreadPool, OneChunkRunsOnTheCallingThreadAsLaneZero) {
+  // count ≤ grain is one chunk: it runs inline, without a job handoff.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::uint64_t count : {1ull, 7ull, 64ull}) {
+    std::uint64_t ran = 0;
+    pool.parallel_for(count, 64, [&](std::uint64_t, unsigned tid) {
+      EXPECT_EQ(tid, 0u);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      ++ran;
+    });
+    EXPECT_EQ(ran, count);
+  }
+}
+
 TEST(ThreadPool, ContendedTopLevelCallersFallBackInline) {
   // Two threads racing the same pool: the loser of the job lock runs its
   // whole range inline as lane 0. Both ranges must still cover exactly.
