@@ -3,13 +3,13 @@
 // the repo root; regenerate with bench/run_bench.sh).
 //
 // For each (n, m, model) the program certifies the same random connected
-// G(n, m) instance:
-//   * with the delta-evaluation SwapEngine at its auto-selected distance
-//     width (the headline engine numbers),
+// G(n, m) instance through certify_sharded (core/certify_sharded.hpp), the
+// one in-process driver, engine construction included in every timing:
+//   * at its auto-selected distance width and auto shard count (the
+//     headline engine numbers),
 //   * with the width forced to u8 and to u16 — the ratio of those two runs
 //     is the width-adaptivity payoff (DESIGN.md §10) on an instance whose
 //     diameter fits the 8-bit cap,
-//   * through the sharded certification driver (core/certify_sharded.hpp),
 //   * and, on the m = 2n rows, with the naive BFS-per-candidate oracle
 //     (the dense m = 4n tier skips the oracle — it needs several minutes
 //     per run and the m = 2n rows already track that trajectory; its JSON
@@ -122,7 +122,6 @@ struct Row {
   double engine_seconds = 0.0;  // auto width
   double u8_seconds = 0.0;
   double u16_seconds = 0.0;
-  double sharded_seconds = 0.0;
   std::size_t shards = 0;
   double naive_seconds = -1.0;  // < 0 ⇒ not measured (dense tier)
 
@@ -145,17 +144,15 @@ double time_seconds(Fn&& fn) {
 }
 
 /// Repeats fast certifications until ≥ 0.2 s of wall time for a stable
-/// rate; reports the repetition count so per-run counters (the engine's
-/// width_fallbacks accumulate across certify() calls) can be de-scaled.
+/// rate.
 template <typename Fn>
-double time_repeated(Fn&& fn, std::uint64_t* reps_out = nullptr) {
+double time_repeated(Fn&& fn) {
   std::uint64_t reps = 0;
   double total = 0.0;
   while (total < 0.2 && reps < 1000) {
     total += time_seconds(fn);
     ++reps;
   }
-  if (reps_out != nullptr) *reps_out = reps;
   return total / static_cast<double>(reps);
 }
 
@@ -179,29 +176,24 @@ Row measure(Vertex n, std::size_t m, UsageCost model, bool measure_naive) {
     }
   };
 
-  const SwapEngine engine_auto(g);
-  EquilibriumCertificate cert;
-  std::uint64_t reps = 0;
-  row.engine_seconds =
-      time_repeated([&] { cert = engine_auto.certify(model, deletions); }, &reps);
-  row.moves = cert.moves_checked;
-  row.width = dist_width_name(engine_auto.preferred_width());
-  row.width_fallbacks = engine_auto.width_fallbacks() / reps;  // per-certification count
-
-  const SwapEngine engine_u8(g, ResourceConfig{.width = WidthPolicy::ForceU8});
-  EquilibriumCertificate cert_u8;
-  row.u8_seconds = time_repeated([&] { cert_u8 = engine_u8.certify(model, deletions); });
-  check(cert, cert_u8, "engine auto/u8");
-
-  const SwapEngine engine_u16(g, ResourceConfig{.width = WidthPolicy::ForceU16});
-  EquilibriumCertificate cert_u16;
-  row.u16_seconds = time_repeated([&] { cert_u16 = engine_u16.certify(model, deletions); });
-  check(cert, cert_u16, "engine auto/u16");
-
   ShardedCertificate sharded;
-  row.sharded_seconds = time_repeated([&] { sharded = certify_sharded(g, model, deletions); });
+  row.engine_seconds = time_repeated([&] { sharded = certify_sharded(g, model, deletions); });
+  const EquilibriumCertificate& cert = sharded.certificate;
+  row.moves = cert.moves_checked;
+  row.width = dist_width_name(sharded.width);
+  row.width_fallbacks = sharded.width_fallbacks;
   row.shards = sharded.shards_used;
-  check(cert, sharded.certificate, "engine/sharded");
+
+  ShardedCertifyConfig config;
+  ShardedCertificate at_width;
+  config.resources.width = WidthPolicy::ForceU8;
+  row.u8_seconds =
+      time_repeated([&] { at_width = certify_sharded(g, model, deletions, config); });
+  check(cert, at_width.certificate, "engine auto/u8");
+  config.resources.width = WidthPolicy::ForceU16;
+  row.u16_seconds =
+      time_repeated([&] { at_width = certify_sharded(g, model, deletions, config); });
+  check(cert, at_width.certificate, "engine auto/u16");
 
   if (measure_naive) {
     EquilibriumCertificate naive_cert;
@@ -511,7 +503,6 @@ RowCacheRow measure_row_cache(std::string instance, const Graph& g, UsageCost mo
   budgeted_res.mem_budget = static_cast<std::uint64_t>(lanes) * n * n;
   row.budget_bytes = static_cast<std::uint64_t>(n) * n;
 
-  const SwapEngine dense_engine(g, ResourceConfig{.width = WidthPolicy::ForceU16});
   const SwapEngine budgeted_engine(g, budgeted_res);
   if (budgeted_engine.budget_policy().storage_for(n, DistWidth::U16) != RowStorage::Budgeted) {
     std::cerr << "FATAL: row_cache bench budget did not force budgeted storage at n=" << n
@@ -519,19 +510,23 @@ RowCacheRow measure_row_cache(std::string instance, const Graph& g, UsageCost mo
     std::exit(1);
   }
 
-  EquilibriumCertificate dense_cert, budgeted_cert;
-  row.dense_seconds = time_repeated([&] { dense_cert = dense_engine.certify(model, deletions); });
-  row.budgeted_seconds =
-      time_repeated([&] { budgeted_cert = budgeted_engine.certify(model, deletions); });
-  if (dense_cert.is_equilibrium != budgeted_cert.is_equilibrium ||
-      dense_cert.moves_checked != budgeted_cert.moves_checked) {
+  ShardedCertifyConfig dense_config, budgeted_config;
+  dense_config.resources.width = WidthPolicy::ForceU16;
+  budgeted_config.resources = budgeted_res;
+  ShardedCertificate dense_cert, budgeted_cert;
+  row.dense_seconds = time_repeated(
+      [&] { dense_cert = certify_sharded(g, model, deletions, dense_config); });
+  row.budgeted_seconds = time_repeated(
+      [&] { budgeted_cert = certify_sharded(g, model, deletions, budgeted_config); });
+  if (dense_cert.certificate.is_equilibrium != budgeted_cert.certificate.is_equilibrium ||
+      dense_cert.certificate.moves_checked != budgeted_cert.certificate.moves_checked) {
     std::cerr << "FATAL: row_cache dense/budgeted certificate mismatch at n=" << n
               << " model=" << row.model << "\n";
     std::exit(1);
   }
-  row.moves = dense_cert.moves_checked;
+  row.moves = dense_cert.certificate.moves_checked;
 
-  // The timed certify() runs keep their counters in per-lane scratches; one
+  // The timed runs keep their counters in per-lane scratches; one
   // sequential sweep over every agent reproduces the access pattern with a
   // single observable scratch.
   SwapEngine::Scratch scratch;
@@ -756,9 +751,10 @@ FarFilterRow measure_far_filter(Vertex k) {
                         .has_value();
     }
   });
+  ShardedCertifyConfig dense_config;
+  dense_config.resources.width = res.width;
   const EquilibriumCertificate dense =
-      SwapEngine(g, ResourceConfig{.width = res.width})
-          .certify(UsageCost::Max, /*include_deletions=*/true);
+      certify_sharded(g, UsageCost::Max, /*include_deletions=*/true, dense_config).certificate;
   if (dense.is_equilibrium == improvable || dense.moves_checked != row.moves) {
     std::cerr << "FATAL: far_filter sweep disagrees with the dense certificate on "
               << row.instance << "\n";
@@ -1132,8 +1128,7 @@ int main(int argc, char** argv) {
                 << " diameter=" << row.diameter << " moves=" << row.moves
                 << " width=" << row.width << " engine=" << row.engine_seconds
                 << "s u8=" << row.u8_seconds << "s u16=" << row.u16_seconds
-                << "s width_speedup=" << row.width_speedup()
-                << "x sharded=" << row.sharded_seconds << "s";
+                << "s width_speedup=" << row.width_speedup() << "x shards=" << row.shards;
       if (row.has_naive()) {
         std::cout << " naive=" << row.naive_seconds << "s speedup=" << row.speedup() << "x";
       }
@@ -1173,7 +1168,7 @@ int main(int argc, char** argv) {
         << ", \"engine_swaps_per_sec\": " << r.engine_swaps_per_sec()
         << ", \"u8_seconds\": " << r.u8_seconds << ", \"u16_seconds\": " << r.u16_seconds
         << ", \"width_speedup\": " << r.width_speedup()
-        << ", \"sharded_seconds\": " << r.sharded_seconds << ", \"shards\": " << r.shards;
+        << ", \"shards\": " << r.shards;
     if (r.has_naive()) {
       out << ", \"naive_skipped\": false, \"naive_seconds\": " << r.naive_seconds
           << ", \"naive_swaps_per_sec\": " << r.naive_swaps_per_sec()

@@ -3,10 +3,10 @@
 // model DESIGN.md's complexity notes rely on.
 #include <benchmark/benchmark.h>
 
+#include "core/certify_sharded.hpp"
 #include "core/dynamics.hpp"
 #include "core/equilibrium.hpp"
 #include "core/kstability.hpp"
-#include "core/swap_engine.hpp"
 #include "gen/classic.hpp"
 #include "gen/paper.hpp"
 #include "gen/random.hpp"
@@ -124,10 +124,9 @@ BENCHMARK(BM_BatchApsp)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_CertifySumEngine(benchmark::State& state) {
   const Graph g = test_graph(static_cast<Vertex>(state.range(0)));
-  const SwapEngine engine(g);
   std::uint64_t moves = 0;
   for (auto _ : state) {
-    const auto cert = engine.certify(UsageCost::Sum, /*include_deletions=*/false);
+    const auto cert = certify_sharded(g, UsageCost::Sum, /*include_deletions=*/false).certificate;
     moves = cert.moves_checked;
     benchmark::DoNotOptimize(cert);
   }
@@ -155,10 +154,9 @@ BENCHMARK(BM_CertifySumNaive)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
 void BM_CertifyMaxEngine(benchmark::State& state) {
   const Graph g = test_graph(static_cast<Vertex>(state.range(0)));
-  const SwapEngine engine(g);
   std::uint64_t moves = 0;
   for (auto _ : state) {
-    const auto cert = engine.certify(UsageCost::Max, /*include_deletions=*/true);
+    const auto cert = certify_sharded(g, UsageCost::Max, /*include_deletions=*/true).certificate;
     moves = cert.moves_checked;
     benchmark::DoNotOptimize(cert);
   }

@@ -13,6 +13,19 @@ namespace bncg {
 
 namespace {
 
+/// Agent-scan work one shard must carry to repay its pool handoff, in the
+/// units of the auto rule, n·(n + 2m). Measured on G(n, 2n) (work 5n²) on
+/// a 4-vCPU AVX-512 host, medians of 15–21 runs: 4 lanes at 16 shards lost
+/// to 1 lane at n = 16 (sum 37–48 vs 23–37 µs, max 37–53 vs 16–23), split
+/// at n = 20 (sum 47–50 vs 63–64, max 44 vs 33), and won from n = 24 (sum
+/// 56–79 vs 77–126, max 47–61 vs 62–121); two shards on 4 lanes still lost
+/// to one inline shard on max at n = 24 (74–76 vs 66–68 µs) and won from
+/// n = 28. W = 3072 keeps n ≤ 24 on one inline shard and gives n = 28 and
+/// 32 two shards. G(1024, 2048) and the k = 20 torus (work 5.2 M and 3.2 M)
+/// keep 16 shards on 4 lanes; the n ≤ 6 exhaustive sweep (work ≤ 216) runs
+/// inline.
+constexpr std::uint64_t kShardWork = 3072;
+
 /// Scans agents [r.agent_lo, r.agent_hi) into the payload fields of `r`.
 /// The shared scan body of the in-process task shards and the public
 /// cross-process entry point, so both fold the exact same per-agent
@@ -66,14 +79,14 @@ void scan_range(const SwapEngine& engine, UsageCost model, bool include_deletion
 
 ShardResult certify_agent_range(const SwapEngine& engine, const AgentRange& range,
                                 UsageCost model, bool include_deletions, bool stop_on_violation,
-                                SwapEngine::Scratch* scratch, std::atomic<bool>* abort) {
+                                SwapEngine::Scratch* scratch) {
   ShardResult r = stamped_shard(graph_fingerprint(engine.snapshot()), engine, range, model,
                                 include_deletions, stop_on_violation);
 
   SwapEngine::Scratch local;
   const std::uint64_t fallbacks_before = engine.width_fallbacks();
   scan_range(engine, model, include_deletions, stop_on_violation,
-             scratch != nullptr ? *scratch : local, abort, r);
+             scratch != nullptr ? *scratch : local, /*abort=*/nullptr, r);
   // Exact when this caller is the engine's only user (the worker process);
   // merely indicative under concurrent in-process shards, whose driver
   // re-stamps the engine total after the merge anyway.
@@ -106,8 +119,8 @@ void ShardFold::add(const ShardResult& r) {
   expect_lo_ = r.agent_hi;
 
   // Serial fold in shard (= agent) order with a strict '<': the earliest
-  // agent wins among equal cost_after, matching SwapEngine::certify and the
-  // naive certifiers bit for bit.
+  // agent wins among equal cost_after, matching the naive certifiers bit
+  // for bit.
   if (folded_ == 0) out_.width = DistWidth::U8;
   out_.certificate.moves_checked += r.moves;
   out_.agents_scanned += r.scanned;
@@ -163,8 +176,11 @@ ShardedCertificate certify_sharded(const Graph& g, UsageCost model, bool include
 
   ThreadPool& pool = ThreadPool::global();
   const std::size_t threads = pool.size();
-  const std::size_t shards =
-      std::min<std::size_t>(n, config.shards != 0 ? config.shards : std::max<std::size_t>(1, 4 * threads));
+  const std::uint64_t work = std::uint64_t{n} * (n + 2 * std::uint64_t{g.num_edges()});
+  const std::size_t shards = std::min<std::size_t>(
+      n, config.shards != 0
+             ? config.shards
+             : std::min<std::uint64_t>(4 * threads, (work + kShardWork - 1) / kShardWork));
 
   // Identity stamped once up front through the same helper the worker
   // entry point uses (one O(m) fingerprint pass, not one per shard); the
@@ -184,13 +200,16 @@ ShardedCertificate certify_sharded(const Graph& g, UsageCost model, bool include
   std::atomic<bool> abort{false};
   // One scratch per pool lane, not per shard: a claimed shard runs on one
   // lane start to finish, so indexing by the executing lane is race-free.
-  // The lanes share the engine's unmasked slab, built here on the pool
-  // rather than inline by the first lane that needs it.
-  std::vector<SwapEngine::Scratch> scratch(threads);
+  // Each lane builds its scratch on its first shard, so a one-shard run
+  // builds one, not one per lane. The lanes share the engine's unmasked
+  // slab, built here on the pool rather than inline by the first lane that
+  // needs it.
+  std::vector<std::optional<SwapEngine::Scratch>> scratch(threads);
   engine.build_shared_rows();
 
   pool.parallel_for(shards, /*grain=*/1, [&](std::uint64_t shard, unsigned tid) {
-    scan_range(engine, model, include_deletions, config.stop_on_violation, scratch[tid], &abort,
+    if (!scratch[tid]) scratch[tid].emplace();
+    scan_range(engine, model, include_deletions, config.stop_on_violation, *scratch[tid], &abort,
                results[static_cast<std::size_t>(shard)]);
   });
 

@@ -1,22 +1,26 @@
-// Sharded certification — the large-n driver over the swap engine.
+// Sharded certification — the one in-process driver of swap certification.
 //
-// SwapEngine::certify parallelizes one flat pool loop over agents, which is
-// the right shape while the per-agent cost is uniform. On large instances
-// it is not: agent costs spread out (degree skew makes some agents'
-// masked-row repairs and combines several times pricier than others), a
-// single straggler holds the whole loop's implicit barrier, and a
-// verdict-only caller still pays for the full best-witness scan of every
-// agent. certify_sharded repackages the same per-agent scans
-// as shards on the thread pool (util/thread_pool.hpp):
+// certify_sharded answers the paper's question for a whole graph (is G a
+// swap equilibrium under sum or max, and if not, which swap witnesses it)
+// by running the engine's per-agent scans (core/swap_engine.hpp) over
+// contiguous agent shards on the thread pool (util/thread_pool.hpp). The
+// engine owns no agent loop; the public certifiers
+// (certify_sum_equilibrium, certify_max_equilibrium) and bncg::Instance all
+// come here.
 //
-//  * the agent range splits into `shards` contiguous blocks that pool lanes
-//    claim one at a time, so a straggling shard overlaps the rest instead
-//    of gating a barrier;
-//  * each shard folds its own best witness locally; the final merge walks
+//  * Shards are sized by work. The auto count is
+//    min(n, 4·lanes, ⌈n·(n + 2m) / W⌉), where n·(n + 2m) counts one sweep
+//    over the snapshot per agent and W is one measured constant
+//    (certify_sharded.cpp). An instance too small to repay a pool handoff
+//    gets one shard, which the pool runs inline on the calling thread, so
+//    more lanes never slow it down; large instances get four shards per
+//    lane, whose lanes claim them one at a time, so a straggling shard
+//    overlaps the rest instead of gating a barrier.
+//  * Each shard folds its own best witness locally; the final merge walks
 //    shards in index order — which IS agent order — picking the strictly
 //    better cost_after, so the certificate (witness, tie-breaks,
-//    moves_checked) is bit-identical to SwapEngine::certify and the serial
-//    naive fold, under any thread count and any task schedule;
+//    moves_checked) is bit-identical to the serial bncg::naive fold under
+//    any shard count, thread count and task schedule.
 //  * `stop_on_violation` flips the scan to first-deviation with a shared
 //    abort flag checked between agents: the moment any shard finds a
 //    violation the remaining shards drain. The *verdict* stays
@@ -25,10 +29,11 @@
 //    such — that mode is for "is this an equilibrium at all" screens where
 //    the answer is usually "no" within a few shards.
 //
-// Width adaptivity rides along for free: the engine underneath starts its
-// scans at u8 whenever the instance's diameter bound fits
-// (graph/dist_width.hpp), halving per-shard scratch and combine bandwidth
-// at exactly the scale where this driver matters.
+// Width adaptivity rides along: the engine starts its scans at u8 whenever
+// the instance's diameter bound fits (graph/dist_width.hpp), and a memory
+// budget (ShardedCertifyConfig::resources) moves them onto the blocked row
+// cache; neither changes a certificate byte.
+//
 // Cross-process fan-out rides on the same shape: certify_agent_range runs
 // one shard's scan against any SwapEngine (in this process or a worker on
 // another machine), merge_shard_results folds ShardResults back into the
@@ -40,7 +45,6 @@
 // §11).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -54,12 +58,12 @@
 
 namespace bncg {
 
-/// Tuning knobs of a sharded certification run. Defaults reproduce
-/// SwapEngine::certify results exactly with auto-sized shards.
+/// Tuning knobs of a sharded certification run. Every setting gives the
+/// same certificate; they change speed and memory only.
 struct ShardedCertifyConfig {
-  /// Number of contiguous agent shards; 0 = auto (4 blocks per available
-  /// thread, capped at n — enough slack for stealing without shrinking
-  /// blocks below the task-dispatch overhead).
+  /// Number of contiguous agent shards, capped at n; 0 = auto, sized by
+  /// work (see the header comment): one inline shard for tiny instances,
+  /// four per pool lane for large ones.
   std::size_t shards = 0;
   /// Verdict-only fast path: scan first-deviation per agent and abort every
   /// shard once any violation is found. Witness/moves become
@@ -125,20 +129,16 @@ struct ShardResult {
 /// identity block — fingerprint included — is stamped from the engine's
 /// own snapshot, so a shard can never carry one instance's fingerprint
 /// over another instance's payload. This is the worker-side entry point of
-/// the cross-process pipeline and the per-task body of the in-process
-/// driver: agents are scanned in ascending order with the engine's scan
-/// rules, so merging the results of ANY partition of [0, n) reproduces
-/// SwapEngine::certify bit for bit. `scratch` may be shared across
-/// sequential calls; pass null to use a call-local one. `abort`, when
-/// given, is checked before each agent and raised on a violation under
-/// stop_on_violation — the in-process driver shares one flag across all
-/// shards, independent worker processes simply pass null and stop at their
-/// own first violation.
+/// the cross-process pipeline, and it scans with the in-process driver's
+/// shard body: agents in ascending order under the engine's scan rules, so
+/// merging the results of ANY partition of [0, n) reproduces
+/// certify_sharded bit for bit. Under stop_on_violation the range stops at
+/// its own first violation. `scratch` may be shared across sequential
+/// calls; pass null to use a call-local one.
 [[nodiscard]] ShardResult certify_agent_range(const SwapEngine& engine, const AgentRange& range,
                                               UsageCost model, bool include_deletions = false,
                                               bool stop_on_violation = false,
-                                              SwapEngine::Scratch* scratch = nullptr,
-                                              std::atomic<bool>* abort = nullptr);
+                                              SwapEngine::Scratch* scratch = nullptr);
 
 /// Incremental twin of merge_shard_results — THE single fold
 /// implementation (merge_shard_results routes through it). Shards must
@@ -177,19 +177,19 @@ class ShardFold {
 /// std::invalid_argument on any violation — mismatched instances refuse to
 /// merge. The fold walks shards in shard-index order — which IS agent
 /// order — taking the strictly better cost_after, so the merged witness,
-/// tie-breaks, and moves_checked are bit-identical to SwapEngine::certify
+/// tie-breaks, and moves_checked are bit-identical to certify_sharded
 /// regardless of where or in what order the shards were produced.
 [[nodiscard]] ShardedCertificate merge_shard_results(const std::vector<ShardResult>& shards);
 
 /// Certifies `g` under `model` by sharding the per-agent scan (see header
 /// comment). Without stop_on_violation the certificate — witness,
-/// tie-breaks, moves_checked — is bit-identical to SwapEngine::certify and
-/// the bncg::naive certifiers (differential-tested in
-/// tests/test_certify_sharded.cpp). `include_deletions` selects the max
-/// model's deletion clause, exactly as in SwapEngine::certify. Correct at
-/// any size; with a memory budget (config.resources) the scans run against
-/// the blocked row cache, which is what admits n ≥ 65535 instances the
-/// dense O(n²) storage provably cannot fit.
+/// tie-breaks, moves_checked — is bit-identical to the bncg::naive
+/// certifiers (differential-tested in tests/test_certify_sharded.cpp and
+/// tests/test_exhaustive_sweep.cpp). `include_deletions` selects the max
+/// model's deletion clause. Correct at any size; with a memory budget
+/// (config.resources) the scans run against the blocked row cache, which
+/// is what admits n ≥ 65535 instances the dense O(n²) storage provably
+/// cannot fit.
 [[nodiscard]] ShardedCertificate certify_sharded(const Graph& g, UsageCost model,
                                                  bool include_deletions = false,
                                                  const ShardedCertifyConfig& config = {});

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <unordered_set>
 
+#include "core/certify_sharded.hpp"
 #include "core/search_state.hpp"
 #include "core/swap_engine.hpp"
 #include "graph/io.hpp"
@@ -104,10 +105,10 @@ class MoveProvider {
   bool certified(const Graph& g) {
     if (use_state_) return state_->certify_current();
     if (use_engine_) {
-      if (config_.cost == UsageCost::Sum) {
-        return engine_->certify(UsageCost::Sum, /*include_deletions=*/false).is_equilibrium;
-      }
-      return engine_->certify(UsageCost::Max, config_.allow_neutral_deletions).is_equilibrium;
+      ShardedCertifyConfig certify;
+      certify.resources = config_.resources;
+      const bool deletions = config_.cost == UsageCost::Max && config_.allow_neutral_deletions;
+      return certify_sharded(g, config_.cost, deletions, certify).certificate.is_equilibrium;
     }
     if (config_.cost == UsageCost::Sum) return naive::certify_sum_equilibrium(g).is_equilibrium;
     if (config_.allow_neutral_deletions) return naive::certify_max_equilibrium(g).is_equilibrium;

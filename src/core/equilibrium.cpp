@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/certify_sharded.hpp"
 #include "core/swap_engine.hpp"
 #include "graph/apsp.hpp"
 #include "graph/metrics.hpp"
@@ -199,14 +200,12 @@ std::optional<Deviation> first_max_deviation(const Graph& g, Vertex v, BfsWorksp
 
 EquilibriumCertificate certify_sum_equilibrium(const Graph& g) {
   if (force_naive_requested()) return naive::certify_sum_equilibrium(g);
-  const SwapEngine engine(g);
-  return engine.certify(UsageCost::Sum, /*include_deletions=*/false);
+  return certify_sharded(g, UsageCost::Sum, /*include_deletions=*/false).certificate;
 }
 
 EquilibriumCertificate certify_max_equilibrium(const Graph& g) {
   if (force_naive_requested()) return naive::certify_max_equilibrium(g);
-  const SwapEngine engine(g);
-  return engine.certify(UsageCost::Max, /*include_deletions=*/true);
+  return certify_sharded(g, UsageCost::Max, /*include_deletions=*/true).certificate;
 }
 
 bool is_sum_equilibrium(const Graph& g) { return certify_sum_equilibrium(g).is_equilibrium; }

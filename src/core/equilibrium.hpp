@@ -76,11 +76,13 @@ struct EquilibriumCertificate {
                                                            BfsWorkspace& ws,
                                                            bool include_deletions = false);
 
-/// Exhaustively certifies sum equilibrium. Parallel over vertices.
+/// Exhaustively certifies sum equilibrium through certify_sharded (the
+/// naive oracle under BNCG_FORCE_NAIVE).
 [[nodiscard]] EquilibriumCertificate certify_sum_equilibrium(const Graph& g);
 
 /// Exhaustively certifies max equilibrium: swap stability for every agent
-/// plus the strict-deletion clause for every edge endpoint.
+/// plus the strict-deletion clause for every edge endpoint. Same routing as
+/// certify_sum_equilibrium.
 [[nodiscard]] EquilibriumCertificate certify_max_equilibrium(const Graph& g);
 
 /// Convenience predicates.

@@ -44,7 +44,6 @@ std::uint64_t Instance::fingerprint() const {
 
 ShardedCertificate Instance::certify(const RunConfig& run) const {
   ShardedCertifyConfig config;
-  config.shards = run.shards;
   config.stop_on_violation = run.stop_on_violation;
   config.resources = run.resources;
   return certify_sharded(graph_, run.model, run.include_deletions, config);

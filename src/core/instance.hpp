@@ -16,12 +16,15 @@
 //   ShardedCertificate cert = inst.certify(run);
 //
 // One RunConfig drives both entry points: `certify` answers the
-// equilibrium question exhaustively (sharded over the thread pool, dense
-// or budgeted row storage per ResourceConfig), `equilibrate` runs
-// best-response dynamics under the same model/resources until equilibrium
-// or budget. The free functions underneath (certify_sharded, run_dynamics,
-// certify_sum_equilibrium, …) stay public for callers that need one step
-// of this; new code should start here.
+// equilibrium question exhaustively through certify_sharded, the one
+// in-process certification driver (work-sized shards on the thread pool,
+// a tiny instance inline on the caller; dense or budgeted row storage per
+// ResourceConfig), and `equilibrate` runs best-response dynamics under the
+// same model/resources until equilibrium or budget. RunConfig carries no
+// shard count: the driver sizes shards by work. The free functions
+// underneath (certify_sharded, run_dynamics, certify_sum_equilibrium, …)
+// stay public for callers that need one step of this; new code should
+// start here.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +52,6 @@ struct RunConfig {
   /// violation. Witness/moves_checked become schedule-dependent;
   /// is_equilibrium stays deterministic.
   bool stop_on_violation = false;
-  /// Certification shard count; 0 = auto (scaled to the thread pool).
-  std::size_t shards = 0;
   /// Dynamics move cap (cycling guard).
   std::uint64_t max_moves = 100'000;
   /// Dynamics scheduler seed (RandomOrder shuffles).
@@ -90,9 +91,10 @@ class Instance {
   /// Canonical instance fingerprint (graph/io.hpp), computed once.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
-  /// Exhaustive equilibrium certification under `run` — the sharded
-  /// certifier with the run's resources (dense below the budget, blocked
-  /// row cache above it; identical certificate bytes either way).
+  /// Exhaustive equilibrium certification under `run` — certify_sharded
+  /// with auto (work-sized) shards and the run's resources (dense below the
+  /// budget, blocked row cache above it; identical certificate bytes either
+  /// way).
   [[nodiscard]] ShardedCertificate certify(const RunConfig& run = {}) const;
 
   /// Best-response swap dynamics from this instance under `run`'s model,

@@ -716,45 +716,6 @@ std::optional<Deviation> SwapEngine::first_deviation(Vertex v, UsageCost model,
   return first_deviation(v, model, scratch_, include_deletions);
 }
 
-EquilibriumCertificate SwapEngine::certify(UsageCost model, bool include_deletions) const {
-  const Vertex n = csr_.num_vertices();
-  EquilibriumCertificate cert;
-  std::uint64_t moves = 0;
-
-  // Per-agent results land in a vector and are folded serially afterwards,
-  // so the witness tie-break (earliest agent among equal cost_after) matches
-  // the serial naive certifiers under any lane count — a parallel reduction
-  // would pick among ties in thread-arrival order. Move counts are per-lane
-  // slots (cache-line padded: they are bumped per candidate) summed in lane
-  // order; sums commute, so the fold order is cosmetic there.
-  std::vector<std::optional<Deviation>> per_agent(n);
-  ThreadPool& pool = ThreadPool::global();
-  struct alignas(64) LaneCount {
-    std::uint64_t moves = 0;
-  };
-  std::vector<LaneCount> lane_moves(pool.size());
-  build_shared_rows();
-  {
-    std::vector<Scratch> scratch(pool.size());
-    pool.parallel_for(n, 1, [&](std::uint64_t v, unsigned tid) {
-      per_agent[v] = best_deviation(static_cast<Vertex>(v), model, scratch[tid],
-                                    include_deletions, &lane_moves[tid].moves);
-    });
-  }
-  for (const LaneCount& lane : lane_moves) moves += lane.moves;
-
-  std::optional<Deviation> best;
-  for (Vertex v = 0; v < n; ++v) {
-    const auto& dev = per_agent[v];
-    if (dev && (!best || dev->cost_after < best->cost_after)) best = dev;
-  }
-
-  cert.moves_checked = moves;
-  cert.witness = best;
-  cert.is_equilibrium = !best.has_value();
-  return cert;
-}
-
 // --------------------------------------------------- k-move deviation paths
 
 template <typename Dist>

@@ -52,6 +52,11 @@
 // brute-force oracle (differential-tested on hundreds of random instances —
 // across widths too, see tests/test_width_fuzz.cpp; set BNCG_FORCE_NAIVE=1
 // to route the public certifier API back to the oracle).
+//
+// The engine answers one agent at a time and owns no agent loop: whole-graph
+// certification is certify_sharded (core/certify_sharded.hpp), the one
+// in-process driver, and certify_agent_range runs one shard of it on an
+// engine the caller holds (worker processes, the service).
 #pragma once
 
 #include <atomic>
@@ -226,12 +231,6 @@ class SwapEngine {
   [[nodiscard]] std::optional<Deviation> first_deviation(
       Vertex v, UsageCost model, Scratch& scratch, bool include_deletions = false,
       std::uint64_t* moves_checked = nullptr) const;
-
-  /// Exhaustive certificate over all agents (sum: swap stability; max: swap
-  /// stability plus the strict-deletion clause when include_deletions).
-  /// Parallel over agents on the process thread pool, one Scratch per lane;
-  /// per-agent results fold serially so witnesses are thread-count-invariant.
-  [[nodiscard]] EquilibriumCertificate certify(UsageCost model, bool include_deletions) const;
 
   /// Builds the shared unmasked slab the preferred-width scans read, on the
   /// pool, now. Scans build it on first need anyway, but a first need inside
@@ -423,8 +422,8 @@ class SwapEngine {
   ResourceConfig resources_;
   WidthAndBudgetPolicy budget_policy_;
   bool prefer_u8_ = false;
-  /// Shared across the const certify() path's threads; relaxed is enough
-  /// for a monotone counter.
+  /// Shared by every lane scanning this engine (certify_sharded's shards);
+  /// relaxed is enough for a monotone counter.
   mutable std::atomic<std::uint64_t> width_fallbacks_{0};
   mutable SharedRows<std::uint8_t> shared8_;
   mutable SharedRows<std::uint16_t> shared16_;

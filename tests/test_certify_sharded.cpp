@@ -1,36 +1,24 @@
 // Differential tests for the sharded certification driver
 // (core/certify_sharded.hpp): under every shard count the full-mode
 // certificate — verdict, witness, tie-breaks, move counts — must be
-// bit-identical to SwapEngine::certify and the bncg::naive certifiers, and
-// the stop_on_violation fast path must agree on the verdict.
+// bit-identical to the bncg::naive certifiers, the stop_on_violation fast
+// path must agree on the verdict, and the auto shard count must follow the
+// work-sized rule.
 #include "core/certify_sharded.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
-#include "core/equilibrium.hpp"
-#include "core/swap_engine.hpp"
+#include "certificate_oracle.hpp"
 #include "gen/classic.hpp"
 #include "gen/random.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bncg {
 namespace {
-
-void expect_same_certificate(const EquilibriumCertificate& got,
-                             const EquilibriumCertificate& want, const std::string& context) {
-  ASSERT_EQ(got.is_equilibrium, want.is_equilibrium) << context;
-  EXPECT_EQ(got.moves_checked, want.moves_checked) << context;
-  ASSERT_EQ(got.witness.has_value(), want.witness.has_value()) << context;
-  if (!got.witness) return;
-  EXPECT_EQ(got.witness->swap.v, want.witness->swap.v) << context;
-  EXPECT_EQ(got.witness->swap.remove_w, want.witness->swap.remove_w) << context;
-  EXPECT_EQ(got.witness->swap.add_w, want.witness->swap.add_w) << context;
-  EXPECT_EQ(got.witness->cost_before, want.witness->cost_before) << context;
-  EXPECT_EQ(got.witness->cost_after, want.witness->cost_after) << context;
-  EXPECT_EQ(got.witness->kind, want.witness->kind) << context;
-}
 
 TEST(CertifySharded, MatchesEngineAndNaiveUnderEveryShardCount) {
   Xoshiro256ss rng(0xC0DE);
@@ -39,11 +27,7 @@ TEST(CertifySharded, MatchesEngineAndNaiveUnderEveryShardCount) {
     const Graph g = random_connected_gnm(n, n - 1 + rng.below(2 * n), rng);
     for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
       const bool deletions = model == UsageCost::Max;
-      const SwapEngine engine(g);
-      const EquilibriumCertificate want = engine.certify(model, deletions);
-      const EquilibriumCertificate naive_want = model == UsageCost::Sum
-                                                    ? naive::certify_sum_equilibrium(g)
-                                                    : naive::certify_max_equilibrium(g);
+      const EquilibriumCertificate want = naive_certificate(g, model, deletions);
       for (const std::size_t shards : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                                        std::size_t{5}, std::size_t{64}}) {
         ShardedCertifyConfig config;
@@ -52,8 +36,7 @@ TEST(CertifySharded, MatchesEngineAndNaiveUnderEveryShardCount) {
         const std::string ctx = "trial " + std::to_string(trial) + " shards " +
                                 std::to_string(shards) +
                                 (model == UsageCost::Sum ? " sum" : " max");
-        expect_same_certificate(got.certificate, want, ctx + " vs engine");
-        expect_same_certificate(got.certificate, naive_want, ctx + " vs naive");
+        expect_same_certificate(got.certificate, want, ctx + " vs naive");
         EXPECT_EQ(got.agents_scanned, n) << ctx;
         EXPECT_GE(got.shards_used, 1u) << ctx;
         if (shards != 0) EXPECT_EQ(got.shards_used, std::min<std::size_t>(shards, n)) << ctx;
@@ -91,17 +74,35 @@ TEST(CertifySharded, KnownEquilibriaCertify) {
 
 TEST(CertifySharded, LargeInstanceSmoke) {
   // One mid-size instance through the intended large-n configuration (auto
-  // shards, auto width): parity with the engine certificate.
+  // shards, auto width): parity with the naive certificate.
   Xoshiro256ss rng(0xBEEF);
   const Graph g = random_connected_gnm(300, 600, rng);
   for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
     const bool deletions = model == UsageCost::Max;
-    const SwapEngine engine(g);
     const ShardedCertificate got = certify_sharded(g, model, deletions);
-    expect_same_certificate(got.certificate, engine.certify(model, deletions),
+    expect_same_certificate(got.certificate, naive_certificate(g, model, deletions),
                             model == UsageCost::Sum ? "sum" : "max");
     EXPECT_EQ(got.width, DistWidth::U8);  // G(300, 600) sits far below the cap
   }
+}
+
+TEST(CertifySharded, AutoShardCountFollowsWork) {
+  const std::size_t lanes = ThreadPool::global().size();
+  // Every graph on n ≤ 6 vertices is one shard, run inline on the caller,
+  // whatever the lane count; an explicit count is still honoured.
+  for (const Graph& g : {path(2), star(5), complete(6)}) {
+    for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
+      EXPECT_EQ(certify_sharded(g, model).shards_used, 1u) << g.num_vertices();
+    }
+    ShardedCertifyConfig config;
+    config.shards = 4;
+    EXPECT_EQ(certify_sharded(g, UsageCost::Sum, false, config).shards_used,
+              std::min<std::size_t>(4, g.num_vertices()));
+  }
+  // G(1024, 2048) carries work for 4 shards per lane (16 on 4 lanes).
+  Xoshiro256ss rng(0x5A4D);
+  const Graph g = random_connected_gnm(1024, 2048, rng);
+  EXPECT_EQ(certify_sharded(g, UsageCost::Sum).shards_used, 4 * lanes);
 }
 
 }  // namespace

@@ -375,11 +375,14 @@ TEST(PublicApi, MaxCertifierAboveFormerNaiveCapMatchesEngine) {
   const Graph g = star(4097);
   SwapEngine engine(g);
 
+  // The oracle's certificate in closed form (its Θ(n³) run is what this
+  // test must not take): a star is a max equilibrium, and the scan counts
+  // one move per leaf swap target, 4,095 per leaf, plus one deletion check
+  // per edge endpoint.
   const EquilibriumCertificate got = certify_max_equilibrium(g);
-  const EquilibriumCertificate want = engine.certify(UsageCost::Max, /*include_deletions=*/true);
-  EXPECT_EQ(got.is_equilibrium, want.is_equilibrium);
-  EXPECT_EQ(got.moves_checked, want.moves_checked);
-  expect_same_deviation(got.witness, want.witness);
+  EXPECT_TRUE(got.is_equilibrium);
+  EXPECT_FALSE(got.witness.has_value());
+  EXPECT_EQ(got.moves_checked, std::uint64_t{4096} * 4095 + 2 * 4096);
 
   const Vertex leaf = 4096;
   BfsWorkspace ws;

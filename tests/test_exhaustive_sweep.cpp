@@ -4,21 +4,15 @@
 // two single-row u16 blocks per lane — against the bncg::naive oracle, for
 // sum, max and max with deletions. Verdict, witness and moves_checked must
 // match byte for byte; a failure names the graph in graph6.
-//
-// The n = 6 sweep takes ~3.7 s on one lane and ~10 s on four, where each
-// certification of a few agents still hands its shards to the pool, so
-// CMakeLists pins it to BNCG_THREADS=1 and runs the n ≤ 5 sweep at 4 lanes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "certificate_oracle.hpp"
 #include "core/certify_sharded.hpp"
-#include "core/equilibrium.hpp"
-#include "graph/bfs.hpp"
 #include "graph/io.hpp"
 #include "util/thread_pool.hpp"
 
@@ -37,35 +31,6 @@ constexpr RunSpec kRuns[] = {
     {UsageCost::Max, true, "max+del"},
 };
 
-/// The oracle's certificate. It certifies max with deletions; max swaps
-/// alone fold the same way: the earliest agent among equal cost_after, one
-/// move per candidate swap.
-EquilibriumCertificate naive_certificate(const Graph& g, const RunSpec& run, BfsWorkspace& ws) {
-  if (run.model == UsageCost::Sum) return naive::certify_sum_equilibrium(g);
-  if (run.include_deletions) return naive::certify_max_equilibrium(g);
-  EquilibriumCertificate cert;
-  const Vertex n = g.num_vertices();
-  for (Vertex v = 0; v < n; ++v) {
-    cert.moves_checked += std::uint64_t{g.degree(v)} * (n - 1 - g.degree(v));
-    const auto dev = naive::best_max_deviation(g, v, ws);
-    if (dev && (!cert.witness || dev->cost_after < cert.witness->cost_after)) cert.witness = dev;
-  }
-  cert.is_equilibrium = !cert.witness.has_value();
-  return cert;
-}
-
-void expect_same(const EquilibriumCertificate& want, const EquilibriumCertificate& got,
-                 const std::string& ctx) {
-  EXPECT_EQ(got.is_equilibrium, want.is_equilibrium) << ctx;
-  EXPECT_EQ(got.moves_checked, want.moves_checked) << ctx;
-  ASSERT_EQ(got.witness.has_value(), want.witness.has_value()) << ctx;
-  if (!want.witness) return;
-  EXPECT_EQ(got.witness->swap, want.witness->swap) << ctx;
-  EXPECT_EQ(got.witness->cost_before, want.witness->cost_before) << ctx;
-  EXPECT_EQ(got.witness->cost_after, want.witness->cost_after) << ctx;
-  EXPECT_EQ(got.witness->kind, want.witness->kind) << ctx;
-}
-
 /// Sweeps every labeled connected graph on n vertices; returns how many.
 std::uint64_t sweep(Vertex n) {
   std::vector<std::pair<Vertex, Vertex>> pairs;
@@ -82,7 +47,6 @@ std::uint64_t sweep(Vertex n) {
   configs[2] = {configs[1].first, "budgeted"};
   configs[2].first.resources.mem_budget = budget;
 
-  BfsWorkspace ws;
   std::uint64_t graphs = 0;
   for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << pairs.size()); ++mask) {
     Graph g(n);
@@ -92,12 +56,12 @@ std::uint64_t sweep(Vertex n) {
     if (!is_connected(g)) continue;
     ++graphs;
     for (const RunSpec& run : kRuns) {
-      const EquilibriumCertificate want = naive_certificate(g, run, ws);
+      const EquilibriumCertificate want = naive_certificate(g, run.model, run.include_deletions);
       for (const auto& [config, name] : configs) {
         const ShardedCertificate got =
             certify_sharded(g, run.model, run.include_deletions, config);
-        expect_same(want, got.certificate,
-                    "graph6=" + to_graph6(g) + " run=" + run.name + " config=" + name);
+        expect_same_certificate(got.certificate, want,
+                                "graph6=" + to_graph6(g) + " run=" + run.name + " config=" + name);
         if (::testing::Test::HasFailure()) return graphs;
       }
     }

@@ -355,14 +355,15 @@ TEST(MaskedRepair, ScansMatchNaiveAtBothWidthsAndSimdExtremes) {
 void check_fallbacks(const Graph& g, std::uint64_t want_fallbacks, const std::string& ctx) {
   for (const bool deletions : {false, true}) {
     const UsageCost model = deletions ? UsageCost::Max : UsageCost::Sum;
-    SwapEngine e8(g, ResourceConfig{.width = WidthPolicy::ForceU8});
-    const EquilibriumCertificate cert = e8.certify(model, deletions);
+    ShardedCertifyConfig config;
+    config.resources.width = WidthPolicy::ForceU8;
+    const ShardedCertificate cert = certify_sharded(g, model, deletions, config);
     const EquilibriumCertificate want =
         deletions ? naive::certify_max_equilibrium(g) : naive::certify_sum_equilibrium(g);
-    EXPECT_EQ(cert.is_equilibrium, want.is_equilibrium) << ctx;
-    EXPECT_EQ(cert.moves_checked, want.moves_checked) << ctx;
-    expect_same_deviation(cert.witness, want.witness, ctx + " witness");
-    EXPECT_EQ(e8.width_fallbacks(), want_fallbacks) << ctx << (deletions ? " max" : " sum");
+    EXPECT_EQ(cert.certificate.is_equilibrium, want.is_equilibrium) << ctx;
+    EXPECT_EQ(cert.certificate.moves_checked, want.moves_checked) << ctx;
+    expect_same_deviation(cert.certificate.witness, want.witness, ctx + " witness");
+    EXPECT_EQ(cert.width_fallbacks, want_fallbacks) << ctx << (deletions ? " max" : " sum");
   }
 }
 

@@ -19,6 +19,8 @@
 #include <tuple>
 #include <vector>
 
+#include "certificate_oracle.hpp"
+#include "core/certify_sharded.hpp"
 #include "core/search_state.hpp"
 #include "core/swap_engine.hpp"
 #include "gen/classic.hpp"
@@ -380,12 +382,10 @@ Graph parity_instance(int trial, Xoshiro256ss& rng) {
 }
 
 /// One agent's full observable surface at the current level: certificate
-/// verdict + witness + move count from the engine, and the SearchState scan
+/// verdict + witness + move count from certify_sharded, and the SearchState scan
 /// tables of a few agents.
 struct Snapshot {
-  bool is_eq = false;
-  std::uint64_t moves = 0;
-  std::optional<Deviation> witness;
+  EquilibriumCertificate cert;
   std::vector<SearchState::ScanTables> tables;
   std::uint64_t unrest = 0;
 
@@ -398,8 +398,9 @@ struct Snapshot {
              a->swap.add_w == b->swap.add_w && a->cost_before == b->cost_before &&
              a->cost_after == b->cost_after && a->kind == b->kind;
     };
-    if (is_eq != o.is_eq || moves != o.moves || unrest != o.unrest ||
-        !same_dev(witness, o.witness) || tables.size() != o.tables.size()) {
+    if (cert.is_equilibrium != o.cert.is_equilibrium ||
+        cert.moves_checked != o.cert.moves_checked || unrest != o.unrest ||
+        !same_dev(cert.witness, o.cert.witness) || tables.size() != o.tables.size()) {
       return false;
     }
     for (std::size_t i = 0; i < tables.size(); ++i) {
@@ -415,11 +416,9 @@ struct Snapshot {
 Snapshot snapshot_instance(const Graph& g, UsageCost model, WidthPolicy width) {
   Snapshot snap;
   const bool deletions = model == UsageCost::Max;
-  SwapEngine engine(g, ResourceConfig{.width = width});
-  const EquilibriumCertificate cert = engine.certify(model, deletions);
-  snap.is_eq = cert.is_equilibrium;
-  snap.moves = cert.moves_checked;
-  snap.witness = cert.witness;
+  ShardedCertifyConfig config;
+  config.resources.width = width;
+  snap.cert = certify_sharded(g, model, deletions, config).certificate;
   SearchState state(g, model, deletions, /*parallel=*/true, width);
   snap.unrest = state.unrest();
   const Vertex probe = std::min<Vertex>(g.num_vertices(), 3);
@@ -435,9 +434,11 @@ TEST(SimdParity, EndToEndAcrossLevels) {
   for (int trial = 0; trial < 104; ++trial) {
     const Graph g = parity_instance(trial, rng);
     for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
+      const EquilibriumCertificate oracle = naive_certificate(g, model, model == UsageCost::Max);
       for (const WidthPolicy width : {WidthPolicy::ForceU8, WidthPolicy::ForceU16}) {
         simd_set_level(SimdLevel::Scalar);
         const Snapshot want = snapshot_instance(g, model, width);
+        expect_same_certificate(want.cert, oracle, "scalar trial " + std::to_string(trial));
         for (const SimdLevel level : available_levels()) {
           if (level == SimdLevel::Scalar) continue;
           simd_set_level(level);

@@ -2,19 +2,21 @@
 // BFS-per-candidate oracle, over hundreds of random instances in both usage
 // cost models. The engine mirrors the oracle's scan order and acceptance
 // rules, so per-agent deviations must agree *exactly* (same swap, same
-// costs, same kind, same move counts); whole-graph certificates must agree
-// on verdict, witness costs and move counts (the witness tuple itself may
-// differ under OpenMP tie-breaking).
+// costs, same kind, same move counts), and so must whole-graph
+// certificates through certify_sharded (verdict, witness, move counts).
 #include "core/swap_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <optional>
 
+#include "certificate_oracle.hpp"
+#include "core/certify_sharded.hpp"
 #include "core/equilibrium.hpp"
 #include "gen/classic.hpp"
 #include "gen/paper.hpp"
 #include "gen/random.hpp"
+#include "graph/io.hpp"
 #include "util/rng.hpp"
 
 namespace bncg {
@@ -76,27 +78,12 @@ void expect_engine_matches_oracle(const Graph& g) {
   }
 }
 
-/// Whole-graph certificates: verdict, witness costs, move counts.
+/// Whole-graph certificates: verdict, witness, move counts.
 void expect_certificates_match(const Graph& g) {
-  const SwapEngine engine(g);
-
-  const EquilibriumCertificate sum_got = engine.certify(UsageCost::Sum, false);
-  const EquilibriumCertificate sum_want = naive::certify_sum_equilibrium(g);
-  EXPECT_EQ(sum_got.is_equilibrium, sum_want.is_equilibrium);
-  EXPECT_EQ(sum_got.moves_checked, sum_want.moves_checked);
-  ASSERT_EQ(sum_got.witness.has_value(), sum_want.witness.has_value());
-  if (sum_want.witness) {
-    EXPECT_EQ(sum_got.witness->cost_after, sum_want.witness->cost_after);
-  }
-
-  const EquilibriumCertificate max_got = engine.certify(UsageCost::Max, true);
-  const EquilibriumCertificate max_want = naive::certify_max_equilibrium(g);
-  EXPECT_EQ(max_got.is_equilibrium, max_want.is_equilibrium);
-  EXPECT_EQ(max_got.moves_checked, max_want.moves_checked);
-  ASSERT_EQ(max_got.witness.has_value(), max_want.witness.has_value());
-  if (max_want.witness) {
-    EXPECT_EQ(max_got.witness->cost_after, max_want.witness->cost_after);
-  }
+  expect_same_certificate(certify_sharded(g, UsageCost::Sum).certificate,
+                          naive::certify_sum_equilibrium(g), "sum");
+  expect_same_certificate(certify_sharded(g, UsageCost::Max, true).certificate,
+                          naive::certify_max_equilibrium(g), "max+del");
 }
 
 // --------------------------------------------------- randomized differential
@@ -153,9 +140,8 @@ TEST(SwapEngine, AgreesOnClassicFamilies) {
 }
 
 TEST(SwapEngine, StarIsStableUnderBothModels) {
-  const SwapEngine engine(star(10));
-  EXPECT_TRUE(engine.certify(UsageCost::Sum, false).is_equilibrium);
-  EXPECT_TRUE(engine.certify(UsageCost::Max, false).is_equilibrium);
+  EXPECT_TRUE(certify_sharded(star(10), UsageCost::Sum).certificate.is_equilibrium);
+  EXPECT_TRUE(certify_sharded(star(10), UsageCost::Max).certificate.is_equilibrium);
 }
 
 TEST(SwapEngine, WitnessReplaysToClaimedCost) {
@@ -188,17 +174,19 @@ TEST(SwapEngine, WitnessReplaysToClaimedCost) {
 TEST(SwapEngine, RebuildTracksGraphMutations) {
   Graph g = path(7);
   SwapEngine engine(g);
-  const auto before = engine.certify(UsageCost::Sum, false);
-  ASSERT_FALSE(before.is_equilibrium);
-  // Apply the witness and rebuild: the certificate must now reflect the new
-  // configuration (identical to a freshly constructed engine).
-  apply_swap(g, before.witness->swap);
+  AgentRange all;
+  all.hi = g.num_vertices();
+  const ShardResult before = certify_agent_range(engine, all, UsageCost::Sum);
+  ASSERT_TRUE(before.best.has_value());
+  // Apply the witness and rebuild: the scans must now reflect the new
+  // configuration (identical to the oracle on the mutated graph).
+  apply_swap(g, before.best->swap);
   engine.rebuild(g);
-  const SwapEngine fresh(g);
-  const auto rebuilt = engine.certify(UsageCost::Sum, false);
-  const auto expected = fresh.certify(UsageCost::Sum, false);
-  EXPECT_EQ(rebuilt.is_equilibrium, expected.is_equilibrium);
-  EXPECT_EQ(rebuilt.moves_checked, expected.moves_checked);
+  const ShardResult rebuilt = certify_agent_range(engine, all, UsageCost::Sum);
+  const EquilibriumCertificate want = naive::certify_sum_equilibrium(g);
+  expect_same_deviation(rebuilt.best, want.witness, "rebuilt");
+  EXPECT_EQ(rebuilt.moves, want.moves_checked);
+  EXPECT_EQ(rebuilt.fingerprint, graph_fingerprint(g));
 }
 
 /// Moves the naive scan of agent v enumerates until it stops at `stop`, or

@@ -132,11 +132,17 @@ TEST(WidthFuzz, EngineWidthsAgreeWithEachOtherAndNaive) {
         expect_same_deviation(d8, naive_dev, ctx + " u8 vs naive");
         EXPECT_EQ(moves8, moves16) << ctx;
       }
-      const auto c8 = e8.certify(model, deletions);
-      const auto c16 = e16.certify(model, deletions);
-      EXPECT_EQ(c8.is_equilibrium, c16.is_equilibrium) << "trial " << trial;
-      EXPECT_EQ(c8.moves_checked, c16.moves_checked) << "trial " << trial;
-      expect_same_deviation(c8.witness, c16.witness, "certify trial " + std::to_string(trial));
+      ShardedCertifyConfig cfg;
+      cfg.resources.width = WidthPolicy::ForceU8;
+      const ShardedCertificate c8 = certify_sharded(g, model, deletions, cfg);
+      cfg.resources.width = WidthPolicy::ForceU16;
+      const ShardedCertificate c16 = certify_sharded(g, model, deletions, cfg);
+      EXPECT_EQ(c8.certificate.is_equilibrium, c16.certificate.is_equilibrium)
+          << "trial " << trial;
+      EXPECT_EQ(c8.certificate.moves_checked, c16.certificate.moves_checked) << "trial " << trial;
+      expect_same_deviation(c8.certificate.witness, c16.certificate.witness,
+                            "certify trial " + std::to_string(trial));
+      fallbacks_seen += c8.width_fallbacks;
     }
     fallbacks_seen += e8.width_fallbacks();
   }
@@ -148,16 +154,19 @@ TEST(WidthFuzz, EngineWidthsAgreeWithEachOtherAndNaive) {
   // cycle(130)'s exceed the cap outright, and the chorded cycle saturates
   // only for the chord endpoints' masked matrices.
   for (const Graph& g : {path(70), cycle(130), chorded_cycle(100)}) {
-    SwapEngine e8(g, ResourceConfig{.width = WidthPolicy::ForceU8});
+    std::uint64_t fallbacks = 0;
+    ShardedCertifyConfig cfg;
+    cfg.resources.width = WidthPolicy::ForceU8;
     for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
       const bool deletions = model == UsageCost::Max;
-      const auto c8 = e8.certify(model, deletions);
+      const ShardedCertificate c8 = certify_sharded(g, model, deletions, cfg);
       const auto naive_cert = model == UsageCost::Sum ? naive::certify_sum_equilibrium(g)
                                                       : naive::certify_max_equilibrium(g);
-      EXPECT_EQ(c8.is_equilibrium, naive_cert.is_equilibrium);
-      expect_same_deviation(c8.witness, naive_cert.witness, "big-instance certify");
+      EXPECT_EQ(c8.certificate.is_equilibrium, naive_cert.is_equilibrium);
+      expect_same_deviation(c8.certificate.witness, naive_cert.witness, "big-instance certify");
+      fallbacks += c8.width_fallbacks;
     }
-    EXPECT_GT(e8.width_fallbacks(), 0u);
+    EXPECT_GT(fallbacks, 0u);
   }
 }
 

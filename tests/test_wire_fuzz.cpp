@@ -11,8 +11,8 @@
 //  * merge parity — for ANY partition of the agent set into shards, each
 //    certified by its own fresh SwapEngine (emulating separate worker
 //    processes) and round-tripped through a randomly chosen wire encoding,
-//    the merged certificate is bit-identical to SwapEngine::certify and to
-//    the in-process certify_sharded;
+//    the merged certificate is bit-identical to the bncg::naive oracle and
+//    to the in-process certify_sharded;
 //  * guard soundness — cross-merging shards of two different instances
 //    refuses.
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "certificate_oracle.hpp"
 #include "core/certify_sharded.hpp"
 #include "core/certify_wire.hpp"
 #include "core/swap_engine.hpp"
@@ -119,20 +120,6 @@ TEST(WireFuzz, MutatedJsonThrowsOrDecodesIdentically) {
   }
 }
 
-void expect_same_certificate(const EquilibriumCertificate& got,
-                             const EquilibriumCertificate& want, const std::string& context) {
-  ASSERT_EQ(got.is_equilibrium, want.is_equilibrium) << context;
-  EXPECT_EQ(got.moves_checked, want.moves_checked) << context;
-  ASSERT_EQ(got.witness.has_value(), want.witness.has_value()) << context;
-  if (!got.witness) return;
-  EXPECT_EQ(got.witness->swap.v, want.witness->swap.v) << context;
-  EXPECT_EQ(got.witness->swap.remove_w, want.witness->swap.remove_w) << context;
-  EXPECT_EQ(got.witness->swap.add_w, want.witness->swap.add_w) << context;
-  EXPECT_EQ(got.witness->cost_before, want.witness->cost_before) << context;
-  EXPECT_EQ(got.witness->cost_after, want.witness->cost_after) << context;
-  EXPECT_EQ(got.witness->kind, want.witness->kind) << context;
-}
-
 TEST(WireFuzz, AnyPartitionMergesToTheSingleProcessCertificate) {
   Xoshiro256ss rng(0xF1E4D);
   for (int trial = 0; trial < 40; ++trial) {
@@ -140,7 +127,7 @@ TEST(WireFuzz, AnyPartitionMergesToTheSingleProcessCertificate) {
     const Graph g = random_connected_gnm(n, n - 1 + rng.below(2 * n), rng);
     for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
       const bool deletions = model == UsageCost::Max;
-      const EquilibriumCertificate want = SwapEngine(g).certify(model, deletions);
+      const EquilibriumCertificate want = naive_certificate(g, model, deletions);
 
       // Random partition: 1..6 shards with random (possibly empty) blocks.
       const std::size_t shard_count = 1 + rng.below(6);
@@ -177,7 +164,7 @@ TEST(WireFuzz, AnyPartitionMergesToTheSingleProcessCertificate) {
                               (model == UsageCost::Sum ? " sum" : " max") + " shards " +
                               std::to_string(shard_count);
       const ShardedCertificate merged = merge_shard_results(shards);
-      expect_same_certificate(merged.certificate, want, ctx + " vs engine");
+      expect_same_certificate(merged.certificate, want, ctx + " vs naive");
       expect_same_certificate(merged.certificate,
                               certify_sharded(g, model, deletions).certificate,
                               ctx + " vs certify_sharded");
