@@ -246,11 +246,8 @@ TEST(CertifyAgentRange, FullRangeEqualsEngineCertify) {
     AgentRange range;
     range.hi = g.num_vertices();
     const ShardResult r = certify_agent_range(engine, range, model, deletions);
-    EquilibriumCertificate got;
-    got.is_equilibrium = !r.best.has_value();
-    got.witness = r.best;
-    got.moves_checked = r.moves;
-    expect_same_certificate(got, want, model == UsageCost::Sum ? "sum" : "max+del");
+    expect_same_certificate(merge_shard_results({r}).certificate, want,
+                            model == UsageCost::Sum ? "sum" : "max+del");
     EXPECT_EQ(r.fingerprint, graph_fingerprint(g));
     EXPECT_EQ(r.scanned, g.num_vertices());
   }
