@@ -51,8 +51,10 @@
 // dense engine at u8 (sum model on G(n, m), max with deletions on the
 // torus), which repairs rows on demand: the row reports the rows that scan
 // repaired per agent, the time to repair exactly those rows, the whole
-// scan's time per agent, and, timed apart, the scan's first step: begin
-// plus materializing the deg(v) neighbor rows.
+// scan's time per agent, the repair and materialization of the deg(v)
+// neighbor rows alone, and the scan's first step timed through the engine
+// (SwapEngine::fold_agent): the fold of the unmasked neighbor rows with its
+// hard-vertex re-settle.
 //
 // A "far_filter" section prices the budgeted max scan's far filter
 // (DESIGN.md §16) on the seeded-relabel rotated torus at k = 26 under a
@@ -579,6 +581,7 @@ struct MaskedRowsRow {
   double lazy_repair_seconds = 0;  // per agent, repairing exactly those rows
   double lazy_scan_seconds = 0;    // per agent, the whole on-demand scan
   double neighbor_rows_seconds = 0;  // per agent, begin + the deg(v) neighbor rows
+  double fold_seconds = 0;           // per agent, the engine's whole neighbor fold
 
   [[nodiscard]] double speedup() const { return masked_apsp_seconds / repair_seconds; }
 };
@@ -613,11 +616,10 @@ MaskedRowsRow measure_masked_rows(std::string instance, const Graph& g, UsageCos
   const Vertex step = std::max<Vertex>(1, n / 128);
   for (Vertex v = 0; v < n; v += step) {
     bool ok = fits;
-    const std::uint64_t rows_before = scratch.repaired_rows();
     row.lazy_scan_seconds +=
         time_seconds([&] { (void)engine.best_deviation(v, model, scratch, deletions); });
-    row.lazy_rows += static_cast<double>(scratch.repaired_rows() - rows_before);
     const auto scanned = scratch.repair8().agent_rows();
+    row.lazy_rows += static_cast<double>(scanned.size());
     lazy_rows.assign(scanned.begin(), scanned.end());
     const auto unmasked = [&](Vertex x) { return slab.data() + static_cast<std::size_t>(x) * n; };
     row.lazy_repair_seconds += time_seconds([&] {
@@ -630,9 +632,11 @@ MaskedRowsRow measure_masked_rows(std::string instance, const Graph& g, UsageCos
         ok = ok && repair.materialize(z, unmasked(z), repaired.data());
       }
     });
+    row.fold_seconds +=
+        time_seconds([&] { ok = ok && engine.fold_agent<Dist>(v, scratch).has_value(); });
     row.repair_seconds += time_seconds([&] {
       repair.begin(csr, v, kInf, kMax);
-      ok = ok && repair.repair_all(slab.data());
+      for (Vertex x = 0; x < n; ++x) ok = ok && repair.repair(x, unmasked(x)).has_value();
     });
     row.masked_apsp_seconds += time_seconds([&] {
       ok = ok && csr_apsp_capped<Dist>(csr, MaskedEdge{}, masked.data(), ws, v, kInf, kMax);
@@ -658,6 +662,7 @@ MaskedRowsRow measure_masked_rows(std::string instance, const Graph& g, UsageCos
   row.lazy_repair_seconds /= row.agents;
   row.lazy_scan_seconds /= row.agents;
   row.neighbor_rows_seconds /= row.agents;
+  row.fold_seconds /= row.agents;
   row.affected_row_fraction =
       static_cast<double>(affected) / (static_cast<double>(row.agents) * (n - 1));
   row.changed_entry_fraction =
@@ -686,7 +691,8 @@ std::vector<MaskedRowsRow> measure_masked_rows_all(Vertex max_n) {
               << " peak_patch_bytes=" << r.peak_patch_bytes << " lazy_rows=" << r.lazy_rows
               << " lazy_repair=" << r.lazy_repair_seconds * 1e6
               << "us lazy_scan=" << r.lazy_scan_seconds * 1e6
-              << "us neighbor_rows=" << r.neighbor_rows_seconds * 1e6 << "us\n";
+              << "us neighbor_rows=" << r.neighbor_rows_seconds * 1e6
+              << "us fold=" << r.fold_seconds * 1e6 << "us\n";
   }
   return rows;
 }
@@ -1250,7 +1256,8 @@ int main(int argc, char** argv) {
         << "\", \"lazy_rows_repaired_per_agent\": " << r.lazy_rows
         << ", \"lazy_repair_seconds_per_agent\": " << r.lazy_repair_seconds
         << ", \"lazy_scan_seconds_per_agent\": " << r.lazy_scan_seconds
-        << ", \"neighbor_rows_seconds_per_agent\": " << r.neighbor_rows_seconds << "}"
+        << ", \"neighbor_rows_seconds_per_agent\": " << r.neighbor_rows_seconds
+        << ", \"fold_seconds_per_agent\": " << r.fold_seconds << "}"
         << (i + 1 < masked_rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";

@@ -77,6 +77,11 @@ void scan_range(const SwapEngine& engine, UsageCost model, bool include_deletion
 
 }  // namespace
 
+std::size_t work_chunks(std::uint64_t work, std::size_t lanes) {
+  return static_cast<std::size_t>(std::clamp<std::uint64_t>((work + kShardWork - 1) / kShardWork,
+                                                             1, 4 * std::uint64_t{lanes}));
+}
+
 ShardResult certify_agent_range(const SwapEngine& engine, const AgentRange& range,
                                 UsageCost model, bool include_deletions, bool stop_on_violation,
                                 SwapEngine::Scratch* scratch) {
@@ -177,10 +182,8 @@ ShardedCertificate certify_sharded(const Graph& g, UsageCost model, bool include
   ThreadPool& pool = ThreadPool::global();
   const std::size_t threads = pool.size();
   const std::uint64_t work = std::uint64_t{n} * (n + 2 * std::uint64_t{g.num_edges()});
-  const std::size_t shards = std::min<std::size_t>(
-      n, config.shards != 0
-             ? config.shards
-             : std::min<std::uint64_t>(4 * threads, (work + kShardWork - 1) / kShardWork));
+  const std::size_t shards =
+      std::min<std::size_t>(n, config.shards != 0 ? config.shards : work_chunks(work, threads));
 
   // Identity stamped once up front through the same helper the worker
   // entry point uses (one O(m) fingerprint pass, not one per shard); the

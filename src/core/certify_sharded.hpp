@@ -181,6 +181,11 @@ class ShardFold {
 /// regardless of where or in what order the shards were produced.
 [[nodiscard]] ShardedCertificate merge_shard_results(const std::vector<ShardResult>& shards);
 
+/// Pool chunks for agent scans of `work` units (traversals × their cost
+/// n + 2m): one per 3072 units, 1 to 4 per lane; one chunk runs inline.
+/// Sizes certify_sharded's auto shard count and the naive certifiers' grain.
+[[nodiscard]] std::size_t work_chunks(std::uint64_t work, std::size_t lanes);
+
 /// Certifies `g` under `model` by sharding the per-agent scan (see header
 /// comment). Without stop_on_violation the certificate — witness,
 /// tie-breaks, moves_checked — is bit-identical to the bncg::naive

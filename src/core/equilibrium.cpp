@@ -103,7 +103,8 @@ std::optional<Deviation> max_deviation_impl(const Graph& g, Vertex v, BfsWorkspa
 /// the deviation with the smallest post-move cost. Per-agent results are
 /// folded serially so the witness tie-break (earliest agent among equal
 /// cost_after) is deterministic under any lane count; per-lane move counts
-/// (padded — they're bumped per candidate) sum commutatively.
+/// (padded — they're bumped per candidate) sum commutatively. The grain
+/// follows work_chunks over one BFS per candidate swap.
 template <typename ScanFn>
 EquilibriumCertificate certify_impl(const Graph& g, ScanFn scan) {
   const Vertex n = g.num_vertices();
@@ -116,9 +117,13 @@ EquilibriumCertificate certify_impl(const Graph& g, ScanFn scan) {
     std::uint64_t moves = 0;
   };
   std::vector<LaneCount> lane_moves(pool.size());
+  std::uint64_t swaps = 0;
+  for (Vertex v = 0; v < n; ++v) swaps += std::uint64_t{g.degree(v)} * (n - 1 - g.degree(v));
+  const std::uint64_t chunks =
+      work_chunks(swaps * (n + 2 * std::uint64_t{g.num_edges()}), pool.size());
   {
     std::vector<BfsWorkspace> ws(pool.size());
-    pool.parallel_for(n, 1, [&](std::uint64_t v, unsigned tid) {
+    pool.parallel_for(n, (n + chunks - 1) / chunks, [&](std::uint64_t v, unsigned tid) {
       per_agent[v] = scan(static_cast<Vertex>(v), ws[tid], lane_moves[tid].moves);
     });
   }

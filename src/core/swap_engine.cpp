@@ -261,40 +261,45 @@ bool SwapEngine::begin_agent_t(const Dist* slab, Vertex v, Scratch& s) const {
     rows.cache.begin_context(csr_, kInf, engine_max_finite<Dist>());
   }
 
-  // Elementwise min / argmin / second-min over the masked neighbor rows,
-  // repaired and materialized one at a time, so each removed edge's
+  // Elementwise min / argmin / second-min over the unmasked neighbor rows,
+  // made masked by settle_second_min (DESIGN.md §3), so each removed edge's
   // kept-neighbor profile M^w is an O(n) select. Budgeted scans fill the
-  // unmasked neighbor rows ≤ 64 per bit-parallel batch first.
+  // neighbor rows ≤ 64 per bit-parallel batch first.
   rows.min1.assign(n, kInf);
   rows.min2.assign(n, kInf);
   s.argmin_.assign(n, kNoVertex);
   rows.arow.resize(n);
-  Dist reach = 0;  // largest finite entry of the masked neighbor rows
   for (std::size_t i = 0; i < nbrs.size(); i += 64) {
     const auto group = nbrs.subspan(i, std::min<std::size_t>(64, nbrs.size() - i));
     if (slab == nullptr && !rows.cache.prefetch(group, s.bfs_)) return false;
     for (const Vertex z : group) {
       const Dist* row = unmasked_row(slab, z, s);
-      if (row == nullptr || !repair.materialize(z, row, rows.arow.data())) return false;
-      kern.scan_min_update(rows.min1.data(), rows.min2.data(), s.argmin_.data(),
-                           rows.arow.data(), z, n);
-      if (slab != nullptr) {
-        Dist ecc = 0;
-        kern.finite_max2(rows.arow.data(), rows.arow.data(), n, kInf, &ecc, &ecc);
-        reach = std::max(reach, ecc);
-      }
+      if (row == nullptr) return false;
+      kern.scan_min_update(rows.min1.data(), rows.min2.data(), s.argmin_.data(), row, z, n);
     }
   }
-  // Width guard of the dense scans: every lost pair (x, u) lies in the
-  // G − v component of some neighbor a, so its masked distance is at most
-  // 2·ecc_{G−v}(a) ≤ 2·reach. Within the width no row can saturate, and
-  // skipping the rows a scan never reads cannot hide a fallback; otherwise
-  // repair every row up front, exactly as the masked-matrix rule reads them
-  // (DESIGN.md §17). Budgeted scans fall back lazily instead: on the first
-  // row they read that saturates.
-  return slab == nullptr || 2 * std::uint32_t{reach} <= engine_max_finite<Dist>() ||
-         repair.repair_all(slab);
+  const bool fits = repair.settle_second_min(rows.min1.data(), rows.min2.data(), s.argmin_.data());
+  // No masked row reaches v. min1[v] = 0 makes 1 + min1 = d_G(v, ·), and
+  // select_mrow copies it into every M^w: combines need no u = v case.
+  rows.min1[v] = 0;
+  rows.min2[v] = kInf;
+  s.argmin_[v] = kNoVertex;
+  return fits;
 }
+
+template <typename Dist>
+std::optional<SwapEngine::Fold<Dist>> SwapEngine::fold_agent(Vertex v, Scratch& s) const {
+  BNCG_REQUIRE(v < csr_.num_vertices(), "vertex id out of range");
+  const bool dense = budget_policy_.dense_fits(
+      csr_.num_vertices(), std::is_same_v<Dist, std::uint8_t> ? DistWidth::U8 : DistWidth::U16);
+  const Dist* slab = dense ? shared_rows<Dist>() : nullptr;
+  if ((dense && slab == nullptr) || !begin_agent_t(slab, v, s)) return std::nullopt;
+  return Fold<Dist>{s.rows<Dist>().min1, s.rows<Dist>().min2, s.argmin_};
+}
+template std::optional<SwapEngine::Fold<std::uint8_t>> SwapEngine::fold_agent(Vertex,
+                                                                              Scratch&) const;
+template std::optional<SwapEngine::Fold<std::uint16_t>> SwapEngine::fold_agent(Vertex,
+                                                                               Scratch&) const;
 
 template <typename Dist>
 bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
@@ -305,10 +310,10 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
   const Vertex n = csr_.num_vertices();
   BNCG_REQUIRE(v < n, "vertex id out of range");
 
-  // The masked rows of G − v come as sparse patches over the unmasked rows,
-  // repaired on demand: the neighbor rows first, and a candidate's row only
-  // once its unmasked lower bound cannot rule it out. A row read beyond the
-  // width means this agent does not fit — bail so at_width redoes it at
+  // The neighbor rows fold unmasked, and a candidate's masked row comes as
+  // sparse patches over its unmasked row, repaired only once its unmasked
+  // lower bound cannot rule it out. A fold entry or repaired row beyond the
+  // width means this agent does not fit: bail so at_width redoes it at
   // u16. Candidates w₂ must be fresh edges (swapping onto an existing edge
   // is a deletion and never improves either model): the closed-neighborhood
   // marks skip the rest.
@@ -318,11 +323,7 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
   MaskedRowRepair<Dist>& repair = rows.repair;
   const auto nbrs = csr_.neighbors(v);
 
-  // The agent's current cost falls out of the fold: with min1[v] pinned to
-  // 0, 1 + min1 is exactly d_G(v, ·) (source-removal identity at N' = N(v)).
-  // argmin_[v] stays kNoVertex (no masked row reaches v), so select_mrow
-  // copies the pinned 0 into every M^w.
-  rows.min1[v] = 0;
+  // The agent's current cost falls out of the fold: 1 + min1 is d_G(v, ·).
   const std::uint64_t old_cost = model == UsageCost::Sum
                                      ? kern.combine_sum(rows.min1.data(), rows.min1.data(), n, kInf)
                                      : kern.deletion_ecc(rows.min1.data(), n, kInf);
@@ -579,26 +580,10 @@ const Dist* SwapEngine::shared_rows() const {
       BNCG_REQUIRE(n < kInfDist16,
                    "the shared unmasked slab is dense-only (n < 65535); budgeted scans "
                    "never build it");
-      const std::size_t stride = n;
-      sh.rows.resize(stride * n);
+      sh.rows.resize(static_cast<std::size_t>(n) * n);
       const bool fits = build_unmasked_slab<Dist>(csr_, sh.rows.data(), engine_inf<Dist>(),
                                                   engine_max_finite<Dist>());
       if (!fits) AlignedVec<Dist>().swap(sh.rows);
-      if constexpr (std::is_same_v<Dist, std::uint16_t>) {
-        // Only a u8-preferring engine whose u8 slab saturated scans every
-        // agent here and decides its fallback by counting (masked_exceeds_u8).
-        if (shared8_.state.load(std::memory_order_relaxed) ==
-            SharedRows<std::uint8_t>::kSaturated) {
-          sh.over_u8.assign(n, 0);
-          for (Vertex x = 0; x < n; ++x) {
-            const std::uint16_t* row = sh.rows.data() + x * stride;
-            for (Vertex u = 0; u < n; ++u) {
-              sh.over_u8[x] += row[u] > kMaxFiniteFor<std::uint8_t> && row[u] < kInfDist16 ? 1 : 0;
-            }
-            sh.over_u8_total += sh.over_u8[x];
-          }
-        }
-      }
       state = fits ? SharedRows<Dist>::kReady : SharedRows<Dist>::kSaturated;
       sh.state.store(state, std::memory_order_release);
     }
@@ -616,44 +601,16 @@ void SwapEngine::build_shared_rows() const {
   if (budget_policy_.dense_fits(n, DistWidth::U16)) (void)shared_rows<std::uint16_t>();
 }
 
-bool SwapEngine::masked_exceeds_u8(Vertex v, Scratch& s) const {
-  constexpr std::uint16_t kCap8 = kMaxFiniteFor<std::uint8_t>;
-  // Every row is repaired here (u16 never saturates under n < 65535).
-  // Unpatched entries keep their unmasked value, and a patched entry only
-  // grows, so the over-cap entries of G − v are the finite patches above
-  // the cap plus the unmasked over-cap entries off v's row and column that
-  // masking did not cut off.
-  MaskedRowRepair<std::uint16_t>& repair = s.rows16_.repair;
-  const SharedRows<std::uint16_t>& sh = shared16_;
-  const Vertex n = csr_.num_vertices();
-  BNCG_REQUIRE(sh.over_u8.size() == n, "u16 slab built without its over-cap counts");
-  const std::uint16_t* slab = sh.rows.data();
-  std::uint64_t cut = 0;
-  for (Vertex x = 0; x < n; ++x) {
-    const auto patches = repair.repair(x, slab + static_cast<std::size_t>(x) * n);
-    for (const MaskedPatch<std::uint16_t>& p : *patches) {
-      if (p.d != kInfDist16) {
-        if (p.d > kCap8) return true;
-      } else if (slab[static_cast<std::size_t>(x) * n + p.u] > kCap8) {
-        ++cut;
-      }
-    }
-  }
-  return sh.over_u8_total - 2 * std::uint64_t{sh.over_u8[v]} > cut;
-}
-
 template <typename Scan>
-void SwapEngine::at_width(Vertex v, Scratch* masked, bool budgeted, Scan&& scan) const {
+void SwapEngine::at_width(bool budgeted, Scan&& scan) const {
   const Vertex n = csr_.num_vertices();
   const auto dense = [&](DistWidth w) { return !budgeted || budget_policy_.dense_fits(n, w); };
-  bool u8_slab_saturated = false;
   if (prefer_u8_) {
+    // A u8 slab that saturates holds a row beyond the width: the query
+    // falls back without scanning at u8.
     const std::uint8_t* slab = dense(DistWidth::U8) ? shared_rows<std::uint8_t>() : nullptr;
-    u8_slab_saturated = slab == nullptr && dense(DistWidth::U8);
-    if (!u8_slab_saturated) {
-      if (scan(slab)) return;
-      width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    }
+    if ((slab != nullptr || !dense(DistWidth::U8)) && scan(slab)) return;
+    width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }
   // Dense u16 cannot saturate under its n < 65535 gate. Budgeted u16 can —
   // a masked diameter beyond 65534 — and there is no wider storage to fall
@@ -662,12 +619,6 @@ void SwapEngine::at_width(Vertex v, Scratch* masked, bool budgeted, Scan&& scan)
   BNCG_REQUIRE(scan(slab),
                "u16 scan saturated: some masked distance exceeds the 16-bit encoding; this "
                "instance is beyond the engine's distance range");
-  // Without a u16 slab the masked-matrix rule cannot be evaluated: count
-  // the query as a fallback.
-  if (u8_slab_saturated &&
-      (masked == nullptr || slab == nullptr || masked_exceeds_u8(v, *masked))) {
-    width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 std::optional<Deviation> SwapEngine::scan_agent(Vertex v, UsageCost model, bool stop_at_first,
@@ -679,7 +630,7 @@ std::optional<Deviation> SwapEngine::scan_agent(Vertex v, UsageCost model, bool 
   // An isolated agent has no move to scan, and like every scan it never
   // falls back.
   if (csr_.degree(v) == 0) return out;
-  at_width(v, &s, /*budgeted=*/true, [&](const auto* slab) {
+  at_width(/*budgeted=*/true, [&](const auto* slab) {
     using Dist = std::remove_cvref_t<decltype(*slab)>;
     // Each width counts into a local counter, so a saturating u8 scan
     // leaves the caller's count untouched — the u16 redo recounts the
@@ -763,7 +714,7 @@ void SwapEngine::insertion_report_t(const Dist* apsp, Vertex v, Vertex k_lo, Ver
 KStabilityReport SwapEngine::insertion_stability_at(Vertex v, Vertex k, Scratch& s) const {
   BNCG_REQUIRE(v < csr_.num_vertices(), "vertex id out of range");
   KStabilityReport out;
-  at_width(v, /*masked=*/nullptr, /*budgeted=*/false, [&](const auto* slab) {
+  at_width(/*budgeted=*/false, [&](const auto* slab) {
     insertion_report_t(slab, v, k, k, s, out, nullptr);
     return true;
   });
@@ -774,7 +725,7 @@ Vertex SwapEngine::max_tolerated_insertions(Vertex v, Vertex k_max, Scratch& s) 
   BNCG_REQUIRE(v < csr_.num_vertices(), "vertex id out of range");
   KStabilityReport out;
   Vertex tolerated = k_max;
-  at_width(v, /*masked=*/nullptr, /*budgeted=*/false, [&](const auto* slab) {
+  at_width(/*budgeted=*/false, [&](const auto* slab) {
     insertion_report_t(slab, v, 1, k_max, s, out, &tolerated);
     return true;
   });
@@ -826,7 +777,7 @@ KStabilityReport SwapEngine::insertion_stability(Vertex k) const {
   // (spanning from one vertex spans from all) so the per-agent REQUIRE never
   // fires inside the pool.
   KStabilityReport out;
-  at_width(0, /*masked=*/nullptr, /*budgeted=*/false, [&](const auto* slab) {
+  at_width(/*budgeted=*/false, [&](const auto* slab) {
     BNCG_REQUIRE(row_cost(slab, n, UsageCost::Max) != kInfCost,
                  "k-stability analysis requires a connected graph");
     out = insertion_sweep_t(slab, k);
@@ -844,13 +795,8 @@ bool SwapEngine::swap_stability_t(const Dist* slab, Vertex v, Vertex k, std::uin
   out = KStabilityReport{};
   out.witness_vertex = v;
 
-  // The far filter must see the inf sentinel as "far" (deletions can push
-  // vertices out of v's component entirely, matching the oracle's kInfDist
-  // inclusion); that reading needs old_ecc − 1 to stay below the sentinel.
-  if (static_cast<std::int32_t>(old_ecc) - 1 > static_cast<std::int32_t>(engine_max_finite<Dist>())) {
-    return false;
-  }
-
+  // old_ecc is an entry of the slab, so the far filter below sees the ∞
+  // sentinel as "far", as the oracle's kInfDist inclusion needs.
   const auto nbrs = csr_.neighbors(v);
   const Vertex deg = static_cast<Vertex>(nbrs.size());
   BNCG_REQUIRE(deg < 32, "swap-stability subset enumeration requires deg(v) < 32");
@@ -858,14 +804,14 @@ bool SwapEngine::swap_stability_t(const Dist* slab, Vertex v, Vertex k, std::uin
   // The rows of G − v serve every deletion subset D: (G − D) − v is G − v,
   // so each subset only changes WHICH neighbor rows fold into v's
   // post-deletion profile, never the rows themselves. They are repaired
-  // over the shared slab as the subsets read them, and past the width
-  // guard of begin_agent_t no repair saturates.
+  // over the shared slab as the subsets read them; once one saturates,
+  // `fits` drops and the rows read after it are stale.
   if (!begin_agent_t(slab, v, s)) return false;
   auto& rows = s.rows<Dist>();
+  bool fits = true;
   const auto masked_row = [&](Vertex x) -> const Dist* {
-    BNCG_REQUIRE(rows.repair.materialize(x, slab + static_cast<std::size_t>(x) * n,
-                                         rows.arow.data()),
-                 "a masked row saturated past the width guard");
+    fits = fits && rows.repair.materialize(x, slab + static_cast<std::size_t>(x) * n,
+                                           rows.arow.data());
     return rows.arow.data();
   };
   rows.mrow.resize(n);
@@ -888,10 +834,12 @@ bool SwapEngine::swap_stability_t(const Dist* slab, Vertex v, Vertex k, std::uin
         if ((mask & (1u << i)) != 0) continue;
         kern.min_fold(kd, masked_row(nbrs[i]), n);
       }
+      if (!fits) return false;
       const std::uint32_t far_count = kern.collect_above(
           kd, n, static_cast<std::int32_t>(old_ecc) - 2, /*skip=*/v, s.far_.data());
       build_cover_sets(masked_row, n, v, s.far_.data(), far_count, cover_cap, /*dedup=*/false,
                        /*budget=*/j, nullptr, s.hits_, s.masks_, sets, labels);
+      if (!fits) return false;
       if (const auto selection = cover_select(far_count, sets, j)) {
         out.stable = false;
         for (Vertex i = 0; i < deg; ++i) {
@@ -912,7 +860,7 @@ KStabilityReport SwapEngine::swap_stability_at(Vertex v, Vertex k, Scratch& s) c
   KStabilityReport out;
   out.witness_vertex = v;
   if (old_ecc <= 1 || k == 0) return out;
-  at_width(v, &s, /*budgeted=*/false, [&](const auto* slab) {
+  at_width(/*budgeted=*/false, [&](const auto* slab) {
     return swap_stability_t(slab, v, k, old_ecc, s, out);
   });
   return out;
@@ -945,7 +893,6 @@ bool SwapEngine::alpha_scan_t(const Dist* slab, Vertex v, const std::vector<std:
   // Adds, ascending endpoint (the naive loop order).
   Dist* add_profile = rows.arow.data();
   std::copy(rows.min1.begin(), rows.min1.end(), add_profile);
-  add_profile[v] = 0;
   for (Vertex w = 0; w < n; ++w) {
     if (s.is_nbr_[w] != 0) continue;
     const auto add = usage(add_profile, w);
@@ -958,7 +905,6 @@ bool SwapEngine::alpha_scan_t(const Dist* slab, Vertex v, const std::vector<std:
     if (owned[w] == 0) continue;
     Dist* m = rows.mrow.data();
     kern.select_mrow(m, rows.min1.data(), rows.min2.data(), s.argmin_.data(), w, n);
-    m[v] = 0;
     // Post-deletion profile is 1 + M^w; combine_sum(m, m) = (n−1) + Σ M^w.
     s.alpha_.push_back({AlphaCandidate::Kind::Delete, w, 0, kern.combine_sum(m, m, n, kInf)});
     for (Vertex w2 = 0; w2 < n; ++w2) {
@@ -976,8 +922,7 @@ const std::vector<AlphaCandidate>& SwapEngine::alpha_scan(Vertex v,
                                                           Scratch& s) const {
   BNCG_REQUIRE(v < csr_.num_vertices(), "vertex id out of range");
   BNCG_REQUIRE(owned.size() >= csr_.num_vertices(), "owned flags must cover every vertex");
-  at_width(v, &s, /*budgeted=*/false,
-           [&](const auto* slab) { return alpha_scan_t(slab, v, owned, s); });
+  at_width(/*budgeted=*/false, [&](const auto* slab) { return alpha_scan_t(slab, v, owned, s); });
   return s.alpha_;
 }
 

@@ -25,8 +25,9 @@
 //     repair, not recompute (graph/masked_repair.hpp, DESIGN.md §17): one
 //     unmasked APSP per snapshot, shared read-only by every lane, plus
 //     sparse per-agent patches of the entries masking v lengthens, repaired
-//     row by row on demand. The neighbor rows are always repaired;
-//     candidate rows are read straight from the shared slab, and since
+//     row by row on demand. The neighbor rows are folded unmasked and
+//     only the fold's hard entries re-settled (DESIGN.md §3); candidate
+//     rows are read straight from the shared slab, and since
 //     masking only lengthens entries the unmasked combine (sum) or far test
 //     (max) bounds the masked one — only candidates that bound cannot rule
 //     out repair their row and correct their combine by its patches.
@@ -43,9 +44,9 @@
 // (graph/dist_width.hpp): on small-diameter instances the shared slab and
 // all combine rows shrink to u8 (capped infinity kSearchInf8), halving the
 // combine's memory traffic — DESIGN.md §10. Width is a pure storage choice:
-// any agent whose masked distances meet a value the narrow cap cannot
-// represent is transparently redone at u16 (width_fallbacks()), so results
-// never depend on the width.
+// any agent that computes or reads a value the narrow cap cannot represent
+// is transparently redone at u16 (width_fallbacks()), so results never
+// depend on the width.
 //
 // Scans enumerate candidates in exactly the naive order and apply exactly
 // the naive acceptance rules, so engine results are bit-identical to the
@@ -63,6 +64,7 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -119,10 +121,6 @@ class SwapEngine {
     /// Far-set reach traversals (bfs_batch_reach calls) run by budgeted
     /// max-model scans of this scratch.
     [[nodiscard]] std::uint64_t reach_traversals() const noexcept { return reach_traversals_; }
-    /// Masked rows repaired by scans of this scratch, both widths.
-    [[nodiscard]] std::uint64_t repaired_rows() const noexcept {
-      return rows8_.repair.repaired_rows() + rows16_.repair.repaired_rows();
-    }
     /// The repair state of one width — which rows the last agent at that
     /// width repaired, for benches and the prune-soundness suite; patches
     /// are readable only through a scan.
@@ -208,10 +206,10 @@ class SwapEngine {
   }
 
   /// Number of queries (since the last rebuild) that ran at u16 on a
-  /// u8-preferring engine: agent scans, α-game and k-swap queries whose
-  /// masked distances (G − v, excluding v's own row and column) held a
-  /// finite entry above the u8 cap, and k-insertion queries whose unmasked
-  /// u8 slab saturates.
+  /// u8-preferring engine: every query while the u8 slab saturates, and
+  /// otherwise each query that computed or read a finite value above the u8
+  /// cap — a fold entry, a repaired row, or a budgeted reach or row fill
+  /// (DESIGN.md §17).
   [[nodiscard]] std::uint64_t width_fallbacks() const noexcept {
     return width_fallbacks_.load(std::memory_order_relaxed);
   }
@@ -238,6 +236,19 @@ class SwapEngine {
   /// parallel callers call this before their parallel region. No-op when
   /// the width runs budgeted or the slab already exists.
   void build_shared_rows() const;
+
+  /// Agent v's neighbor fold at width `Dist` — the first step of its scans,
+  /// dense or budgeted as they run: min1, min2 and argmin over the rows of
+  /// G − v, column v pinned, valid until the scratch's next agent. nullopt,
+  /// with no fallback taken or counted, when it saturates the width. For
+  /// the fold parity suite and bench_engine_json.
+  template <typename Dist>
+  struct Fold {
+    std::span<const Dist> min1, min2;
+    std::span<const Vertex> argmin;
+  };
+  template <typename Dist>
+  [[nodiscard]] std::optional<Fold<Dist>> fold_agent(Vertex v, Scratch& scratch) const;
 
   /// Convenience overloads owning a scratch (single-threaded callers).
   [[nodiscard]] std::optional<Deviation> best_deviation(Vertex v, UsageCost model,
@@ -290,17 +301,13 @@ class SwapEngine {
 
   /// The one width ladder of the engine's queries. Runs `scan(slab)` over
   /// the u8 slab when u8 is preferred and that slab fits, and over the u16
-  /// slab when it does not, or when the u8 scan returns false (a repaired
-  /// masked distance beyond the u8 cap) — which counts a width fallback.
-  /// A query that runs at u16 because the u8 slab itself saturates counts
-  /// one too: always for an unmasked query (`masked` null), and for a
-  /// masked query only when G − v exceeds the u8 cap (masked_exceeds_u8
-  /// over the u16 repair `masked` holds after the scan). With `budgeted`,
-  /// a width whose slab exceeds the lane budget passes a null slab and
-  /// `scan` runs budgeted. `scan` takes `const std::uint8_t*` or
-  /// `const std::uint16_t*` and returns false only on saturation.
+  /// slab when it does not, or when the u8 scan returns false (a value it
+  /// computes or reads beyond the u8 cap) — either counts a width fallback.
+  /// With `budgeted`, a width whose slab exceeds the lane budget passes a
+  /// null slab and `scan` runs budgeted. `scan` takes `const std::uint8_t*`
+  /// or `const std::uint16_t*` and returns false only on saturation.
   template <typename Scan>
-  void at_width(Vertex v, Scratch* masked, bool budgeted, Scan&& scan) const;
+  void at_width(bool budgeted, Scan&& scan) const;
 
   /// Unmasked row x at width `Dist`: row x of the shared slab `slab`, or,
   /// when `slab` is null (budgeted), the row of the scratch's row cache,
@@ -311,12 +318,9 @@ class SwapEngine {
 
   /// Starts the masked rows of agent v at width `Dist`: closed-neighborhood
   /// marks, the repair of G − v begun (and, budgeted, a row-cache context),
-  /// and the repaired neighbor rows folded into min1/min2/argmin. Dense
-  /// (`slab` non-null), it applies the width guard, so that afterwards no
-  /// repair of this agent saturates, and returns false when a finite
-  /// distance of G − v, off v's row and column, exceeds the width (only
-  /// possible for u8). Budgeted, it returns false when a row it reads
-  /// saturates.
+  /// and min1/min2/argmin over the rows of G − v, folded from the unmasked
+  /// neighbor rows without repairing one (DESIGN.md §3). False when a fold
+  /// entry or, budgeted, a row fill saturates the width.
   template <typename Dist>
   [[nodiscard]] bool begin_agent_t(const Dist* slab, Vertex v, Scratch& scratch) const;
 
@@ -326,9 +330,9 @@ class SwapEngine {
   /// from them as the scan reads them (DESIGN.md §17). Only the max far
   /// test differs: keep_within over slab rows when dense, reach_filter_t
   /// when budgeted. Returns false — with `out` and the move count untouched
-  /// by the caller — when a row saturates the width: a dense u8 agent whose
-  /// masked matrix exceeds the cap, or a budgeted agent reading a
-  /// saturating row or far vertex; at_width then redoes the agent at u16.
+  /// by the caller — when a fold entry or a row it reads saturates the
+  /// width (budgeted: also a row fill or far vertex); at_width then redoes
+  /// the agent at u16.
   template <typename Dist>
   [[nodiscard]] bool scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
                                   bool include_deletions, std::uint64_t* moves_checked,
@@ -340,12 +344,6 @@ class SwapEngine {
   /// edge up front (last = n − 1); stop-at-first at candidate w₂ takes back
   /// the candidates after w₂, which the naive enumeration never reaches.
   [[nodiscard]] static std::uint64_t candidates_through(const Scratch& scratch, Vertex last);
-
-  /// Fallback rule for masked queries run at u16 because the u8 slab itself
-  /// saturates: true iff G − v, excluding v's row and column, holds a
-  /// finite distance above the u8 cap. Repairs every row of the u16 repair
-  /// in `scratch`, which the u16 query of `v` began.
-  [[nodiscard]] bool masked_exceeds_u8(Vertex v, Scratch& scratch) const;
 
   /// Far filter of the budgeted max scan for the removed edges
   /// nbrs[first, first + count), count ≤ 64, over the scan tables in
@@ -395,17 +393,11 @@ class SwapEngine {
   struct SharedRows {
     enum : std::uint8_t { kUnbuilt, kReady, kSaturated };
     AlignedVec<Dist> rows;
-    /// u16 slab of a u8-preferring engine whose u8 slab saturates: per row,
-    /// the finite entries above the u8 cap (masked_exceeds_u8's counts).
-    std::vector<std::uint32_t> over_u8;
-    std::uint64_t over_u8_total = 0;
     std::atomic<std::uint8_t> state{kUnbuilt};
     std::mutex mutex;
 
     void reset() {
       rows.clear();
-      over_u8.clear();
-      over_u8_total = 0;
       state.store(kUnbuilt, std::memory_order_relaxed);
     }
   };

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "graph/bfs_batch.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace bncg {
@@ -115,14 +116,6 @@ std::optional<std::span<const MaskedPatch<Dist>>> MaskedRowRepair<Dist>::repair(
 }
 
 template <typename Dist>
-bool MaskedRowRepair<Dist>::repair_all(const Dist* slab) {
-  for (Vertex x = 0; x < n_; ++x) {
-    if (!repair(x, slab + static_cast<std::size_t>(x) * n_)) return false;
-  }
-  return true;
-}
-
-template <typename Dist>
 bool MaskedRowRepair<Dist>::repair_row(const Dist* dx, std::span<const Vertex> seeds) {
   const CsrGraph& g = *g_;
   next_epoch();
@@ -169,20 +162,42 @@ bool MaskedRowRepair<Dist>::repair_row(const Dist* dx, std::span<const Vertex> s
     if (key != kUnreached) keyed_.emplace_back(key, u);
   }
 
-  // Re-settle: distances propagate inside the lost set from the boundary
-  // keys. Entries are merged in key order with the FIFO of relaxed
-  // vertices, whose keys never decrease — a BFS with staggered start
-  // times. Lost sets are mostly a handful of vertices, where an insertion
-  // sort beats std::sort's set-up.
-  if (keyed_.size() <= 32) {
-    for (std::size_t i = 1; i < keyed_.size(); ++i) {
-      const auto item = keyed_[i];
-      std::size_t j = i;
-      for (; j > 0 && item < keyed_[j - 1]; --j) keyed_[j] = keyed_[j - 1];
-      keyed_[j] = item;
+  resettle();
+
+  for (const Vertex u : lost_) {
+    const std::uint32_t d = dist_[u];
+    if (d == kUnreached) {
+      patches_.push_back({u, inf_});
+      continue;
     }
-  } else {
-    std::sort(keyed_.begin(), keyed_.end());
+    if (d > max_finite_) return false;
+    patches_.push_back({u, static_cast<Dist>(d)});
+  }
+  return true;
+}
+
+template <typename Dist>
+void MaskedRowRepair<Dist>::resettle() {
+  const CsrGraph& g = *g_;
+  // Distances propagate from the boundary keys. Entries are merged in key
+  // order with the FIFO of relaxed vertices, whose keys never decrease — a
+  // BFS with staggered start times; the order among equal keys changes no
+  // distance. Keys are distances spanning a narrow range, so they sort by
+  // counting.
+  if (keyed_.size() > 1) {
+    const auto [lo, hi] = std::minmax_element(keyed_.begin(), keyed_.end());
+    const std::uint32_t base = lo->first;
+    const std::size_t range = std::size_t{hi->first} - base + 1;
+    if (range > 4 * keyed_.size()) {
+      std::sort(keyed_.begin(), keyed_.end());
+    } else {
+      key_start_.assign(range + 1, 0);
+      for (const auto& item : keyed_) ++key_start_[item.first - base + 1];
+      for (std::size_t k = 1; k <= range; ++k) key_start_[k] += key_start_[k - 1];
+      sorted_.resize(keyed_.size());
+      for (const auto& item : keyed_) sorted_[key_start_[item.first - base]++] = item;
+      keyed_.swap(sorted_);
+    }
   }
   queue_.clear();
   std::size_t head = 0;
@@ -208,15 +223,38 @@ bool MaskedRowRepair<Dist>::repair_row(const Dist* dx, std::span<const Vertex> s
       queue_.push_back(w);
     }
   }
+}
 
+template <typename Dist>
+bool MaskedRowRepair<Dist>::settle_second_min(const Dist* min1, Dist* min2,
+                                              const Vertex* argmin) {
+  // The hard vertices are the columns where min2 − min1 = 2 (DESIGN.md §3);
+  // with one neighbor min2 is ∞ in both folds.
+  const CsrGraph& g = *g_;
+  if (g.degree(v_) < 2) return true;
+  lost_.resize(n_);
+  lost_.resize(simd::kernels<Dist>().collect_absdiff_gt1(min1, min2, n_, lost_.data()));
+  next_epoch();
+  lost_mark_[v_] = epoch_;
+  for (const Vertex u : lost_) lost_mark_[u] = epoch_;
+  // No two hard vertices of different first-hop regions are adjacent, so
+  // the region of argmin w re-settles from the exact entries M^w_y around
+  // it: min2[y] where argmin[y] = w, else min1[y].
+  keyed_.clear();
+  for (const Vertex u : lost_) {
+    std::uint32_t key = kUnreached;
+    for (const Vertex y : g.neighbors(u)) {
+      if (lost_mark_[y] == epoch_) continue;
+      key = std::min<std::uint32_t>(key, (argmin[y] == argmin[u] ? min2[y] : min1[y]) + 1u);
+    }
+    dist_[u] = key;
+    if (key != kUnreached) keyed_.emplace_back(key, u);
+  }
+  resettle();
   for (const Vertex u : lost_) {
     const std::uint32_t d = dist_[u];
-    if (d == kUnreached) {
-      patches_.push_back({u, inf_});
-      continue;
-    }
-    if (d > max_finite_) return false;
-    patches_.push_back({u, static_cast<Dist>(d)});
+    if (d != kUnreached && d > max_finite_) return false;
+    min2[u] = d == kUnreached ? inf_ : static_cast<Dist>(d);
   }
   return true;
 }

@@ -30,9 +30,9 @@
 //
 // Rows are repaired on demand: begin() starts an agent with no row repaired,
 // and repair(x, row) runs the three steps above for row x alone, once per
-// agent. A scan repairs only the rows it reads — the neighbor rows of v and
-// the candidates its unmasked lower bound cannot rule out (DESIGN.md §17);
-// repair_all() is the same call over every row of a slab.
+// agent. A scan repairs only the candidate rows its unmasked lower bound
+// cannot rule out (DESIGN.md §17); settle_second_min() runs the same
+// re-settling over the unmasked neighbor fold's hard vertices (§3).
 #pragma once
 
 #include <cstdint>
@@ -81,9 +81,11 @@ class MaskedRowRepair {
   /// until the next repair call.
   [[nodiscard]] std::optional<std::span<const Patch>> repair(Vertex x, const Dist* row);
 
-  /// Repairs every row of the n×n unmasked slab `slab` (false on
-  /// saturation, as repair()).
-  [[nodiscard]] bool repair_all(const Dist* slab);
+  /// Turns the fold of v's unmasked neighbor rows (min1, min2, argmin by
+  /// scan_min_update in neighbor order) into the fold of the rows of G − v
+  /// by re-settling min2 at the hard vertices (DESIGN.md §3); column v is
+  /// not read. False when a re-settled finite entry exceeds `max_finite`.
+  [[nodiscard]] bool settle_second_min(const Dist* min1, Dist* min2, const Vertex* argmin);
 
   /// Row x of the masked matrix: the unmasked row `row`, its patches, and
   /// [v] = ∞. Repairs the row first; false on saturation.
@@ -106,6 +108,9 @@ class MaskedRowRepair {
   /// Lost set of the unmasked row `dx` from its seeds, re-settled into
   /// patches_.
   [[nodiscard]] bool repair_row(const Dist* dx, std::span<const Vertex> seeds);
+  /// Staggered-start BFS inside the lost set (lost_mark_, v excluded) from
+  /// keyed_ (key, vertex); dist_ holds each lost vertex's key or kUnreached.
+  void resettle();
   void next_epoch();
 
   const CsrGraph* g_ = nullptr;
@@ -123,8 +128,10 @@ class MaskedRowRepair {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> offsets_;
   std::vector<Vertex> repaired_;                // rows repaired since begin(), in order
   std::vector<Vertex> seeds_;                   // lost neighbors of v in one row
-  std::vector<Vertex> lost_;                    // lost set of one row, level order
+  std::vector<Vertex> lost_;                    // lost set (level order) or hard set
   std::vector<std::pair<std::uint32_t, Vertex>> keyed_;  // (boundary key, lost vertex)
+  std::vector<std::pair<std::uint32_t, Vertex>> sorted_;  // keyed_ by counting sort
+  std::vector<std::uint32_t> key_start_;                  // counting sort's bucket starts
   std::vector<Vertex> queue_;
   std::vector<std::uint32_t> lost_mark_;        // == epoch_: lost in the current row
   std::vector<std::uint32_t> seen_mark_;        // == epoch_: parents already checked

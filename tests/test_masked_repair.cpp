@@ -1,12 +1,14 @@
 // Masked rows by repair (graph/masked_repair.hpp, DESIGN.md §17): every
 // repaired row — unmasked row plus the agent's patches — must
 // equal the literal masked APSP of G − v on every entry u ≠ v, at both
-// storage widths; the dense scans built on the repair must match the naive
-// oracle per agent (verdict, witness, move count) at u8 and u16 and at both
-// SIMD extremes; and the width-fallback count must keep the masked-matrix
-// rule on the instances that exercise it. CMakeLists pins the MaskedRepair*
-// filter at BNCG_THREADS 1 and 4 — the slab is built on the pool and read
-// by every lane.
+// storage widths; the engine's fold of the unmasked neighbor rows must equal
+// the fold of the materialized masked rows entry for entry (DESIGN.md §3);
+// the dense scans built on the repair must match the naive oracle per agent
+// (verdict, witness, move count) at u8 and u16 and at both SIMD extremes;
+// and the width-fallback count must follow the lazy rule, recomputed by BFS
+// (lazy_width_rule.hpp), on the instances that exercise it. CMakeLists pins
+// the MaskedRepair* filter at BNCG_THREADS 1 and 4 — the slab is built on
+// the pool and read by every lane.
 #include "graph/masked_repair.hpp"
 
 #include <gtest/gtest.h>
@@ -26,8 +28,10 @@
 #include "gen/random.hpp"
 #include "graph/bfs_batch.hpp"
 #include "graph/dist_width.hpp"
+#include "lazy_width_rule.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bncg {
 namespace {
@@ -74,6 +78,16 @@ Graph broom(Vertex bristles) {
   return g;
 }
 
+/// A path of `len` vertices plus a hub adjacent to every `every`-th one:
+/// the unmasked diameter is small, but masking the hub leaves the bare
+/// path, whose distances overflow u8.
+Graph hub_path(Vertex len, Vertex every) {
+  Graph g = path(len);
+  const Vertex hub = g.add_vertex();
+  for (Vertex i = 0; i < len; i += every) g.add_edge(hub, i);
+  return g;
+}
+
 std::vector<Named> corpus(std::uint64_t seed, bool small) {
   Xoshiro256ss rng(seed);
   std::vector<Named> out;
@@ -108,6 +122,16 @@ constexpr Dist max_finite_of() {
   return static_cast<Dist>(sizeof(Dist) == 1 ? kMaxFiniteFor<std::uint8_t> : kInfDist16 - 1);
 }
 
+/// Repairs every row of the n×n unmasked slab `slab`; false as soon as one
+/// saturates.
+template <typename Dist>
+bool repair_every_row(MaskedRowRepair<Dist>& repair, const Dist* slab, Vertex n) {
+  for (Vertex x = 0; x < n; ++x) {
+    if (!repair.repair(x, slab + static_cast<std::size_t>(x) * n)) return false;
+  }
+  return true;
+}
+
 /// Every repaired row of every agent against the literal masked APSP.
 /// Returns the number of agents checked (0 when the unmasked slab itself
 /// does not fit the width).
@@ -130,7 +154,7 @@ int check_rows(const Named& inst) {
     const bool masked_fits = csr_apsp_capped<Dist>(csr, MaskedEdge{}, masked.data(), ws, v, kInf,
                                                    kMax);
     repair.begin(csr, v, kInf, kMax);
-    const bool repaired = repair.repair_all(slab.data());
+    const bool repaired = repair_every_row(repair, slab.data(), n);
     EXPECT_EQ(repaired, masked_fits) << ctx;
     if (!repaired || !masked_fits) continue;
     ++agents;
@@ -176,6 +200,11 @@ TEST(MaskedRepair, RowsMatchMaskedApspBothWidths) {
   }
   EXPECT_GT(u8_agents, 0);
   EXPECT_EQ(u8_agents, u16_agents);  // the whole corpus fits u8
+  // Lost sets beyond 32 vertices: the leaf rows of a star's centre (one
+  // key) and the rows of a hub path's hub (keys across the path).
+  for (const Named& inst : {Named{"star60", star(60)}, Named{"hub_path", hub_path(120, 10)}}) {
+    EXPECT_EQ(check_rows<std::uint16_t>(inst), static_cast<int>(inst.g.num_vertices()));
+  }
 }
 
 TEST(MaskedRepair, RowsSaturateExactlyWhenTheMaskedMatrixDoes) {
@@ -199,7 +228,7 @@ std::vector<std::vector<MaskedPatch<Dist>>> all_rows(MaskedRowRepair<Dist>& repa
                                                      const CsrGraph& csr, const Dist* slab,
                                                      Vertex v) {
   repair.begin(csr, v, inf_of<Dist>(), max_finite_of<Dist>());
-  if (!repair.repair_all(slab)) return {};
+  if (!repair_every_row(repair, slab, csr.num_vertices())) return {};
   std::vector<std::vector<MaskedPatch<Dist>>> rows(csr.num_vertices());
   for (Vertex x = 0; x < csr.num_vertices(); ++x) {
     const auto patches = repair.repair(x, slab + static_cast<std::size_t>(x) * csr.num_vertices());
@@ -303,9 +332,21 @@ void check_scans(const Graph& g, WidthPolicy width, const std::string& ctx) {
   SwapEngine engine(g, ResourceConfig{.width = width});
   SwapEngine::Scratch scratch;
   BfsWorkspace ws;
+  LazyWidthRule rule(g);
   const Vertex n = g.num_vertices();
   for (Vertex v = 0; v < n; ++v) {
     const std::string at = ctx + " v=" + std::to_string(v);
+    // The five scans below, in order, at u8: each falls back iff the lazy
+    // rule says so. A u16 engine never falls back.
+    rule.begin(v);
+    const std::uint64_t want_fallbacks =
+        width == WidthPolicy::ForceU16
+            ? 0
+            : std::uint64_t{rule.scan(UsageCost::Sum, false, false)} +
+                  rule.scan(UsageCost::Sum, false, true) +
+                  rule.scan(UsageCost::Max, false, false) +
+                  rule.scan(UsageCost::Max, true, false) + rule.scan(UsageCost::Max, true, true);
+    const std::uint64_t fallbacks_before = engine.width_fallbacks();
     const std::uint64_t swaps = static_cast<std::uint64_t>(g.degree(v)) * (n - 1 - g.degree(v));
     std::uint64_t moves = 0;
     expect_same_deviation(engine.best_deviation(v, UsageCost::Sum, scratch, false, &moves),
@@ -321,6 +362,7 @@ void check_scans(const Graph& g, WidthPolicy width, const std::string& ctx) {
                           naive::best_max_deviation(g, v, ws, true), at + " best max+del");
     expect_same_deviation(engine.first_deviation(v, UsageCost::Max, scratch, true),
                           naive::first_max_deviation(g, v, ws, true), at + " first max+del");
+    EXPECT_EQ(engine.width_fallbacks() - fallbacks_before, want_fallbacks) << at;
     if (testing::Test::HasFailure()) return;
   }
 }
@@ -348,10 +390,20 @@ TEST(MaskedRepair, ScansMatchNaiveAtBothWidthsAndSimdExtremes) {
   simd_set_level(saved);
 }
 
+/// Fallbacks of a ForceU8 certification (every agent's best scan) by the
+/// lazy rule.
+std::uint64_t lazy_fallbacks(const Graph& g, UsageCost model, bool deletions) {
+  LazyWidthRule rule(g);
+  std::uint64_t fallbacks = 0;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    rule.begin(v);
+    fallbacks += rule.scan(model, deletions, /*stop_at_first=*/false) ? 1 : 0;
+  }
+  return fallbacks;
+}
+
 /// Fallback instances: the certificate must equal the oracle's, and the
-/// fallback count must follow the masked-matrix rule — an agent falls back
-/// iff G − v, excluding v's row and column, holds a finite distance above
-/// the u8 cap.
+/// fallback count must follow the lazy rule — and equal the pin, per model.
 void check_fallbacks(const Graph& g, std::uint64_t want_fallbacks, const std::string& ctx) {
   for (const bool deletions : {false, true}) {
     const UsageCost model = deletions ? UsageCost::Max : UsageCost::Sum;
@@ -363,32 +415,23 @@ void check_fallbacks(const Graph& g, std::uint64_t want_fallbacks, const std::st
     EXPECT_EQ(cert.certificate.is_equilibrium, want.is_equilibrium) << ctx;
     EXPECT_EQ(cert.certificate.moves_checked, want.moves_checked) << ctx;
     expect_same_deviation(cert.certificate.witness, want.witness, ctx + " witness");
-    EXPECT_EQ(cert.width_fallbacks, want_fallbacks) << ctx << (deletions ? " max" : " sum");
+    const std::string at = ctx + (deletions ? " max" : " sum");
+    EXPECT_EQ(cert.width_fallbacks, lazy_fallbacks(g, model, deletions)) << at;
+    EXPECT_EQ(cert.width_fallbacks, want_fallbacks) << at;
   }
 }
 
 TEST(MaskedRepair, WidthFallbackCycle64) {
-  // The unmasked C₆₄ has diameter 32 and fits u8; every G − v is P₆₃ with
-  // diameter 62 > 61, so every agent repairs past the cap and falls back.
+  // The unmasked C₆₄ has diameter 32 and fits u8; every G − v is P₆₃, and
+  // the fold's second min at either neighbor of v is 62 > 61, so every
+  // agent falls back in its fold.
   check_fallbacks(cycle(64), 64, "C64");
 }
 
 TEST(MaskedRepair, WidthFallbackBroom) {
   // The u8 slab itself saturates (d(0, leaf) = 62), so every agent scans at
-  // u16 and the fallback is counted: agent 0 removes every over-cap pair,
-  // handle agents cut 0 off from the leaves, and only the 3 bristle agents
-  // keep a finite (0, leaf) distance of 62.
-  check_fallbacks(broom(3), 3, "broom");
-}
-
-/// A path of `len` vertices plus a hub adjacent to every `every`-th one:
-/// the unmasked diameter is small, but masking the hub leaves the bare
-/// path, whose distances overflow u8.
-Graph hub_path(Vertex len, Vertex every) {
-  Graph g = path(len);
-  const Vertex hub = g.add_vertex();
-  for (Vertex i = 0; i < len; i += every) g.add_edge(hub, i);
-  return g;
+  // u16 and counts a fallback: 62 handle and 3 bristle agents.
+  check_fallbacks(broom(3), 65, "broom");
 }
 
 struct PinnedCertificate {
@@ -401,7 +444,8 @@ struct PinnedCertificate {
 };
 
 /// ForceU8 certificates of the hub paths, sharded and not, against the
-/// naive oracle and against the values the all-rows repair produced.
+/// naive oracle and the pins, and the pinned fallbacks against the lazy
+/// rule.
 void check_pinned(const Graph& g, const std::vector<PinnedCertificate>& pins,
                   const std::string& ctx) {
   for (const PinnedCertificate& pin : pins) {
@@ -426,71 +470,177 @@ void check_pinned(const Graph& g, const std::vector<PinnedCertificate>& pins,
       EXPECT_EQ(cert.certificate.witness->cost_after, pin.cost_after) << sat;
       EXPECT_EQ(cert.width_fallbacks, pin.width_fallbacks) << sat;
     }
+    EXPECT_EQ(pin.width_fallbacks, lazy_fallbacks(g, pin.model, deletions)) << at;
   }
-}
-
-/// Agents of a serial ForceU8 sum sweep that repaired every row without
-/// falling back — the agents whose neighbor rows tripped the 2·ecc guard.
-Vertex guard_tripped_agents(const Graph& g) {
-  SwapEngine engine(g, ResourceConfig{.width = WidthPolicy::ForceU8});
-  SwapEngine::Scratch scratch;
-  Vertex tripped = 0;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    const std::uint64_t fallbacks = engine.width_fallbacks();
-    (void)engine.best_deviation(v, UsageCost::Sum, scratch);
-    if (engine.width_fallbacks() == fallbacks &&
-        scratch.repair8().agent_rows().size() == g.num_vertices() - std::size_t{1}) {
-      ++tripped;
-    }
-  }
-  return tripped;
 }
 
 TEST(MaskedRepair, GuardedInstancesKeepTheirCertificatesAndFallbacks) {
-  // Path 0..80 plus a vertex v on 19 and 61: the neighbor rows of G − v
-  // reach 61 and fit u8, but row 0 meets d(0, 80) = 80. A scan repairing
-  // only the rows it reads would miss that and keep v at u8; the guard
-  // repairs every row, so v falls back as under the all-rows repair.
+  // Path 0..80 plus a vertex v on 19 and 61: G − v is P₈₁, whose row 0
+  // meets d(0, 80) = 80, yet the fold of v stays within the cap (its second
+  // min peaks at d(61, 0) = 61). v falls back only if its scan reads such a
+  // row.
   Graph bypass = path(81);
   const Vertex v = bypass.add_vertex();
   bypass.add_edge(v, 19);
   bypass.add_edge(v, 61);
   check_pinned(bypass,
-               {{UsageCost::Sum, 12952, {19, 20, 33}, 902, 762, 1},
-                {UsageCost::Max, 13116, {19, 20, 21}, 22, 21, 1}},
+               {{UsageCost::Sum, 12952, {19, 20, 33}, 902, 762, 0},
+                {UsageCost::Max, 13116, {19, 20, 21}, 22, 21, 0}},
                "bypass81");
 
-  // Hub on every 10th vertex: only the hub agent overflows u8 — its
-  // neighbor rows already do, so it falls back before the guard is read —
-  // and every other agent stays lazy.
-  const Graph hub10 = hub_path(300, 10);
-  EXPECT_EQ(guard_tripped_agents(hub10), 0u);
-  check_pinned(hub10,
+  // Hub on every 10th vertex: masking the hub leaves the bare path, but the
+  // hub's fold stays short (its neighbors are 10 apart); the hub agent
+  // falls back on the first candidate row it repairs.
+  check_pinned(hub_path(300, 10),
                {{UsageCost::Sum, 195158, {300, 0, 3}, 1070, 1063, 1},
                 {UsageCost::Max, 195816, {290, 291, 293}, 9, 7, 1}},
                "hub10");
   // Hub on every 25th vertex: the masked neighbor rows of a path agent
-  // reach past 61 / 2, so the guard repairs every row up front; the rows
-  // still fit, and the hub alone falls back.
-  const Graph hub25 = hub_path(300, 25);
-  EXPECT_GT(guard_tripped_agents(hub25), 250u);
-  check_pinned(hub25,
+  // reach past 61 / 2, but no agent but the hub reads a value past 61.
+  check_pinned(hub_path(300, 25),
                {{UsageCost::Sum, 185204, {300, 0, 8}, 2316, 2268, 1},
                 {UsageCost::Max, 185826, {275, 276, 286}, 24, 14, 1}},
                "hub25");
 }
 
+/// The fold as the engine built it before it folded unmasked rows: every
+/// neighbor row of G − v materialized by repair over the u16 slab and
+/// folded by scan_min_update, column v pinned to (0, ∞, kNoVertex). u16
+/// never saturates below n = 65535.
+struct MaterializedFold {
+  AlignedVec<std::uint16_t> min1, min2;
+  AlignedVec<Vertex> argmin;
+};
 
-/// The masked-matrix rule by literal BFS: true iff G − v, excluding v's
-/// row and column, holds a finite distance above the u8 cap.
-bool masked_exceeds_u8_by_bfs(const Graph& g, Vertex v, BfsWorkspace& ws) {
-  Graph masked = g;
-  const std::vector<Vertex> nbrs(g.neighbors(v).begin(), g.neighbors(v).end());
-  for (const Vertex w : nbrs) masked.remove_edge(v, w);
-  for (Vertex x = 0; x < g.num_vertices(); ++x) {
-    if (x != v && bfs(masked, x, ws).ecc > kMaxFiniteFor<std::uint8_t>) return true;
+MaterializedFold materialized_fold(const CsrGraph& csr, const std::uint16_t* slab, Vertex v) {
+  const Vertex n = csr.num_vertices();
+  MaskedRowRepair<std::uint16_t> repair;
+  repair.begin(csr, v, kInfDist16, kInfDist16 - 1);
+  MaterializedFold f;
+  f.min1.assign(n, kInfDist16);
+  f.min2.assign(n, kInfDist16);
+  f.argmin.assign(n, kNoVertex);
+  AlignedVec<std::uint16_t> row(n);
+  for (const Vertex z : csr.neighbors(v)) {
+    EXPECT_TRUE(repair.materialize(z, slab + static_cast<std::size_t>(z) * n, row.data()));
+    simd::k16().scan_min_update(f.min1.data(), f.min2.data(), f.argmin.data(), row.data(), z, n);
   }
-  return false;
+  f.min1[v] = 0;
+  f.min2[v] = kInfDist16;
+  f.argmin[v] = kNoVertex;
+  return f;
+}
+
+/// Whether a u16 row holds no finite entry beyond the u8 cap.
+bool fits_u8(const std::uint16_t* row, Vertex n) {
+  return std::none_of(row, row + n, [](std::uint16_t d) {
+    return d != kInfDist16 && d > kMaxFiniteFor<std::uint8_t>;
+  });
+}
+
+/// The engine's fold of every agent of `g` — u8 and u16, dense and
+/// budgeted — against the materialized fold, entry for entry. A fold must
+/// report saturation exactly when it meets a value beyond its width: a
+/// row it reads (the u8 slab; budgeted, a neighbor's unmasked row) or an
+/// entry of the fold itself. A saturating u8 agent must then fall back in
+/// its scan and answer as u16 does. Returns the u8 folds that saturated.
+int check_fold(const Graph& g, const std::string& ctx) {
+  const CsrGraph csr(g);
+  const Vertex n = csr.num_vertices();
+  AlignedVec<std::uint16_t> slab(static_cast<std::size_t>(n) * n);
+  EXPECT_TRUE(build_unmasked_slab<std::uint16_t>(csr, slab.data(), kInfDist16, kInfDist16 - 1));
+  const auto row = [&](Vertex x) { return slab.data() + static_cast<std::size_t>(x) * n; };
+  bool slab_fits_u8 = true;
+  for (Vertex x = 0; x < n; ++x) slab_fits_u8 = slab_fits_u8 && fits_u8(row(x), n);
+  int saturated = 0;
+  for (const bool budgeted : {false, true}) {
+    for (const WidthPolicy width : {WidthPolicy::ForceU8, WidthPolicy::ForceU16}) {
+      const bool u8 = width == WidthPolicy::ForceU8;
+      ResourceConfig config{.width = width};
+      // Three u16 rows per lane: below the n×n slab at either width (n ≥ 7).
+      if (budgeted) config.mem_budget = ThreadPool::global().size() * 6ull * n;
+      const SwapEngine engine(g, config);
+      EXPECT_EQ(engine.budget_policy().dense_fits(n, u8 ? DistWidth::U8 : DistWidth::U16),
+                !budgeted);
+      const SwapEngine wide(g, ResourceConfig{.width = WidthPolicy::ForceU16});
+      SwapEngine::Scratch s, s16;
+      for (Vertex v = 0; v < n; ++v) {
+        const std::string at = ctx + (u8 ? " u8" : " u16") + (budgeted ? " budgeted" : " dense") +
+                               " v=" + std::to_string(v);
+        const MaterializedFold want = materialized_fold(csr, slab.data(), v);
+        const auto nbrs = csr.neighbors(v);
+        const bool reads_fit =
+            budgeted ? std::all_of(nbrs.begin(), nbrs.end(),
+                                   [&](Vertex z) { return fits_u8(row(z), n); })
+                     : slab_fits_u8;
+        const bool fits = !u8 || (reads_fit && fits_u8(want.min1.data(), n) &&
+                                  fits_u8(want.min2.data(), n));
+        const auto compare = [&](const auto& got) {
+          using Dist = std::remove_cvref_t<decltype(got->min1[0])>;
+          EXPECT_EQ(got.has_value(), fits) << at;
+          if (!got) return false;
+          const auto narrow = [](std::uint16_t d) {
+            return d == kInfDist16 ? inf_of<Dist>() : static_cast<Dist>(d);
+          };
+          for (Vertex u = 0; u < n; ++u) {
+            EXPECT_EQ(got->min1[u], narrow(want.min1[u])) << at << " u=" << u;
+            EXPECT_EQ(got->min2[u], narrow(want.min2[u])) << at << " u=" << u;
+            EXPECT_EQ(got->argmin[u], want.argmin[u]) << at << " u=" << u;
+          }
+          return true;
+        };
+        const bool folded = u8 ? compare(engine.fold_agent<std::uint8_t>(v, s))
+                               : compare(engine.fold_agent<std::uint16_t>(v, s));
+        if (!folded) {
+          ++saturated;
+          const std::uint64_t before = engine.width_fallbacks();
+          expect_same_deviation(engine.best_deviation(v, UsageCost::Sum, s),
+                                wide.best_deviation(v, UsageCost::Sum, s16), at + " sum");
+          EXPECT_EQ(engine.width_fallbacks() - before, csr.degree(v) == 0 ? 0u : 1u) << at;
+        }
+        if (testing::Test::HasFailure()) return saturated;
+      }
+    }
+  }
+  return saturated;
+}
+
+TEST(MaskedRepair, UnmaskedFoldMatchesMaterializedFold) {
+  Xoshiro256ss rng(0xF01D);
+  std::vector<Named> instances;
+  for (int i = 0; i < 12; ++i) {
+    const Vertex n = 8 + static_cast<Vertex>(rng.below(48));
+    const std::size_t m = n - 1 + rng.below(2 * n);
+    instances.push_back({"gnm" + std::to_string(i), random_connected_gnm(n, m, rng)});
+  }
+  instances.push_back({"path", path(40)});
+  instances.push_back({"hub_path", hub_path(120, 10)});
+  instances.push_back({"star", star(13)});
+  instances.push_back({"tree", random_tree(40, rng)});
+  // Bipartite, so no neighbor of v sits at d(v, u): every vertex with one
+  // first hop is hard.
+  for (const Vertex k : {Vertex{3}, Vertex{4}, Vertex{6}, Vertex{8}}) {
+    instances.push_back({"torus" + std::to_string(k), relabeled(rotated_torus(k).graph(), rng)});
+  }
+  Graph two = cycle(10);
+  const Graph other = random_connected_gnm(12, 20, rng);
+  for (Vertex x = 0; x < 12; ++x) two.add_vertex();
+  for (Vertex x = 0; x < 12; ++x) {
+    for (const Vertex y : other.neighbors(x)) {
+      if (x < y) two.add_edge(10 + x, 10 + y);
+    }
+  }
+  instances.push_back({"two_components", two});
+  int saturated = 0;
+  for (const Named& inst : instances) {
+    saturated += check_fold(inst.g, inst.name);
+    if (HasFailure()) return;
+  }
+  EXPECT_EQ(saturated, 0);  // every instance above fits u8
+  // C₆₄ fits the u8 slab, but the fold of every agent re-settles a second
+  // min of 62 at its neighbors: each must report saturation, in the dense
+  // and the budgeted fold.
+  EXPECT_EQ(check_fold(cycle(64), "C64"), 128);
 }
 
 /// α-game usages of agent v by one BFS per move, in ClassicGame's naive
@@ -543,36 +693,48 @@ void expect_same_report(const KStabilityReport& got, const KStabilityReport& wan
   EXPECT_EQ(got.witness_deletions, want.witness_deletions) << ctx;
 }
 
+/// Fallbacks of one ForceU8 sweep of each query: the α scan and
+/// swap_stability_at at k = 1 and 2.
+struct QueryFallbacks {
+  std::uint64_t alpha = 0;
+  std::uint64_t kswap1 = 0;
+  std::uint64_t kswap2 = 0;
+};
+
 /// ForceU8 α-game and k-swap queries, agent by agent: each falls back
-/// exactly when the masked-matrix rule says so, and its answer equals the
-/// ForceU16 engine's and the naive oracle's. Returns the fallbacks of one
-/// sweep of each query.
-std::uint64_t check_alpha_and_kswap_fallbacks(const Graph& g, const std::string& ctx) {
+/// exactly when the lazy rule says so, and its answer equals the ForceU16
+/// engine's and the naive oracle's. Returns the fallbacks of one sweep of
+/// each query.
+QueryFallbacks check_alpha_and_kswap_fallbacks(const Graph& g, const std::string& ctx) {
   SwapEngine e8(g, ResourceConfig{.width = WidthPolicy::ForceU8});
   SwapEngine e16(g, ResourceConfig{.width = WidthPolicy::ForceU16});
   SwapEngine::Scratch s8, s16;
   BfsWorkspace ws;
+  LazyWidthRule rule(g);
   const Vertex n = g.num_vertices();
-  std::uint64_t expected = 0;
+  QueryFallbacks expected;
   std::vector<std::uint8_t> owned(n);
   for (Vertex v = 0; v < n; ++v) {
     const std::string at = ctx + " v=" + std::to_string(v);
-    const std::uint64_t rule = masked_exceeds_u8_by_bfs(g, v, ws) ? 1 : 0;
-    expected += rule;
+    rule.begin(v);
     for (Vertex w = 0; w < n; ++w) owned[w] = w > v ? 1 : 0;
 
+    const std::uint64_t alpha_rule = rule.alpha() ? 1 : 0;
+    expected.alpha += alpha_rule;
     std::uint64_t before = e8.width_fallbacks();
     const std::vector<AlphaCandidate> narrow = e8.alpha_scan(v, owned, s8);
-    EXPECT_EQ(e8.width_fallbacks() - before, rule) << at << " alpha";
+    EXPECT_EQ(e8.width_fallbacks() - before, alpha_rule) << at << " alpha";
     const std::vector<AlphaCandidate> want = naive_alpha_usages(g, v, owned, ws);
     expect_same_candidates(narrow, want, at + " alpha u8");
     expect_same_candidates(e16.alpha_scan(v, owned, s16), want, at + " alpha u16");
 
     for (Vertex k = 1; k <= 2; ++k) {
       const std::string kat = at + " k=" + std::to_string(k);
+      const std::uint64_t kswap_rule = rule.kswap(k) ? 1 : 0;
+      (k == 1 ? expected.kswap1 : expected.kswap2) += kswap_rule;
       before = e8.width_fallbacks();
       const KStabilityReport got = e8.swap_stability_at(v, k, s8);
-      EXPECT_EQ(e8.width_fallbacks() - before, rule) << kat << " kswap";
+      EXPECT_EQ(e8.width_fallbacks() - before, kswap_rule) << kat << " kswap";
       const KStabilityReport oracle = naive::swap_stability_at(g, v, k);
       expect_same_report(got, oracle, kat + " kswap u8");
       expect_same_report(e16.swap_stability_at(v, k, s16), oracle, kat + " kswap u16");
@@ -583,21 +745,26 @@ std::uint64_t check_alpha_and_kswap_fallbacks(const Graph& g, const std::string&
   return expected;
 }
 
+void expect_fallbacks(const QueryFallbacks& got, const QueryFallbacks& want,
+                      const std::string& ctx) {
+  EXPECT_EQ(got.alpha, want.alpha) << ctx << " alpha";
+  EXPECT_EQ(got.kswap1, want.kswap1) << ctx << " k=1";
+  EXPECT_EQ(got.kswap2, want.kswap2) << ctx << " k=2";
+}
+
 TEST(MaskedRepair, AlphaAndKSwapFallbacksFollowTheMaskedRule) {
-  // P₇₀ saturates the u8 slab (diameter 69): agents 0..6 and 63..69 leave
-  // a masked path longer than 61, and they are also the agents with
-  // ecc − 1 > 61. C₁₃₀ saturates the slab too, and every G − v is P₁₂₉.
-  EXPECT_EQ(check_alpha_and_kswap_fallbacks(path(70), "P70"), 14u);
-  EXPECT_EQ(check_alpha_and_kswap_fallbacks(cycle(130), "C130"), 130u);
+  // P₇₀ and C₁₃₀ saturate the u8 slab (diameters 69 and 65), so every
+  // query of every agent falls back.
+  expect_fallbacks(check_alpha_and_kswap_fallbacks(path(70), "P70"), {70, 70, 70}, "P70");
+  expect_fallbacks(check_alpha_and_kswap_fallbacks(cycle(130), "C130"), {130, 130, 130},
+                   "C130");
   // The chorded C₁₀₀ fits the u8 slab; masking a chord endpoint leaves
-  // P₉₉, and masking a vertex near one leaves a detour longer than 61:
-  // half the agents fall back.
+  // P₉₉, and masking a vertex near one leaves a detour longer than 61.
   Graph chorded = cycle(100);
   chorded.add_edge(0, 50);
-  EXPECT_EQ(check_alpha_and_kswap_fallbacks(chorded, "chorded100"), 50u);
-  // P₁₂₈: every agent has ecc − 1 > 61, and every G − v keeps a subpath
-  // longer than 61, so every agent falls back.
-  EXPECT_EQ(check_alpha_and_kswap_fallbacks(path(128), "P128"), 128u);
+  expect_fallbacks(check_alpha_and_kswap_fallbacks(chorded, "chorded100"), {50, 50, 50},
+                   "chorded100");
+  expect_fallbacks(check_alpha_and_kswap_fallbacks(path(128), "P128"), {128, 128, 128}, "P128");
 }
 
 }  // namespace

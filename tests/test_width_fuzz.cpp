@@ -24,6 +24,7 @@
 #include "gen/random.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/metrics.hpp"
+#include "lazy_width_rule.hpp"
 #include "util/rng.hpp"
 
 namespace bncg {
@@ -149,12 +150,22 @@ TEST(WidthFuzz, EngineWidthsAgreeWithEachOtherAndNaive) {
   EXPECT_EQ(fallbacks_seen, 0u);  // the small pool fits u8 throughout
 
   // Beyond-the-cap instances: a forced-u8 engine must silently redo the
-  // saturating agents at u16 (fallbacks > 0) and still match the oracle
-  // move for move. path(70)'s masked sweeps split into long subpaths,
-  // cycle(130)'s exceed the cap outright, and the chorded cycle saturates
-  // only for the chord endpoints' masked matrices.
-  for (const Graph& g : {path(70), cycle(130), chorded_cycle(100)}) {
+  // saturating agents at u16 and still match the oracle move for move, and
+  // the fallbacks must follow the lazy rule (lazy_width_rule.hpp).
+  // path(70) and cycle(130) saturate the u8 slab, so every agent falls
+  // back; the chorded cycle fits it, and 98 of its 200 agent scans compute
+  // or read a masked distance past the cap.
+  struct Big {
+    Graph g;
+    const char* name;
+    std::uint64_t fallbacks;  // sum + max with deletions
+  };
+  for (const auto& [g, name, pinned] : {Big{path(70), "path70", 140},
+                                        Big{cycle(130), "cycle130", 260},
+                                        Big{chorded_cycle(100), "chorded100", 98}}) {
     std::uint64_t fallbacks = 0;
+    std::uint64_t want = 0;
+    LazyWidthRule rule(g);
     ShardedCertifyConfig cfg;
     cfg.resources.width = WidthPolicy::ForceU8;
     for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
@@ -162,11 +173,17 @@ TEST(WidthFuzz, EngineWidthsAgreeWithEachOtherAndNaive) {
       const ShardedCertificate c8 = certify_sharded(g, model, deletions, cfg);
       const auto naive_cert = model == UsageCost::Sum ? naive::certify_sum_equilibrium(g)
                                                       : naive::certify_max_equilibrium(g);
-      EXPECT_EQ(c8.certificate.is_equilibrium, naive_cert.is_equilibrium);
+      EXPECT_EQ(c8.certificate.is_equilibrium, naive_cert.is_equilibrium) << name;
+      EXPECT_EQ(c8.certificate.moves_checked, naive_cert.moves_checked) << name;
       expect_same_deviation(c8.certificate.witness, naive_cert.witness, "big-instance certify");
       fallbacks += c8.width_fallbacks;
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        rule.begin(v);
+        want += rule.scan(model, deletions, /*stop_at_first=*/false) ? 1 : 0;
+      }
     }
-    EXPECT_GT(fallbacks, 0u);
+    EXPECT_EQ(fallbacks, want) << name;
+    EXPECT_EQ(fallbacks, pinned) << name;
   }
 }
 
