@@ -33,8 +33,6 @@ class LazyWidthRule {
     for (const auto& row : unmasked_) slab_saturates_ = slab_saturates_ || over_cap(row);
   }
 
-  [[nodiscard]] bool slab_saturates() const noexcept { return slab_saturates_; }
-
   /// Starts agent v: the masked matrix of G − v (row v all ∞) and the
   /// fold of its neighbor rows in neighbor order with strict '<', column v
   /// pinned to (0, ∞, kNoVertex).
@@ -65,12 +63,6 @@ class LazyWidthRule {
     argmin_[v] = kNoVertex;
     fold_saturates_ = over_cap(min1_) || over_cap(min2_);
   }
-
-  /// Whether the fold of begin() holds a finite entry beyond the cap.
-  [[nodiscard]] bool fold_saturates() const noexcept { return fold_saturates_; }
-  [[nodiscard]] const std::vector<Vertex>& min1() const noexcept { return min1_; }
-  [[nodiscard]] const std::vector<Vertex>& min2() const noexcept { return min2_; }
-  [[nodiscard]] const std::vector<Vertex>& argmin() const noexcept { return argmin_; }
 
   /// best_deviation (stop_at_first = false) or first_deviation of the
   /// agent begun: true iff it falls back.
