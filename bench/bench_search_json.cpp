@@ -16,7 +16,17 @@
 // (0 on these instances; promotions only fire when a toggle pushes some
 // distance past the 8-bit cap).
 //
+// The `dynamics` section times run_dynamics (best-response swap dynamics,
+// core/dynamics.hpp) on G(n, 2n), seed 0xD1A ^ n, max_moves 4000, best of
+// three runs, in four configurations: sum first-improvement round-robin and
+// max+deletions best-improvement round-robin at n = 256 and 512, and sum
+// and max+deletions best-improvement GreedyGlobal at n = 128. Each row
+// records the trajectory's moves, passes, verdict and final-graph
+// fingerprint, so two commits' rows show whether they walked the same
+// trajectory. Rows with n > max_n are skipped.
+//
 // Usage: bench_search_json [output.json] [max_n]
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -27,6 +37,8 @@
 #include "bench_json_meta.hpp"
 #include "core/search.hpp"
 #include "gen/random.hpp"
+#include "core/dynamics.hpp"
+#include "graph/io.hpp"
 #include "graph/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -123,11 +135,87 @@ Row measure(Vertex n, UsageCost model, std::uint64_t steps) {
   return row;
 }
 
+struct DynamicsRow {
+  std::string config;
+  Vertex n = 0;
+  double seconds = 0.0;  // best of three runs
+  std::uint64_t moves = 0;
+  std::uint64_t passes = 0;
+  bool converged = false;
+  std::uint64_t graph_fingerprint = 0;  // of the final graph
+};
+
+DynamicsRow measure_dynamics(const std::string& name, Vertex n, const DynamicsConfig& config) {
+  Xoshiro256ss rng(0xD1A ^ n);
+  const Graph start = random_connected_gnm(n, 2 * static_cast<std::size_t>(n), rng);
+  DynamicsRow row;
+  row.config = name;
+  row.n = n;
+  for (int rep = 0; rep < 3; ++rep) {
+    DynamicsResult result;
+    const double seconds = time_seconds([&] { result = run_dynamics(start, config); });
+    const std::uint64_t fingerprint = graph_fingerprint(result.graph);
+    if (rep > 0 && (result.moves != row.moves || result.passes != row.passes ||
+                    result.converged != row.converged || fingerprint != row.graph_fingerprint)) {
+      std::cerr << "FATAL: dynamics trajectory differs between runs: " << name << " n=" << n
+                << "\n";
+      std::exit(1);
+    }
+    row.seconds = rep == 0 ? seconds : std::min(row.seconds, seconds);
+    row.moves = result.moves;
+    row.passes = result.passes;
+    row.converged = result.converged;
+    row.graph_fingerprint = fingerprint;
+  }
+  return row;
+}
+
+std::vector<DynamicsRow> dynamics_rows(Vertex max_n) {
+  const auto config = [](UsageCost cost, MovePolicy policy, Scheduler scheduler) {
+    DynamicsConfig c;
+    c.cost = cost;
+    c.allow_neutral_deletions = cost == UsageCost::Max;
+    c.policy = policy;
+    c.scheduler = scheduler;
+    c.max_moves = 4000;
+    return c;
+  };
+  struct Spec {
+    std::string name;
+    Vertex n;
+    DynamicsConfig config;
+  };
+  const DynamicsConfig sum_first_rr =
+      config(UsageCost::Sum, MovePolicy::FirstImprovement, Scheduler::RoundRobin);
+  const DynamicsConfig maxdel_best_rr =
+      config(UsageCost::Max, MovePolicy::BestImprovement, Scheduler::RoundRobin);
+  const std::vector<Spec> specs = {
+      {"sum_first_round_robin", 256, sum_first_rr},
+      {"sum_first_round_robin", 512, sum_first_rr},
+      {"maxdel_best_round_robin", 256, maxdel_best_rr},
+      {"maxdel_best_round_robin", 512, maxdel_best_rr},
+      {"sum_best_greedy", 128,
+       config(UsageCost::Sum, MovePolicy::BestImprovement, Scheduler::GreedyGlobal)},
+      {"maxdel_best_greedy", 128,
+       config(UsageCost::Max, MovePolicy::BestImprovement, Scheduler::GreedyGlobal)},
+  };
+  std::vector<DynamicsRow> rows;
+  for (const Spec& spec : specs) {
+    if (spec.n > max_n) continue;
+    const DynamicsRow row = measure_dynamics(spec.name, spec.n, spec.config);
+    std::cout << "dynamics " << row.config << " n=" << row.n << " seconds=" << row.seconds
+              << " moves=" << row.moves << " passes=" << row.passes
+              << " converged=" << row.converged << " graph=" << row.graph_fingerprint << "\n";
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_search.json";
-  Vertex max_n = 256;
+  Vertex max_n = 512;
   if (argc > 2) {
     try {
       max_n = static_cast<Vertex>(std::stoul(argv[2]));
@@ -154,6 +242,8 @@ int main(int argc, char** argv) {
     }
   }
 
+  const std::vector<DynamicsRow> dynamics = dynamics_rows(max_n);
+
   std::ofstream out(out_path);
   out << "{\n";
   bncg_bench::write_json_meta(out);
@@ -171,6 +261,15 @@ int main(int argc, char** argv) {
         << ", \"incremental_proposals_per_sec\": " << r.incremental_proposals_per_sec()
         << ", \"full_proposals_per_sec\": " << r.full_proposals_per_sec()
         << ", \"speedup\": " << r.speedup() << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n  \"dynamics\": [\n";
+  for (std::size_t i = 0; i < dynamics.size(); ++i) {
+    const DynamicsRow& r = dynamics[i];
+    out << "    {\"config\": \"" << r.config << "\", \"n\": " << r.n
+        << ", \"seconds\": " << r.seconds << ", \"moves\": " << r.moves
+        << ", \"passes\": " << r.passes << ", \"converged\": " << (r.converged ? "true" : "false")
+        << ", \"graph_fingerprint\": \"" << std::hex << r.graph_fingerprint << std::dec << "\"}"
+        << (i + 1 < dynamics.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   std::cout << "wrote " << out_path << "\n";

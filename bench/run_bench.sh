@@ -4,8 +4,9 @@
 #   BENCH_engine.json — engine-vs-naive certification throughput (DESIGN.md §6)
 #   BENCH_search.json — incremental-vs-full annealing throughput (DESIGN.md §9)
 #
-# Usage: bench/run_bench.sh [max_n]   (default 1024 for the engine bench;
-# the search bench caps itself at min(max_n, 256))
+# Usage: bench/run_bench.sh [max_n]   (default 1024; each bench skips its
+# rows above max_n — the search bench's largest are n = 256 anneal and
+# n = 512 dynamics)
 #
 # Environment knobs:
 #   BNCG_BENCH_OUT_DIR=path  write the JSON artifacts there instead of the
@@ -42,5 +43,4 @@ cmake -B "${build_dir}" -S "${repo_root}" \
 cmake --build "${build_dir}" --target bench_engine_json bench_search_json -j "$(nproc)" >/dev/null
 
 "${build_dir}/bench_engine_json" "${out_dir}/BENCH_engine.json" "${max_n}"
-search_max_n=$(( max_n < 256 ? max_n : 256 ))
-"${build_dir}/bench_search_json" "${out_dir}/BENCH_search.json" "${search_max_n}"
+"${build_dir}/bench_search_json" "${out_dir}/BENCH_search.json" "${max_n}"

@@ -3,9 +3,9 @@
 // Runs the configured dynamics with full trace recording and prints the
 // social cost / diameter trajectory — the "small world emerges from selfish
 // swaps" phenomenon the paper's introduction motivates. Agent scans route
-// through the incremental SearchState (cached per-agent masked distance
-// matrices with journal catch-up) whenever n is within its auto cap; the
-// banner reports which provider tier backs the run.
+// through the SwapEngine, re-snapshotted after every move, or through the
+// naive oracle under BNCG_FORCE_NAIVE; the banner reports which backs the
+// run.
 //
 //   $ ./dynamics_explorer [family: tree|cycle|sparse|ba] [n] [sum|max] [seed]
 #include <cstdlib>
@@ -13,7 +13,6 @@
 #include <string>
 
 #include "core/dynamics.hpp"
-#include "core/search_state.hpp"
 #include "core/swap_engine.hpp"
 #include "gen/classic.hpp"
 #include "gen/random.hpp"
@@ -49,9 +48,7 @@ int main(int argc, char** argv) {
   config.max_moves = 200'000;
   config.seed = seed;
 
-  const char* provider = search_state_enabled(start) ? "incremental SearchState"
-                         : force_naive_requested()    ? "naive oracle"
-                                                      : "SwapEngine";
+  const char* provider = force_naive_requested() ? "naive oracle" : "SwapEngine";
   std::cout << "family=" << family << " n=" << n << " m=" << start.num_edges()
             << " model=" << model << " provider=" << provider << "\n\n";
   const DynamicsResult r = run_dynamics(start, config);

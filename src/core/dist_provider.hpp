@@ -71,14 +71,13 @@ class WidthAndBudgetPolicy {
   /// so the per-lane share is what a dense slab must fit into.
   explicit WidthAndBudgetPolicy(const ResourceConfig& config, unsigned lanes = 0);
 
-  [[nodiscard]] WidthPolicy width_policy() const noexcept { return width_; }
   [[nodiscard]] std::uint64_t total_budget() const noexcept { return total_budget_; }
   /// Per-lane budget share (0 = unlimited).
   [[nodiscard]] std::uint64_t lane_budget() const noexcept { return lane_budget_; }
 
   /// Exact width for a known maximum finite distance: callers already
   /// holding a matrix (or a diameter) seed Force policies from it instead
-  /// of re-probing (search.cpp / dynamics.cpp / metrics-driven sites).
+  /// of re-probing (search.cpp / metrics-driven sites).
   [[nodiscard]] static DistWidth width_for_max_distance(std::uint64_t max_distance) noexcept {
     return max_distance <= kMaxFiniteFor<std::uint8_t> ? DistWidth::U8 : DistWidth::U16;
   }

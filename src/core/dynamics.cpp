@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "core/certify_sharded.hpp"
-#include "core/search_state.hpp"
 #include "core/swap_engine.hpp"
 #include "graph/io.hpp"
 #include "graph/metrics.hpp"
@@ -14,104 +13,59 @@ namespace bncg {
 
 namespace {
 
-/// Move provider for the dynamics loop, in three tiers:
-///  * SearchState-backed (default, n within the auto cap): per-agent masked
-///    distance matrices are cached across moves and caught up lazily through
-///    the toggle journal, so a scan costs a streamed row update instead of a
-///    fresh masked APSP.
-///  * SwapEngine-backed (n too large for the matrix cache): one CSR snapshot
-///    and one shared unmasked APSP per accepted move, one masked-row repair
-///    per scan.
+/// Move provider for the dynamics loop, in two tiers:
+///  * SwapEngine-backed (default): one CSR snapshot and one shared unmasked
+///    APSP per accepted move, one masked-row repair per scan.
 ///  * naive (BNCG_FORCE_NAIVE): the original BFS-per-candidate oracle.
-/// All three return bit-identical deviations, so trajectories do not depend
-/// on the tier (differential-tested in tests/test_search_state.cpp).
+/// Both return bit-identical deviations, so trajectories do not depend on
+/// the tier (differential-tested in tests/test_dynamics.cpp).
 class MoveProvider {
  public:
   MoveProvider(const Graph& g, const DynamicsConfig& config)
       : config_(config),
-        use_state_(search_state_enabled(g)),
-        use_engine_(!use_state_ && !force_naive_requested()) {
-    if (use_state_) {
-      state_.emplace(g, config.cost,
-                     /*include_deletions=*/config.cost == UsageCost::Max &&
-                         config.allow_neutral_deletions,
-                     /*parallel=*/true, config.resources.width);
-    } else if (use_engine_) {
-      engine_.emplace(g, config.resources);
-    }
+        deletions_(config.cost == UsageCost::Max && config.allow_neutral_deletions) {
+    if (!force_naive_requested()) engine_.emplace(g, config.resources);
   }
 
   /// Must be called after every executed move (graph mutated accordingly).
-  void on_move(const Graph& g, const Deviation& dev) {
-    if (use_state_) {
-      if (dev.kind == Deviation::Kind::NonCriticalDelete) {
-        state_->apply_deletion(dev.swap.v, dev.swap.remove_w);
-      } else {
-        state_->apply_swap(dev.swap);
-      }
-      return;
-    }
-    if (use_engine_) engine_->rebuild(g);
+  void on_move(const Graph& g) {
+    if (engine_) engine_->rebuild(g);
   }
 
   /// Picks the deviation for agent `v` according to the configured model and
   /// policy. Neutral deletions are only surfaced in the max model when asked.
   std::optional<Deviation> agent_deviation(const Graph& g, Vertex v) {
-    const bool first = config_.policy == MovePolicy::FirstImprovement;
-    if (use_state_) {
-      if (config_.cost == UsageCost::Sum) {
-        return first ? state_->first_deviation(v) : state_->best_deviation(v);
+    const UsageCost cost = config_.cost;
+    const auto scan = [&](bool first, bool deletions) -> std::optional<Deviation> {
+      if (engine_) {
+        return first ? engine_->first_deviation(v, cost, deletions)
+                     : engine_->best_deviation(v, cost, deletions);
       }
-      if (first) {
-        return state_->first_deviation(v, config_.allow_neutral_deletions);
+      if (cost == UsageCost::Sum) {
+        return first ? naive::first_sum_deviation(g, v, ws_)
+                     : naive::best_sum_deviation(g, v, ws_);
       }
-      auto best = state_->best_deviation(v);
-      if (!best && config_.allow_neutral_deletions) {
-        best = state_->first_deviation(v, /*include_deletions=*/true);
-      }
-      return best;
-    }
-    if (use_engine_) {
-      if (config_.cost == UsageCost::Sum) {
-        return first ? engine_->first_deviation(v, UsageCost::Sum)
-                     : engine_->best_deviation(v, UsageCost::Sum);
-      }
-      if (first) {
-        return engine_->first_deviation(v, UsageCost::Max, config_.allow_neutral_deletions);
-      }
-      auto best = engine_->best_deviation(v, UsageCost::Max);
-      if (!best && config_.allow_neutral_deletions) {
-        best = engine_->first_deviation(v, UsageCost::Max, /*include_deletions=*/true);
-      }
-      return best;
-    }
-    if (config_.cost == UsageCost::Sum) {
-      return first ? naive::first_sum_deviation(g, v, ws_) : naive::best_sum_deviation(g, v, ws_);
-    }
-    if (first) {
-      return naive::first_max_deviation(g, v, ws_, config_.allow_neutral_deletions);
-    }
-    // Best-improvement in the max model: prefer the best improving swap, fall
-    // back to a neutral deletion (which never competes on cost_after).
-    auto best = naive::best_max_deviation(g, v, ws_);
-    if (!best && config_.allow_neutral_deletions) {
-      best = naive::first_max_deviation(g, v, ws_, /*include_deletions=*/true);
-    }
+      return first ? naive::first_max_deviation(g, v, ws_, deletions)
+                   : naive::best_max_deviation(g, v, ws_, deletions);
+    };
+    if (config_.policy == MovePolicy::FirstImprovement) return scan(/*first=*/true, deletions_);
+    // Best-improvement: prefer the best improving swap, fall back to a
+    // neutral deletion (which never competes on cost_after).
+    auto best = scan(/*first=*/false, /*deletions=*/false);
+    if (!best && deletions_) best = scan(/*first=*/true, /*deletions=*/true);
     return best;
   }
 
   /// True iff the graph is in equilibrium for the configured game (including
   /// the deletion clause when neutral deletions participate in the max game).
   bool certified(const Graph& g) {
-    if (use_state_) return state_->certify_current();
-    if (use_engine_) {
+    if (engine_) {
       ShardedCertifyConfig certify;
       certify.resources = config_.resources;
-      const bool deletions = config_.cost == UsageCost::Max && config_.allow_neutral_deletions;
-      return certify_sharded(g, config_.cost, deletions, certify).certificate.is_equilibrium;
+      return certify_sharded(g, config_.cost, deletions_, certify).certificate.is_equilibrium;
     }
     if (config_.cost == UsageCost::Sum) return naive::certify_sum_equilibrium(g).is_equilibrium;
-    if (config_.allow_neutral_deletions) return naive::certify_max_equilibrium(g).is_equilibrium;
+    if (deletions_) return naive::certify_max_equilibrium(g).is_equilibrium;
     // Swap-only max dynamics: check swap stability for every agent.
     const Vertex n = g.num_vertices();
     for (Vertex v = 0; v < n; ++v) {
@@ -122,9 +76,7 @@ class MoveProvider {
 
  private:
   const DynamicsConfig& config_;
-  bool use_state_;
-  bool use_engine_;
-  std::optional<SearchState> state_;
+  const bool deletions_;  // max model with neutral deletions
   std::optional<SwapEngine> engine_;
   BfsWorkspace ws_;
 };
@@ -176,8 +128,9 @@ DynamicsResult run_dynamics(Graph start, const DynamicsConfig& config) {
   if (config.detect_revisits) visited.insert(to_graph6(g));
 
   bool out_of_budget = false;
-  const auto post_move = [&](const Deviation& dev) {
-    provider.on_move(g, dev);
+  const auto take_move = [&](const Deviation& dev) {
+    execute(g, dev);
+    provider.on_move(g);
     ++result.moves;
     if (config.record_trace) record(g, config.cost, result.moves, result.trace);
     if (config.detect_revisits && !result.revisited &&
@@ -203,9 +156,8 @@ DynamicsResult run_dynamics(Graph start, const DynamicsConfig& config) {
         if (!best || gain(*dev) > gain(*best)) best = dev;
       }
       if (best) {
-        execute(g, *best);
         any_move = true;
-        post_move(*best);
+        take_move(*best);
       }
     } else {
       if (config.scheduler == Scheduler::RandomOrder) rng.shuffle(order);
@@ -213,9 +165,8 @@ DynamicsResult run_dynamics(Graph start, const DynamicsConfig& config) {
         if (out_of_budget) break;
         const auto dev = provider.agent_deviation(g, v);
         if (!dev) continue;
-        execute(g, *dev);
         any_move = true;
-        post_move(*dev);
+        take_move(*dev);
       }
     }
     ++result.passes;

@@ -6,11 +6,10 @@
 // edge count — the basic game has no α and edges can only be relocated —
 // so the reachable equilibria live inside the fixed-m configuration space.
 //
-// Agent scans route through the incremental SearchState (cached per-agent
-// masked distance matrices, core/search_state.hpp) when n is within its
-// auto cap, through the delta-evaluation SwapEngine otherwise, and through
-// the naive BFS-per-candidate oracle under BNCG_FORCE_NAIVE — all three
-// produce bit-identical moves, so the tier never changes a trajectory.
+// Agent scans route through the delta-evaluation SwapEngine
+// (core/swap_engine.hpp), re-snapshotted after every accepted move, at every
+// n, and through the naive BFS-per-candidate oracle under BNCG_FORCE_NAIVE.
+// Both produce bit-identical moves, so the tier never changes a trajectory.
 //
 // Neither version admits an obvious potential function, so convergence is
 // not guaranteed a priori; the loop caps the number of moves and reports
@@ -64,9 +63,8 @@ struct DynamicsConfig {
   /// best-response cycles are a genuine open possibility — this is the
   /// instrument for probing it. Memory: O(moves · n²/6) bytes.
   bool detect_revisits = false;
-  /// Shared resource knobs (core/dist_provider.hpp) of the SearchState /
-  /// SwapEngine tiers. Purely speed/memory preferences; moves are
-  /// width-independent.
+  /// Shared resource knobs (core/dist_provider.hpp) of the SwapEngine tier.
+  /// Purely speed/memory preferences; moves are width-independent.
   ResourceConfig resources;
 };
 

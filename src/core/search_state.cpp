@@ -221,80 +221,43 @@ template <typename Dist>
 void SearchStateImpl<Dist>::ensure_agent_current(Vertex a, Scratch& s) {
   if (version_[a] == head_) return;
   ensure_slabs();
-  if (version_[a] == kUnbuilt || head_ - version_[a] > kReplayLimit) {
+  if (version_[a] == kUnbuilt) {
     rebuild_agent(a, s);
     version_[a] = head_;
-    table_version_[a] = kUnbuilt;
     return;
   }
+  // One toggle behind (see version_). Its scan tables are already current:
+  // commit() flipped in the ones the evaluation derived for this graph.
+  version_[a] = head_;
+  if (last_u_ == a || last_v_ == a) return;  // edges at the masked vertex vanish
   Dist* rows = agent_rows(a);
   const Vertex n = n_;
-  // The cached scan tables ride along through the replay when they are in
-  // lockstep with the matrix: each changed row's old contribution is
-  // subtracted before the update and its new one added after. A toggle
-  // incident to a changes the neighbor set the tables were folded over, so
-  // any such toggle in the window invalidates them. Tables AHEAD of the
-  // matrix (a committed proposal's tables flipped in before the matrix
-  // caught up) are left untouched — they already describe the target state.
-  const bool maintain = table_version_[a] != kUnbuilt && table_version_[a] == version_[a];
-  bool tables_live = maintain;
-  for (std::uint64_t i = version_[a]; tables_live && i < head_; ++i) {
-    const Toggle& t = log_[static_cast<std::size_t>(i - log_base_)];
-    if (t.u == a || t.v == a) tables_live = false;
-  }
-  Dist* min1 = tables_live ? table_min1(a) : nullptr;
-  Dist* min2 = tables_live ? table_min2(a) : nullptr;
-  Vertex* argmin = tables_live ? table_argmin(a) : nullptr;
-  std::uint32_t* r1 = tables_live && model_ == UsageCost::Sum ? table_r1(a) : nullptr;
-  const auto nbrs = csr_.neighbors(a);
-
-  for (std::uint64_t i = version_[a]; i < head_; ++i) {
-    const Toggle& t = log_[static_cast<std::size_t>(i - log_base_)];
-    if (t.u == a || t.v == a) continue;  // edges at the masked vertex vanish
-    if (t.add) {
-      // In-place formula replay: stash the pre-update endpoint rows first,
-      // then touch only the rows the addition can change — row x is
-      // unchanged when |d(x,u) − d(x,v)| ≤ 1 (no pair gains a shortcut by
-      // the triangle inequality), read off the stashed rows by symmetry.
-      s.row_u.assign(rows + static_cast<std::size_t>(t.u) * n,
-                     rows + static_cast<std::size_t>(t.u) * n + n);
-      s.row_v.assign(rows + static_cast<std::size_t>(t.v) * n,
-                     rows + static_cast<std::size_t>(t.v) * n + n);
-      const Dist* ru = s.row_u.data();
-      const Dist* rv = s.row_v.data();
-      if (addition_saturates(ru, rv, t.v, n, kInf)) throw WidthSaturated{};
-      s.sources.resize(n);
-      s.sources.resize(simd::kernels<Dist>().collect_absdiff_gt1(ru, rv, n, s.sources.data()));
-      for (const Vertex x : s.sources) {
-        Dist* row = rows + static_cast<std::size_t>(x) * n;
-        if (tables_live) table_sub_row(r1, min1[x], row, n);
-        addition_row(row, row, ru, rv, t.u, t.v, n, kInf);
-        if (tables_live) {
-          table_add_row(min1, min2, argmin, r1, x, row, nbrs.data(), nbrs.size(), n, kInf);
-        }
-      }
-    } else {
-      collect_dirty_rows(rows + static_cast<std::size_t>(t.u) * n,
-                         rows + static_cast<std::size_t>(t.v) * n, n, s.sources);
-      s.stats.rows_refreshed += s.sources.size();
-      s.stats.rows_reused += n - s.sources.size();
-      if (tables_live) {
-        for (const Vertex x : s.sources) {
-          table_sub_row(r1, min1[x], rows + static_cast<std::size_t>(x) * n, n);
-        }
-      }
-      refresh_rows(*t.before, s.sources, MaskedEdge{t.u, t.v}, rows, s.bfs,
-                   /*masked_vertex=*/a);
-      if (tables_live) {
-        for (const Vertex x : s.sources) {
-          table_add_row(min1, min2, argmin, r1, x, rows + static_cast<std::size_t>(x) * n,
-                        nbrs.data(), nbrs.size(), n, kInf);
-        }
-      }
+  if (last_add_) {
+    // In-place formula replay: stash the pre-update endpoint rows first,
+    // then touch only the rows the addition can change — row x is
+    // unchanged when |d(x,u) − d(x,v)| ≤ 1 (no pair gains a shortcut by
+    // the triangle inequality), read off the stashed rows by symmetry.
+    s.row_u.assign(rows + static_cast<std::size_t>(last_u_) * n,
+                   rows + static_cast<std::size_t>(last_u_) * n + n);
+    s.row_v.assign(rows + static_cast<std::size_t>(last_v_) * n,
+                   rows + static_cast<std::size_t>(last_v_) * n + n);
+    const Dist* ru = s.row_u.data();
+    const Dist* rv = s.row_v.data();
+    if (addition_saturates(ru, rv, last_v_, n, kInf)) throw WidthSaturated{};
+    s.sources.resize(n);
+    s.sources.resize(simd::kernels<Dist>().collect_absdiff_gt1(ru, rv, n, s.sources.data()));
+    for (const Vertex x : s.sources) {
+      Dist* row = rows + static_cast<std::size_t>(x) * n;
+      addition_row(row, row, ru, rv, last_u_, last_v_, n, kInf);
     }
+    return;
   }
-  version_[a] = head_;
-  if (maintain) table_version_[a] = tables_live ? head_ : kUnbuilt;
+  // Removal: re-traverse the dirty rows on csr_, which no longer has the edge.
+  collect_dirty_rows(rows + static_cast<std::size_t>(last_u_) * n,
+                     rows + static_cast<std::size_t>(last_v_) * n, n, s.sources);
+  s.stats.rows_refreshed += s.sources.size();
+  s.stats.rows_reused += n - s.sources.size();
+  refresh_rows(csr_, s.sources, MaskedEdge{}, rows, s.bfs, /*masked_vertex=*/a);
 }
 
 template <typename Dist>
@@ -548,8 +511,7 @@ void SearchStateImpl<Dist>::prepare_scan(const Dist* rows, Vertex a, Scratch& s,
 
 template <typename Dist>
 typename SearchStateImpl<Dist>::ScanResult SearchStateImpl<Dist>::scan_agent(
-    Vertex a, std::uint64_t old_cost, bool include_deletions, ScanMode mode, Scratch& s,
-    bool r1_valid) {
+    Vertex a, std::uint64_t old_cost, Scratch& s) {
   ScanResult result;
   ++s.stats.agents_scanned;
   if (s.nbrs.empty()) return result;
@@ -579,9 +541,9 @@ typename SearchStateImpl<Dist>::ScanResult SearchStateImpl<Dist>::scan_agent(
 
     // Static survivor list against the fixed old_cost threshold: skipped
     // candidates satisfy lb ≥ old_cost ≥ every later dynamic threshold, so
-    // dropping them up front cannot change any witness or value.
+    // dropping them up front cannot change any value.
     s.cands.clear();
-    const bool can_prune = r1_valid && old_cost < kPruneThresholdCap;
+    const bool can_prune = old_cost < kPruneThresholdCap;
     for (Vertex w2 = 0; w2 < n; ++w2) {
       if (s.is_nbr[w2] != 0) continue;
       if (can_prune && std::uint64_t{n - 1} + base_sum >= old_cost + s.r1[w2]) {
@@ -592,36 +554,28 @@ typename SearchStateImpl<Dist>::ScanResult SearchStateImpl<Dist>::scan_agent(
     }
   }
 
-  std::optional<Deviation> best;
-  std::uint64_t best_cost = kInfCost;
-  const auto accept_threshold = [&]() {
-    return mode == ScanMode::First ? old_cost : std::min(old_cost, best_cost);
-  };
+  // The running best is result.best_cost once result.found; a non-critical
+  // deletion best is displaced by a swap of equal cost.
+  bool best_is_delete = false;
 
   for (const Vertex w : s.nbrs) {
     Dist* m = s.mrow.data();
     kern.select_mrow(m, s.min1.data(), s.min2.data(), s.argmin.data(), w, n);
     m[a] = 0;
 
-    if (model_ == UsageCost::Max && include_deletions) {
+    if (include_deletions_) {
       const std::uint64_t del_cost = kern.deletion_ecc(m, n, kInf);
-      if (del_cost <= old_cost) {
-        const Deviation dev{{a, w, w}, old_cost, del_cost, Deviation::Kind::NonCriticalDelete};
+      if (del_cost <= old_cost && (!result.found || del_cost < result.best_cost)) {
         result.found = true;
-        best_cost = std::min(best_cost, del_cost);
-        if (!best || dev.cost_after < best->cost_after) best = dev;
-        if (mode == ScanMode::First) {
-          result.witness = best;
-          result.best_cost = best_cost;
-          return result;
-        }
+        result.best_cost = del_cost;
+        best_is_delete = true;
       }
     }
 
     if (model_ == UsageCost::Sum) {
       for (const Vertex w2 : s.cands) {
-        const std::uint64_t threshold = accept_threshold();
-        if (r1_valid && threshold < kPruneThresholdCap &&
+        const std::uint64_t threshold = std::min(old_cost, result.best_cost);
+        if (threshold < kPruneThresholdCap &&
             std::uint64_t{n - 1} + base_sum >= threshold + s.r1[w2]) {
           // The dynamic re-check of the same lower bound, against the
           // tightened running-best threshold (ties never displace).
@@ -632,39 +586,26 @@ typename SearchStateImpl<Dist>::ScanResult SearchStateImpl<Dist>::scan_agent(
         const std::uint64_t new_cost = kern.combine_sum(m, rowptr[w2], n, kInf);
         if (new_cost >= old_cost) continue;
         result.found = true;
-        if (new_cost < best_cost) best_cost = new_cost;
-        if (!best || new_cost < best->cost_after) {
-          best = Deviation{{a, w, w2}, old_cost, new_cost, Deviation::Kind::ImprovingSwap};
-          if (mode == ScanMode::First) {
-            result.witness = best;
-            result.best_cost = best_cost;
-            return result;
-          }
-        }
+        result.best_cost = std::min(result.best_cost, new_cost);
       }
     } else {
-      // Far-set filter with a dynamically tightening cap. In Best/Value
-      // modes a candidate is useful only when it beats the running best
-      // (or ties a NonCriticalDelete best, which a swap displaces), so the
-      // cap shrinks below the engine's old_cost − 2 as soon as a better
-      // deviation is found; candidates failing the tighter test have
-      // new_cost ≥ threshold and could never be accepted. The FAR1 list
-      // (min1-based, valid for every removed edge since M^w ≥ min1) first
-      // drops candidates that fail for ALL w at once.
+      // Far-set filter with a dynamically tightening cap. A candidate is
+      // useful only when it beats the running best (or ties a
+      // NonCriticalDelete best, which a swap displaces), so the cap shrinks
+      // below the engine's old_cost − 2 as soon as a better deviation is
+      // found; candidates failing the tighter test have new_cost ≥
+      // threshold and could never be accepted. The FAR1 list (min1-based,
+      // valid for every removed edge since M^w ≥ min1) first drops
+      // candidates that fail for ALL w at once.
       const auto max_threshold = [&]() {
-        if (mode == ScanMode::First) return old_cost;
-        std::uint64_t t = old_cost;
-        if (best) {
-          // A swap displaces a NonCriticalDelete best on ties, so the
-          // delete's threshold is one above its cost (saturating: a
-          // disconnected delete at kInfCost constrains nothing).
-          const std::uint64_t displace =
-              best->kind == Deviation::Kind::NonCriticalDelete
-                  ? (best->cost_after == kInfCost ? kInfCost : best->cost_after + 1)
-                  : best->cost_after;
-          t = std::min(t, displace);
-        }
-        return t;
+        if (!result.found) return old_cost;
+        // A swap displaces a NonCriticalDelete best on ties, so the
+        // delete's threshold is one above its cost (saturating: a
+        // disconnected delete at kInfCost constrains nothing).
+        const std::uint64_t displace =
+            best_is_delete && result.best_cost != kInfCost ? result.best_cost + 1
+                                                           : result.best_cost;
+        return std::min(old_cost, displace);
       }();
       const std::int32_t cap = max_threshold == kInfCost
                                    ? std::int32_t{kInf} - 1
@@ -708,27 +649,19 @@ typename SearchStateImpl<Dist>::ScanResult SearchStateImpl<Dist>::scan_agent(
         }
         ++s.stats.candidates_combined;
         const std::uint64_t new_cost = kern.combine_max(m, c, n, kInf);
-        if (new_cost >= max_threshold && mode != ScanMode::First) {
+        if (new_cost >= max_threshold) {
           // The far test ran against a stale (looser) cap from before a
           // best-update in this same w-iteration; the exact cost settles it.
           continue;
         }
         result.found = true;
-        best_cost = std::min(best_cost, new_cost);
-        if (!best || new_cost < best->cost_after ||
-            (best->kind == Deviation::Kind::NonCriticalDelete && new_cost <= best->cost_after)) {
-          best = Deviation{{a, w, w2}, old_cost, new_cost, Deviation::Kind::ImprovingSwap};
-          if (mode == ScanMode::First) {
-            result.witness = best;
-            result.best_cost = best_cost;
-            return result;
-          }
+        if (new_cost < result.best_cost || (best_is_delete && new_cost <= result.best_cost)) {
+          result.best_cost = new_cost;
+          best_is_delete = false;
         }
       }
     }
   }
-  result.witness = best;
-  result.best_cost = best_cost;
   return result;
 }
 
@@ -783,9 +716,7 @@ std::uint64_t SearchStateImpl<Dist>::evaluate_pass(bool staged) {
       // new current tables without recomputation.
       store_shadow_tables(a, s);
     }
-    const ScanResult r =
-        scan_agent(a, old_cost, include_deletions_, ScanMode::Value, s, model_ == UsageCost::Sum);
-    return unrest_contribution(r, old_cost);
+    return unrest_contribution(scan_agent(a, old_cost, s), old_cost);
   };
 
   ThreadPool& pool = ThreadPool::global();
@@ -847,28 +778,16 @@ std::uint64_t SearchStateImpl<Dist>::unrest() {
 }
 
 template <typename Dist>
-void SearchStateImpl<Dist>::append_toggle(Vertex u, Vertex v, bool add) {
-  Toggle t;
-  t.u = u;
-  t.v = v;
-  t.add = add;
-  if (!add) t.before = std::make_shared<const CsrGraph>(csr_);
-  log_.push_back(std::move(t));
-  ++head_;
-  while (log_.size() > kReplayLimit) {
-    log_.erase(log_.begin());
-    ++log_base_;
-  }
-}
-
-template <typename Dist>
 void SearchStateImpl<Dist>::commit() {
   BNCG_REQUIRE(staged_ && evaluated_, "commit requires an evaluated staged toggle");
-  append_toggle(staged_u_, staged_v_, staged_add_);
+  last_u_ = staged_u_;
+  last_v_ = staged_v_;
+  last_add_ = staged_add_;
+  ++head_;
   fcur_ = 1 - fcur_;
   // The evaluation parked every agent's proposal tables in the shadow set;
-  // flipping makes them current. The matrices still catch up lazily through
-  // the journal (table_version_ runs ahead of version_ until then).
+  // flipping makes them current. The matrices catch up on the next
+  // evaluation (table_version_ runs ahead of version_ until then).
   tcur_ = 1 - tcur_;
   std::fill(table_version_.begin(), table_version_.end(), head_);
   if (staged_add_) {
@@ -881,85 +800,6 @@ void SearchStateImpl<Dist>::commit() {
   staged_ = false;
   evaluated_ = false;
   ++stats_.commits;
-}
-
-template <typename Dist>
-void SearchStateImpl<Dist>::apply_toggle_impl(Vertex u, Vertex v, bool add) {
-  BNCG_REQUIRE(u != v && u < n_ && v < n_, "toggle endpoints must be distinct in-range vertices");
-  staged_ = false;
-  evaluated_ = false;
-  const std::size_t shadow = 1 - fcur_;
-  // The matrix updates run BEFORE any mutation, so a WidthSaturated thrown
-  // here leaves graph_/csr_/journal untouched — the facade can replay the
-  // same toggle on the promoted state.
-  if (add) {
-    update_full_matrix_addition(u, v, shadow, scratch_[0]);
-  } else {
-    update_full_matrix_removal(u, v, shadow, scratch_[0]);
-  }
-  refresh_shape(shadow);
-  fcur_ = shadow;
-  append_toggle(u, v, add);
-  if (add) {
-    graph_.add_edge(u, v);
-  } else {
-    graph_.remove_edge(u, v);
-  }
-  csr_.rebuild(graph_);
-  unrest_.reset();
-  merge_stats(scratch_[0]);
-  ++stats_.commits;
-}
-
-template <typename Dist>
-void SearchStateImpl<Dist>::apply_deletion(Vertex v, Vertex w) {
-  apply_toggle_impl(v, w, /*add=*/false);
-}
-
-template <typename Dist>
-void SearchStateImpl<Dist>::apply_toggle(Vertex u, Vertex v) {
-  apply_toggle_impl(u, v, /*add=*/!graph_.has_edge(u, v));
-}
-
-template <typename Dist>
-std::optional<Deviation> SearchStateImpl<Dist>::deviation_impl(Vertex a, bool include_deletions,
-                                                               ScanMode mode) {
-  BNCG_REQUIRE(a < n_, "vertex id out of range");
-  ensure_slabs();
-  Scratch& s = scratch_[0];
-  ensure_agent_current(a, s);
-  ensure_tables(a, s);
-  proposal_neighbors(a, kNoVertex, kNoVertex, false, false, s.nbrs);
-  load_tables(a, s);
-  s.rowptr.resize(n_);
-  {
-    const Dist* rows = agent_rows(a);
-    for (Vertex x = 0; x < n_; ++x) s.rowptr[x] = rows + static_cast<std::size_t>(x) * n_;
-  }
-  const std::uint64_t old_cost = agent_cost_from_full(fcur_, a);
-  ScanResult r = scan_agent(a, old_cost, include_deletions, mode, s, model_ == UsageCost::Sum);
-  merge_stats(s);
-  return r.witness;
-}
-
-template <typename Dist>
-std::optional<Deviation> SearchStateImpl<Dist>::best_deviation(Vertex a, bool include_deletions) {
-  return deviation_impl(a, include_deletions, ScanMode::Best);
-}
-
-template <typename Dist>
-std::optional<Deviation> SearchStateImpl<Dist>::first_deviation(Vertex a,
-                                                                bool include_deletions) {
-  return deviation_impl(a, include_deletions, ScanMode::First);
-}
-
-template <typename Dist>
-bool SearchStateImpl<Dist>::certify_current() {
-  if (unrest_) return *unrest_ == 0;
-  for (Vertex a = 0; a < n_; ++a) {
-    if (first_deviation(a, include_deletions_)) return false;
-  }
-  return true;
 }
 
 template <typename Dist>
@@ -1111,38 +951,6 @@ std::uint64_t SearchState::proposal_unrest() {
 void SearchState::commit() {
   dispatch([](auto& s) { s.commit(); });
   staged_ = false;
-}
-
-std::optional<Deviation> SearchState::best_deviation(Vertex a, bool include_deletions) {
-  return dispatch([&](auto& s) { return s.best_deviation(a, include_deletions); });
-}
-
-std::optional<Deviation> SearchState::first_deviation(Vertex a, bool include_deletions) {
-  return dispatch([&](auto& s) { return s.first_deviation(a, include_deletions); });
-}
-
-void SearchState::apply_swap(const EdgeSwap& swap) {
-  staged_ = false;  // applying a move discards any staged proposal
-  // Dispatched as two single toggles, not one impl-level apply_swap: each
-  // toggle throws (if at all) BEFORE mutating, so a promotion between the
-  // removal and the addition replays only the not-yet-applied half —
-  // impl-level apply_swap would re-remove an already-removed edge on retry.
-  dispatch([&](auto& s) { s.apply_deletion(swap.v, swap.remove_w); });
-  dispatch([&](auto& s) { s.apply_toggle(swap.v, swap.add_w); });
-}
-
-void SearchState::apply_deletion(Vertex v, Vertex w) {
-  staged_ = false;
-  dispatch([&](auto& s) { s.apply_deletion(v, w); });
-}
-
-void SearchState::apply_toggle(Vertex u, Vertex v) {
-  staged_ = false;
-  dispatch([&](auto& s) { s.apply_toggle(u, v); });
-}
-
-bool SearchState::certify_current() {
-  return dispatch([](auto& s) { return s.certify_current(); });
 }
 
 SearchState::ScanTables SearchState::debug_scan_tables(Vertex a) {

@@ -1,10 +1,11 @@
 // Incremental-unrest search state — delta evaluation for *search*, the way
 // core/swap_engine.hpp is delta evaluation for *certification*.
 //
-// Equilibrium search (core/search.hpp) and best-response dynamics
-// (core/dynamics.hpp) both sit in a propose → evaluate → accept/reject loop
-// whose evaluation step used to recompute the unrest potential from scratch:
-// one vertex-masked APSP plus a best-response scan per agent, per proposal.
+// Equilibrium search (core/search.hpp) sits in a propose → evaluate →
+// accept/reject loop whose evaluation step used to recompute the unrest
+// potential from scratch: one vertex-masked APSP plus a best-response scan
+// per agent, per proposal. (Best-response dynamics take one move per scan
+// and re-snapshot a SwapEngine instead: core/dynamics.hpp.)
 // SearchState makes the loop incremental around three observations:
 //
 //  1. Toggling one edge {u, v} cannot be used to *skip* agents exactly: the
@@ -37,21 +38,21 @@
 //     min1_y), so they cancel:  cost(w, w₂) ≥ (n−1) + Σ_{y≠a} min1_y −
 //     R1[w₂] — one w-independent O(1) test per candidate, the sum model's
 //     analogue of the engine's max-model far-set filter. The prune only
-//     ever skips candidates that provably cannot beat (or tie) the running
-//     best, so witnesses and scan order match the engine and the
-//     bncg::naive oracles bit for bit.
+//     ever skips candidates that provably cannot beat the running best, so
+//     every agent's best cost matches the engine and the bncg::naive
+//     oracles.
 //  3. Evaluation never writes the matrix cache: per agent, only the CHANGED
 //     rows are touched — their old contributions are subtracted from cached
 //     per-agent scan tables (min1/min2/argmin and R1), the new rows are
 //     materialized into a per-thread scratch matrix behind row-pointer
-//     indirection, and new contributions are added. Accepting a proposal is
-//     a journal append plus two O(1) buffer flips (full matrix and scan
+//     indirection, and new contributions are added. Accepting a proposal
+//     records the toggle and flips two O(1) buffers (full matrix and scan
 //     tables are double-buffered; every staged evaluation parks its
-//     proposal tables in the shadow set). The agent matrices catch up
-//     lazily through the journal: addition backlogs replay as formula
-//     passes over changed rows, removal backlogs re-traverse dirty rows
-//     against the journal's CSR snapshot, long backlogs fall back to one
-//     fresh masked APSP. Rejection costs nothing.
+//     proposal tables in the shadow set). Every commit follows an
+//     evaluation that brought every agent current, so an agent matrix is
+//     at most that one toggle behind and catches up on its next evaluation:
+//     an addition replays as a formula pass over the changed rows, a
+//     removal re-traverses the dirty rows. Rejection costs nothing.
 //
 // The width is invisible in the results: SearchState (the public facade)
 // starts narrow when the diameter bound fits, and any refresh that meets a
@@ -62,9 +63,9 @@
 //
 // Everything here is exact: differential tests (tests/test_search_state.cpp
 // and the cross-width fuzz suite tests/test_width_fuzz.cpp) pin unrest
-// values, deviations, and certification verdicts to full naive
-// recomputation after every accepted and rejected proposal. DESIGN.md §9
-// documents the invalidation rule and the measured cost model.
+// values and scan tables to full naive recomputation after every accepted
+// and rejected proposal. DESIGN.md §9 documents the invalidation rule and
+// the measured cost model.
 #pragma once
 
 #include <cstdint>
@@ -82,22 +83,23 @@
 
 namespace bncg {
 
-/// Largest n for which search/dynamics auto-select the incremental state.
+/// Largest n for which anneal (UnrestEval::Auto) selects the incremental
+/// state; above it every proposal is a full engine recompute.
 /// The cache holds one n×n² slab (n³ bytes in u8, 2n³ in u16: 0.13–0.27 GB
 /// at this cap), so unbounded auto-enablement would silently trade the
 /// engine's O(n²) scratch for gigabytes. Direct construction accepts any
 /// n ≤ 16382 when the caller accepts the memory bill.
 inline constexpr Vertex kSearchStateAutoMaxVertices = 512;
 
-/// True when search and dynamics should route through SearchState: n within
-/// the auto-enable cap and BNCG_FORCE_NAIVE not set.
+/// True when anneal should evaluate through SearchState: n within the
+/// auto-enable cap and BNCG_FORCE_NAIVE not set.
 [[nodiscard]] bool search_state_enabled(const Graph& g);
 
 /// Operation counters for benchmarks and the differential harness.
 struct SearchStats {
   std::uint64_t proposals = 0;        ///< propose_toggle() calls
   std::uint64_t evaluations = 0;      ///< proposal_unrest() computations
-  std::uint64_t commits = 0;          ///< accepted proposals + applied moves
+  std::uint64_t commits = 0;          ///< accepted proposals
   std::uint64_t rows_refreshed = 0;   ///< rows re-traversed after removals
   std::uint64_t rows_reused = 0;      ///< rows kept by the dirty-row test
   std::uint64_t agents_scanned = 0;   ///< best-response scans executed
@@ -128,9 +130,9 @@ class SearchStateImpl {
   /// Snapshots `g` (connected or not) and builds the full-graph matrix
   /// (throws WidthSaturated when it does not fit the width). Per-agent
   /// masked matrices materialize lazily on first use. For the max model,
-  /// `include_deletions` selects whether unrest and certification count
-  /// non-critical deletions as violations (the max-equilibrium definition
-  /// does); ignored in the sum model.
+  /// `include_deletions` selects whether unrest counts non-critical
+  /// deletions as violations (the max-equilibrium definition does); ignored
+  /// in the sum model.
   SearchStateImpl(const Graph& g, UsageCost model, bool include_deletions, bool parallel);
 
   [[nodiscard]] const Graph& graph() const noexcept { return graph_; }
@@ -145,17 +147,6 @@ class SearchStateImpl {
   [[nodiscard]] std::uint64_t proposal_unrest();
   void commit();
 
-  [[nodiscard]] std::optional<Deviation> best_deviation(Vertex a, bool include_deletions);
-  [[nodiscard]] std::optional<Deviation> first_deviation(Vertex a, bool include_deletions);
-
-  // Swaps have no impl-level entry point on purpose: the facade applies
-  // them as two single toggles so each throw point precedes its mutation
-  // (promotion retry-safety).
-  void apply_deletion(Vertex v, Vertex w);
-  void apply_toggle(Vertex u, Vertex v);
-
-  [[nodiscard]] bool certify_current();
-
   [[nodiscard]] const SearchStats& stats() const noexcept { return stats_; }
   /// Replaces the counters wholesale — promotion carries the u8 impl's
   /// counters into its u16 successor so the run's totals survive the swap.
@@ -167,16 +158,6 @@ class SearchStateImpl {
                          std::vector<Vertex>& argmin, std::vector<std::uint32_t>& r1);
 
  private:
-  struct Toggle {
-    Vertex u = kNoVertex;
-    Vertex v = kNoVertex;
-    bool add = false;
-    /// Snapshot of the graph *before* a removal (edge still present): the
-    /// lazy replay of the removal BFS needs that historical adjacency.
-    /// Empty for additions (the formula replay is graph-free).
-    std::shared_ptr<const CsrGraph> before;
-  };
-
   /// Per-lane scan scratch (mirrors SwapEngine::Scratch) plus per-lane stat
   /// counters merged after each pass (keeps parallel passes race-free). The
   /// SIMD-streamed arrays use 64-byte-aligned storage. Lane scratch lives in
@@ -198,10 +179,7 @@ class SearchStateImpl {
     SearchStats stats;
   };
 
-  enum class ScanMode { Value, First, Best };
-
   struct ScanResult {
-    std::optional<Deviation> witness;    // First/Best modes
     std::uint64_t best_cost = kInfCost;  // best cost_after over deviations
     bool found = false;
   };
@@ -235,9 +213,8 @@ class SearchStateImpl {
   void ensure_slabs();
   void ensure_table_slabs();
   void ensure_agent_current(Vertex a, Scratch& scratch);
-  /// Rebuilds agent a's persistent scan tables when stale (matrix must be
-  /// current). Kept in lockstep with the matrix by the replay's row deltas;
-  /// toggles incident to a invalidate them (the neighbor set changed).
+  /// Builds agent a's persistent scan tables if it has none yet (matrix
+  /// must be current); commit() keeps built tables current thereafter.
   void ensure_tables(Vertex a, Scratch& scratch);
   /// Copies agent a's persistent tables into the scratch working copies.
   void load_tables(Vertex a, Scratch& scratch);
@@ -259,8 +236,9 @@ class SearchStateImpl {
   /// Builds min1/min2/argmin and optionally R1 from scratch.rowptr rows.
   void scan_tables(Scratch& scratch, bool want_r1);
 
-  ScanResult scan_agent(Vertex a, std::uint64_t old_cost, bool include_deletions, ScanMode mode,
-                        Scratch& scratch, bool r1_valid);
+  /// Best deviation cost of agent a over the tables and rows in `scratch`
+  /// (the max model counts non-critical deletions when include_deletions_).
+  ScanResult scan_agent(Vertex a, std::uint64_t old_cost, Scratch& scratch);
 
   [[nodiscard]] std::uint64_t evaluate_pass(bool staged);
   [[nodiscard]] static std::uint64_t unrest_contribution(const ScanResult& r,
@@ -268,9 +246,6 @@ class SearchStateImpl {
   [[nodiscard]] std::uint64_t agent_cost_from_full(std::size_t slab, Vertex a) const;
   void proposal_neighbors(Vertex a, Vertex tu, Vertex tv, bool add, bool staged,
                           std::vector<Vertex>& out) const;
-  std::optional<Deviation> deviation_impl(Vertex a, bool include_deletions, ScanMode mode);
-  void append_toggle(Vertex u, Vertex v, bool add);
-  void apply_toggle_impl(Vertex u, Vertex v, bool add);
 
   Graph graph_;
   CsrGraph csr_;
@@ -282,7 +257,7 @@ class SearchStateImpl {
   // Full-graph matrix: double-buffered (entries use kInf for ∞); fcur_
   // indexes the live copy, the other is the shadow a staged toggle is
   // screened into, and commit is the O(1) index flip. Per-agent masked
-  // matrices live in ONE slab updated lazily through the journal —
+  // matrices live in ONE slab updated lazily after each commit —
   // evaluation materializes proposal matrices into per-thread scratch
   // instead of a shadow slab, halving both memory and DRAM write traffic.
   AlignedVec<Dist> full_[2];  // n×n full-graph distances
@@ -290,15 +265,15 @@ class SearchStateImpl {
   std::size_t fcur_ = 0;
 
   // Persistent per-agent scan tables (n entries per agent): coordinate-wise
-  // neighbor minima and, in the sum model, the R1 relief bound. Maintained
-  // by the same changed-row deltas as the matrices, so a staged evaluation
-  // only touches rows the toggle actually changes. Double-buffered like the
-  // full matrix: staged evaluations write every agent's proposal tables to
-  // the shadow set, and commit() flips tcur_ — the accepted proposal's
-  // tables become current with no recomputation. table_version_[a] tracks
-  // the journal version the current set matches (kUnbuilt = must rebuild);
-  // it may run ahead of version_[a] right after a commit, in which case the
-  // matrix catches up through the journal without touching the tables.
+  // neighbor minima and, in the sum model, the R1 relief bound. A staged
+  // evaluation derives an agent's proposal tables from its current ones by
+  // changed-row deltas, so it only touches rows the toggle actually changes.
+  // Double-buffered like the full matrix: staged evaluations write every
+  // agent's proposal tables to the shadow set, and commit() flips tcur_ —
+  // the accepted proposal's tables become current with no recomputation.
+  // table_version_[a] is the commit the current set matches (kUnbuilt =
+  // must build); it runs ahead of version_[a] right after a commit, while
+  // the matrix has not caught up yet.
   AlignedVec<Dist> tmin1_[2], tmin2_[2];
   AlignedVec<Vertex> targmin_[2];
   AlignedVec<std::uint32_t> tr1_[2];
@@ -310,17 +285,16 @@ class SearchStateImpl {
   std::vector<Dist> rowmax_[2];           // max_y d(a, y)
   Vertex diameter_[2] = {0, 0};           // kInfDist when disconnected
 
-  // Toggle journal for lazy per-agent maintenance. version_[a] indexes into
-  // the virtual history; log_base_ is the history index of log_[0]. An agent
-  // with version_[a] == kUnbuilt has no matrix yet. Entries deeper than
-  // kReplayLimit are dropped eagerly — agents that far behind rebuild from
-  // one fresh masked APSP instead of replaying.
-  std::vector<Toggle> log_;
-  std::uint64_t log_base_ = 0;
+  // Lazy per-agent maintenance. head_ counts commits; version_[a] is the
+  // commit agent a's matrix matches, kUnbuilt before its first build. Every
+  // commit follows an evaluation that brought every agent to head_, so a
+  // built agent is at most the last committed toggle behind, and it replays
+  // that toggle against csr_ — the graph right after it.
+  Vertex last_u_ = kNoVertex, last_v_ = kNoVertex;
+  bool last_add_ = false;
   std::uint64_t head_ = 0;
   std::vector<std::uint64_t> version_;
   static constexpr std::uint64_t kUnbuilt = ~std::uint64_t{0};
-  static constexpr std::size_t kReplayLimit = 4;
 
   // Staged proposal.
   bool staged_ = false;
@@ -337,12 +311,12 @@ class SearchStateImpl {
 extern template class SearchStateImpl<std::uint8_t>;
 extern template class SearchStateImpl<std::uint16_t>;
 
-/// Incremental evaluation state for equilibrium search and dynamics — the
-/// public, width-adaptive facade. Picks the u8 implementation when a cheap
+/// Incremental evaluation state for equilibrium search — the public,
+/// width-adaptive facade. Picks the u8 implementation when a cheap
 /// diameter bound fits the 8-bit cap (or WidthPolicy::ForceU8 asks for it),
 /// and transparently promotes to u16 the moment any refreshed row would
 /// saturate — callers never observe the width except through width() and
-/// stats().promotions; every value, witness, and trajectory is identical
+/// stats().promotions; every value and trajectory is identical
 /// across widths. Not thread-safe; internal passes parallelize over agents
 /// on the process thread pool when `parallel` is set (results are
 /// deterministic either way — per-agent outputs fold serially).
@@ -357,8 +331,8 @@ class SearchState {
   SearchState& operator=(const SearchState&) = delete;
 
   /// The current graph. Like stats(), the reference points into the active
-  /// implementation: any mutating call (commit/apply_*, or an evaluation
-  /// that promotes u8 → u16 and rebuilds the backing state) invalidates
+  /// implementation: any mutating call (commit, or an evaluation that
+  /// promotes u8 → u16 and rebuilds the backing state) invalidates
   /// previously returned references — re-fetch after mutations, copy to
   /// keep.
   [[nodiscard]] const Graph& graph() const noexcept;
@@ -376,7 +350,6 @@ class SearchState {
   /// cached until the graph changes. Intended for connected graphs.
   [[nodiscard]] std::uint64_t unrest();
 
-  // ---------------------------------------------------- search (anneal) API
   /// Stages toggling edge {u, v} and returns the cheap shape screen of the
   /// would-be graph. No agent work happens here; a subsequent
   /// proposal_unrest() evaluates the staged toggle, commit() accepts it, and
@@ -387,27 +360,10 @@ class SearchState {
   /// committing it). Requires a staged toggle.
   [[nodiscard]] std::uint64_t proposal_unrest();
 
-  /// Accepts the staged toggle: a journal append plus a CSR rebuild; the
-  /// cached per-agent matrices catch up lazily. Requires the staged toggle
-  /// to have been evaluated.
+  /// Accepts the staged toggle: two buffer flips plus a CSR rebuild; the
+  /// cached per-agent matrices catch up on the next evaluation. Requires
+  /// the staged toggle to have been evaluated.
   void commit();
-
-  // ------------------------------------------------------------ dynamics API
-  /// Best/first improving deviation of agent `a`, identical in witness,
-  /// costs, and scan order to SwapEngine and the bncg::naive oracles.
-  [[nodiscard]] std::optional<Deviation> best_deviation(Vertex a, bool include_deletions = false);
-  [[nodiscard]] std::optional<Deviation> first_deviation(Vertex a,
-                                                         bool include_deletions = false);
-
-  /// Applies an accepted move to the live state (graph, matrices, journal).
-  void apply_swap(const EdgeSwap& swap);
-  void apply_deletion(Vertex v, Vertex w);
-  /// Applies a single edge toggle (add when absent, remove when present).
-  void apply_toggle(Vertex u, Vertex v);
-
-  /// True iff no agent has a deviation (same verdict as the certifiers,
-  /// honoring the constructor's include_deletions in the max model).
-  [[nodiscard]] bool certify_current();
 
   /// Counters of this run (carried across promotions). Invalidated like
   /// graph(): a promoting call rebuilds the backing state.

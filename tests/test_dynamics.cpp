@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "core/equilibrium.hpp"
+#include "core/swap.hpp"
 #include "gen/classic.hpp"
 #include "gen/random.hpp"
 #include "graph/metrics.hpp"
@@ -200,6 +207,136 @@ TEST(Dynamics, NoRevisitsObservedOnConvergentRuns) {
 TEST(Dynamics, PassesAreCounted) {
   const DynamicsResult r = run_dynamics(path(8), sum_config());
   EXPECT_GE(r.passes, 2u);  // at least one active pass plus the quiet one
+}
+
+/// The dynamics loop replayed on the bncg::naive oracles alone: the same
+/// schedulers, policies, move budget and pass count as run_dynamics, with
+/// every agent scan one BFS per candidate move.
+struct NaiveReplay {
+  Graph graph{0};
+  std::uint64_t moves = 0;
+  std::uint64_t passes = 0;
+  bool converged = false;
+};
+
+NaiveReplay naive_replay(Graph g, const DynamicsConfig& config) {
+  const Vertex n = g.num_vertices();
+  const bool sum = config.cost == UsageCost::Sum;
+  const bool first = config.policy == MovePolicy::FirstImprovement;
+  const bool deletions = !sum && config.allow_neutral_deletions;
+  BfsWorkspace ws;
+  const auto deviation = [&](Vertex v) -> std::optional<Deviation> {
+    if (sum) {
+      return first ? naive::first_sum_deviation(g, v, ws) : naive::best_sum_deviation(g, v, ws);
+    }
+    if (first) return naive::first_max_deviation(g, v, ws, deletions);
+    auto best = naive::best_max_deviation(g, v, ws);
+    if (!best && deletions) best = naive::first_max_deviation(g, v, ws, true);
+    return best;
+  };
+
+  NaiveReplay r;
+  Xoshiro256ss rng(config.seed);
+  std::vector<Vertex> order(n);
+  std::iota(order.begin(), order.end(), Vertex{0});
+  bool out_of_budget = false;
+  const auto take = [&](const Deviation& d) {
+    if (d.kind == Deviation::Kind::NonCriticalDelete) {
+      g.remove_edge(d.swap.v, d.swap.remove_w);
+    } else {
+      apply_swap(g, d.swap);
+    }
+    if (++r.moves >= config.max_moves) out_of_budget = true;
+  };
+  for (;;) {
+    bool any_move = false;
+    if (config.scheduler == Scheduler::GreedyGlobal) {
+      std::optional<Deviation> best;
+      std::uint64_t best_gain = 0;
+      for (Vertex v = 0; v < n; ++v) {
+        const auto d = deviation(v);
+        if (!d) continue;
+        const std::uint64_t gain =
+            d->cost_before == kInfCost ? kInfCost : d->cost_before - d->cost_after;
+        if (!best || gain > best_gain) {
+          best = d;
+          best_gain = gain;
+        }
+      }
+      if (best) {
+        any_move = true;
+        take(*best);
+      }
+    } else {
+      if (config.scheduler == Scheduler::RandomOrder) rng.shuffle(order);
+      for (const Vertex v : order) {
+        if (out_of_budget) break;
+        const auto d = deviation(v);
+        if (!d) continue;
+        any_move = true;
+        take(*d);
+      }
+    }
+    ++r.passes;
+    if (!any_move || out_of_budget) break;
+  }
+  r.converged = !out_of_budget;
+  if (r.converged) {
+    if (sum) {
+      r.converged = naive::certify_sum_equilibrium(g).is_equilibrium;
+    } else if (deletions) {
+      r.converged = naive::certify_max_equilibrium(g).is_equilibrium;
+    } else {
+      for (Vertex v = 0; v < n && r.converged; ++v) {
+        r.converged = !naive::first_max_deviation(g, v, ws, false);
+      }
+    }
+  }
+  r.graph = std::move(g);
+  return r;
+}
+
+TEST(Dynamics, TrajectoriesMatchNaiveReplay) {
+  // run_dynamics scans through the SwapEngine; every scheduler × policy ×
+  // game must walk the naive replay's trajectory move for move. The budget
+  // cuts some runs short, so both exits are compared.
+  Xoshiro256ss rng(0xD1A);
+  std::vector<Graph> starts;
+  starts.push_back(random_connected_gnm(16, 32, rng));
+  starts.push_back(random_connected_gnm(40, 80, rng));
+  starts.push_back(random_tree(24, rng));
+  int converged_runs = 0;
+  int cut_runs = 0;
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    for (const Scheduler scheduler :
+         {Scheduler::RoundRobin, Scheduler::RandomOrder, Scheduler::GreedyGlobal}) {
+      for (const MovePolicy policy :
+           {MovePolicy::FirstImprovement, MovePolicy::BestImprovement}) {
+        for (int game = 0; game < 3; ++game) {
+          DynamicsConfig config;
+          config.cost = game == 0 ? UsageCost::Sum : UsageCost::Max;
+          config.allow_neutral_deletions = game == 2;
+          config.scheduler = scheduler;
+          config.policy = policy;
+          config.max_moves = 60;
+          config.seed = 0x5EED + i;
+          const std::string ctx = "start " + std::to_string(i) + " scheduler " +
+                                  std::to_string(static_cast<int>(scheduler)) + " policy " +
+                                  std::to_string(static_cast<int>(policy)) + " game " +
+                                  std::to_string(game);
+          const DynamicsResult got = run_dynamics(starts[i], config);
+          const NaiveReplay want = naive_replay(starts[i], config);
+          EXPECT_EQ(got.moves, want.moves) << ctx;
+          EXPECT_EQ(got.passes, want.passes) << ctx;
+          EXPECT_EQ(got.converged, want.converged) << ctx;
+          EXPECT_EQ(got.graph, want.graph) << ctx;
+          (want.converged ? converged_runs : cut_runs) += 1;
+        }
+      }
+    }
+  }
+  EXPECT_GT(converged_runs, 0);
+  EXPECT_GT(cut_runs, 0);
 }
 
 }  // namespace

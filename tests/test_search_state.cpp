@@ -1,19 +1,21 @@
 // Differential tests for the incremental-unrest SearchState
 // (core/search_state.hpp): every incremental quantity — proposal shapes,
-// unrest values, per-agent deviations, applied-move trajectories — is pinned
-// to full recomputation through the bncg::naive oracles after every accepted
-// AND rejected proposal, across 250+ random instances in both usage-cost
-// models, with the parallel evaluation pass both on and off.
+// unrest values, per-agent scan tables — is pinned to full recomputation
+// through the bncg::naive oracles after every accepted AND rejected
+// proposal, across 150+ random instances in both usage-cost models, with
+// the parallel evaluation pass both on and off.
 #include "core/search_state.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "core/equilibrium.hpp"
 #include "core/search.hpp"
 #include "gen/classic.hpp"
 #include "gen/random.hpp"
+#include "graph/bfs.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/metrics.hpp"
 #include "util/rng.hpp"
@@ -39,16 +41,47 @@ std::uint64_t naive_unrest(const Graph& g, UsageCost model, bool include_deletio
   return total;
 }
 
-void expect_same_deviation(const std::optional<Deviation>& got,
-                           const std::optional<Deviation>& want, const std::string& context) {
-  ASSERT_EQ(got.has_value(), want.has_value()) << context;
-  if (!got) return;
-  EXPECT_EQ(got->swap.v, want->swap.v) << context;
-  EXPECT_EQ(got->swap.remove_w, want->swap.remove_w) << context;
-  EXPECT_EQ(got->swap.add_w, want->swap.add_w) << context;
-  EXPECT_EQ(got->cost_before, want->cost_before) << context;
-  EXPECT_EQ(got->cost_after, want->cost_after) << context;
-  EXPECT_EQ(got->kind, want->kind) << context;
+/// Reference scan tables of agent a on a connected graph, from BFS over
+/// G − a: min1/min2/argmin fold the neighbor rows in ascending neighbor
+/// order with strict '<' (the state's tie-break), and the sum model's
+/// R1[w₂] = Σ_{y≠a} max(0, min1_y − d_{G−a}(y, w₂)), ∞ contributing 0.
+SearchState::ScanTables naive_scan_tables(const Graph& g, Vertex a, UsageCost model) {
+  const Vertex n = g.num_vertices();
+  Graph masked = g;
+  std::vector<Vertex> nbrs(g.neighbors(a).begin(), g.neighbors(a).end());
+  std::sort(nbrs.begin(), nbrs.end());
+  for (const Vertex z : nbrs) masked.remove_edge(a, z);
+  std::vector<std::vector<Vertex>> dist(n);
+  for (Vertex x = 0; x < n; ++x) {
+    if (x != a) dist[x] = distances_from(masked, x);
+  }
+  SearchState::ScanTables t;
+  t.min1.assign(n, kInfDist);
+  t.min2.assign(n, kInfDist);
+  t.argmin.assign(n, kNoVertex);
+  for (const Vertex z : nbrs) {
+    for (Vertex y = 0; y < n; ++y) {
+      const Vertex d = dist[z][y];
+      if (d < t.min1[y]) {
+        t.min2[y] = t.min1[y];
+        t.min1[y] = d;
+        t.argmin[y] = z;
+      } else if (d < t.min2[y]) {
+        t.min2[y] = d;
+      }
+    }
+  }
+  if (model == UsageCost::Sum) {
+    t.r1.assign(n, 0);
+    for (Vertex y = 0; y < n; ++y) {
+      if (y == a) continue;
+      for (Vertex w2 = 0; w2 < n; ++w2) {
+        const Vertex d = dist[y][w2];
+        if (d != kInfDist && t.min1[y] > d) t.r1[w2] += t.min1[y] - d;
+      }
+    }
+  }
+  return t;
 }
 
 Graph random_instance(int trial, Xoshiro256ss& rng) {
@@ -126,93 +159,23 @@ TEST(SearchStateDifferential, MaxUnrestMatchesNaiveOnEveryProposalParallel) {
   run_unrest_differential(UsageCost::Max, /*parallel=*/true, 35, 0xA004);
 }
 
-TEST(SearchStateDifferential, DeviationsMatchNaiveWitnessForWitness) {
-  Xoshiro256ss rng(0xB005);
-  BfsWorkspace ws;
-  for (int trial = 0; trial < 60; ++trial) {
-    const Graph g = random_instance(trial, rng);
-    for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
-      SearchState state(g, model, /*include_deletions=*/true);
-      for (Vertex v = 0; v < g.num_vertices(); ++v) {
-        const std::string ctx = "trial " + std::to_string(trial) + " agent " +
-                                std::to_string(v) +
-                                (model == UsageCost::Sum ? " sum" : " max");
-        if (model == UsageCost::Sum) {
-          expect_same_deviation(state.best_deviation(v), naive::best_sum_deviation(g, v, ws),
-                                ctx + " best");
-          expect_same_deviation(state.first_deviation(v), naive::first_sum_deviation(g, v, ws),
-                                ctx + " first");
-        } else {
-          expect_same_deviation(state.best_deviation(v), naive::best_max_deviation(g, v, ws),
-                                ctx + " best");
-          expect_same_deviation(state.best_deviation(v, /*include_deletions=*/true),
-                                naive::best_max_deviation(g, v, ws, true), ctx + " best+del");
-          expect_same_deviation(state.first_deviation(v, /*include_deletions=*/true),
-                                naive::first_max_deviation(g, v, ws, true), ctx + " first+del");
-        }
-      }
-    }
-  }
-}
-
-TEST(SearchStateDifferential, AppliedMoveTrajectoriesMatchNaiveDynamics) {
-  // Round-robin first-improvement dynamics driven twice: once through
-  // SearchState::apply_swap (journal catch-up, lazy matrices), once through
-  // the naive oracle on a mirror graph. Every move must be identical.
-  Xoshiro256ss rng(0xC006);
-  BfsWorkspace ws;
-  for (int trial = 0; trial < 25; ++trial) {
-    Graph mirror = random_instance(trial, rng);
-    const UsageCost model = trial % 2 == 0 ? UsageCost::Sum : UsageCost::Max;
-    const bool deletions = model == UsageCost::Max;
-    SearchState state(mirror, model, deletions);
-    int moves = 0;
-    bool progress = true;
-    while (progress && moves < 60) {
-      progress = false;
-      for (Vertex v = 0; v < mirror.num_vertices() && moves < 60; ++v) {
-        const auto naive_dev = model == UsageCost::Sum
-                                   ? naive::first_sum_deviation(mirror, v, ws)
-                                   : naive::first_max_deviation(mirror, v, ws, deletions);
-        const auto state_dev = state.first_deviation(v, deletions);
-        expect_same_deviation(state_dev, naive_dev,
-                              "trial " + std::to_string(trial) + " move " +
-                                  std::to_string(moves) + " agent " + std::to_string(v));
-        if (!naive_dev) continue;
-        if (naive_dev->kind == Deviation::Kind::NonCriticalDelete) {
-          mirror.remove_edge(naive_dev->swap.v, naive_dev->swap.remove_w);
-          state.apply_deletion(naive_dev->swap.v, naive_dev->swap.remove_w);
-        } else {
-          apply_swap(mirror, naive_dev->swap);
-          state.apply_swap(naive_dev->swap);
-        }
-        ASSERT_EQ(state.graph(), mirror);
-        ++moves;
-        progress = true;
-      }
-    }
-    // Converged (or budget): certification verdicts must agree too.
-    const bool naive_certified = model == UsageCost::Sum
-                                     ? naive::certify_sum_equilibrium(mirror).is_equilibrium
-                                     : naive::certify_max_equilibrium(mirror).is_equilibrium;
-    EXPECT_EQ(state.certify_current(), naive_certified) << "trial " << trial;
-  }
-}
-
 TEST(SearchStateDifferential, LazyAgentsCatchUpAcrossLongJournals) {
-  // Apply more toggles than the replay window while querying only one agent,
-  // forcing both the formula-replay and the full-rebuild catch-up paths.
+  // A propose → proposal_unrest → commit walk of additions and removals:
+  // after each commit every agent's matrix is one toggle behind until the
+  // next evaluation replays it, so every agent's scan tables (brought
+  // current by debug_scan_tables) and the unrest are checked against naive
+  // after every commit, and each next proposal's unrest reads the replayed
+  // matrices.
   Xoshiro256ss rng(0xD007);
   for (int trial = 0; trial < 12; ++trial) {
+    const UsageCost model = trial % 2 == 0 ? UsageCost::Sum : UsageCost::Max;
+    const bool deletions = model == UsageCost::Max;
     Graph mirror = random_connected_gnm(12, 22, rng);
-    SearchState state(mirror, UsageCost::Sum);
-    BfsWorkspace ws;
-    // Seed the lazy matrices for agent 0 only.
-    expect_same_deviation(state.best_deviation(0), naive::best_sum_deviation(mirror, 0, ws),
-                          "pre-toggle");
-    int applied = 0;
+    SearchState state(mirror, model, deletions, /*parallel=*/trial % 4 < 2);
+    int commits = 0;
+    int removals = 0;
     int guard = 0;
-    while (applied < 8 && guard++ < 200) {
+    while (commits < 10 && guard++ < 400) {
       const Vertex u = static_cast<Vertex>(rng.below(12));
       const Vertex v = static_cast<Vertex>(rng.below(12));
       if (u == v) continue;
@@ -221,18 +184,30 @@ TEST(SearchStateDifferential, LazyAgentsCatchUpAcrossLongJournals) {
       if (removing) {
         toggled.remove_edge(u, v);
         if (!is_connected(toggled)) continue;  // keep the walk connected
-        state.apply_deletion(u, v);
       } else {
         toggled.add_edge(u, v);
-        state.apply_toggle(u, v);
       }
+      (void)state.propose_toggle(u, v);
+      const std::string ctx = "trial " + std::to_string(trial) + " commit " +
+                              std::to_string(commits);
+      ASSERT_EQ(state.proposal_unrest(), naive_unrest(toggled, model, deletions)) << ctx;
+      state.commit();
       mirror = std::move(toggled);
-      ++applied;
+      ++commits;
+      removals += removing ? 1 : 0;
+      ASSERT_EQ(state.graph(), mirror) << ctx;
+      ASSERT_EQ(state.unrest(), naive_unrest(mirror, model, deletions)) << ctx;
+      for (Vertex a = 0; a < 12; ++a) {
+        const SearchState::ScanTables got = state.debug_scan_tables(a);
+        const SearchState::ScanTables want = naive_scan_tables(mirror, a, model);
+        ASSERT_EQ(got.min1, want.min1) << ctx << " agent " << a;
+        ASSERT_EQ(got.min2, want.min2) << ctx << " agent " << a;
+        ASSERT_EQ(got.argmin, want.argmin) << ctx << " agent " << a;
+        ASSERT_EQ(got.r1, want.r1) << ctx << " agent " << a;
+      }
     }
-    for (Vertex v = 0; v < 12; ++v) {
-      expect_same_deviation(state.best_deviation(v), naive::best_sum_deviation(mirror, v, ws),
-                            "trial " + std::to_string(trial) + " agent " + std::to_string(v));
-    }
+    EXPECT_EQ(commits, 10) << "trial " << trial;
+    EXPECT_GT(removals, 0) << "trial " << trial;
   }
 }
 

@@ -231,7 +231,7 @@ TEST(WidthFuzz, SearchStateWidthsAgreeOnEveryProposalAndWithNaive) {
         ASSERT_EQ(s16.graph(), mirror);
       }
     }
-    EXPECT_EQ(s8.certify_current(), s16.certify_current()) << "trial " << trial;
+    EXPECT_EQ(s8.unrest(), s16.unrest()) << "trial " << trial;
   }
 }
 
@@ -241,10 +241,13 @@ TEST(WidthFuzz, EngineeredCapCrossingsPromoteAndStayExact) {
   //  (a) masked-matrix saturation during evaluation — C_len + chord {0,
   //      len/2}: the full graph fits u8, but masking a chord endpoint
   //      leaves a path of length len − 2 > 61;
-  //  (b) applied-removal saturation — deleting a C_len cycle edge leaves
-  //      P_len with diameter len − 1 > 61;
-  //  (c) proposal-screen saturation — staging that same removal already
-  //      saturates the shadow full matrix.
+  //  (b) proposal-screen saturation by an addition — bridging two paths
+  //      through the pure-formula addition identity;
+  //  (c) proposal-screen saturation by a removal — staging the deletion
+  //      of a C_len cycle edge (P_len has diameter len − 1 > 61) saturates
+  //      the shadow full matrix, and the committed state must equal a u16
+  //      state built on the post-move graph.
+  // Every leg runs through propose → proposal_unrest → commit.
   for (const Vertex len : {Vertex{100}, Vertex{120}}) {
     for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
       const bool deletions = model == UsageCost::Max;
@@ -261,29 +264,7 @@ TEST(WidthFuzz, EngineeredCapCrossingsPromoteAndStayExact) {
         EXPECT_EQ(u, naive_unrest(g, model, deletions)) << ctx;
       }
 
-      {  // (b) — applied deletion crosses the cap; the replayed state must
-         // equal a u16 state built directly on the post-move graph.
-        Graph g = cycle(len);
-        SearchState state(g, model, deletions);
-        ASSERT_EQ(state.width(), DistWidth::U8) << ctx;
-        state.apply_deletion(0, len - 1);
-        EXPECT_EQ(state.width(), DistWidth::U16) << ctx;
-        EXPECT_GE(state.stats().promotions, 1u) << ctx;
-        g.remove_edge(0, len - 1);
-        ASSERT_EQ(state.graph(), g) << ctx;
-        SearchState fresh(g, model, deletions, true, WidthPolicy::ForceU16);
-        EXPECT_EQ(state.unrest(), fresh.unrest()) << ctx;
-        BfsWorkspace ws;
-        for (const Vertex a : {Vertex{0}, Vertex{1}, len / 2}) {
-          const auto want = model == UsageCost::Sum
-                                ? naive::best_sum_deviation(g, a, ws)
-                                : naive::best_max_deviation(g, a, ws, deletions);
-          expect_same_deviation(state.best_deviation(a, deletions), want,
-                                ctx + " agent " + std::to_string(a));
-        }
-      }
-
-      {  // (d) — *addition* saturation: bridging two path components makes
+      {  // (b) — *addition* saturation: bridging two path components makes
          // the new finite distances exceed the cap through the pure-formula
          // addition identity (no BFS involved), which must promote rather
          // than clamp to ∞ or write the reserved kInf − 1 slot.
@@ -293,16 +274,22 @@ TEST(WidthFuzz, EngineeredCapCrossingsPromoteAndStayExact) {
         for (Vertex i = half; i + 1 < len; ++i) two_paths.add_edge(i, i + 1);
         SearchState state(two_paths, model, deletions, /*parallel=*/true, WidthPolicy::ForceU8);
         ASSERT_EQ(state.width(), DistWidth::U8) << ctx;
-        state.apply_toggle(half - 1, half);  // joins the tips: diameter len − 1 > 61
+        // Joins the tips: diameter len − 1 > 61.
+        const ToggleShape shape = state.propose_toggle(half - 1, half);
         EXPECT_EQ(state.width(), DistWidth::U16) << ctx;
         EXPECT_GE(state.stats().promotions, 1u) << ctx;
+        EXPECT_TRUE(shape.connected) << ctx;
+        EXPECT_EQ(shape.diameter, len - 1) << ctx;
+        two_paths.add_edge(half - 1, half);
+        const std::uint64_t want = naive_unrest(two_paths, model, deletions);
+        EXPECT_EQ(state.proposal_unrest(), want) << ctx;
+        state.commit();
         EXPECT_TRUE(state.connected()) << ctx;
         EXPECT_EQ(state.diameter(), len - 1) << ctx;
-        two_paths.add_edge(half - 1, half);
-        EXPECT_EQ(state.unrest(), naive_unrest(two_paths, model, deletions)) << ctx;
+        EXPECT_EQ(state.unrest(), want) << ctx;
       }
 
-      {  // (d') — a bridging addition whose result still fits must NOT
+      {  // (b') — a bridging addition whose result still fits must NOT
          // promote and must stay exact (the saturation test is not a
          // connectivity-change test).
         const Vertex quarter = 15;
@@ -311,10 +298,12 @@ TEST(WidthFuzz, EngineeredCapCrossingsPromoteAndStayExact) {
         for (Vertex i = quarter; i + 1 < 2 * quarter; ++i) short_paths.add_edge(i, i + 1);
         SearchState state(short_paths, model, deletions, /*parallel=*/true,
                           WidthPolicy::ForceU8);
-        state.apply_toggle(quarter - 1, quarter);
+        (void)state.propose_toggle(quarter - 1, quarter);
+        short_paths.add_edge(quarter - 1, quarter);
+        EXPECT_EQ(state.proposal_unrest(), naive_unrest(short_paths, model, deletions)) << ctx;
+        state.commit();
         EXPECT_EQ(state.width(), DistWidth::U8) << ctx;
         EXPECT_EQ(state.diameter(), 2 * quarter - 1) << ctx;
-        short_paths.add_edge(quarter - 1, quarter);
         EXPECT_EQ(state.unrest(), naive_unrest(short_paths, model, deletions)) << ctx;
       }
 
@@ -332,6 +321,16 @@ TEST(WidthFuzz, EngineeredCapCrossingsPromoteAndStayExact) {
         EXPECT_EQ(state.proposal_unrest(), naive_unrest(toggled, model, deletions)) << ctx;
         state.commit();
         EXPECT_EQ(state.graph(), toggled) << ctx;
+        SearchState fresh(toggled, model, deletions, true, WidthPolicy::ForceU16);
+        EXPECT_EQ(state.unrest(), fresh.unrest()) << ctx;
+        for (const Vertex a : {Vertex{0}, Vertex{1}, len / 2}) {
+          const SearchState::ScanTables got = state.debug_scan_tables(a);
+          const SearchState::ScanTables want = fresh.debug_scan_tables(a);
+          EXPECT_EQ(got.min1, want.min1) << ctx << " agent " << a;
+          EXPECT_EQ(got.min2, want.min2) << ctx << " agent " << a;
+          EXPECT_EQ(got.argmin, want.argmin) << ctx << " agent " << a;
+          EXPECT_EQ(got.r1, want.r1) << ctx << " agent " << a;
+        }
       }
     }
   }
@@ -413,11 +412,11 @@ TEST(WidthFuzz, AnnealTrajectoriesIdenticalAcrossWidthsIncludingPromotion) {
 }
 
 TEST(WidthFuzz, PromotionReplayReproducesIdenticalScanTables) {
-  // Promotion-invariant property: drive a u8 state through a toggle journal
-  // that crosses the cap mid-sequence, then replay the identical journal on
-  // a from-scratch u16 state — every agent's scan tables (min1/min2/argmin
-  // and the sum model's R1), widened to width-independent values, must be
-  // identical, as must unrest and certification.
+  // Promotion-invariant property: drive a u8 state through a sequence of
+  // committed toggles that crosses the cap mid-sequence, then commit the
+  // identical sequence on a from-scratch u16 state — every agent's scan
+  // tables (min1/min2/argmin and the sum model's R1), widened to
+  // width-independent values, must be identical, as must unrest.
   for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
     const bool deletions = model == UsageCost::Max;
     const Graph start = cycle(80);
@@ -434,8 +433,11 @@ TEST(WidthFuzz, PromotionReplayReproducesIdenticalScanTables) {
     ASSERT_EQ(promoted.width(), DistWidth::U8);
     SearchState wide(start, model, deletions, /*parallel=*/true, WidthPolicy::ForceU16);
     for (const auto& [u, v] : journal) {
-      promoted.apply_toggle(u, v);
-      wide.apply_toggle(u, v);
+      for (SearchState* state : {&promoted, &wide}) {
+        (void)state->propose_toggle(u, v);
+        (void)state->proposal_unrest();
+        state->commit();
+      }
     }
     EXPECT_EQ(promoted.width(), DistWidth::U16) << "journal failed to cross the cap";
     EXPECT_GE(promoted.stats().promotions, 1u);
@@ -451,7 +453,6 @@ TEST(WidthFuzz, PromotionReplayReproducesIdenticalScanTables) {
       ASSERT_EQ(got.argmin, want.argmin) << ctx << " agent " << a;
       ASSERT_EQ(got.r1, want.r1) << ctx << " agent " << a;
     }
-    EXPECT_EQ(promoted.certify_current(), wide.certify_current()) << ctx;
   }
 }
 
