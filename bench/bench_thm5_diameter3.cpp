@@ -113,7 +113,7 @@ int main() {
       AnnealConfig config;
       config.steps = 6000;
       config.seed = seed;
-      const auto found = anneal_sum_equilibrium(random_connected_gnm(8, 16, rng), config);
+      const auto found = anneal_equilibrium(random_connected_gnm(8, 16, rng), config);
       if (!found) {
         t.add_row({fmt(seed), "no (budget)", "-", "-", "-"});
         continue;

@@ -2,7 +2,8 @@
 # Builds the benchmark executables and regenerates the tracked perf artifacts
 # at the repo root:
 #   BENCH_engine.json — engine-vs-naive certification throughput (DESIGN.md §6)
-#   BENCH_search.json — incremental-vs-full annealing throughput (DESIGN.md §9)
+#   BENCH_search.json — annealing throughput per evaluator and width, and
+#                       best-response dynamics timings (DESIGN.md §9)
 #
 # Usage: bench/run_bench.sh [max_n]   (default 1024; each bench skips its
 # rows above max_n — the search bench's largest are n = 256 anneal and

@@ -3,9 +3,10 @@
 //
 //  1. quantify how far the literal Figure 3 graph is from equilibrium
 //     (sum_unrest), and show the refuting swap;
-//  2. anneal from a random diameter-3 graph toward zero unrest — proposals
-//     are evaluated incrementally through the SearchState (cached per-agent
-//     masked matrices; see core/search_state.hpp), and the run reports its
+//  2. anneal from a random diameter-3 graph toward zero unrest — sum-model
+//     proposals are evaluated incrementally through the SearchState up to
+//     n = 512 (cached per-agent masked matrices; see core/search_state.hpp)
+//     and on a rebuilt SwapEngine above it, and the run reports its
 //     proposal throughput and acceptance counters;
 //  3. certify whatever the search returns, and compare it against the
 //     library's canonical 8-vertex witness up to isomorphism;
@@ -19,6 +20,7 @@
 #include "core/equilibrium.hpp"
 #include "core/search.hpp"
 #include "core/search_state.hpp"
+#include "core/swap_engine.hpp"
 #include "gen/paper.hpp"
 #include "gen/random.hpp"
 #include "graph/io.hpp"
@@ -50,7 +52,9 @@ int main(int argc, char** argv) {
   AnnealStats stats;
   Timer timer;
   const Graph start = random_connected_gnm(n, 2 * n, rng);
-  const char* evaluation = search_state_enabled(start) ? "incremental" : "full recompute";
+  const char* evaluation = search_state_enabled(start) ? "incremental state"
+                           : force_naive_requested()    ? "naive oracle"
+                                                        : "engine";
   const auto found = anneal_equilibrium(start, config, &stats);
   const double secs = timer.seconds();
   std::cout << stats.proposals << " proposals in " << secs << " s ("

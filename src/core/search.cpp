@@ -2,11 +2,14 @@
 
 #include <cmath>
 
+#include "core/certify_sharded.hpp"
 #include "core/equilibrium.hpp"
 #include "core/search_state.hpp"
 #include "core/swap_engine.hpp"
 #include "graph/bfs.hpp"
+#include "graph/io.hpp"
 #include "graph/metrics.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bncg {
 
@@ -15,8 +18,8 @@ namespace {
 /// Unrest contribution of one agent's best deviation: the improvement when
 /// there is one (≥ 1 for improving swaps), and a floor of 1 for violations
 /// that improve nothing (the max model's cost-neutral deletions) — so every
-/// certifier violation is visible in the potential. Matches
-/// SearchState::unrest term for term.
+/// certifier violation is visible in the potential. In the sum model this
+/// matches SearchState::unrest term for term.
 std::uint64_t deviation_unrest(const std::optional<Deviation>& dev) {
   if (!dev) return 0;
   const std::uint64_t gain =
@@ -24,45 +27,171 @@ std::uint64_t deviation_unrest(const std::optional<Deviation>& dev) {
   return std::max<std::uint64_t>(1, gain);
 }
 
+using LaneScratch = std::vector<std::optional<SwapEngine::Scratch>>;
+
+/// Σ_v deviation_unrest over the engine's snapshot (the max model counts
+/// the deletion clause), scanned on the pool in work_chunks chunks. Each
+/// lane scans with its own scratch, built on its first agent and kept in
+/// `lanes` (one slot per pool lane) for the caller's next pass; the lane
+/// partials are summed, which is exact in any order.
+std::uint64_t pooled_unrest(const SwapEngine& engine, UsageCost model, LaneScratch& lanes) {
+  const CsrGraph& g = engine.snapshot();
+  const Vertex n = g.num_vertices();
+  ThreadPool& pool = ThreadPool::global();
+  const std::uint64_t chunks =
+      work_chunks(std::uint64_t{n} * (n + 2 * std::uint64_t{g.num_edges()}), pool.size());
+  struct alignas(64) LaneSum {
+    std::uint64_t sum = 0;
+  };
+  std::vector<LaneSum> partial(pool.size());
+  engine.build_shared_rows();
+  pool.parallel_for(n, (n + chunks - 1) / chunks, [&](std::uint64_t v, unsigned tid) {
+    if (!lanes[tid]) lanes[tid].emplace();
+    partial[tid].sum += deviation_unrest(engine.best_deviation(
+        static_cast<Vertex>(v), model, *lanes[tid], /*include_deletions=*/model == UsageCost::Max));
+  });
+  std::uint64_t total = 0;
+  for (const LaneSum& p : partial) total += p.sum;
+  return total;
+}
+
+std::uint64_t unrest_of(const Graph& g, UsageCost model) {
+  if (!force_naive_requested()) {
+    const SwapEngine engine(g);
+    LaneScratch lanes(ThreadPool::global().size());
+    return pooled_unrest(engine, model, lanes);
+  }
+  std::uint64_t total = 0;
+  BfsWorkspace ws;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    total += deviation_unrest(model == UsageCost::Sum
+                                  ? naive::best_sum_deviation(g, v, ws)
+                                  : naive::best_max_deviation(g, v, ws, /*include_deletions=*/true));
+  }
+  return total;
+}
+
+void toggle_edge(Graph& g, Vertex u, Vertex v) {
+  if (g.has_edge(u, v)) {
+    g.remove_edge(u, v);
+  } else {
+    g.add_edge(u, v);
+  }
+}
+
+/// Anneal's evaluator wherever SearchState is not: the max model at every
+/// n and the sum model above kSearchStateAutoMaxVertices. A proposal is
+/// applied to the graph and evaluated on one SwapEngine rebuilt on it: the
+/// shape screen is the largest eccentricity on the engine's shared slab
+/// (no connectivity or diameter BFS), and the unrest is pooled_unrest.
+/// Under BNCG_FORCE_NAIVE it holds no engine and screens and evaluates
+/// through BFS and the naive oracles. Same protocol as SearchState:
+/// staging a new toggle discards an unaccepted one.
+class EngineEvaluator {
+ public:
+  EngineEvaluator(Graph g, UsageCost model, const ResourceConfig& resources)
+      : graph_(std::move(g)), model_(model), lanes_(ThreadPool::global().size()) {
+    if (!force_naive_requested()) engine_.emplace(graph_, resources);
+  }
+
+  /// Unrest of the current graph.
+  std::uint64_t unrest() {
+    discard();
+    if (engine_) engine_->rebuild(graph_);
+    return evaluate();
+  }
+
+  ToggleShape propose_toggle(Vertex u, Vertex v) {
+    discard();
+    toggle_edge(graph_, u, v);
+    staged_ = {u, v};
+    if (!engine_) {
+      const Vertex d = diameter(graph_);
+      return {d != kInfDist, d};
+    }
+    engine_->rebuild(graph_);
+    engine_->build_shared_rows();
+    Vertex worst = 0;
+    for (Vertex x = 0; x < graph_.num_vertices(); ++x) {
+      const std::uint64_t ecc = engine_->agent_cost(x, UsageCost::Max);
+      if (ecc == kInfCost) return {false, kInfDist};
+      worst = std::max(worst, static_cast<Vertex>(ecc));
+    }
+    return {true, worst};
+  }
+
+  std::uint64_t proposal_unrest() { return evaluate(); }
+
+  void commit() { staged_.reset(); }
+
+  const Graph& graph() {
+    discard();
+    return graph_;
+  }
+
+  DistWidth width() const {
+    return engine_ ? engine_->preferred_width() : DistWidth::U16;
+  }
+
+ private:
+  std::uint64_t evaluate() {
+    return engine_ ? pooled_unrest(*engine_, model_, lanes_) : unrest_of(graph_, model_);
+  }
+
+  void discard() {
+    if (staged_) toggle_edge(graph_, staged_->first, staged_->second);
+    staged_.reset();
+  }
+
+  Graph graph_;  // the current graph, with the staged toggle applied
+  UsageCost model_;
+  std::optional<std::pair<Vertex, Vertex>> staged_;
+  std::optional<SwapEngine> engine_;
+  LaneScratch lanes_;
+};
+
+/// The anneal loop over either evaluator: returns the reached graph when
+/// unrest hit 0, and fills every counter of `st` but the width pair. Both
+/// evaluators return identical shapes and unrest values, so the rng draws —
+/// and hence the trajectory — do not depend on which one runs.
+template <typename Evaluator>
+std::optional<Graph> anneal_loop(Evaluator& eval, const AnnealConfig& config, Xoshiro256ss& rng,
+                                 AnnealStats& st) {
+  const Vertex n = eval.graph().num_vertices();
+  std::uint64_t current_unrest = eval.unrest();
+  double temperature = config.initial_temperature;
+  for (std::uint64_t step = 0; step < config.steps && current_unrest > 0; ++step) {
+    temperature *= config.cooling;
+    const Vertex u = static_cast<Vertex>(rng.below(n));
+    const Vertex v = static_cast<Vertex>(rng.below(n));
+    if (u == v) continue;
+    ++st.proposals;
+    const ToggleShape shape = eval.propose_toggle(u, v);
+    if (!shape.connected || shape.diameter != config.target_diameter) {
+      ++st.filtered;
+      continue;
+    }
+    const std::uint64_t proposal_unrest = eval.proposal_unrest();
+    ++st.evaluated;
+    const double delta =
+        static_cast<double>(proposal_unrest) - static_cast<double>(current_unrest);
+    if (delta <= 0 || rng.uniform01() < std::exp(-delta / temperature)) {
+      eval.commit();
+      current_unrest = proposal_unrest;
+      ++st.accepted;
+    }
+  }
+  st.final_unrest = current_unrest;
+  st.final_fingerprint = graph_fingerprint(eval.graph());
+  if (current_unrest == 0) return eval.graph();
+  return std::nullopt;
+}
+
 }  // namespace
 
-std::uint64_t sum_unrest(const Graph& g) {
-  std::uint64_t total = 0;
-  if (!force_naive_requested()) {
-    // One CSR snapshot serves every agent's scan (the public per-agent API
-    // would rebuild it n times).
-    SwapEngine engine(g);
-    SwapEngine::Scratch scratch;
-    for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      total += deviation_unrest(engine.best_deviation(v, UsageCost::Sum, scratch));
-    }
-    return total;
-  }
-  BfsWorkspace ws;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    total += deviation_unrest(naive::best_sum_deviation(g, v, ws));
-  }
-  return total;
-}
+std::uint64_t sum_unrest(const Graph& g) { return unrest_of(g, UsageCost::Sum); }
 
-std::uint64_t max_unrest(const Graph& g) {
-  std::uint64_t total = 0;
-  if (!force_naive_requested()) {
-    SwapEngine engine(g);
-    SwapEngine::Scratch scratch;
-    for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      total += deviation_unrest(
-          engine.best_deviation(v, UsageCost::Max, scratch, /*include_deletions=*/true));
-    }
-    return total;
-  }
-  BfsWorkspace ws;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    total += deviation_unrest(
-        naive::best_max_deviation(g, v, ws, /*include_deletions=*/true));
-  }
-  return total;
-}
+std::uint64_t max_unrest(const Graph& g) { return unrest_of(g, UsageCost::Max); }
 
 std::optional<Graph> anneal_equilibrium(Graph start, const AnnealConfig& config,
                                         AnnealStats* stats) {
@@ -90,19 +219,7 @@ std::optional<Graph> anneal_equilibrium(Graph start, const AnnealConfig& config,
   }
   if (diameter(start) != config.target_diameter) return std::nullopt;
 
-  const bool incremental =
-      config.evaluation == UnrestEval::Incremental ||
-      (config.evaluation == UnrestEval::Auto && search_state_enabled(start));
-
-  const auto unrest_of = [&](const Graph& g) {
-    return config.cost == UsageCost::Sum ? sum_unrest(g) : max_unrest(g);
-  };
-
-  // Both evaluation paths run the exact same proposal/acceptance schedule —
-  // same rng draws in the same order, same filter semantics, same unrest
-  // values — so trajectories are identical (differential-tested in
-  // tests/test_search_state.cpp and the search bench).
-  if (incremental) {
+  if (config.cost == UsageCost::Sum && search_state_enabled(start)) {
     // Width seed: the nudge loop above just proved the diameter equals the
     // target, so under Auto the storage width follows from the unified
     // policy (ForceU8 exactly when the target diameter fits the narrow
@@ -112,78 +229,16 @@ std::optional<Graph> anneal_equilibrium(Graph start, const AnnealConfig& config,
     if (width == WidthPolicy::Auto) {
       width = WidthAndBudgetPolicy::policy_for_max_distance(config.target_diameter);
     }
-    SearchState state(std::move(start), config.cost,
-                      /*include_deletions=*/config.cost == UsageCost::Max,
-                      /*parallel=*/true, width);
-    std::uint64_t current_unrest = state.unrest();
-    double temperature = config.initial_temperature;
-    for (std::uint64_t step = 0; step < config.steps && current_unrest > 0; ++step) {
-      temperature *= config.cooling;
-      const Vertex u = static_cast<Vertex>(rng.below(n));
-      const Vertex v = static_cast<Vertex>(rng.below(n));
-      if (u == v) continue;
-      ++st.proposals;
-      const ToggleShape shape = state.propose_toggle(u, v);
-      if (!shape.connected || shape.diameter != config.target_diameter) {
-        ++st.filtered;
-        continue;
-      }
-      const std::uint64_t proposal_unrest = state.proposal_unrest();
-      ++st.evaluated;
-      const double delta =
-          static_cast<double>(proposal_unrest) - static_cast<double>(current_unrest);
-      if (delta <= 0 || rng.uniform01() < std::exp(-delta / temperature)) {
-        state.commit();
-        current_unrest = proposal_unrest;
-        ++st.accepted;
-      }
-    }
-    st.final_unrest = current_unrest;
+    SearchState state(std::move(start), /*parallel=*/true, width);
+    std::optional<Graph> found = anneal_loop(state, config, rng, st);
     st.dist_width = state.width();
     st.width_promotions = state.stats().promotions;
-    if (current_unrest == 0) return state.graph();
-    return std::nullopt;
+    return found;
   }
-
-  Graph current = std::move(start);
-  std::uint64_t current_unrest = unrest_of(current);
-  double temperature = config.initial_temperature;
-
-  for (std::uint64_t step = 0; step < config.steps && current_unrest > 0; ++step) {
-    temperature *= config.cooling;
-    const Vertex u = static_cast<Vertex>(rng.below(n));
-    const Vertex v = static_cast<Vertex>(rng.below(n));
-    if (u == v) continue;
-    ++st.proposals;
-    Graph proposal = current;
-    if (proposal.has_edge(u, v)) {
-      proposal.remove_edge(u, v);
-    } else {
-      proposal.add_edge(u, v);
-    }
-    if (!is_connected(proposal) || diameter(proposal) != config.target_diameter) {
-      ++st.filtered;
-      continue;
-    }
-    const std::uint64_t proposal_unrest = unrest_of(proposal);
-    ++st.evaluated;
-    const double delta =
-        static_cast<double>(proposal_unrest) - static_cast<double>(current_unrest);
-    if (delta <= 0 || rng.uniform01() < std::exp(-delta / temperature)) {
-      current = std::move(proposal);
-      current_unrest = proposal_unrest;
-      ++st.accepted;
-    }
-  }
-  st.final_unrest = current_unrest;
-  if (current_unrest == 0) return current;
-  return std::nullopt;
-}
-
-std::optional<Graph> anneal_sum_equilibrium(Graph start, const AnnealConfig& config) {
-  AnnealConfig sum_config = config;
-  sum_config.cost = UsageCost::Sum;
-  return anneal_equilibrium(std::move(start), sum_config);
+  EngineEvaluator eval(std::move(start), config.cost, config.resources);
+  std::optional<Graph> found = anneal_loop(eval, config, rng, st);
+  st.dist_width = eval.width();
+  return found;
 }
 
 std::optional<Graph> exhaustive_diameter3_sum_equilibrium(Vertex n) {

@@ -10,11 +10,15 @@
 //  * anneal_equilibrium — simulated annealing over edge toggles that
 //    minimizes unrest subject to a diameter constraint, in either usage-cost
 //    model (this is how diameter3_sum_equilibrium_n8() was discovered).
-//    Proposals are evaluated *incrementally* through core/search_state.hpp —
-//    cached per-agent masked distance matrices updated per toggle — instead
-//    of a full APSP-plus-scan recompute per proposal; AnnealConfig can force
-//    the legacy full-recompute evaluation, and both paths produce identical
-//    trajectories (differential-tested);
+//    One loop, two evaluators, picked by the model and n: sum anneal at
+//    n ≤ kSearchStateAutoMaxVertices evaluates proposals incrementally
+//    through core/search_state.hpp (cached per-agent masked distance
+//    matrices updated per toggle, with the R1 prune); everything else — max
+//    anneal at every n, sum anneal above the cap — evaluates each proposal
+//    on one SwapEngine rebuilt on it, reading the shape screen off its
+//    shared slab and pooling the agent scans over the lanes. The evaluator
+//    never changes a trajectory (seeded runs are pinned in
+//    tests/test_search.cpp);
 //  * exhaustive_diameter3_sum_equilibrium — complete enumeration of all
 //    2^C(n,2) labelled graphs for small n, establishing minimality results
 //    (no diameter-3 sum equilibrium exists on ≤ 7 vertices).
@@ -42,31 +46,23 @@ namespace bncg {
 /// 0 ⇔ the graph is a max equilibrium. Intended for connected graphs.
 [[nodiscard]] std::uint64_t max_unrest(const Graph& g);
 
-/// How anneal proposals are evaluated.
-enum class UnrestEval {
-  Auto,           ///< incremental when search_state_enabled(), else full
-  Incremental,    ///< force the SearchState delta-evaluation path
-  FullRecompute,  ///< force the legacy graph-copy + full unrest recompute
-};
-
 /// Configuration for the annealing search. A single `seed` drives every
 /// random draw of a run (start nudging, proposal endpoints, Metropolis
-/// acceptance), so identical configs give identical trajectories — in
-/// particular the evaluation mode must not (and does not) change them.
+/// acceptance), so identical configs give identical trajectories — at any
+/// width, SIMD level and lane count.
 struct AnnealConfig {
   Vertex target_diameter = 3;      ///< hard constraint on every accepted state
   std::uint64_t steps = 6000;      ///< edge-toggle proposals
   double initial_temperature = 3.0;
   double cooling = 0.9995;         ///< geometric cooling per step
   std::uint64_t seed = 0x5ea2c4;
-  UsageCost cost = UsageCost::Sum;            ///< which unrest is annealed
-  UnrestEval evaluation = UnrestEval::Auto;   ///< proposal evaluation path
+  UsageCost cost = UsageCost::Sum;  ///< which unrest is annealed
   /// Shared resource knobs (core/dist_provider.hpp). Width is purely a
   /// speed/memory preference: trajectories are identical at any width — the
-  /// state promotes u8 → u16 exactly rather than approximate. Under Auto
-  /// the width is seeded from the run's own diameter constraint through
-  /// WidthAndBudgetPolicy (the nudge phase proves the diameter, so the
-  /// state's ecc-screen probe is redundant here).
+  /// state promotes u8 → u16 exactly, and the engine falls back per agent.
+  /// Under Auto the state's width is seeded from the run's own diameter
+  /// constraint through WidthAndBudgetPolicy (the nudge phase proves the
+  /// diameter, so the state's ecc-screen probe is redundant here).
   ResourceConfig resources;
 };
 
@@ -77,8 +73,12 @@ struct AnnealStats {
   std::uint64_t evaluated = 0;   ///< proposals whose unrest was computed
   std::uint64_t accepted = 0;    ///< proposals taken by the Metropolis rule
   std::uint64_t final_unrest = 0;
-  /// Width the incremental state finished at (U16 for the full-recompute
-  /// path) and how many u8 → u16 cap promotions the run crossed.
+  std::uint64_t final_fingerprint = 0;  ///< graph_fingerprint of the graph the run ended on
+  /// Width the incremental state finished at and how many u8 → u16 cap
+  /// promotions the run crossed. Engine-evaluated runs report the width
+  /// the engine preferred on the last graph it scanned and no promotions
+  /// (the engine falls back per agent instead; under BNCG_FORCE_NAIVE
+  /// there is no engine and the width stays U16).
   DistWidth dist_width = DistWidth::U16;
   std::uint64_t width_promotions = 0;
 };
@@ -89,10 +89,6 @@ struct AnnealStats {
 /// disconnected or off-diameter are rejected. Deterministic given the seed.
 [[nodiscard]] std::optional<Graph> anneal_equilibrium(Graph start, const AnnealConfig& config,
                                                       AnnealStats* stats = nullptr);
-
-/// Sum-model convenience wrapper (the historical entry point): as
-/// anneal_equilibrium with config.cost forced to UsageCost::Sum.
-[[nodiscard]] std::optional<Graph> anneal_sum_equilibrium(Graph start, const AnnealConfig& config);
 
 /// Exhaustively decides whether any labelled graph on n vertices is a
 /// connected diameter-3 sum equilibrium, returning the first found.

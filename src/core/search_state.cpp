@@ -14,8 +14,8 @@ namespace bncg {
 
 namespace {
 
-// The capped combine/deletion reductions, the scan-table min folds, the
-// addition-identity row stream, and the far/dirty-row filters live in the
+// The capped sum combine, the scan-table min folds, the addition-identity
+// row stream, and the dirty-row filters live in the
 // runtime-dispatched kernel tables of util/simd.hpp; the scalar references
 // in util/simd.cpp preserve these loops' exact wrap and strict-'<' tie-break
 // semantics. Kernels report "unreachable" as simd::kInfCostResult:
@@ -82,13 +82,11 @@ void collect_dirty_rows(const Dist* row_u, const Dist* row_v, Vertex n,
   out.resize(simd::kernels<Dist>().collect_absdiff_eq1(row_u, row_v, n, out.data()));
 }
 
-/// Removes row x's contribution from the R1 relief bound (no-op when r1 is
-/// null, i.e. the max model). Must run with the row's pre-update content and
-/// pre-update min1[x], so the subtraction exactly cancels what the row
-/// previously added.
+/// Removes row x's contribution from the R1 relief bound. Must run with the
+/// row's pre-update content and pre-update min1[x], so the subtraction
+/// exactly cancels what the row previously added.
 template <typename Dist>
 void table_sub_row(std::uint32_t* r1, Dist min1x, const Dist* row, Vertex n) {
-  if (r1 == nullptr) return;
   simd::kernels<Dist>().r1_sub(r1, min1x, row, n);
 }
 
@@ -113,7 +111,6 @@ void table_add_row(Dist* min1, Dist* min2, Vertex* argmin, std::uint32_t* r1, Ve
   min1[x] = m1;
   min2[x] = m2;
   argmin[x] = am;
-  if (r1 == nullptr) return;
   simd::kernels<Dist>().r1_add(r1, m1, row, n);
 }
 
@@ -129,12 +126,9 @@ bool search_state_enabled(const Graph& g) {
 }
 
 template <typename Dist>
-SearchStateImpl<Dist>::SearchStateImpl(const Graph& g, UsageCost model, bool include_deletions,
-                                       bool parallel)
+SearchStateImpl<Dist>::SearchStateImpl(const Graph& g, bool parallel)
     : graph_(g),
       csr_(g),
-      model_(model),
-      include_deletions_(model == UsageCost::Max && include_deletions),
       parallel_(parallel),
       n_(g.num_vertices()) {
   BNCG_REQUIRE(n_ >= 1 && n_ <= kMaxFiniteFor<std::uint16_t> + 1,
@@ -201,7 +195,7 @@ void SearchStateImpl<Dist>::refresh_shape(std::size_t slab) {
 template <typename Dist>
 std::uint64_t SearchStateImpl<Dist>::agent_cost_from_full(std::size_t slab, Vertex a) const {
   if (rowmax_[slab][a] >= kInf) return kInfCost;
-  return model_ == UsageCost::Sum ? rowsum_[slab][a] : rowmax_[slab][a];
+  return rowsum_[slab][a];
 }
 
 template <typename Dist>
@@ -268,7 +262,7 @@ void SearchStateImpl<Dist>::ensure_table_slabs() {
     tmin1_[set].resize(total);
     tmin2_[set].resize(total);
     targmin_[set].resize(total);
-    if (model_ == UsageCost::Sum) tr1_[set].resize(total);
+    tr1_[set].resize(total);
   }
 }
 
@@ -279,9 +273,7 @@ void SearchStateImpl<Dist>::store_shadow_tables(Vertex a, const Scratch& s) {
   std::memcpy(tmin1_[shadow].data() + off, s.min1.data(), n_ * sizeof(Dist));
   std::memcpy(tmin2_[shadow].data() + off, s.min2.data(), n_ * sizeof(Dist));
   std::memcpy(targmin_[shadow].data() + off, s.argmin.data(), n_ * sizeof(Vertex));
-  if (model_ == UsageCost::Sum) {
-    std::memcpy(tr1_[shadow].data() + off, s.r1.data(), n_ * sizeof(std::uint32_t));
-  }
+  std::memcpy(tr1_[shadow].data() + off, s.r1.data(), n_ * sizeof(std::uint32_t));
 }
 
 template <typename Dist>
@@ -292,14 +284,12 @@ void SearchStateImpl<Dist>::ensure_tables(Vertex a, Scratch& s) {
   // the result as the persistent tables for this agent.
   const auto nbrs = csr_.neighbors(a);
   s.nbrs.assign(nbrs.begin(), nbrs.end());
-  prepare_scan(agent_rows(a), a, s, model_ == UsageCost::Sum);
+  prepare_scan(agent_rows(a), s);
   const Vertex n = n_;
   std::memcpy(table_min1(a), s.min1.data(), n * sizeof(Dist));
   std::memcpy(table_min2(a), s.min2.data(), n * sizeof(Dist));
   std::memcpy(table_argmin(a), s.argmin.data(), n * sizeof(Vertex));
-  if (model_ == UsageCost::Sum) {
-    std::memcpy(table_r1(a), s.r1.data(), n * sizeof(std::uint32_t));
-  }
+  std::memcpy(table_r1(a), s.r1.data(), n * sizeof(std::uint32_t));
   table_version_[a] = head_;
 }
 
@@ -309,9 +299,7 @@ void SearchStateImpl<Dist>::load_tables(Vertex a, Scratch& s) {
   s.min1.assign(table_min1(a), table_min1(a) + n);
   s.min2.assign(table_min2(a), table_min2(a) + n);
   s.argmin.assign(table_argmin(a), table_argmin(a) + n);
-  if (model_ == UsageCost::Sum) {
-    s.r1.assign(table_r1(a), table_r1(a) + n);
-  }
+  s.r1.assign(table_r1(a), table_r1(a) + n);
 }
 
 template <typename Dist>
@@ -404,7 +392,6 @@ void SearchStateImpl<Dist>::stream_addition(Vertex a, Vertex u, Vertex v, Scratc
   // read; changed rows swap their old contribution for the new one.
   const Dist* src = agent_rows(a);
   const Vertex n = n_;
-  const bool want_r1 = model_ == UsageCost::Sum;
   load_tables(a, s);
   s.proposal_rows.resize(static_cast<std::size_t>(n) * n);
   s.rowptr.resize(n);
@@ -420,7 +407,7 @@ void SearchStateImpl<Dist>::stream_addition(Vertex a, Vertex u, Vertex v, Scratc
   Dist* min1 = s.min1.data();
   Dist* min2 = s.min2.data();
   Vertex* argmin = s.argmin.data();
-  std::uint32_t* r1 = want_r1 ? s.r1.data() : nullptr;
+  std::uint32_t* r1 = s.r1.data();
   for (Vertex x = 0; x < n; ++x) rowptr[x] = src + static_cast<std::size_t>(x) * n;
   s.sources.resize(n);
   s.sources.resize(simd::kernels<Dist>().collect_absdiff_gt1(ru, rv, n, s.sources.data()));
@@ -434,8 +421,8 @@ void SearchStateImpl<Dist>::stream_addition(Vertex a, Vertex u, Vertex v, Scratc
   }
 }
 
-/// Builds min1/min2/argmin (coordinate-wise neighbor minima) and optionally
-/// the R1 relief bound from the per-row sources in scratch.rowptr.
+/// Builds min1/min2/argmin (coordinate-wise neighbor minima) and the R1
+/// relief bound from the per-row sources in scratch.rowptr.
 ///
 /// The fold runs row-major over the NEIGHBOR rows instead of gathering the
 /// neighbor columns of every row x: the virtual matrix M[x][y] = rowptr[x][y]
@@ -449,23 +436,21 @@ void SearchStateImpl<Dist>::stream_addition(Vertex a, Vertex u, Vertex v, Scratc
 /// streams the SIMD scan_min_update kernel eats, instead of deg gathers per
 /// row (and no manual prefetch).
 template <typename Dist>
-void SearchStateImpl<Dist>::scan_tables(Scratch& s, bool want_r1) {
+void SearchStateImpl<Dist>::scan_tables(Scratch& s) {
   const Vertex n = n_;
   const simd::Kernels<Dist>& kern = simd::kernels<Dist>();
   s.min1.assign(n, kInf);
   s.min2.assign(n, kInf);
   s.argmin.assign(n, kNoVertex);
-  if (want_r1) s.r1.assign(n, 0);
+  s.r1.assign(n, 0);
   for (const Vertex z : s.nbrs) {
     kern.scan_min_update(s.min1.data(), s.min2.data(), s.argmin.data(), s.rowptr[z], z, n);
   }
-  if (want_r1) {
-    // Second pass once min1 is final — the gather form also read min1[x]
-    // only after x's full neighbor fold.
-    std::uint32_t* r1 = s.r1.data();
-    for (Vertex x = 0; x < n; ++x) {
-      kern.r1_add(r1, s.min1[x], s.rowptr[x], n);
-    }
+  // Second pass once min1 is final — the gather form also read min1[x]
+  // only after x's full neighbor fold.
+  std::uint32_t* r1 = s.r1.data();
+  for (Vertex x = 0; x < n; ++x) {
+    kern.r1_add(r1, s.min1[x], s.rowptr[x], n);
   }
 }
 
@@ -475,7 +460,6 @@ void SearchStateImpl<Dist>::stream_removal(Vertex a, Vertex u, Vertex v, Scratch
   // into their scratch slots; clean rows keep serving from the cache.
   const Dist* src = agent_rows(a);
   const Vertex n = n_;
-  const bool want_r1 = model_ == UsageCost::Sum;
   load_tables(a, s);
   s.proposal_rows.resize(static_cast<std::size_t>(n) * n);
   s.rowptr.resize(n);
@@ -486,7 +470,7 @@ void SearchStateImpl<Dist>::stream_removal(Vertex a, Vertex u, Vertex v, Scratch
   Dist* min1 = s.min1.data();
   Dist* min2 = s.min2.data();
   Vertex* argmin = s.argmin.data();
-  std::uint32_t* r1 = want_r1 ? s.r1.data() : nullptr;
+  std::uint32_t* r1 = s.r1.data();
   for (const Vertex x : s.sources) {
     table_sub_row(r1, min1[x], src + static_cast<std::size_t>(x) * n, n);
   }
@@ -501,12 +485,11 @@ void SearchStateImpl<Dist>::stream_removal(Vertex a, Vertex u, Vertex v, Scratch
 }
 
 template <typename Dist>
-void SearchStateImpl<Dist>::prepare_scan(const Dist* rows, Vertex a, Scratch& s, bool want_r1) {
-  (void)a;
+void SearchStateImpl<Dist>::prepare_scan(const Dist* rows, Scratch& s) {
   const Vertex n = n_;
   s.rowptr.resize(n);
   for (Vertex x = 0; x < n; ++x) s.rowptr[x] = rows + static_cast<std::size_t>(x) * n;
-  scan_tables(s, want_r1);
+  scan_tables(s);
 }
 
 template <typename Dist>
@@ -523,9 +506,8 @@ typename SearchStateImpl<Dist>::ScanResult SearchStateImpl<Dist>::scan_agent(
   s.is_nbr[a] = 1;
   for (const Vertex w : s.nbrs) s.is_nbr[w] = 1;
   s.mrow.resize(n);
-  s.far.resize(n);
 
-  // Sum-model prune, valid for EVERY removed edge w at once: with
+  // Prune valid for EVERY removed edge w at once: with
   // base = Σ_{y≠a} min1_y and R1[w2] = Σ_y max(0, min1_y − c_{w2,y}),
   //   cost(w, w2) = (n−1) + Σ_y M^w_y − relief(w, w2)
   //               ≥ (n−1) + base − R1[w2],
@@ -535,131 +517,41 @@ typename SearchStateImpl<Dist>::ScanResult SearchStateImpl<Dist>::scan_agent(
   // min1[a] = ∞ (every neighbor row is ∞ at the masked vertex) and M^w_a is
   // pinned to 0, matching R1's zero contribution at coordinate a.
   std::uint64_t base_sum = 0;
-  if (model_ == UsageCost::Sum) {
-    for (Vertex y = 0; y < n; ++y) base_sum += s.min1[y];
-    base_sum -= s.min1[a];  // pin M^w_a = 0
+  for (Vertex y = 0; y < n; ++y) base_sum += s.min1[y];
+  base_sum -= s.min1[a];  // pin M^w_a = 0
 
-    // Static survivor list against the fixed old_cost threshold: skipped
-    // candidates satisfy lb ≥ old_cost ≥ every later dynamic threshold, so
-    // dropping them up front cannot change any value.
-    s.cands.clear();
-    const bool can_prune = old_cost < kPruneThresholdCap;
-    for (Vertex w2 = 0; w2 < n; ++w2) {
-      if (s.is_nbr[w2] != 0) continue;
-      if (can_prune && std::uint64_t{n - 1} + base_sum >= old_cost + s.r1[w2]) {
-        s.stats.candidates_pruned += s.nbrs.size();
-        continue;
-      }
-      s.cands.push_back(w2);
+  // Static survivor list against the fixed old_cost threshold: skipped
+  // candidates satisfy lb ≥ old_cost ≥ every later dynamic threshold, so
+  // dropping them up front cannot change any value.
+  s.cands.clear();
+  const bool can_prune = old_cost < kPruneThresholdCap;
+  for (Vertex w2 = 0; w2 < n; ++w2) {
+    if (s.is_nbr[w2] != 0) continue;
+    if (can_prune && std::uint64_t{n - 1} + base_sum >= old_cost + s.r1[w2]) {
+      s.stats.candidates_pruned += s.nbrs.size();
+      continue;
     }
+    s.cands.push_back(w2);
   }
-
-  // The running best is result.best_cost once result.found; a non-critical
-  // deletion best is displaced by a swap of equal cost.
-  bool best_is_delete = false;
 
   for (const Vertex w : s.nbrs) {
     Dist* m = s.mrow.data();
     kern.select_mrow(m, s.min1.data(), s.min2.data(), s.argmin.data(), w, n);
     m[a] = 0;
-
-    if (include_deletions_) {
-      const std::uint64_t del_cost = kern.deletion_ecc(m, n, kInf);
-      if (del_cost <= old_cost && (!result.found || del_cost < result.best_cost)) {
-        result.found = true;
-        result.best_cost = del_cost;
-        best_is_delete = true;
+    for (const Vertex w2 : s.cands) {
+      const std::uint64_t threshold = std::min(old_cost, result.best_cost);
+      if (threshold < kPruneThresholdCap &&
+          std::uint64_t{n - 1} + base_sum >= threshold + s.r1[w2]) {
+        // The dynamic re-check of the same lower bound, against the
+        // tightened running-best threshold (ties never displace).
+        ++s.stats.candidates_pruned;
+        continue;
       }
-    }
-
-    if (model_ == UsageCost::Sum) {
-      for (const Vertex w2 : s.cands) {
-        const std::uint64_t threshold = std::min(old_cost, result.best_cost);
-        if (threshold < kPruneThresholdCap &&
-            std::uint64_t{n - 1} + base_sum >= threshold + s.r1[w2]) {
-          // The dynamic re-check of the same lower bound, against the
-          // tightened running-best threshold (ties never displace).
-          ++s.stats.candidates_pruned;
-          continue;
-        }
-        ++s.stats.candidates_combined;
-        const std::uint64_t new_cost = kern.combine_sum(m, rowptr[w2], n, kInf);
-        if (new_cost >= old_cost) continue;
-        result.found = true;
-        result.best_cost = std::min(result.best_cost, new_cost);
-      }
-    } else {
-      // Far-set filter with a dynamically tightening cap. A candidate is
-      // useful only when it beats the running best (or ties a
-      // NonCriticalDelete best, which a swap displaces), so the cap shrinks
-      // below the engine's old_cost − 2 as soon as a better deviation is
-      // found; candidates failing the tighter test have new_cost ≥
-      // threshold and could never be accepted. The FAR1 list (min1-based,
-      // valid for every removed edge since M^w ≥ min1) first drops
-      // candidates that fail for ALL w at once.
-      const auto max_threshold = [&]() {
-        if (!result.found) return old_cost;
-        // A swap displaces a NonCriticalDelete best on ties, so the
-        // delete's threshold is one above its cost (saturating: a
-        // disconnected delete at kInfCost constrains nothing).
-        const std::uint64_t displace =
-            best_is_delete && result.best_cost != kInfCost ? result.best_cost + 1
-                                                           : result.best_cost;
-        return std::min(old_cost, displace);
-      }();
-      const std::int32_t cap = max_threshold == kInfCost
-                                   ? std::int32_t{kInf} - 1
-                                   : static_cast<std::int32_t>(max_threshold) - 2;
-      if (w == s.nbrs.front()) {
-        const std::int32_t cap0 = old_cost == kInfCost
-                                      ? std::int32_t{kInf} - 1
-                                      : static_cast<std::int32_t>(old_cost) - 2;
-        const std::uint32_t far1 = kern.collect_above(s.min1.data(), n, cap0, a, s.far.data());
-        s.cands.clear();
-        for (Vertex w2 = 0; w2 < n; ++w2) {
-          if (s.is_nbr[w2] != 0) continue;
-          const Dist* c = rowptr[w2];
-          bool viable = true;
-          for (std::uint32_t i = 0; i < far1; ++i) {
-            if (c[s.far[i]] > cap0) {
-              viable = false;
-              break;
-            }
-          }
-          if (!viable) {
-            s.stats.candidates_pruned += s.nbrs.size();
-            continue;
-          }
-          s.cands.push_back(w2);
-        }
-      }
-      const std::uint32_t far_count = kern.collect_above(m, n, cap, a, s.far.data());
-      for (const Vertex w2 : s.cands) {
-        const Dist* c = rowptr[w2];
-        bool improves = true;
-        for (std::uint32_t i = 0; i < far_count; ++i) {
-          if (c[s.far[i]] > cap) {
-            improves = false;
-            break;
-          }
-        }
-        if (!improves) {
-          ++s.stats.candidates_pruned;
-          continue;
-        }
-        ++s.stats.candidates_combined;
-        const std::uint64_t new_cost = kern.combine_max(m, c, n, kInf);
-        if (new_cost >= max_threshold) {
-          // The far test ran against a stale (looser) cap from before a
-          // best-update in this same w-iteration; the exact cost settles it.
-          continue;
-        }
-        result.found = true;
-        if (new_cost < result.best_cost || (best_is_delete && new_cost <= result.best_cost)) {
-          result.best_cost = new_cost;
-          best_is_delete = false;
-        }
-      }
+      ++s.stats.candidates_combined;
+      const std::uint64_t new_cost = kern.combine_sum(m, rowptr[w2], n, kInf);
+      if (new_cost >= old_cost) continue;
+      result.found = true;
+      result.best_cost = std::min(result.best_cost, new_cost);
     }
   }
   return result;
@@ -668,9 +560,7 @@ typename SearchStateImpl<Dist>::ScanResult SearchStateImpl<Dist>::scan_agent(
 template <typename Dist>
 std::uint64_t SearchStateImpl<Dist>::unrest_contribution(const ScanResult& r,
                                                          std::uint64_t old_cost) {
-  if (!r.found) return 0;
-  const std::uint64_t gain = old_cost > r.best_cost ? old_cost - r.best_cost : 0;
-  return std::max<std::uint64_t>(1, gain);
+  return r.found ? old_cost - r.best_cost : 0;  // found ⇒ best_cost < old_cost
 }
 
 template <typename Dist>
@@ -691,7 +581,7 @@ std::uint64_t SearchStateImpl<Dist>::evaluate_pass(bool staged) {
       // (G'−a = G−a) — but the proposal's neighbor set differs from the one
       // the cached tables were folded over, so rebuild them transiently.
       proposal_neighbors(a, tu, tv, add, staged, s.nbrs);
-      prepare_scan(agent_rows(a), a, s, model_ == UsageCost::Sum);
+      prepare_scan(agent_rows(a), s);
     } else if (!staged) {
       ensure_tables(a, s);
       proposal_neighbors(a, tu, tv, add, staged, s.nbrs);
@@ -822,11 +712,7 @@ void SearchStateImpl<Dist>::debug_scan_tables(Vertex a, std::vector<Vertex>& min
     min1[y] = m1[y] >= kInf ? kInfDist : m1[y];
     min2[y] = m2[y] >= kInf ? kInfDist : m2[y];
   }
-  if (model_ == UsageCost::Sum) {
-    r1.assign(table_r1(a), table_r1(a) + n);
-  } else {
-    r1.clear();
-  }
+  r1.assign(table_r1(a), table_r1(a) + n);
 }
 
 template class SearchStateImpl<std::uint8_t>;
@@ -834,9 +720,7 @@ template class SearchStateImpl<std::uint16_t>;
 
 // ---------------------------------------------------------------- facade
 
-SearchState::SearchState(const Graph& g, UsageCost model, bool include_deletions, bool parallel,
-                         WidthPolicy width)
-    : model_(model), include_deletions_(include_deletions), parallel_(parallel) {
+SearchState::SearchState(const Graph& g, bool parallel, WidthPolicy width) : parallel_(parallel) {
   const Vertex n = g.num_vertices();
   BNCG_REQUIRE(n >= 1 && n <= kMaxFiniteFor<std::uint16_t> + 1,
                "SearchState requires 1 <= n <= 16382");
@@ -853,15 +737,13 @@ SearchState::SearchState(const Graph& g, UsageCost model, bool include_deletions
   }
   if (try_u8) {
     try {
-      impl8_ = std::make_unique<SearchStateImpl<std::uint8_t>>(g, model, include_deletions,
-                                                               parallel);
+      impl8_ = std::make_unique<SearchStateImpl<std::uint8_t>>(g, parallel);
     } catch (const WidthSaturated&) {
       impl8_.reset();
     }
   }
   if (!impl8_) {
-    impl16_ = std::make_unique<SearchStateImpl<std::uint16_t>>(g, model, include_deletions,
-                                                               parallel);
+    impl16_ = std::make_unique<SearchStateImpl<std::uint16_t>>(g, parallel);
     if (try_u8) {
       // The narrow attempt burned and taught us the width — record it like
       // a promotion so stats expose the cap crossing.
@@ -879,8 +761,7 @@ void SearchState::promote() {
   carried.promotions += 1;
   const Graph g = impl8_->graph();
   impl8_.reset();
-  impl16_ =
-      std::make_unique<SearchStateImpl<std::uint16_t>>(g, model_, include_deletions_, parallel_);
+  impl16_ = std::make_unique<SearchStateImpl<std::uint16_t>>(g, parallel_);
   impl16_->adopt_stats(carried);
   // A toggle staged on the old width is re-staged here so the interrupted
   // proposal_unrest()/commit() sequence resumes exactly where it was; the

@@ -1,12 +1,14 @@
-// Incremental-unrest search state — delta evaluation for *search*, the way
-// core/swap_engine.hpp is delta evaluation for *certification*.
+// Incremental sum-unrest search state — delta evaluation for *search*, the
+// way core/swap_engine.hpp is delta evaluation for *certification*.
 //
 // Equilibrium search (core/search.hpp) sits in a propose → evaluate →
 // accept/reject loop whose evaluation step used to recompute the unrest
 // potential from scratch: one vertex-masked APSP plus a best-response scan
-// per agent, per proposal. (Best-response dynamics take one move per scan
-// and re-snapshot a SwapEngine instead: core/dynamics.hpp.)
-// SearchState makes the loop incremental around three observations:
+// per agent, per proposal. SearchState makes the loop incremental in the
+// sum model, where anneal uses it up to kSearchStateAutoMaxVertices. (Max
+// anneal and larger sum anneals evaluate each proposal on a rebuilt
+// SwapEngine instead, and best-response dynamics re-snapshot one per move:
+// core/search.cpp, core/dynamics.hpp.) It rests on three observations:
 //
 //  1. Toggling one edge {u, v} cannot be used to *skip* agents exactly: the
 //     entry d_{G−a}(u, v) of every agent's masked matrix changes on every
@@ -29,7 +31,7 @@
 //     the storage type, so the whole pass stays branch-free add/min — and
 //     the u8 layout halves the bandwidth of every row stream.
 //  2. The same pass that streams an agent's updated rows accumulates, per
-//     candidate w₂, the sum-model relief bound
+//     candidate w₂, the relief bound
 //       R1[w₂] = Σ_y max(0, min1_y − d'(w₂, y))
 //     (min1 = elementwise min over the agent's neighbor rows). For every
 //     removed edge w the post-swap cost is (n−1) + Σ_y M^w_y − relief, and
@@ -74,7 +76,6 @@
 #include <vector>
 
 #include "core/equilibrium.hpp"
-#include "core/usage_cost.hpp"
 #include "graph/bfs_batch.hpp"
 #include "graph/csr.hpp"
 #include "graph/dist_width.hpp"
@@ -83,15 +84,15 @@
 
 namespace bncg {
 
-/// Largest n for which anneal (UnrestEval::Auto) selects the incremental
-/// state; above it every proposal is a full engine recompute.
+/// Largest n for which sum anneal evaluates through the incremental state;
+/// above it every proposal is evaluated on a rebuilt SwapEngine.
 /// The cache holds one n×n² slab (n³ bytes in u8, 2n³ in u16: 0.13–0.27 GB
 /// at this cap), so unbounded auto-enablement would silently trade the
 /// engine's O(n²) scratch for gigabytes. Direct construction accepts any
 /// n ≤ 16382 when the caller accepts the memory bill.
 inline constexpr Vertex kSearchStateAutoMaxVertices = 512;
 
-/// True when anneal should evaluate through SearchState: n within the
+/// True when sum anneal should evaluate through SearchState: n within the
 /// auto-enable cap and BNCG_FORCE_NAIVE not set.
 [[nodiscard]] bool search_state_enabled(const Graph& g);
 
@@ -103,7 +104,7 @@ struct SearchStats {
   std::uint64_t rows_refreshed = 0;   ///< rows re-traversed after removals
   std::uint64_t rows_reused = 0;      ///< rows kept by the dirty-row test
   std::uint64_t agents_scanned = 0;   ///< best-response scans executed
-  std::uint64_t candidates_pruned = 0;    ///< candidates rejected by R1/far-set
+  std::uint64_t candidates_pruned = 0;    ///< candidates rejected by R1
   std::uint64_t candidates_combined = 0;  ///< candidates fully combined
   std::uint64_t promotions = 0;           ///< u8 → u16 cap promotions
 };
@@ -129,14 +130,10 @@ class SearchStateImpl {
 
   /// Snapshots `g` (connected or not) and builds the full-graph matrix
   /// (throws WidthSaturated when it does not fit the width). Per-agent
-  /// masked matrices materialize lazily on first use. For the max model,
-  /// `include_deletions` selects whether unrest counts non-critical
-  /// deletions as violations (the max-equilibrium definition does); ignored
-  /// in the sum model.
-  SearchStateImpl(const Graph& g, UsageCost model, bool include_deletions, bool parallel);
+  /// masked matrices materialize lazily on first use.
+  SearchStateImpl(const Graph& g, bool parallel);
 
   [[nodiscard]] const Graph& graph() const noexcept { return graph_; }
-  [[nodiscard]] UsageCost model() const noexcept { return model_; }
   [[nodiscard]] Vertex num_vertices() const noexcept { return n_; }
   [[nodiscard]] Vertex diameter() const noexcept;  ///< kInfDist if disconnected
   [[nodiscard]] bool connected() const noexcept;
@@ -171,9 +168,8 @@ class SearchStateImpl {
     AlignedVec<Dist> min1, min2;        // elementwise neighbor minima
     AlignedVec<Vertex> argmin;
     AlignedVec<Dist> mrow;              // M^w: min over N(a)∖{w}
-    AlignedVec<std::uint32_t> r1;       // sum-model relief bound
+    AlignedVec<std::uint32_t> r1;       // relief bound
     std::vector<std::uint8_t> is_nbr;
-    AlignedVec<Vertex> far;             // max-model far set (n slots)
     std::vector<Vertex> sources;        // dirty rows to refresh
     std::vector<Vertex> nbrs;           // proposal-adjusted neighbor list
     SearchStats stats;
@@ -231,13 +227,12 @@ class SearchStateImpl {
   /// Copies agent a's matrix into the scratch proposal matrix and
   /// re-traverses the rows dirtied by the staged removal.
   void stream_removal(Vertex a, Vertex u, Vertex v, Scratch& scratch);
-  /// Builds R1 (optional) and min1/min2/argmin for a matrix already in place.
-  void prepare_scan(const Dist* rows, Vertex a, Scratch& scratch, bool want_r1);
-  /// Builds min1/min2/argmin and optionally R1 from scratch.rowptr rows.
-  void scan_tables(Scratch& scratch, bool want_r1);
+  /// Builds min1/min2/argmin and R1 for a matrix already in place.
+  void prepare_scan(const Dist* rows, Scratch& scratch);
+  /// Builds min1/min2/argmin and R1 from scratch.rowptr rows.
+  void scan_tables(Scratch& scratch);
 
-  /// Best deviation cost of agent a over the tables and rows in `scratch`
-  /// (the max model counts non-critical deletions when include_deletions_).
+  /// Best swap cost of agent a over the tables and rows in `scratch`.
   ScanResult scan_agent(Vertex a, std::uint64_t old_cost, Scratch& scratch);
 
   [[nodiscard]] std::uint64_t evaluate_pass(bool staged);
@@ -249,8 +244,6 @@ class SearchStateImpl {
 
   Graph graph_;
   CsrGraph csr_;
-  UsageCost model_;
-  bool include_deletions_;
   bool parallel_;
   Vertex n_ = 0;
 
@@ -265,9 +258,9 @@ class SearchStateImpl {
   std::size_t fcur_ = 0;
 
   // Persistent per-agent scan tables (n entries per agent): coordinate-wise
-  // neighbor minima and, in the sum model, the R1 relief bound. A staged
-  // evaluation derives an agent's proposal tables from its current ones by
-  // changed-row deltas, so it only touches rows the toggle actually changes.
+  // neighbor minima and the R1 relief bound. A staged evaluation derives an
+  // agent's proposal tables from its current ones by changed-row deltas, so
+  // it only touches rows the toggle actually changes.
   // Double-buffered like the full matrix: staged evaluations write every
   // agent's proposal tables to the shadow set, and commit() flips tcur_ —
   // the accepted proposal's tables become current with no recomputation.
@@ -280,7 +273,8 @@ class SearchStateImpl {
   std::size_t tcur_ = 0;
   std::vector<std::uint64_t> table_version_;
 
-  // Shape caches of the full matrices (per slab).
+  // Shape caches of the full matrices (per slab): agent a's cost, and its
+  // eccentricity for the connectivity/diameter screen.
   std::vector<std::uint32_t> rowsum_[2];  // Σ_y d(a, y) over capped values
   std::vector<Dist> rowmax_[2];           // max_y d(a, y)
   Vertex diameter_[2] = {0, 0};           // kInfDist when disconnected
@@ -311,8 +305,8 @@ class SearchStateImpl {
 extern template class SearchStateImpl<std::uint8_t>;
 extern template class SearchStateImpl<std::uint16_t>;
 
-/// Incremental evaluation state for equilibrium search — the public,
-/// width-adaptive facade. Picks the u8 implementation when a cheap
+/// Incremental sum-unrest evaluation state for equilibrium search — the
+/// public, width-adaptive facade. Picks the u8 implementation when a cheap
 /// diameter bound fits the 8-bit cap (or WidthPolicy::ForceU8 asks for it),
 /// and transparently promotes to u16 the moment any refreshed row would
 /// saturate — callers never observe the width except through width() and
@@ -322,10 +316,9 @@ extern template class SearchStateImpl<std::uint16_t>;
 /// deterministic either way — per-agent outputs fold serially).
 class SearchState {
  public:
-  /// Snapshots `g` (connected or not); see SearchStateImpl's constructor
-  /// for the model/include_deletions semantics. Requires 1 ≤ n ≤ 16382.
-  SearchState(const Graph& g, UsageCost model, bool include_deletions = false,
-              bool parallel = true, WidthPolicy width = WidthPolicy::Auto);
+  /// Snapshots `g` (connected or not). Requires 1 ≤ n ≤ 16382.
+  explicit SearchState(const Graph& g, bool parallel = true,
+                       WidthPolicy width = WidthPolicy::Auto);
   ~SearchState();
   SearchState(const SearchState&) = delete;
   SearchState& operator=(const SearchState&) = delete;
@@ -336,7 +329,6 @@ class SearchState {
   /// previously returned references — re-fetch after mutations, copy to
   /// keep.
   [[nodiscard]] const Graph& graph() const noexcept;
-  [[nodiscard]] UsageCost model() const noexcept { return model_; }
   [[nodiscard]] Vertex num_vertices() const noexcept;
   [[nodiscard]] Vertex diameter() const noexcept;  ///< kInfDist if disconnected
   [[nodiscard]] bool connected() const noexcept;
@@ -344,10 +336,10 @@ class SearchState {
   /// Distance storage width currently in use (U8 until a promotion).
   [[nodiscard]] DistWidth width() const noexcept;
 
-  /// Total unrest of the current graph: Σ_a max(1, gain of a's best
-  /// deviation), 0 iff no agent has a deviation — so 0 ⇔ the matching
-  /// certifier passes. Sum model: equals sum_unrest(). Lazily computed,
-  /// cached until the graph changes. Intended for connected graphs.
+  /// Total unrest of the current graph: Σ_a (gain of a's best swap), 0 iff
+  /// no agent has an improving swap — so 0 ⇔ the sum certifier passes.
+  /// Equals sum_unrest(). Lazily computed, cached until the graph changes.
+  /// Intended for connected graphs.
   [[nodiscard]] std::uint64_t unrest();
 
   /// Stages toggling edge {u, v} and returns the cheap shape screen of the
@@ -372,8 +364,7 @@ class SearchState {
   /// Width-independent snapshot of agent a's (current-graph) scan tables,
   /// with the capped infinity widened to kInfDist — so a promoted state and
   /// a from-scratch u16 state can be compared table for table (the
-  /// promotion-invariant property tests do exactly that). r1 is empty in
-  /// the max model.
+  /// promotion-invariant property tests do exactly that).
   struct ScanTables {
     std::vector<Vertex> min1, min2, argmin;
     std::vector<std::uint32_t> r1;
@@ -385,8 +376,6 @@ class SearchState {
   decltype(auto) dispatch(F&& f);
   void promote();
 
-  UsageCost model_;
-  bool include_deletions_;
   bool parallel_;
   // Facade copy of the staged toggle so a promotion mid-evaluation can
   // re-stage it on the fresh u16 state before retrying.

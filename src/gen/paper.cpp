@@ -26,9 +26,10 @@ Graph fig3_diameter3_graph() {
 }
 
 Graph diameter3_sum_equilibrium_n8() {
-  // Found by anneal_sum_equilibrium (seeded, reproducible) and certified by
-  // certify_sum_equilibrium plus an independent brute-force re-check in the
-  // tests. Eccentricities are (3,2,3,2,2,3,2,3); diameter 3; 11 edges.
+  // Found by anneal_equilibrium in the sum model (seeded, reproducible) and
+  // certified by certify_sum_equilibrium plus an independent brute-force
+  // re-check in the tests. Eccentricities are (3,2,3,2,2,3,2,3); diameter 3;
+  // 11 edges.
   return graph_from_edges(8, {{0, 1},
                               {0, 4},
                               {1, 3},

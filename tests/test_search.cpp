@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/equilibrium.hpp"
 #include "gen/classic.hpp"
 #include "gen/paper.hpp"
 #include "gen/random.hpp"
+#include "graph/bfs.hpp"
 #include "graph/metrics.hpp"
 
 namespace bncg {
@@ -42,7 +47,7 @@ TEST(Search, AnnealFindsTheKnownDiameter3Equilibrium) {
   AnnealConfig config;
   config.steps = 4000;
   config.seed = 77;
-  const auto found = anneal_sum_equilibrium(diameter3_sum_equilibrium_n8(), config);
+  const auto found = anneal_equilibrium(diameter3_sum_equilibrium_n8(), config);
   ASSERT_TRUE(found.has_value());  // already an equilibrium: returns immediately
   EXPECT_EQ(*found, diameter3_sum_equilibrium_n8());
 }
@@ -53,7 +58,7 @@ TEST(Search, AnnealRespectsDiameterConstraint) {
   config.target_diameter = 3;
   config.steps = 3000;
   config.seed = 99;
-  const auto found = anneal_sum_equilibrium(random_connected_gnm(8, 14, rng), config);
+  const auto found = anneal_equilibrium(random_connected_gnm(8, 14, rng), config);
   if (found) {
     EXPECT_EQ(diameter(*found), 3u);
     EXPECT_TRUE(is_sum_equilibrium(*found));
@@ -113,16 +118,101 @@ TEST(Search, AnnealStatsAccountForEveryProposal) {
   EXPECT_LE(stats.accepted, stats.evaluated);
 }
 
-TEST(Search, AnnealSumWrapperForcesTheSumModel) {
-  // The historical entry point keeps working even if a caller sets
-  // config.cost to Max by mistake.
-  AnnealConfig config;
-  config.cost = UsageCost::Max;
-  config.steps = 100;
-  config.seed = 5;
-  const auto found = anneal_sum_equilibrium(diameter3_sum_equilibrium_n8(), config);
-  ASSERT_TRUE(found.has_value());  // sum equilibrium: returns immediately
-  EXPECT_EQ(*found, diameter3_sum_equilibrium_n8());
+TEST(Search, AnnealTrajectoriesMatchPins) {
+  // Seeded anneals in both models, at both storage widths, pinned to the
+  // trajectories on which the incremental state and a full recompute per
+  // proposal agreed: every counter and the fingerprint of the graph each
+  // run ended on. Sum runs at these sizes evaluate through SearchState, max
+  // runs through the engine, and under BNCG_FORCE_NAIVE (the
+  // public_api_force_naive entry) both through the naive oracles — all
+  // held to the same pins. The gnm24 runs start off the target diameter and
+  // are nudged onto it first; the chorded cycle's sum run at u8 crosses the
+  // cap and promotes mid-anneal.
+  struct Pin {
+    const char* name;
+    std::uint64_t proposals, filtered, evaluated, accepted, final_unrest, fingerprint;
+  };
+  struct Case {
+    Graph start;
+    UsageCost model;
+    Vertex target_diameter;
+    std::uint64_t steps;
+    std::uint64_t seed;
+    Pin pin;
+  };
+  Xoshiro256ss rng(0x71A);
+  const Graph gnm14 = random_connected_gnm(14, 26, rng);
+  const Graph gnm24 = random_connected_gnm(24, 40, rng);
+  Graph chorded = cycle(96);
+  chorded.add_edge(0, 48);
+  const std::vector<Case> cases = {
+      {gnm14, UsageCost::Sum, diameter(gnm14), 400, 0x5EED1,
+       {"gnm14 sum", 374, 91, 283, 242, 11, 0x879a7504c75f8d87ull}},
+      {gnm14, UsageCost::Max, diameter(gnm14), 400, 0x5EED1,
+       {"gnm14 max", 359, 75, 284, 277, 16, 0x287bae009b20da6bull}},
+      {gnm24, UsageCost::Sum, 3, 300, 0x5EED2,
+       {"gnm24 sum", 293, 4, 289, 267, 4, 0x4c0ae6f479947e83ull}},
+      {gnm24, UsageCost::Max, 3, 300, 0x5EED2,
+       {"gnm24 max", 288, 5, 283, 283, 24, 0xa207371d56958bcfull}},
+      {chorded, UsageCost::Sum, diameter(chorded), 220, 0x5EEDF,
+       {"chorded96 sum", 220, 216, 4, 0, 63920, 0x816b8fa0feb46611ull}},
+      {chorded, UsageCost::Max, diameter(chorded), 220, 0x5EEDF,
+       {"chorded96 max", 220, 216, 4, 0, 1058, 0x816b8fa0feb46611ull}},
+  };
+  for (const Case& c : cases) {
+    for (const WidthPolicy width : {WidthPolicy::ForceU8, WidthPolicy::ForceU16}) {
+      AnnealConfig config;
+      config.cost = c.model;
+      config.target_diameter = c.target_diameter;
+      config.steps = c.steps;
+      config.seed = c.seed;
+      config.resources.width = width;
+      AnnealStats st;
+      const std::optional<Graph> found = anneal_equilibrium(c.start, config, &st);
+      const std::string ctx =
+          std::string(c.pin.name) + (width == WidthPolicy::ForceU8 ? " u8" : " u16");
+      EXPECT_EQ(st.proposals, c.pin.proposals) << ctx;
+      EXPECT_EQ(st.filtered, c.pin.filtered) << ctx;
+      EXPECT_EQ(st.evaluated, c.pin.evaluated) << ctx;
+      EXPECT_EQ(st.accepted, c.pin.accepted) << ctx;
+      EXPECT_EQ(st.final_unrest, c.pin.final_unrest) << ctx;
+      EXPECT_EQ(st.final_fingerprint, c.pin.fingerprint) << ctx;
+      EXPECT_EQ(found.has_value(), c.pin.final_unrest == 0) << ctx;
+    }
+  }
+}
+
+TEST(Search, MaxUnrestMatchesNaiveOnEveryProposal) {
+  // max_unrest (the pooled engine scan max anneal evaluates with) against
+  // the naive oracle on random toggle walks: every proposal, accepted or
+  // not, on 35 random instances of 6..18 vertices, trees included.
+  Xoshiro256ss rng(0xA003);
+  for (int trial = 0; trial < 35; ++trial) {
+    const Vertex n = 6 + static_cast<Vertex>(rng.below(13));
+    Graph mirror = trial % 4 == 2 ? random_tree(n, rng)
+                                  : random_connected_gnm(n, n - 1 + rng.below(n + 2), rng);
+    for (int step = 0; step < 25; ++step) {
+      const Vertex u = static_cast<Vertex>(rng.below(n));
+      const Vertex v = static_cast<Vertex>(rng.below(n));
+      if (u == v) continue;
+      Graph toggled = mirror;
+      if (toggled.has_edge(u, v)) {
+        toggled.remove_edge(u, v);
+      } else {
+        toggled.add_edge(u, v);
+      }
+      if (!is_connected(toggled)) continue;
+      std::uint64_t want = 0;
+      BfsWorkspace ws;
+      for (Vertex a = 0; a < n; ++a) {
+        const std::optional<Deviation> dev =
+            naive::best_max_deviation(toggled, a, ws, /*include_deletions=*/true);
+        if (dev) want += std::max<std::uint64_t>(1, dev->cost_before - dev->cost_after);
+      }
+      ASSERT_EQ(max_unrest(toggled), want) << "trial " << trial << " step " << step;
+      if (rng.bernoulli(0.5)) mirror = std::move(toggled);
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Differential tests for the incremental-unrest SearchState
+// Differential tests for the incremental sum-unrest SearchState
 // (core/search_state.hpp): every incremental quantity — proposal shapes,
 // unrest values, per-agent scan tables — is pinned to full recomputation
 // through the bncg::naive oracles after every accepted AND rejected
-// proposal, across 150+ random instances in both usage-cost models, with
-// the parallel evaluation pass both on and off.
+// proposal, across 80+ random instances, with the parallel evaluation pass
+// both on and off.
 #include "core/search_state.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <optional>
 
 #include "core/equilibrium.hpp"
-#include "core/search.hpp"
 #include "gen/classic.hpp"
 #include "gen/random.hpp"
 #include "graph/bfs.hpp"
@@ -23,29 +22,24 @@
 namespace bncg {
 namespace {
 
-/// Reference unrest straight from the naive BFS-per-candidate oracles:
-/// Σ_a max(1, gain of the best deviation), deletions counted in the max
-/// model when asked. Deliberately shares no code with SearchState.
-std::uint64_t naive_unrest(const Graph& g, UsageCost model, bool include_deletions) {
+/// Reference sum unrest straight from the naive BFS-per-candidate oracle:
+/// Σ_a (gain of the best swap). Deliberately shares no code with
+/// SearchState.
+std::uint64_t naive_unrest(const Graph& g) {
   BfsWorkspace ws;
   std::uint64_t total = 0;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    const std::optional<Deviation> dev =
-        model == UsageCost::Sum ? naive::best_sum_deviation(g, v, ws)
-                                : naive::best_max_deviation(g, v, ws, include_deletions);
-    if (!dev) continue;
-    const std::uint64_t gain =
-        dev->cost_before > dev->cost_after ? dev->cost_before - dev->cost_after : 0;
-    total += std::max<std::uint64_t>(1, gain);
+    const std::optional<Deviation> dev = naive::best_sum_deviation(g, v, ws);
+    if (dev) total += dev->cost_before - dev->cost_after;
   }
   return total;
 }
 
 /// Reference scan tables of agent a on a connected graph, from BFS over
 /// G − a: min1/min2/argmin fold the neighbor rows in ascending neighbor
-/// order with strict '<' (the state's tie-break), and the sum model's
+/// order with strict '<' (the state's tie-break), and
 /// R1[w₂] = Σ_{y≠a} max(0, min1_y − d_{G−a}(y, w₂)), ∞ contributing 0.
-SearchState::ScanTables naive_scan_tables(const Graph& g, Vertex a, UsageCost model) {
+SearchState::ScanTables naive_scan_tables(const Graph& g, Vertex a) {
   const Vertex n = g.num_vertices();
   Graph masked = g;
   std::vector<Vertex> nbrs(g.neighbors(a).begin(), g.neighbors(a).end());
@@ -71,14 +65,12 @@ SearchState::ScanTables naive_scan_tables(const Graph& g, Vertex a, UsageCost mo
       }
     }
   }
-  if (model == UsageCost::Sum) {
-    t.r1.assign(n, 0);
-    for (Vertex y = 0; y < n; ++y) {
-      if (y == a) continue;
-      for (Vertex w2 = 0; w2 < n; ++w2) {
-        const Vertex d = dist[y][w2];
-        if (d != kInfDist && t.min1[y] > d) t.r1[w2] += t.min1[y] - d;
-      }
+  t.r1.assign(n, 0);
+  for (Vertex y = 0; y < n; ++y) {
+    if (y == a) continue;
+    for (Vertex w2 = 0; w2 < n; ++w2) {
+      const Vertex d = dist[y][w2];
+      if (d != kInfDist && t.min1[y] > d) t.r1[w2] += t.min1[y] - d;
     }
   }
   return t;
@@ -101,15 +93,13 @@ Graph random_instance(int trial, Xoshiro256ss& rng) {
 /// Core differential loop: random toggles, every proposal's shape and unrest
 /// compared against full recomputation on a mirror graph, random commits,
 /// post-commit state compared again.
-void run_unrest_differential(UsageCost model, bool parallel, int instances,
-                             std::uint64_t seed) {
+void run_unrest_differential(bool parallel, int instances, std::uint64_t seed) {
   Xoshiro256ss rng(seed);
-  const bool include_deletions = model == UsageCost::Max;
   for (int trial = 0; trial < instances; ++trial) {
     Graph mirror = random_instance(trial, rng);
     const Vertex n = mirror.num_vertices();
-    SearchState state(mirror, model, include_deletions, parallel);
-    ASSERT_EQ(state.unrest(), naive_unrest(mirror, model, include_deletions))
+    SearchState state(mirror, parallel);
+    ASSERT_EQ(state.unrest(), naive_unrest(mirror))
         << "initial unrest, trial " << trial;
 
     for (int step = 0; step < 25; ++step) {
@@ -128,7 +118,7 @@ void run_unrest_differential(UsageCost model, bool parallel, int instances,
           << "trial " << trial << " step " << step;
       ASSERT_EQ(shape.diameter, diameter(toggled)) << "trial " << trial << " step " << step;
 
-      ASSERT_EQ(state.proposal_unrest(), naive_unrest(toggled, model, include_deletions))
+      ASSERT_EQ(state.proposal_unrest(), naive_unrest(toggled))
           << "proposal unrest, trial " << trial << " step " << step << " toggle {" << u << ","
           << v << "}";
 
@@ -136,7 +126,7 @@ void run_unrest_differential(UsageCost model, bool parallel, int instances,
         state.commit();
         mirror = std::move(toggled);
         ASSERT_EQ(state.graph(), mirror) << "trial " << trial << " step " << step;
-        ASSERT_EQ(state.unrest(), naive_unrest(mirror, model, include_deletions))
+        ASSERT_EQ(state.unrest(), naive_unrest(mirror))
             << "post-commit unrest, trial " << trial << " step " << step;
       }
     }
@@ -144,19 +134,11 @@ void run_unrest_differential(UsageCost model, bool parallel, int instances,
 }
 
 TEST(SearchStateDifferential, SumUnrestMatchesNaiveOnEveryProposalSerial) {
-  run_unrest_differential(UsageCost::Sum, /*parallel=*/false, 35, 0xA001);
+  run_unrest_differential(/*parallel=*/false, 35, 0xA001);
 }
 
 TEST(SearchStateDifferential, SumUnrestMatchesNaiveOnEveryProposalParallel) {
-  run_unrest_differential(UsageCost::Sum, /*parallel=*/true, 35, 0xA002);
-}
-
-TEST(SearchStateDifferential, MaxUnrestMatchesNaiveOnEveryProposalSerial) {
-  run_unrest_differential(UsageCost::Max, /*parallel=*/false, 35, 0xA003);
-}
-
-TEST(SearchStateDifferential, MaxUnrestMatchesNaiveOnEveryProposalParallel) {
-  run_unrest_differential(UsageCost::Max, /*parallel=*/true, 35, 0xA004);
+  run_unrest_differential(/*parallel=*/true, 35, 0xA002);
 }
 
 TEST(SearchStateDifferential, LazyAgentsCatchUpAcrossLongJournals) {
@@ -168,10 +150,8 @@ TEST(SearchStateDifferential, LazyAgentsCatchUpAcrossLongJournals) {
   // matrices.
   Xoshiro256ss rng(0xD007);
   for (int trial = 0; trial < 12; ++trial) {
-    const UsageCost model = trial % 2 == 0 ? UsageCost::Sum : UsageCost::Max;
-    const bool deletions = model == UsageCost::Max;
     Graph mirror = random_connected_gnm(12, 22, rng);
-    SearchState state(mirror, model, deletions, /*parallel=*/trial % 4 < 2);
+    SearchState state(mirror, /*parallel=*/trial % 4 < 2);
     int commits = 0;
     int removals = 0;
     int guard = 0;
@@ -190,16 +170,16 @@ TEST(SearchStateDifferential, LazyAgentsCatchUpAcrossLongJournals) {
       (void)state.propose_toggle(u, v);
       const std::string ctx = "trial " + std::to_string(trial) + " commit " +
                               std::to_string(commits);
-      ASSERT_EQ(state.proposal_unrest(), naive_unrest(toggled, model, deletions)) << ctx;
+      ASSERT_EQ(state.proposal_unrest(), naive_unrest(toggled)) << ctx;
       state.commit();
       mirror = std::move(toggled);
       ++commits;
       removals += removing ? 1 : 0;
       ASSERT_EQ(state.graph(), mirror) << ctx;
-      ASSERT_EQ(state.unrest(), naive_unrest(mirror, model, deletions)) << ctx;
+      ASSERT_EQ(state.unrest(), naive_unrest(mirror)) << ctx;
       for (Vertex a = 0; a < 12; ++a) {
         const SearchState::ScanTables got = state.debug_scan_tables(a);
-        const SearchState::ScanTables want = naive_scan_tables(mirror, a, model);
+        const SearchState::ScanTables want = naive_scan_tables(mirror, a);
         ASSERT_EQ(got.min1, want.min1) << ctx << " agent " << a;
         ASSERT_EQ(got.min2, want.min2) << ctx << " agent " << a;
         ASSERT_EQ(got.argmin, want.argmin) << ctx << " agent " << a;
@@ -211,46 +191,15 @@ TEST(SearchStateDifferential, LazyAgentsCatchUpAcrossLongJournals) {
   }
 }
 
-TEST(SearchStateDifferential, AnnealTrajectoriesIdenticalAcrossEvaluationModes) {
-  // The tentpole guarantee behind AnnealConfig::evaluation: incremental and
-  // full-recompute proposal evaluation produce the same trajectory — same
-  // counters, same outcome — for identical configs, in both models.
-  Xoshiro256ss rng(0xE008);
-  for (int trial = 0; trial < 6; ++trial) {
-    const Graph start = random_connected_gnm(10, 18, rng);
-    for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
-      AnnealConfig config;
-      config.cost = model;
-      config.steps = 400;
-      config.seed = 0x5EED00 + trial;
-      config.target_diameter = diameter(start);
-      AnnealStats incremental_stats;
-      AnnealStats full_stats;
-      config.evaluation = UnrestEval::Incremental;
-      const auto incremental = anneal_equilibrium(start, config, &incremental_stats);
-      config.evaluation = UnrestEval::FullRecompute;
-      const auto full = anneal_equilibrium(start, config, &full_stats);
-      ASSERT_EQ(incremental.has_value(), full.has_value()) << "trial " << trial;
-      if (incremental) EXPECT_EQ(*incremental, *full) << "trial " << trial;
-      EXPECT_EQ(incremental_stats.proposals, full_stats.proposals);
-      EXPECT_EQ(incremental_stats.filtered, full_stats.filtered);
-      EXPECT_EQ(incremental_stats.evaluated, full_stats.evaluated);
-      EXPECT_EQ(incremental_stats.accepted, full_stats.accepted);
-      EXPECT_EQ(incremental_stats.final_unrest, full_stats.final_unrest);
-    }
-  }
-}
-
 TEST(SearchState, KnownEquilibriaHaveZeroUnrest) {
-  EXPECT_EQ(SearchState(star(9), UsageCost::Sum).unrest(), 0u);
-  EXPECT_EQ(SearchState(complete(6), UsageCost::Sum).unrest(), 0u);
-  EXPECT_EQ(SearchState(star(9), UsageCost::Max, true).unrest(), 0u);
-  EXPECT_GT(SearchState(path(8), UsageCost::Sum).unrest(), 0u);
-  EXPECT_GT(SearchState(cycle(9), UsageCost::Max, true).unrest(), 0u);
+  EXPECT_EQ(SearchState(star(9)).unrest(), 0u);
+  EXPECT_EQ(SearchState(complete(6)).unrest(), 0u);
+  EXPECT_GT(SearchState(path(8)).unrest(), 0u);
+  EXPECT_GT(SearchState(cycle(9)).unrest(), 0u);
 }
 
 TEST(SearchState, RejectsInvalidToggles) {
-  SearchState state(cycle(5), UsageCost::Sum);
+  SearchState state(cycle(5));
   EXPECT_THROW((void)state.propose_toggle(2, 2), std::invalid_argument);
   EXPECT_THROW((void)state.propose_toggle(0, 7), std::invalid_argument);
   EXPECT_THROW((void)state.commit(), std::invalid_argument);  // nothing staged
@@ -259,7 +208,7 @@ TEST(SearchState, RejectsInvalidToggles) {
 }
 
 TEST(SearchState, StatsCountProposalLifecycle) {
-  SearchState state(cycle(6), UsageCost::Sum);
+  SearchState state(cycle(6));
   (void)state.unrest();
   (void)state.propose_toggle(0, 2);
   (void)state.proposal_unrest();

@@ -15,16 +15,19 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "certificate_oracle.hpp"
 #include "core/certify_sharded.hpp"
+#include "core/search.hpp"
 #include "core/search_state.hpp"
 #include "core/swap_engine.hpp"
 #include "gen/classic.hpp"
 #include "gen/random.hpp"
+#include "graph/bfs.hpp"
 #include "graph/dist_width.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -381,9 +384,9 @@ Graph parity_instance(int trial, Xoshiro256ss& rng) {
   }
 }
 
-/// One agent's full observable surface at the current level: certificate
-/// verdict + witness + move count from certify_sharded, and the SearchState scan
-/// tables of a few agents.
+/// One instance's full observable surface at the current level: certificate
+/// verdict + witness + move count from certify_sharded, the unrest, and (sum
+/// model) the SearchState scan tables of a few agents.
 struct Snapshot {
   EquilibriumCertificate cert;
   std::vector<SearchState::ScanTables> tables;
@@ -419,7 +422,11 @@ Snapshot snapshot_instance(const Graph& g, UsageCost model, WidthPolicy width) {
   ShardedCertifyConfig config;
   config.resources.width = width;
   snap.cert = certify_sharded(g, model, deletions, config).certificate;
-  SearchState state(g, model, deletions, /*parallel=*/true, width);
+  if (model == UsageCost::Max) {
+    snap.unrest = max_unrest(g);
+    return snap;
+  }
+  SearchState state(g, /*parallel=*/true, width);
   snap.unrest = state.unrest();
   const Vertex probe = std::min<Vertex>(g.num_vertices(), 3);
   for (Vertex a = 0; a < probe; ++a) snap.tables.push_back(state.debug_scan_tables(a));
@@ -454,29 +461,40 @@ TEST(SimdParity, EndToEndAcrossLevels) {
 }
 
 /// Deterministic greedy trajectory: propose a pseudo-random toggle each
-/// step, commit iff the proposal strictly lowers unrest. Returns the full
-/// decision trace — any cross-level divergence in any kernel output along
-/// the way changes the trace.
+/// step, commit iff the proposal strictly lowers unrest — evaluated as
+/// anneal evaluates it: through SearchState in the sum model, through the
+/// engine's max_unrest on the toggled graph in the max model. Returns the
+/// full decision trace — any cross-level divergence in any kernel output
+/// along the way changes the trace.
 std::vector<std::uint64_t> run_trajectory(const Graph& g0, UsageCost model, std::uint64_t seed) {
   Xoshiro256ss rng(seed);
-  SearchState state(g0, model, model == UsageCost::Max, /*parallel=*/true, WidthPolicy::Auto);
+  std::optional<SearchState> state;
+  if (model == UsageCost::Sum) state.emplace(g0, /*parallel=*/true, WidthPolicy::Auto);
+  Graph g = g0;
   std::vector<std::uint64_t> trace;
-  const Vertex n = state.num_vertices();
-  std::uint64_t current = state.unrest();
+  const Vertex n = g.num_vertices();
+  std::uint64_t current = state ? state->unrest() : max_unrest(g);
   trace.push_back(current);
   for (int step = 0; step < 24; ++step) {
     const Vertex u = static_cast<Vertex>(rng.below(n));
     Vertex v = static_cast<Vertex>(rng.below(n));
     if (v == u) v = (v + 1) % n;
-    const ToggleShape shape = state.propose_toggle(u, v);
-    if (!shape.connected) {
+    Graph toggled = g;
+    if (toggled.has_edge(u, v)) {
+      toggled.remove_edge(u, v);
+    } else {
+      toggled.add_edge(u, v);
+    }
+    const bool connected = state ? state->propose_toggle(u, v).connected : is_connected(toggled);
+    if (!connected) {
       trace.push_back(~std::uint64_t{0});
       continue;
     }
-    const std::uint64_t proposal = state.proposal_unrest();
+    const std::uint64_t proposal = state ? state->proposal_unrest() : max_unrest(toggled);
     trace.push_back(proposal);
     if (proposal < current) {
-      state.commit();
+      if (state) state->commit();
+      g = std::move(toggled);
       current = proposal;
     }
   }

@@ -1,7 +1,8 @@
 // Differential fuzz suite for the width-adaptive u8/u16 distance kernels
 // (graph/dist_width.hpp): over 200 seeded random and paper-construction
-// instances, the u8 and u16 SwapEngine/SearchState paths must agree bit for
-// bit with each other and with the bncg::naive oracles — on unrest values,
+// instances, the u8 and u16 SwapEngine/SearchState paths (the state in the
+// sum model, which is all it evaluates) must agree bit for bit with each
+// other and with the bncg::naive oracles — on unrest values,
 // deviation witnesses, certification verdicts, and whole annealing
 // trajectories — including instances engineered to cross the u8 cap
 // mid-run, which forces the SearchState promotion path and the engine's
@@ -188,21 +189,19 @@ TEST(WidthFuzz, EngineWidthsAgreeWithEachOtherAndNaive) {
 }
 
 TEST(WidthFuzz, SearchStateWidthsAgreeOnEveryProposalAndWithNaive) {
-  // 64 instances × both models: a forced-u8 and a forced-u16 SearchState
-  // driven through the same toggle schedule must report identical shapes
-  // and unrest on every proposal (accepted AND rejected), both equal to the
-  // naive recomputation on a mirror graph.
+  // 64 instances: a forced-u8 and a forced-u16 SearchState driven through
+  // the same toggle schedule must report identical shapes and unrest on
+  // every proposal (accepted AND rejected), both equal to the naive
+  // recomputation on a mirror graph.
   Xoshiro256ss rng(0xF002);
   for (int trial = 0; trial < 64; ++trial) {
-    const UsageCost model = trial % 2 == 0 ? UsageCost::Sum : UsageCost::Max;
-    const bool deletions = model == UsageCost::Max;
     Graph mirror = fuzz_instance(trial, rng);
     const Vertex n = mirror.num_vertices();
-    SearchState s8(mirror, model, deletions, /*parallel=*/trial % 4 < 2, WidthPolicy::ForceU8);
-    SearchState s16(mirror, model, deletions, /*parallel=*/trial % 4 < 2, WidthPolicy::ForceU16);
+    SearchState s8(mirror, /*parallel=*/trial % 4 < 2, WidthPolicy::ForceU8);
+    SearchState s16(mirror, /*parallel=*/trial % 4 < 2, WidthPolicy::ForceU16);
     ASSERT_EQ(s16.width(), DistWidth::U16);
     ASSERT_EQ(s8.unrest(), s16.unrest()) << "trial " << trial;
-    ASSERT_EQ(s8.unrest(), naive_unrest(mirror, model, deletions)) << "trial " << trial;
+    ASSERT_EQ(s8.unrest(), naive_unrest(mirror, UsageCost::Sum, false)) << "trial " << trial;
 
     for (int step = 0; step < 12; ++step) {
       const Vertex u = static_cast<Vertex>(rng.below(n));
@@ -219,7 +218,7 @@ TEST(WidthFuzz, SearchStateWidthsAgreeOnEveryProposalAndWithNaive) {
       } else {
         toggled.add_edge(u, v);
       }
-      const std::uint64_t want = naive_unrest(toggled, model, deletions);
+      const std::uint64_t want = naive_unrest(toggled, UsageCost::Sum, false);
       ASSERT_EQ(s8.proposal_unrest(), want) << "trial " << trial << " step " << step;
       ASSERT_EQ(s16.proposal_unrest(), want) << "trial " << trial << " step " << step;
 
@@ -247,90 +246,88 @@ TEST(WidthFuzz, EngineeredCapCrossingsPromoteAndStayExact) {
   //      of a C_len cycle edge (P_len has diameter len − 1 > 61) saturates
   //      the shadow full matrix, and the committed state must equal a u16
   //      state built on the post-move graph.
-  // Every leg runs through propose → proposal_unrest → commit.
+  // Every leg runs through propose → proposal_unrest → commit, in the sum
+  // model (the only one the state evaluates).
+  const UsageCost model = UsageCost::Sum;
+  const bool deletions = false;
   for (const Vertex len : {Vertex{100}, Vertex{120}}) {
-    for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
-      const bool deletions = model == UsageCost::Max;
-      const std::string ctx =
-          "len " + std::to_string(len) + (model == UsageCost::Sum ? " sum" : " max");
+    const std::string ctx = "len " + std::to_string(len);
 
-      {  // (a) — evaluation pass must promote, then match naive exactly.
-        const Graph g = chorded_cycle(len);
-        SearchState state(g, model, deletions);
-        ASSERT_EQ(state.width(), DistWidth::U8) << ctx;  // auto-selected narrow
-        const std::uint64_t u = state.unrest();
-        EXPECT_EQ(state.width(), DistWidth::U16) << ctx;
-        EXPECT_GE(state.stats().promotions, 1u) << ctx;
-        EXPECT_EQ(u, naive_unrest(g, model, deletions)) << ctx;
-      }
+    {  // (a) — evaluation pass must promote, then match naive exactly.
+      const Graph g = chorded_cycle(len);
+      SearchState state(g);
+      ASSERT_EQ(state.width(), DistWidth::U8) << ctx;  // auto-selected narrow
+      const std::uint64_t u = state.unrest();
+      EXPECT_EQ(state.width(), DistWidth::U16) << ctx;
+      EXPECT_GE(state.stats().promotions, 1u) << ctx;
+      EXPECT_EQ(u, naive_unrest(g, model, deletions)) << ctx;
+    }
 
-      {  // (b) — *addition* saturation: bridging two path components makes
-         // the new finite distances exceed the cap through the pure-formula
-         // addition identity (no BFS involved), which must promote rather
-         // than clamp to ∞ or write the reserved kInf − 1 slot.
-        Graph two_paths(len);
-        const Vertex half = len / 2;
-        for (Vertex i = 0; i + 1 < half; ++i) two_paths.add_edge(i, i + 1);
-        for (Vertex i = half; i + 1 < len; ++i) two_paths.add_edge(i, i + 1);
-        SearchState state(two_paths, model, deletions, /*parallel=*/true, WidthPolicy::ForceU8);
-        ASSERT_EQ(state.width(), DistWidth::U8) << ctx;
-        // Joins the tips: diameter len − 1 > 61.
-        const ToggleShape shape = state.propose_toggle(half - 1, half);
-        EXPECT_EQ(state.width(), DistWidth::U16) << ctx;
-        EXPECT_GE(state.stats().promotions, 1u) << ctx;
-        EXPECT_TRUE(shape.connected) << ctx;
-        EXPECT_EQ(shape.diameter, len - 1) << ctx;
-        two_paths.add_edge(half - 1, half);
-        const std::uint64_t want = naive_unrest(two_paths, model, deletions);
-        EXPECT_EQ(state.proposal_unrest(), want) << ctx;
-        state.commit();
-        EXPECT_TRUE(state.connected()) << ctx;
-        EXPECT_EQ(state.diameter(), len - 1) << ctx;
-        EXPECT_EQ(state.unrest(), want) << ctx;
-      }
+    {  // (b) — *addition* saturation: bridging two path components makes
+       // the new finite distances exceed the cap through the pure-formula
+       // addition identity (no BFS involved), which must promote rather
+       // than clamp to ∞ or write the reserved kInf − 1 slot.
+      Graph two_paths(len);
+      const Vertex half = len / 2;
+      for (Vertex i = 0; i + 1 < half; ++i) two_paths.add_edge(i, i + 1);
+      for (Vertex i = half; i + 1 < len; ++i) two_paths.add_edge(i, i + 1);
+      SearchState state(two_paths, /*parallel=*/true, WidthPolicy::ForceU8);
+      ASSERT_EQ(state.width(), DistWidth::U8) << ctx;
+      // Joins the tips: diameter len − 1 > 61.
+      const ToggleShape shape = state.propose_toggle(half - 1, half);
+      EXPECT_EQ(state.width(), DistWidth::U16) << ctx;
+      EXPECT_GE(state.stats().promotions, 1u) << ctx;
+      EXPECT_TRUE(shape.connected) << ctx;
+      EXPECT_EQ(shape.diameter, len - 1) << ctx;
+      two_paths.add_edge(half - 1, half);
+      const std::uint64_t want = naive_unrest(two_paths, model, deletions);
+      EXPECT_EQ(state.proposal_unrest(), want) << ctx;
+      state.commit();
+      EXPECT_TRUE(state.connected()) << ctx;
+      EXPECT_EQ(state.diameter(), len - 1) << ctx;
+      EXPECT_EQ(state.unrest(), want) << ctx;
+    }
 
-      {  // (b') — a bridging addition whose result still fits must NOT
-         // promote and must stay exact (the saturation test is not a
-         // connectivity-change test).
-        const Vertex quarter = 15;
-        Graph short_paths(2 * quarter);
-        for (Vertex i = 0; i + 1 < quarter; ++i) short_paths.add_edge(i, i + 1);
-        for (Vertex i = quarter; i + 1 < 2 * quarter; ++i) short_paths.add_edge(i, i + 1);
-        SearchState state(short_paths, model, deletions, /*parallel=*/true,
-                          WidthPolicy::ForceU8);
-        (void)state.propose_toggle(quarter - 1, quarter);
-        short_paths.add_edge(quarter - 1, quarter);
-        EXPECT_EQ(state.proposal_unrest(), naive_unrest(short_paths, model, deletions)) << ctx;
-        state.commit();
-        EXPECT_EQ(state.width(), DistWidth::U8) << ctx;
-        EXPECT_EQ(state.diameter(), 2 * quarter - 1) << ctx;
-        EXPECT_EQ(state.unrest(), naive_unrest(short_paths, model, deletions)) << ctx;
-      }
+    {  // (b') — a bridging addition whose result still fits must NOT
+       // promote and must stay exact (the saturation test is not a
+       // connectivity-change test).
+      const Vertex quarter = 15;
+      Graph short_paths(2 * quarter);
+      for (Vertex i = 0; i + 1 < quarter; ++i) short_paths.add_edge(i, i + 1);
+      for (Vertex i = quarter; i + 1 < 2 * quarter; ++i) short_paths.add_edge(i, i + 1);
+      SearchState state(short_paths, /*parallel=*/true, WidthPolicy::ForceU8);
+      (void)state.propose_toggle(quarter - 1, quarter);
+      short_paths.add_edge(quarter - 1, quarter);
+      EXPECT_EQ(state.proposal_unrest(), naive_unrest(short_paths, model, deletions)) << ctx;
+      state.commit();
+      EXPECT_EQ(state.width(), DistWidth::U8) << ctx;
+      EXPECT_EQ(state.diameter(), 2 * quarter - 1) << ctx;
+      EXPECT_EQ(state.unrest(), naive_unrest(short_paths, model, deletions)) << ctx;
+    }
 
-      {  // (c) — the proposal screen itself promotes; shape, proposal
-         // unrest, and the committed state must all be exact.
-        const Graph g = cycle(len);
-        SearchState state(g, model, deletions);
-        ASSERT_EQ(state.width(), DistWidth::U8) << ctx;
-        const ToggleShape shape = state.propose_toggle(0, len - 1);
-        EXPECT_EQ(state.width(), DistWidth::U16) << ctx;
-        EXPECT_TRUE(shape.connected) << ctx;
-        EXPECT_EQ(shape.diameter, len - 1) << ctx;
-        Graph toggled = g;
-        toggled.remove_edge(0, len - 1);
-        EXPECT_EQ(state.proposal_unrest(), naive_unrest(toggled, model, deletions)) << ctx;
-        state.commit();
-        EXPECT_EQ(state.graph(), toggled) << ctx;
-        SearchState fresh(toggled, model, deletions, true, WidthPolicy::ForceU16);
-        EXPECT_EQ(state.unrest(), fresh.unrest()) << ctx;
-        for (const Vertex a : {Vertex{0}, Vertex{1}, len / 2}) {
-          const SearchState::ScanTables got = state.debug_scan_tables(a);
-          const SearchState::ScanTables want = fresh.debug_scan_tables(a);
-          EXPECT_EQ(got.min1, want.min1) << ctx << " agent " << a;
-          EXPECT_EQ(got.min2, want.min2) << ctx << " agent " << a;
-          EXPECT_EQ(got.argmin, want.argmin) << ctx << " agent " << a;
-          EXPECT_EQ(got.r1, want.r1) << ctx << " agent " << a;
-        }
+    {  // (c) — the proposal screen itself promotes; shape, proposal
+       // unrest, and the committed state must all be exact.
+      const Graph g = cycle(len);
+      SearchState state(g);
+      ASSERT_EQ(state.width(), DistWidth::U8) << ctx;
+      const ToggleShape shape = state.propose_toggle(0, len - 1);
+      EXPECT_EQ(state.width(), DistWidth::U16) << ctx;
+      EXPECT_TRUE(shape.connected) << ctx;
+      EXPECT_EQ(shape.diameter, len - 1) << ctx;
+      Graph toggled = g;
+      toggled.remove_edge(0, len - 1);
+      EXPECT_EQ(state.proposal_unrest(), naive_unrest(toggled, model, deletions)) << ctx;
+      state.commit();
+      EXPECT_EQ(state.graph(), toggled) << ctx;
+      SearchState fresh(toggled, true, WidthPolicy::ForceU16);
+      EXPECT_EQ(state.unrest(), fresh.unrest()) << ctx;
+      for (const Vertex a : {Vertex{0}, Vertex{1}, len / 2}) {
+        const SearchState::ScanTables got = state.debug_scan_tables(a);
+        const SearchState::ScanTables want = fresh.debug_scan_tables(a);
+        EXPECT_EQ(got.min1, want.min1) << ctx << " agent " << a;
+        EXPECT_EQ(got.min2, want.min2) << ctx << " agent " << a;
+        EXPECT_EQ(got.argmin, want.argmin) << ctx << " agent " << a;
+        EXPECT_EQ(got.r1, want.r1) << ctx << " agent " << a;
       }
     }
   }
@@ -340,24 +337,26 @@ TEST(WidthFuzz, AutoWidthSelectorPicksTheFittingWidth) {
   // Narrow when the diameter bound fits, wide when the screen rules it out;
   // ForceU8 on an unfitting instance burns, records the crossing, and lands
   // on u16 with exact results.
-  SearchState narrow(cycle(100), UsageCost::Sum);
+  SearchState narrow(cycle(100));
   EXPECT_EQ(narrow.width(), DistWidth::U8);
-  SearchState wide(path(100), UsageCost::Sum);
+  SearchState wide(path(100));
   EXPECT_EQ(wide.width(), DistWidth::U16);
   EXPECT_EQ(wide.stats().promotions, 0u);  // screened out, no burned attempt
 
   const Graph p = path(100);
-  SearchState forced(p, UsageCost::Sum, false, true, WidthPolicy::ForceU8);
+  SearchState forced(p, true, WidthPolicy::ForceU8);
   EXPECT_EQ(forced.width(), DistWidth::U16);
   EXPECT_EQ(forced.stats().promotions, 1u);
   EXPECT_EQ(forced.unrest(), naive_unrest(p, UsageCost::Sum, false));
 }
 
 TEST(WidthFuzz, AnnealTrajectoriesIdenticalAcrossWidthsIncludingPromotion) {
-  // The same AnnealConfig run at ForceU8, ForceU16, and FullRecompute must
-  // walk one trajectory — same counters, same outcome — even when the u8
+  // The same AnnealConfig run at ForceU8 and ForceU16 must walk one
+  // trajectory — same counters, same outcome — even when the sum model's u8
   // leg crosses the cap mid-anneal (the chorded-cycle start makes cycle-edge
-  // removal proposals saturate the shadow matrix during the shape screen).
+  // removal proposals saturate the state's shadow matrix during the shape
+  // screen). The max legs run on the engine, whose u8 scans fall back per
+  // agent instead of promoting.
   struct Case {
     Graph start;
     std::uint64_t steps;
@@ -376,34 +375,26 @@ TEST(WidthFuzz, AnnealTrajectoriesIdenticalAcrossWidthsIncludingPromotion) {
       config.steps = cases[i].steps;
       config.seed = 0x5EEDF + i;
       config.target_diameter = diameter(cases[i].start);
-      config.evaluation = UnrestEval::Incremental;
 
-      AnnealStats st8, st16, stfull;
+      AnnealStats st8, st16;
       config.resources.width = WidthPolicy::ForceU8;
       const auto r8 = anneal_equilibrium(cases[i].start, config, &st8);
       config.resources.width = WidthPolicy::ForceU16;
       const auto r16 = anneal_equilibrium(cases[i].start, config, &st16);
-      config.evaluation = UnrestEval::FullRecompute;
-      const auto rfull = anneal_equilibrium(cases[i].start, config, &stfull);
 
       const std::string ctx = "case " + std::to_string(i) +
                               (model == UsageCost::Sum ? " sum" : " max");
       ASSERT_EQ(r8.has_value(), r16.has_value()) << ctx;
-      ASSERT_EQ(r8.has_value(), rfull.has_value()) << ctx;
-      if (r8) {
-        EXPECT_EQ(*r8, *r16) << ctx;
-        EXPECT_EQ(*r8, *rfull) << ctx;
-      }
-      for (const AnnealStats* st : {&st16, &stfull}) {
-        EXPECT_EQ(st8.proposals, st->proposals) << ctx;
-        EXPECT_EQ(st8.filtered, st->filtered) << ctx;
-        EXPECT_EQ(st8.evaluated, st->evaluated) << ctx;
-        EXPECT_EQ(st8.accepted, st->accepted) << ctx;
-        EXPECT_EQ(st8.final_unrest, st->final_unrest) << ctx;
-      }
+      if (r8) EXPECT_EQ(*r8, *r16) << ctx;
+      EXPECT_EQ(st8.proposals, st16.proposals) << ctx;
+      EXPECT_EQ(st8.filtered, st16.filtered) << ctx;
+      EXPECT_EQ(st8.evaluated, st16.evaluated) << ctx;
+      EXPECT_EQ(st8.accepted, st16.accepted) << ctx;
+      EXPECT_EQ(st8.final_unrest, st16.final_unrest) << ctx;
+      EXPECT_EQ(st8.final_fingerprint, st16.final_fingerprint) << ctx;
       EXPECT_EQ(st16.width_promotions, 0u) << ctx;
       promotions_seen += st8.width_promotions;
-      if (cases[i].expect_promotion) {
+      if (cases[i].expect_promotion && model == UsageCost::Sum) {
         EXPECT_EQ(st8.dist_width, DistWidth::U16) << ctx << " (no cap crossing hit)";
       }
     }
@@ -415,44 +406,40 @@ TEST(WidthFuzz, PromotionReplayReproducesIdenticalScanTables) {
   // Promotion-invariant property: drive a u8 state through a sequence of
   // committed toggles that crosses the cap mid-sequence, then commit the
   // identical sequence on a from-scratch u16 state — every agent's scan
-  // tables (min1/min2/argmin and the sum model's R1), widened to
-  // width-independent values, must be identical, as must unrest.
-  for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
-    const bool deletions = model == UsageCost::Max;
-    const Graph start = cycle(80);
-    // The journal: add a chord, then cross the cap by deleting the cycle
-    // edge {0, 79} — the leftover path-plus-chord has d(10, 79) = 69 > 61 —
-    // and keep editing after the promotion.
-    const std::vector<std::pair<Vertex, Vertex>> journal = {
-        {1, 20},   // addition (chord)
-        {0, 79},   // removal of a cycle edge: distances reach 69 → promotes
-        {2, 50},   // addition after promotion
-        {1, 20},   // removal again (toggle the chord back off)
-    };
-    SearchState promoted(start, model, deletions, /*parallel=*/true, WidthPolicy::ForceU8);
-    ASSERT_EQ(promoted.width(), DistWidth::U8);
-    SearchState wide(start, model, deletions, /*parallel=*/true, WidthPolicy::ForceU16);
-    for (const auto& [u, v] : journal) {
-      for (SearchState* state : {&promoted, &wide}) {
-        (void)state->propose_toggle(u, v);
-        (void)state->proposal_unrest();
-        state->commit();
-      }
+  // tables (min1/min2/argmin and R1), widened to width-independent values,
+  // must be identical, as must unrest.
+  const Graph start = cycle(80);
+  // The journal: add a chord, then cross the cap by deleting the cycle
+  // edge {0, 79} — the leftover path-plus-chord has d(10, 79) = 69 > 61 —
+  // and keep editing after the promotion.
+  const std::vector<std::pair<Vertex, Vertex>> journal = {
+      {1, 20},   // addition (chord)
+      {0, 79},   // removal of a cycle edge: distances reach 69 → promotes
+      {2, 50},   // addition after promotion
+      {1, 20},   // removal again (toggle the chord back off)
+  };
+  SearchState promoted(start, /*parallel=*/true, WidthPolicy::ForceU8);
+  ASSERT_EQ(promoted.width(), DistWidth::U8);
+  SearchState wide(start, /*parallel=*/true, WidthPolicy::ForceU16);
+  for (const auto& [u, v] : journal) {
+    for (SearchState* state : {&promoted, &wide}) {
+      (void)state->propose_toggle(u, v);
+      (void)state->proposal_unrest();
+      state->commit();
     }
-    EXPECT_EQ(promoted.width(), DistWidth::U16) << "journal failed to cross the cap";
-    EXPECT_GE(promoted.stats().promotions, 1u);
-    ASSERT_EQ(promoted.graph(), wide.graph());
+  }
+  EXPECT_EQ(promoted.width(), DistWidth::U16) << "journal failed to cross the cap";
+  EXPECT_GE(promoted.stats().promotions, 1u);
+  ASSERT_EQ(promoted.graph(), wide.graph());
 
-    const std::string ctx = model == UsageCost::Sum ? "sum" : "max";
-    EXPECT_EQ(promoted.unrest(), wide.unrest()) << ctx;
-    for (Vertex a = 0; a < promoted.num_vertices(); ++a) {
-      const SearchState::ScanTables got = promoted.debug_scan_tables(a);
-      const SearchState::ScanTables want = wide.debug_scan_tables(a);
-      ASSERT_EQ(got.min1, want.min1) << ctx << " agent " << a;
-      ASSERT_EQ(got.min2, want.min2) << ctx << " agent " << a;
-      ASSERT_EQ(got.argmin, want.argmin) << ctx << " agent " << a;
-      ASSERT_EQ(got.r1, want.r1) << ctx << " agent " << a;
-    }
+  EXPECT_EQ(promoted.unrest(), wide.unrest());
+  for (Vertex a = 0; a < promoted.num_vertices(); ++a) {
+    const SearchState::ScanTables got = promoted.debug_scan_tables(a);
+    const SearchState::ScanTables want = wide.debug_scan_tables(a);
+    ASSERT_EQ(got.min1, want.min1) << "agent " << a;
+    ASSERT_EQ(got.min2, want.min2) << "agent " << a;
+    ASSERT_EQ(got.argmin, want.argmin) << "agent " << a;
+    ASSERT_EQ(got.r1, want.r1) << "agent " << a;
   }
 }
 
