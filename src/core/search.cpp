@@ -94,12 +94,8 @@ class EngineEvaluator {
     if (!force_naive_requested()) engine_.emplace(graph_, resources);
   }
 
-  /// Unrest of the current graph.
-  std::uint64_t unrest() {
-    discard();
-    if (engine_) engine_->rebuild(graph_);
-    return evaluate();
-  }
+  /// Unrest of the start graph; called once, before the first proposal.
+  std::uint64_t unrest() { return evaluate(); }
 
   ToggleShape propose_toggle(Vertex u, Vertex v) {
     discard();
