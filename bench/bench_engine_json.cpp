@@ -72,8 +72,8 @@
 // each with its BFS levels per traversal.
 //
 // A second "kernels" section microbenchmarks the dispatched SIMD kernels
-// (util/simd.hpp) directly: each scan-table / combine / addition kernel and
-// the far test's keep_within is timed at n = 1024 once with the dispatch
+// (util/simd.hpp) directly: each scan-table / combine kernel and the far
+// test's keep_within is timed at n = 1024 once with the dispatch
 // pinned to scalar and once at the startup-active level (cpuid-capped,
 // BNCG_SIMD-overridable), on the same
 // inputs and with identical fixed repetition counts, so the per-call ratio
@@ -1016,15 +1016,12 @@ void measure_kernels(std::vector<KernelRow>& rows, SimdLevel active) {
   constexpr std::size_t kFolds = 8;  // neighbor rows per scan_min_update call
   std::vector<AlignedVec<Dist>> nbr(kFolds);
   for (auto& row : nbr) rand_row(row);
-  AlignedVec<Dist> m, c, ru, rv, src;
+  AlignedVec<Dist> m, c;
   rand_row(m);
   rand_row(c);
-  rand_row(ru);
-  rand_row(rv);
-  rand_row(src);
 
   AlignedVec<Dist> min1(n), min2(n), dst(n);
-  AlignedVec<std::uint32_t> argmin(n), r1(n);
+  AlignedVec<std::uint32_t> argmin(n);
   const auto fold_u64 = [](const auto& v) {
     std::uint64_t sum = 0;
     for (const auto x : v) sum = sum * 1315423911u + static_cast<std::uint64_t>(x);
@@ -1060,13 +1057,6 @@ void measure_kernels(std::vector<KernelRow>& rows, SimdLevel active) {
       },
       [&] { return fold_u64(dst); });
 
-  // r1_add: accumulate one row's relief contribution per call (u32
-  // wraparound is deterministic, so the accumulated table checksums).
-  bench_kernel(
-      rows, width, "r1_add", n, 20000, active, [&] { r1.assign(n, 0); },
-      [&] { kern.r1_add(r1.data(), static_cast<Dist>(3), src.data(), n); },
-      [&] { return fold_u64(r1); });
-
   std::uint64_t acc = 0;
   bench_kernel(
       rows, width, "combine_sum", n, 20000, active, [&] { acc = 0; },
@@ -1077,14 +1067,6 @@ void measure_kernels(std::vector<KernelRow>& rows, SimdLevel active) {
       rows, width, "combine_max", n, 20000, active, [&] { acc = 0; },
       [&] { acc += kern.combine_max(m.data(), c.data(), n, inf); },
       [&] { return acc; });
-
-  bench_kernel(
-      rows, width, "addition_row", n, 20000, active, [&] { dst.assign(n, 0); },
-      [&] {
-        kern.addition_row(src.data(), dst.data(), ru.data(), rv.data(), static_cast<Dist>(2),
-                          static_cast<Dist>(3), n, inf);
-      },
-      [&] { return fold_u64(dst); });
 
   // keep_within: one far row against a full candidate bitset per call, so
   // every word is read; about half of the entries pass the cap.

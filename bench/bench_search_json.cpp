@@ -6,15 +6,12 @@
 // start graph, same seed, same proposal sequence — in two legs: at the
 // auto-selected distance width (u8 on these small-diameter instances) and
 // with the width forced to u16. Each leg runs three times and reports its
-// best time (`incremental_seconds` is the auto-width leg whichever
-// evaluator ran; the name predates the engine evaluator), and every run
-// must walk the identical trajectory — same counters, same final graph — so
-// `width_speedup` (u16 over auto) is a pure storage-width ratio. Each row records which evaluator anneal picked
-// (`search_state`: the incremental state of core/search_state.hpp, sum
-// model at n <= 512; `engine`: one SwapEngine rebuilt per proposal, see
-// core/search.hpp), the selected width, how many u8 -> u16 cap promotions
-// the run crossed (0 on these instances), and the fingerprint of the graph
-// the run ended on, so two commits' rows show whether they walked the same
+// best time (`incremental_seconds` is the auto-width leg; every proposal is
+// evaluated on one SwapEngine rebuilt on it, see core/search.hpp), and
+// every run must walk the identical trajectory — same counters, same final
+// graph — so `width_speedup` (u16 over auto) is a pure storage-width ratio.
+// Each row records the selected width and the fingerprint of the graph the
+// run ended on, so two commits' rows show whether they walked the same
 // trajectory.
 //
 // The `dynamics` section times run_dynamics (best-response swap dynamics,
@@ -38,7 +35,6 @@
 
 #include "bench_json_meta.hpp"
 #include "core/search.hpp"
-#include "core/search_state.hpp"
 #include "gen/random.hpp"
 #include "core/dynamics.hpp"
 #include "graph/io.hpp"
@@ -53,13 +49,11 @@ using Clock = std::chrono::steady_clock;
 struct Row {
   Vertex n = 0;
   std::string model;
-  std::string evaluator;  // search_state or engine
   std::uint64_t proposals = 0;
   std::uint64_t evaluated = 0;
   std::uint64_t accepted = 0;
   std::uint64_t graph_fingerprint = 0;  // of the graph the run ended on
   std::string width;  // auto-selected width
-  std::uint64_t width_promotions = 0;
   double incremental_seconds = 0.0;  // auto width (headline), best of three
   double u16_seconds = 0.0;          // forced-u16 leg, best of three
 
@@ -92,8 +86,6 @@ Row measure(Vertex n, UsageCost model, std::uint64_t steps) {
   Row row;
   row.n = n;
   row.model = model == UsageCost::Sum ? "sum" : "max";
-  row.evaluator =
-      model == UsageCost::Sum && search_state_enabled(start) ? "search_state" : "engine";
 
   // Best of three runs per leg; every run of both legs must walk the one
   // trajectory of the first.
@@ -114,10 +106,7 @@ Row measure(Vertex n, UsageCost model, std::uint64_t steps) {
                   << "\n";
         std::exit(1);
       }
-      if (width == WidthPolicy::Auto) {
-        row.width = dist_width_name(st.dist_width);
-        row.width_promotions = st.width_promotions;
-      }
+      if (width == WidthPolicy::Auto) row.width = dist_width_name(st.dist_width);
     }
     return best;
   };
@@ -224,13 +213,11 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   for (const Vertex n : {Vertex{64}, Vertex{256}}) {
     if (n > max_n) continue;
-    // Budgets sized so the one-time SearchState construction amortizes
-    // realistically at a bench runtime of seconds.
+    // Budgets sized for a bench runtime of seconds.
     const std::uint64_t steps = n <= 64 ? 1200 : 300;
     for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
       const Row row = measure(n, model, steps);
-      std::cout << "n=" << row.n << " model=" << row.model << " evaluator=" << row.evaluator
-                << " proposals=" << row.proposals << " evaluated=" << row.evaluated
+      std::cout << "n=" << row.n << " model=" << row.model << " proposals=" << row.proposals << " evaluated=" << row.evaluated
                 << " accepted=" << row.accepted << " graph=" << std::hex << row.graph_fingerprint
                 << std::dec << " width=" << row.width << " incremental=" << row.incremental_seconds
                 << "s u16=" << row.u16_seconds << "s width_speedup=" << row.width_speedup()
@@ -248,12 +235,10 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     out << "    {\"n\": " << r.n << ", \"model\": \"" << r.model << "\""
-        << ", \"evaluator\": \"" << r.evaluator << "\""
         << ", \"proposals\": " << r.proposals << ", \"evaluated\": " << r.evaluated
         << ", \"accepted\": " << r.accepted << ", \"graph_fingerprint\": \"" << std::hex
         << r.graph_fingerprint << std::dec << "\""
         << ", \"width\": \"" << r.width << "\""
-        << ", \"width_promotions\": " << r.width_promotions
         << ", \"incremental_seconds\": " << r.incremental_seconds
         << ", \"u16_seconds\": " << r.u16_seconds
         << ", \"width_speedup\": " << r.width_speedup()

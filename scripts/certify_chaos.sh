@@ -283,7 +283,10 @@ scenario_resume() {
 }
 
 scenario_worker_kill() {
-  n="${n:-1024}"
+  # The worker must still be running at the kill 0.2 s in: a serial sum
+  # range over G(2048, 8192) takes ~0.7 s on one lane (G(1024, 4096), the
+  # earlier default, finishes in ~0.13 s since the relief bound).
+  n="${n:-2048}"
   m="${m:-$(( 4 * n ))}"
   gen_instance
 

@@ -53,7 +53,6 @@
 #include "core/instance.hpp"
 #include "core/certify_sharded.hpp"
 #include "core/certify_wire.hpp"
-#include "core/search_state.hpp"
 #include "core/dynamics.hpp"
 #include "core/tree_game.hpp"
 #include "core/kstability.hpp"

@@ -33,8 +33,8 @@
 
 namespace bncg {
 
-/// The shared resource knobs of every scan tier (engine, search state,
-/// sharded certifier, svc worker, facade) — the one place a width
+/// The shared resource knobs of every scan tier (engine, anneal, sharded
+/// certifier, svc worker, facade) — the one place a width
 /// preference or a memory budget is set.
 struct ResourceConfig {
   /// Distance storage width preference; results are width-independent.
@@ -61,7 +61,7 @@ struct ResourceConfig {
 enum class RowStorage : std::uint8_t { Dense, Budgeted };
 
 /// The resolved resource decisions of one instance: width preference and
-/// dense-vs-budgeted storage per width. One policy object per engine/state
+/// dense-vs-budgeted storage per width. One policy object per engine
 /// rebuild; cheap value type.
 class WidthAndBudgetPolicy {
  public:
@@ -75,19 +75,11 @@ class WidthAndBudgetPolicy {
   /// Per-lane budget share (0 = unlimited).
   [[nodiscard]] std::uint64_t lane_budget() const noexcept { return lane_budget_; }
 
-  /// Exact width for a known maximum finite distance: callers already
-  /// holding a matrix (or a diameter) seed Force policies from it instead
-  /// of re-probing (search.cpp / metrics-driven sites).
+  /// Exact width for a known maximum finite distance: the narrowest width
+  /// whose capped encoding stores it.
   [[nodiscard]] static DistWidth width_for_max_distance(std::uint64_t max_distance) noexcept {
     return max_distance <= kMaxFiniteFor<std::uint8_t> ? DistWidth::U8 : DistWidth::U16;
   }
-  /// The matching WidthPolicy seed (ForceU8 only when provably safe under
-  /// the masked-sweep fallback contract; ForceU16 otherwise).
-  [[nodiscard]] static WidthPolicy policy_for_max_distance(std::uint64_t max_distance) noexcept {
-    return width_for_max_distance(max_distance) == DistWidth::U8 ? WidthPolicy::ForceU8
-                                                                 : WidthPolicy::ForceU16;
-  }
-
   /// The width-preference probe of every scan tier: one BFS from vertex 0
   /// bounds the diameter by 2·ecc(0); u8 is preferred under
   /// the configured policy when that bound fits the narrow encoding.

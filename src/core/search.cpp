@@ -4,7 +4,6 @@
 
 #include "core/certify_sharded.hpp"
 #include "core/equilibrium.hpp"
-#include "core/search_state.hpp"
 #include "core/swap_engine.hpp"
 #include "graph/bfs.hpp"
 #include "graph/io.hpp"
@@ -18,8 +17,7 @@ namespace {
 /// Unrest contribution of one agent's best deviation: the improvement when
 /// there is one (≥ 1 for improving swaps), and a floor of 1 for violations
 /// that improve nothing (the max model's cost-neutral deletions) — so every
-/// certifier violation is visible in the potential. In the sum model this
-/// matches SearchState::unrest term for term.
+/// certifier violation is visible in the potential.
 std::uint64_t deviation_unrest(const std::optional<Deviation>& dev) {
   if (!dev) return 0;
   const std::uint64_t gain =
@@ -79,14 +77,19 @@ void toggle_edge(Graph& g, Vertex u, Vertex v) {
   }
 }
 
-/// Anneal's evaluator wherever SearchState is not: the max model at every
-/// n and the sum model above kSearchStateAutoMaxVertices. A proposal is
-/// applied to the graph and evaluated on one SwapEngine rebuilt on it: the
-/// shape screen is the largest eccentricity on the engine's shared slab
-/// (no connectivity or diameter BFS), and the unrest is pooled_unrest.
-/// Under BNCG_FORCE_NAIVE it holds no engine and screens and evaluates
-/// through BFS and the naive oracles. Same protocol as SearchState:
-/// staging a new toggle discards an unaccepted one.
+/// Connectivity/diameter screen of a proposed toggle.
+struct ToggleShape {
+  bool connected = false;
+  Vertex diameter = 0;  ///< kInfDist when disconnected
+};
+
+/// Anneal's evaluator, in both models at every n. A proposal is applied to
+/// the graph and evaluated on one SwapEngine rebuilt on it: the shape screen
+/// is the largest eccentricity on the engine's shared slab (no connectivity
+/// or diameter BFS; under a budget no slab may fit, and it screens by BFS), and
+/// the unrest is pooled_unrest. Under BNCG_FORCE_NAIVE it holds no engine
+/// and screens and evaluates through BFS and the naive oracles. Staging a
+/// new toggle discards an unaccepted one.
 class EngineEvaluator {
  public:
   EngineEvaluator(Graph g, UsageCost model, const ResourceConfig& resources)
@@ -101,14 +104,18 @@ class EngineEvaluator {
     discard();
     toggle_edge(graph_, u, v);
     staged_ = {u, v};
-    if (!engine_) {
+    const Vertex n = graph_.num_vertices();
+    if (engine_) engine_->rebuild(graph_);
+    // agent_cost reads the u16 slab whenever the u8 one is not preferred or
+    // saturates, so the slab screen is taken only when a u16 slab fits.
+    if (!engine_ || engine_->budget_policy().storage_for(n, DistWidth::U16) ==
+                        RowStorage::Budgeted) {
       const Vertex d = diameter(graph_);
       return {d != kInfDist, d};
     }
-    engine_->rebuild(graph_);
     engine_->build_shared_rows();
     Vertex worst = 0;
-    for (Vertex x = 0; x < graph_.num_vertices(); ++x) {
+    for (Vertex x = 0; x < n; ++x) {
       const std::uint64_t ecc = engine_->agent_cost(x, UsageCost::Max);
       if (ecc == kInfCost) return {false, kInfDist};
       worst = std::max(worst, static_cast<Vertex>(ecc));
@@ -146,13 +153,10 @@ class EngineEvaluator {
   LaneScratch lanes_;
 };
 
-/// The anneal loop over either evaluator: returns the reached graph when
-/// unrest hit 0, and fills every counter of `st` but the width pair. Both
-/// evaluators return identical shapes and unrest values, so the rng draws —
-/// and hence the trajectory — do not depend on which one runs.
-template <typename Evaluator>
-std::optional<Graph> anneal_loop(Evaluator& eval, const AnnealConfig& config, Xoshiro256ss& rng,
-                                 AnnealStats& st) {
+/// The anneal loop: returns the reached graph when unrest hit 0, and fills
+/// every counter of `st` but the width.
+std::optional<Graph> anneal_loop(EngineEvaluator& eval, const AnnealConfig& config,
+                                 Xoshiro256ss& rng, AnnealStats& st) {
   const Vertex n = eval.graph().num_vertices();
   std::uint64_t current_unrest = eval.unrest();
   double temperature = config.initial_temperature;
@@ -215,22 +219,6 @@ std::optional<Graph> anneal_equilibrium(Graph start, const AnnealConfig& config,
   }
   if (diameter(start) != config.target_diameter) return std::nullopt;
 
-  if (config.cost == UsageCost::Sum && search_state_enabled(start)) {
-    // Width seed: the nudge loop above just proved the diameter equals the
-    // target, so under Auto the storage width follows from the unified
-    // policy (ForceU8 exactly when the target diameter fits the narrow
-    // encoding) instead of the state's own ecc(0) screen — one less probe,
-    // identical trajectories (saturation still promotes exactly).
-    WidthPolicy width = config.resources.width;
-    if (width == WidthPolicy::Auto) {
-      width = WidthAndBudgetPolicy::policy_for_max_distance(config.target_diameter);
-    }
-    SearchState state(std::move(start), /*parallel=*/true, width);
-    std::optional<Graph> found = anneal_loop(state, config, rng, st);
-    st.dist_width = state.width();
-    st.width_promotions = state.stats().promotions;
-    return found;
-  }
   EngineEvaluator eval(std::move(start), config.cost, config.resources);
   std::optional<Graph> found = anneal_loop(eval, config, rng, st);
   st.dist_width = eval.width();

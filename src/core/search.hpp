@@ -10,15 +10,11 @@
 //  * anneal_equilibrium — simulated annealing over edge toggles that
 //    minimizes unrest subject to a diameter constraint, in either usage-cost
 //    model (this is how diameter3_sum_equilibrium_n8() was discovered).
-//    One loop, two evaluators, picked by the model and n: sum anneal at
-//    n ≤ kSearchStateAutoMaxVertices evaluates proposals incrementally
-//    through core/search_state.hpp (cached per-agent masked distance
-//    matrices updated per toggle, with the R1 prune); everything else — max
-//    anneal at every n, sum anneal above the cap — evaluates each proposal
-//    on one SwapEngine rebuilt on it, reading the shape screen off its
-//    shared slab and pooling the agent scans over the lanes. The evaluator
-//    never changes a trajectory (seeded runs are pinned in
-//    tests/test_search.cpp);
+//    One loop, one evaluator: each proposal is evaluated on one SwapEngine
+//    rebuilt on it, reading the shape screen off its shared slab and
+//    pooling the agent scans over the lanes (the sum scan prunes with the
+//    relief bound, DESIGN.md §3). Seeded runs are pinned in
+//    tests/test_search.cpp;
 //  * exhaustive_diameter3_sum_equilibrium — complete enumeration of all
 //    2^C(n,2) labelled graphs for small n, establishing minimality results
 //    (no diameter-3 sum equilibrium exists on ≤ 7 vertices).
@@ -57,12 +53,11 @@ struct AnnealConfig {
   double cooling = 0.9995;         ///< geometric cooling per step
   std::uint64_t seed = 0x5ea2c4;
   UsageCost cost = UsageCost::Sum;  ///< which unrest is annealed
-  /// Shared resource knobs (core/dist_provider.hpp). Width is purely a
-  /// speed/memory preference: trajectories are identical at any width — the
-  /// state promotes u8 → u16 exactly, and the engine falls back per agent.
-  /// Under Auto the state's width is seeded from the run's own diameter
-  /// constraint through WidthAndBudgetPolicy (the nudge phase proves the
-  /// diameter, so the state's ecc-screen probe is redundant here).
+  /// Shared resource knobs (core/dist_provider.hpp) of the engine that
+  /// evaluates every proposal. Width and budget are purely speed/memory
+  /// preferences: trajectories are identical under any of them — the
+  /// engine falls back to u16 per agent, and a budgeted engine screens
+  /// shapes by BFS instead of off its (absent) slab.
   ResourceConfig resources;
 };
 
@@ -74,13 +69,9 @@ struct AnnealStats {
   std::uint64_t accepted = 0;    ///< proposals taken by the Metropolis rule
   std::uint64_t final_unrest = 0;
   std::uint64_t final_fingerprint = 0;  ///< graph_fingerprint of the graph the run ended on
-  /// Width the incremental state finished at and how many u8 → u16 cap
-  /// promotions the run crossed. Engine-evaluated runs report the width
-  /// the engine preferred on the last graph it scanned and no promotions
-  /// (the engine falls back per agent instead; under BNCG_FORCE_NAIVE
-  /// there is no engine and the width stays U16).
+  /// Width the engine preferred on the last graph it scanned (under
+  /// BNCG_FORCE_NAIVE there is no engine and the width stays U16).
   DistWidth dist_width = DistWidth::U16;
-  std::uint64_t width_promotions = 0;
 };
 
 /// Anneals from `start` toward a zero-unrest graph of the target diameter in

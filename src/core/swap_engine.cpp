@@ -332,9 +332,9 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
   s.far_.resize(n);
   s.far_mark_.assign(n, 0);
   const std::size_t words = words_for(n);
-  // Candidates per removed edge — the bulk move-count term of the max
-  // model, where the far test "checks" every candidate whether or not its
-  // row is ever read.
+  // Candidates per removed edge — the bulk move-count term of both models:
+  // the far test and the relief bound "check" every candidate whether or
+  // not its row is ever read for that edge.
   const std::uint64_t candidate_count = candidates_through(s, n - 1);
   // Max model: cost'(v) < old_cost iff candidate w₂ covers the removed
   // edge's far set — the vertices the kept neighbors do not already serve
@@ -348,7 +348,27 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
   // candidate survives.
   std::uint64_t saturated_edges = 0;
   std::uint64_t surviving_edges = 0;
-  if (model == UsageCost::Max) {
+  if (model == UsageCost::Sum) {
+    // Relief bound (DESIGN.md §3): M^w ≥ min1 entrywise for every removed
+    // edge w, so lb = combine_sum(min1, c) bounds every edge's unmasked
+    // combine of candidate w₂ from below. A best-deviation scan reads every
+    // candidate row anyway; reading each once here lets every edge skip the
+    // candidates lb already rules out — exactly candidates the per-edge
+    // unmasked bound would skip too. First-deviation scans may stop before
+    // reading every row, so they take no bound and keep their row reads.
+    s.sum_candidates_.clear();
+    for (Vertex w2 = 0; w2 < n; ++w2) {
+      if (s.is_nbr_[w2] != 0) continue;
+      std::uint64_t lb = 0;
+      if (!stop_at_first) {
+        const Dist* c = unmasked_row(slab, w2, s);
+        if (c == nullptr) return false;
+        lb = kern.combine_sum(rows.min1.data(), c, n, kInf);
+        if (lb >= old_cost) continue;
+      }
+      s.sum_candidates_.push_back({w2, lb});
+    }
+  } else {
     s.alive_.resize(words);
     if (slab != nullptr) {
       s.candidates_.assign(words, 0);
@@ -383,9 +403,9 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
     }
 
     if (model == UsageCost::Sum) {
-      for (Vertex w2 = 0; w2 < n; ++w2) {
-        if (s.is_nbr_[w2] != 0) continue;
-        if (moves_checked != nullptr) ++*moves_checked;
+      if (moves_checked != nullptr) *moves_checked += candidate_count;
+      for (const auto [w2, lb] : s.sum_candidates_) {
+        if (best && lb >= best->cost_after) continue;
         // Masking only lengthens entries, so the unmasked combine is a lower
         // bound: a candidate it already keeps from improving, or from
         // beating the best so far, needs no repaired row.
@@ -400,6 +420,9 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
         if (!best || new_cost < best->cost_after) {
           best = Deviation{{v, w, w2}, old_cost, new_cost, Deviation::Kind::ImprovingSwap};
           if (stop_at_first) {
+            if (moves_checked != nullptr) {
+              *moves_checked -= candidate_count - candidates_through(s, w2);
+            }
             out = best;
             return true;
           }

@@ -83,9 +83,9 @@
 namespace bncg {
 
 /// True iff BNCG_FORCE_NAIVE is set (read once per process): every
-/// accelerated tier — SwapEngine and SearchState alike — must consult this
-/// one helper so the env var toggles them together. It is the only gate
-/// between the public certifier entry points and the engine.
+/// accelerated path — certifiers, dynamics and anneal alike — must consult
+/// this one helper so the env var toggles them together. It is the only
+/// gate between the public certifier entry points and the engine.
 [[nodiscard]] bool force_naive_requested();
 
 /// One α-game usage evaluation from SwapEngine::alpha_scan, emitted in
@@ -167,6 +167,15 @@ class SwapEngine {
     std::vector<std::uint64_t> alive_;  // max: the removed edge's survivors, one bit
                                         // per vertex
     std::vector<AlphaCandidate> alpha_;  // buffered α-scan candidates
+    /// Sum scans: the agent's candidates in ascending order, each with its
+    /// edge-independent lower bound combine_sum(min1, c) (0 in first-
+    /// deviation scans, which read no row up front); best-deviation scans
+    /// keep only candidates whose bound is below the agent's cost.
+    struct SumCandidate {
+      Vertex w2;
+      std::uint64_t lb;
+    };
+    std::vector<SumCandidate> sum_candidates_;
     std::uint64_t reach_traversals_ = 0;
     Rows<std::uint8_t> rows8_;
     Rows<std::uint16_t> rows16_;

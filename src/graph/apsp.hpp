@@ -50,9 +50,8 @@ class DistanceMatrix {
   [[nodiscard]] std::uint64_t row_sum(Vertex u) const;
 
   /// Largest finite distance in the matrix (0 for n ≤ 1). The input to
-  /// WidthAndBudgetPolicy::width_for_max_distance / policy_for_max_distance
-  /// (core/dist_provider.hpp) — callers that already paid for a full matrix
-  /// seed engine/state width policies from this instead of re-probing.
+  /// WidthAndBudgetPolicy::width_for_max_distance (core/dist_provider.hpp)
+  /// for callers that already paid for a full matrix.
   [[nodiscard]] Vertex max_finite_distance() const noexcept;
 
  private:

@@ -22,14 +22,6 @@ struct BatchBfsAccess {
   static std::vector<Vertex>& touched(BatchBfsWorkspace& ws) { return ws.touched_; }
   static std::vector<Vertex>& spare(BatchBfsWorkspace& ws) { return ws.spare_; }
   static std::vector<std::uint32_t>& stamp(BatchBfsWorkspace& ws) { return ws.stamp_; }
-  template <typename Dist>
-  static std::vector<Dist>& staging(BatchBfsWorkspace& ws) {
-    if constexpr (std::is_same_v<Dist, std::uint8_t>) {
-      return ws.rows8_;
-    } else {
-      return ws.rows16_;
-    }
-  }
 };
 
 namespace {
@@ -360,29 +352,6 @@ template <typename Dist>
   return true;
 }
 
-template <typename Dist>
-[[nodiscard]] bool apsp_rows_impl(const CsrGraph& g, std::span<const Vertex> sources,
-                                  MaskedEdge mask, Dist* matrix, std::size_t stride,
-                                  BatchBfsWorkspace& ws, Vertex masked_vertex, Dist inf_value,
-                                  Dist max_finite) {
-  const Vertex n = g.num_vertices();
-  auto& staging = BatchBfsAccess::staging<Dist>(ws);
-  staging.resize(std::size_t{64} * n);
-  for (std::size_t base = 0; base < sources.size(); base += 64) {
-    const std::size_t count = std::min<std::size_t>(64, sources.size() - base);
-    const std::span<const Vertex> group = sources.subspan(base, count);
-    if (!batch_dispatch(g, group, mask, staging.data(), n, ws, masked_vertex, inf_value,
-                        max_finite)) {
-      return false;
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      std::memcpy(matrix + static_cast<std::size_t>(group[i]) * stride, staging.data() + i * n,
-                  static_cast<std::size_t>(n) * sizeof(Dist));
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 BfsResult csr_bfs(const CsrGraph& g, Vertex src, MaskedEdge mask, std::uint16_t* dist,
@@ -455,32 +424,11 @@ void csr_apsp(const CsrGraph& g, MaskedEdge mask, std::uint16_t* rows, BatchBfsW
                   static_cast<std::uint16_t>(kInfDist16 - 1));
 }
 
-void csr_apsp_rows(const CsrGraph& g, std::span<const Vertex> sources, MaskedEdge mask,
-                   std::uint16_t* matrix, std::size_t stride, BatchBfsWorkspace& ws,
-                   Vertex masked_vertex, std::uint16_t inf_value) {
-  const Vertex n = g.num_vertices();
-  BNCG_REQUIRE(n < kInfDist16, "16-bit traversal requires n < 65535");
-  BNCG_REQUIRE(inf_value >= n, "inf_value must dominate every finite distance");
-  // Finite distances are ≤ n − 1 < inf_value, so saturation is impossible:
-  // the capped kernel is exactly this function with an unreachable cap.
-  (void)csr_apsp_rows_capped<std::uint16_t>(g, sources, mask, matrix, stride, ws, masked_vertex,
-                                            inf_value, static_cast<std::uint16_t>(inf_value - 1));
-}
-
 template <typename Dist>
 bool csr_apsp_capped(const CsrGraph& g, MaskedEdge mask, Dist* rows, BatchBfsWorkspace& ws,
                      Vertex masked_vertex, Dist inf_value, Dist max_finite) {
   BNCG_REQUIRE(max_finite < inf_value, "max_finite must stay below inf_value");
   return apsp_impl(g, mask, rows, ws, masked_vertex, inf_value, max_finite);
-}
-
-template <typename Dist>
-bool csr_apsp_rows_capped(const CsrGraph& g, std::span<const Vertex> sources, MaskedEdge mask,
-                          Dist* matrix, std::size_t stride, BatchBfsWorkspace& ws,
-                          Vertex masked_vertex, Dist inf_value, Dist max_finite) {
-  BNCG_REQUIRE(max_finite < inf_value, "max_finite must stay below inf_value");
-  return apsp_rows_impl(g, sources, mask, matrix, stride, ws, masked_vertex, inf_value,
-                        max_finite);
 }
 
 template bool csr_apsp_capped<std::uint8_t>(const CsrGraph&, MaskedEdge, std::uint8_t*,
@@ -489,15 +437,6 @@ template bool csr_apsp_capped<std::uint8_t>(const CsrGraph&, MaskedEdge, std::ui
 template bool csr_apsp_capped<std::uint16_t>(const CsrGraph&, MaskedEdge, std::uint16_t*,
                                              BatchBfsWorkspace&, Vertex, std::uint16_t,
                                              std::uint16_t);
-template bool csr_apsp_rows_capped<std::uint8_t>(const CsrGraph&, std::span<const Vertex>,
-                                                 MaskedEdge, std::uint8_t*, std::size_t,
-                                                 BatchBfsWorkspace&, Vertex, std::uint8_t,
-                                                 std::uint8_t);
-template bool csr_apsp_rows_capped<std::uint16_t>(const CsrGraph&, std::span<const Vertex>,
-                                                  MaskedEdge, std::uint16_t*, std::size_t,
-                                                  BatchBfsWorkspace&, Vertex, std::uint16_t,
-                                                  std::uint16_t);
-
 bool csr_apsp_wide(const CsrGraph& g, Vertex* rows) {
   const Vertex n = g.num_vertices();
   if (n == 0) return true;

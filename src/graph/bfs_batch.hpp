@@ -21,12 +21,12 @@
 // restriction on its output type.
 //
 // Every kernel is one template family over the distance storage type; the
-// width-adaptive entry points (`csr_apsp_capped`, `csr_apsp_rows_capped`)
+// width-adaptive entry points (`csr_apsp_capped`, `bfs_batch_capped`)
 // expose the u8/u16 instantiations with an explicit capped infinity and
 // *saturation detection*: a traversal that would have to write a finite
 // distance above `max_finite` reports failure instead of writing a wrapped
 // or aliased value, which is what lets core/swap_engine fall back per agent
-// and core/search_state promote u8 → u16 mid-run (graph/dist_width.hpp).
+// (graph/dist_width.hpp).
 #pragma once
 
 #include <cstdint>
@@ -53,8 +53,6 @@ class BatchBfsWorkspace {
   std::vector<std::uint64_t> next_;     // next-level bits per vertex
   std::vector<std::uint64_t> visited_;  // settled bits per vertex
   std::vector<Vertex> queue_;           // queue-BFS fallback
-  std::vector<std::uint16_t> rows16_;   // staging rows for csr_apsp_rows*
-  std::vector<std::uint8_t> rows8_;     // u8 staging (csr_apsp_rows_capped)
   std::vector<Vertex> frontier_;        // thin-level push lists (bitparallel)
   std::vector<Vertex> touched_;
   std::vector<Vertex> spare_;
@@ -81,7 +79,7 @@ void bfs_batch(const CsrGraph& g, std::span<const Vertex> sources, MaskedEdge ma
 /// Width-adaptive positional batch: like `bfs_batch`, but row *i* (the
 /// position within `sources`, NOT the source id) receives the distances,
 /// stored as `Dist` with the same saturation contract as
-/// `csr_apsp_rows_capped` — false (row contents unspecified) the moment a
+/// `csr_apsp_capped` — false (row contents unspecified) the moment a
 /// finite distance would exceed `max_finite`. This is the miss-fill
 /// primitive of graph/row_cache.hpp, whose cache slots hold rows of
 /// arbitrary sources, so the id-indexed entry points cannot serve it.
@@ -125,19 +123,6 @@ void csr_apsp(const CsrGraph& g, MaskedEdge mask, std::uint16_t* rows, BatchBfsW
 /// reachable. Backs DistanceMatrix.
 bool csr_apsp_wide(const CsrGraph& g, Vertex* rows);
 
-/// Selective row refresh: recomputes the distance row of every source in
-/// `sources` (arbitrary, need not be contiguous) inside an n-stride matrix,
-/// writing row s at matrix[s·stride .. s·stride + n). The backbone of the
-/// incremental search state's dirty-row maintenance: after an edge toggle,
-/// only rows whose shortest-path DAG used the toggled edge are re-traversed,
-/// the rest are kept. Sources are processed through `bfs_batch` in ≤64-source
-/// groups; unreachable entries are written as `inf_value`, which lets callers
-/// with an overflow-free capped-infinity encoding (e.g. core/search_state)
-/// stay inside their representation. Precondition: inf_value ≥ n.
-void csr_apsp_rows(const CsrGraph& g, std::span<const Vertex> sources, MaskedEdge mask,
-                   std::uint16_t* matrix, std::size_t stride, BatchBfsWorkspace& ws,
-                   Vertex masked_vertex = kNoVertex, std::uint16_t inf_value = kInfDist16);
-
 /// Width-adaptive all-pairs shortest paths with saturation detection: like
 /// `csr_apsp`, but distances are stored as `Dist` with `inf_value` written
 /// for unreachable (and masked) entries. Returns false — with unspecified
@@ -148,16 +133,5 @@ template <typename Dist>
 [[nodiscard]] bool csr_apsp_capped(const CsrGraph& g, MaskedEdge mask, Dist* rows,
                                    BatchBfsWorkspace& ws, Vertex masked_vertex,
                                    Dist inf_value, Dist max_finite);
-
-/// Width-adaptive selective row refresh (`csr_apsp_rows` semantics) with the
-/// same saturation contract as `csr_apsp_capped`. On a false return the
-/// matrix rows already refreshed hold unspecified values — callers discard
-/// the whole narrow structure (engine fallback / search-state promotion).
-/// Instantiated for u8 and u16.
-template <typename Dist>
-[[nodiscard]] bool csr_apsp_rows_capped(const CsrGraph& g, std::span<const Vertex> sources,
-                                        MaskedEdge mask, Dist* matrix, std::size_t stride,
-                                        BatchBfsWorkspace& ws, Vertex masked_vertex,
-                                        Dist inf_value, Dist max_finite);
 
 }  // namespace bncg

@@ -13,9 +13,8 @@
 //    slot can hold any source's row, so scattered access patterns (neighbor
 //    rows, surviving candidates) pack densely instead of dragging in
 //    64-aligned strangers.
-//  * A miss materializes the row by exact BFS (`bfs_batch_capped`, the
-//    positional twin of `csr_apsp_rows_capped`): misses queued by
-//    prefetch() fill contiguous slots of one block in ≤ 64-source
+//  * A miss materializes the row by exact BFS (`bfs_batch_capped`): misses
+//    queued by prefetch() fill contiguous slots of one block in ≤ 64-source
 //    bit-parallel batches, single-row misses via row() pay one queue
 //    traversal. Exactness is inherited from the traversal kernels — the
 //    cache never approximates, it only decides residency.

@@ -18,7 +18,7 @@ namespace {
 // ------------------------------------------------------- scalar reference
 //
 // These are the semantics. They intentionally mirror the original loop
-// bodies in core/swap_engine.cpp and core/search_state.cpp (including the
+// bodies in core/swap_engine.cpp (including the
 // uint32 wraparound accumulator of combine_sum and the strict-< tie-breaks),
 // and the compiler is free to auto-vectorize them at the portable baseline
 // ISA — "scalar" names the dispatch level, not a promise of one lane.
@@ -72,31 +72,6 @@ void select_mrow_scalar(Dist* m, const Dist* min1, const Dist* min2, const std::
 }
 
 template <typename Dist>
-void r1_add_scalar(std::uint32_t* r1, Dist m1, const Dist* row, std::uint32_t n) {
-  for (std::uint32_t y = 0; y < n; ++y) {
-    r1[y] += static_cast<std::uint32_t>(m1 > row[y] ? m1 - row[y] : 0);
-  }
-}
-
-template <typename Dist>
-void r1_sub_scalar(std::uint32_t* r1, Dist m1, const Dist* row, std::uint32_t n) {
-  for (std::uint32_t y = 0; y < n; ++y) {
-    r1[y] -= static_cast<std::uint32_t>(m1 > row[y] ? m1 - row[y] : 0);
-  }
-}
-
-template <typename Dist>
-void addition_row_scalar(const Dist* src, Dist* dst, const Dist* ru, const Dist* rv, Dist au,
-                         Dist av, std::uint32_t n, Dist inf) {
-  for (std::uint32_t y = 0; y < n; ++y) {
-    const Dist t1 = static_cast<Dist>(au + rv[y]);
-    const Dist t2 = static_cast<Dist>(av + ru[y]);
-    const Dist nd = std::min(src[y], std::min(t1, t2));
-    dst[y] = std::min(nd, inf);
-  }
-}
-
-template <typename Dist>
 void row_sum_max_scalar(const Dist* row, std::uint32_t n, std::uint32_t* sum, Dist* mx) {
   std::uint32_t s = 0;
   Dist m = 0;
@@ -106,21 +81,6 @@ void row_sum_max_scalar(const Dist* row, std::uint32_t n, std::uint32_t* sum, Di
   }
   *sum = s;
   *mx = m;
-}
-
-template <typename Dist>
-void finite_max2_scalar(const Dist* ru, const Dist* rv, std::uint32_t n, Dist inf, Dist* ecc_u,
-                        Dist* ecc_v) {
-  Dist eu = 0;
-  Dist ev = 0;
-  for (std::uint32_t y = 0; y < n; ++y) {
-    const Dist du = ru[y];
-    const Dist dv = rv[y];
-    eu = std::max(eu, du >= inf ? Dist{0} : du);
-    ev = std::max(ev, dv >= inf ? Dist{0} : dv);
-  }
-  *ecc_u = eu;
-  *ecc_v = ev;
 }
 
 template <typename Dist>
@@ -204,18 +164,6 @@ void min_fold_scalar(Dist* dst, const Dist* row, std::uint32_t n) {
 }
 
 template <typename Dist>
-std::uint32_t collect_absdiff_eq1_scalar(const Dist* ru, const Dist* rv, std::uint32_t n,
-                                         std::uint32_t* out) {
-  std::uint32_t count = 0;
-  for (std::uint32_t y = 0; y < n; ++y) {
-    const Dist du = ru[y];
-    const Dist dv = rv[y];
-    if ((du > dv ? du - dv : dv - du) == 1) out[count++] = y;
-  }
-  return count;
-}
-
-template <typename Dist>
 std::uint32_t collect_absdiff_gt1_scalar(const Dist* ru, const Dist* rv, std::uint32_t n,
                                          std::uint32_t* out) {
   std::uint32_t count = 0;
@@ -241,16 +189,11 @@ void fill_scalar(Kernels<Dist>& k) {
   k.deletion_ecc = &deletion_ecc_scalar<Dist>;
   k.scan_min_update = &scan_min_update_scalar<Dist>;
   k.select_mrow = &select_mrow_scalar<Dist>;
-  k.r1_add = &r1_add_scalar<Dist>;
-  k.r1_sub = &r1_sub_scalar<Dist>;
-  k.addition_row = &addition_row_scalar<Dist>;
   k.row_sum_max = &row_sum_max_scalar<Dist>;
-  k.finite_max2 = &finite_max2_scalar<Dist>;
   k.collect_above = &collect_above_scalar<Dist>;
   k.collect_below = &collect_below_scalar<Dist>;
   k.keep_within = &keep_within_scalar<Dist>;
   k.min_fold = &min_fold_scalar<Dist>;
-  k.collect_absdiff_eq1 = &collect_absdiff_eq1_scalar<Dist>;
   k.collect_absdiff_gt1 = &collect_absdiff_gt1_scalar<Dist>;
 }
 

@@ -1,13 +1,13 @@
 // Runtime-dispatched SIMD kernels and 64-byte-aligned storage.
 //
-// The scan-table maintenance loops (elementwise min1/min2/argmin updates, R1
-// relief accumulation, FAR1 filters), the per-candidate combine reductions,
-// and the addition-identity row stream are the measured hot loops of both
-// delta engines (core/swap_engine, core/search_state). They were scalar
-// loops auto-vectorized at the baseline ISA; this header gives them explicit
-// AVX2 (and guarded AVX-512) implementations selected once at runtime by
-// CPUID, with the plain scalar build remaining the portable fallback — and,
-// through BNCG_SIMD, a first-class runtime choice so CI can pin each path.
+// The scan-table maintenance loops (elementwise min1/min2/argmin updates,
+// far-set filters), the per-candidate combine reductions and the far test
+// are the measured hot loops of the delta engine (core/swap_engine). They
+// were scalar loops auto-vectorized at the baseline ISA; this header gives
+// them explicit AVX2 (and guarded AVX-512) implementations selected once at
+// runtime by CPUID, with the plain scalar build remaining the portable
+// fallback — and, through BNCG_SIMD, a first-class runtime choice so CI can
+// pin each path.
 //
 // Exactness contract: every kernel is pure integer arithmetic with the exact
 // wrap/compare semantics of the scalar reference next to it in simd.cpp, so
@@ -132,23 +132,8 @@ struct Kernels {
   /// m[y] = (argmin[y] == w) ? min2[y] : min1[y] — materializes M^w.
   void (*select_mrow)(Dist* m, const Dist* min1, const Dist* min2, const std::uint32_t* argmin,
                       std::uint32_t w, std::uint32_t n);
-  /// r1[y] += max(0, m1 − row[y]) — one row's R1 relief contribution.
-  void (*r1_add)(std::uint32_t* r1, Dist m1, const Dist* row, std::uint32_t n);
-  /// r1[y] -= max(0, m1 − row[y]) — exact cancellation of r1_add.
-  void (*r1_sub)(std::uint32_t* r1, Dist m1, const Dist* row, std::uint32_t n);
-
-  /// Single-edge-addition identity row stream:
-  /// dst[y] = min(src[y], au + rv[y], av + ru[y], inf), all adds in Dist
-  /// (mod 2^width — matching the scalar casts; callers keep operands small).
-  void (*addition_row)(const Dist* src, Dist* dst, const Dist* ru, const Dist* rv, Dist au,
-                       Dist av, std::uint32_t n, Dist inf);
   /// *sum = Σ row[y] (uint32 wraparound), *mx = max_y row[y].
   void (*row_sum_max)(const Dist* row, std::uint32_t n, std::uint32_t* sum, Dist* mx);
-  /// Finite eccentricities of two rows at once: *ecc_u = max_y (ru[y] >= inf
-  /// ? 0 : ru[y]) and likewise *ecc_v — the addition_saturates scan.
-  void (*finite_max2)(const Dist* ru, const Dist* rv, std::uint32_t n, Dist inf, Dist* ecc_u,
-                      Dist* ecc_v);
-
   /// Far-set filter: appends (ascending) every y with y != skip and
   /// int32(vals[y]) > cap to out, returns the count. cap may be negative
   /// (everything passes) or exceed the Dist range (nothing does). out must
@@ -175,10 +160,8 @@ struct Kernels {
   /// order-independent in value but the documented order is the contract the
   /// witness tie-break proofs lean on.
   void (*min_fold)(Dist* dst, const Dist* row, std::uint32_t n);
-  /// Dirty-row filter (removal): every y with |ru[y] − rv[y]| == 1.
-  std::uint32_t (*collect_absdiff_eq1)(const Dist* ru, const Dist* rv, std::uint32_t n,
-                                       std::uint32_t* out);
-  /// Changed-row filter (addition): every y with |ru[y] − rv[y]| > 1.
+  /// Every y with |ru[y] − rv[y]| > 1 — over min1/min2, the columns
+  /// graph/masked_repair's settle_second_min starts from.
   std::uint32_t (*collect_absdiff_gt1)(const Dist* ru, const Dist* rv, std::uint32_t n,
                                        std::uint32_t* out);
 };

@@ -20,8 +20,6 @@
 //    bits in ascending lane order (the scalar write order).
 //  * unsigned compares are synthesized from min/max identities
 //    (a > b ⇔ max(a, b) != b), since AVX2 has no unsigned compare-gt.
-//  * addition_row adds in the element width (wrap mod 2^width), matching
-//    the scalar static_cast<Dist> exactly.
 //  * the collect_* filters emit indices in ascending order via
 //    movemask + count-trailing-zeros, preserving the scalar's output order;
 //    keep_within tests v ≤ cap as min(v, cap) == v, and its u16 body packs
@@ -167,51 +165,6 @@ void select_mrow_u8(u8* m, const u8* min1, const u8* min2, const u32* argmin, u3
   for (; y < n; ++y) m[y] = argmin[y] == w ? min2[y] : min1[y];
 }
 
-void r1_add_u8(u32* r1, u8 m1, const u8* row, u32 n) {
-  const __m256i m1v = _mm256_set1_epi32(static_cast<int>(m1));
-  const __m256i zero = _mm256_setzero_si256();
-  u32 y = 0;
-  for (; y + 8 <= n; y += 8) {
-    const __m256i r =
-        _mm256_cvtepu8_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(row + y)));
-    const __m256i d = _mm256_max_epi32(_mm256_sub_epi32(m1v, r), zero);
-    storeu(r1 + y, _mm256_add_epi32(loadu(r1 + y), d));
-  }
-  for (; y < n; ++y) r1[y] += static_cast<u32>(m1 > row[y] ? m1 - row[y] : 0);
-}
-
-void r1_sub_u8(u32* r1, u8 m1, const u8* row, u32 n) {
-  const __m256i m1v = _mm256_set1_epi32(static_cast<int>(m1));
-  const __m256i zero = _mm256_setzero_si256();
-  u32 y = 0;
-  for (; y + 8 <= n; y += 8) {
-    const __m256i r =
-        _mm256_cvtepu8_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(row + y)));
-    const __m256i d = _mm256_max_epi32(_mm256_sub_epi32(m1v, r), zero);
-    storeu(r1 + y, _mm256_sub_epi32(loadu(r1 + y), d));
-  }
-  for (; y < n; ++y) r1[y] -= static_cast<u32>(m1 > row[y] ? m1 - row[y] : 0);
-}
-
-void addition_row_u8(const u8* src, u8* dst, const u8* ru, const u8* rv, u8 au, u8 av, u32 n,
-                     u8 inf) {
-  const __m256i auv = _mm256_set1_epi8(static_cast<char>(au));
-  const __m256i avv = _mm256_set1_epi8(static_cast<char>(av));
-  const __m256i infv = _mm256_set1_epi8(static_cast<char>(inf));
-  u32 y = 0;
-  for (; y + 32 <= n; y += 32) {
-    const __m256i t1 = _mm256_add_epi8(auv, loadu(rv + y));
-    const __m256i t2 = _mm256_add_epi8(avv, loadu(ru + y));
-    const __m256i nd = _mm256_min_epu8(loadu(src + y), _mm256_min_epu8(t1, t2));
-    storeu(dst + y, _mm256_min_epu8(nd, infv));
-  }
-  for (; y < n; ++y) {
-    const u8 t1 = static_cast<u8>(au + rv[y]);
-    const u8 t2 = static_cast<u8>(av + ru[y]);
-    dst[y] = std::min(std::min(src[y], std::min(t1, t2)), inf);
-  }
-}
-
 void row_sum_max_u8(const u8* row, u32 n, u32* sum, u8* mx) {
   const __m256i zero = _mm256_setzero_si256();
   __m256i acc = zero;
@@ -230,28 +183,6 @@ void row_sum_max_u8(const u8* row, u32 n, u32* sum, u8* mx) {
   }
   *sum = s;
   *mx = w;
-}
-
-void finite_max2_u8(const u8* ru, const u8* rv, u32 n, u8 inf, u8* ecc_u, u8* ecc_v) {
-  const __m256i infv = _mm256_set1_epi8(static_cast<char>(inf));
-  __m256i eu = _mm256_setzero_si256();
-  __m256i ev = _mm256_setzero_si256();
-  u32 y = 0;
-  for (; y + 32 <= n; y += 32) {
-    const __m256i du = loadu(ru + y);
-    const __m256i dv = loadu(rv + y);
-    // d >= inf ⇔ max(d, inf) == d; zero those lanes before the max fold.
-    eu = _mm256_max_epu8(eu, _mm256_andnot_si256(_mm256_cmpeq_epi8(_mm256_max_epu8(du, infv), du), du));
-    ev = _mm256_max_epu8(ev, _mm256_andnot_si256(_mm256_cmpeq_epi8(_mm256_max_epu8(dv, infv), dv), dv));
-  }
-  u8 mu = hmax_epu8(eu);
-  u8 mv = hmax_epu8(ev);
-  for (; y < n; ++y) {
-    mu = std::max(mu, ru[y] >= inf ? u8{0} : ru[y]);
-    mv = std::max(mv, rv[y] >= inf ? u8{0} : rv[y]);
-  }
-  *ecc_u = mu;
-  *ecc_v = mv;
 }
 
 u32 collect_above_u8(const u8* vals, u32 n, std::int32_t cap, u32 skip, u32* out) {
@@ -352,29 +283,6 @@ void min_fold_u8(u8* dst, const u8* row, u32 n) {
     storeu(dst + y, _mm256_min_epu8(loadu(dst + y), loadu(row + y)));
   }
   for (; y < n; ++y) dst[y] = std::min(dst[y], row[y]);
-}
-
-u32 collect_absdiff_eq1_u8(const u8* ru, const u8* rv, u32 n, u32* out) {
-  const __m256i one = _mm256_set1_epi8(1);
-  u32 count = 0;
-  u32 y = 0;
-  for (; y + 32 <= n; y += 32) {
-    const __m256i a = loadu(ru + y);
-    const __m256i b = loadu(rv + y);
-    const __m256i d = _mm256_or_si256(_mm256_subs_epu8(a, b), _mm256_subs_epu8(b, a));
-    u32 bits = static_cast<u32>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(d, one)));
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      out[count++] = y + static_cast<u32>(bit);
-    }
-  }
-  for (; y < n; ++y) {
-    const u8 du = ru[y];
-    const u8 dv = rv[y];
-    if ((du > dv ? du - dv : dv - du) == 1) out[count++] = y;
-  }
-  return count;
 }
 
 u32 collect_absdiff_gt1_u8(const u8* ru, const u8* rv, u32 n, u32* out) {
@@ -492,51 +400,6 @@ void select_mrow_u16(u16* m, const u16* min1, const u16* min2, const u32* argmin
   for (; y < n; ++y) m[y] = argmin[y] == w ? min2[y] : min1[y];
 }
 
-void r1_add_u16(u32* r1, u16 m1, const u16* row, u32 n) {
-  const __m256i m1v = _mm256_set1_epi32(static_cast<int>(m1));
-  const __m256i zero = _mm256_setzero_si256();
-  u32 y = 0;
-  for (; y + 8 <= n; y += 8) {
-    const __m256i r =
-        _mm256_cvtepu16_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(row + y)));
-    const __m256i d = _mm256_max_epi32(_mm256_sub_epi32(m1v, r), zero);
-    storeu(r1 + y, _mm256_add_epi32(loadu(r1 + y), d));
-  }
-  for (; y < n; ++y) r1[y] += static_cast<u32>(m1 > row[y] ? m1 - row[y] : 0);
-}
-
-void r1_sub_u16(u32* r1, u16 m1, const u16* row, u32 n) {
-  const __m256i m1v = _mm256_set1_epi32(static_cast<int>(m1));
-  const __m256i zero = _mm256_setzero_si256();
-  u32 y = 0;
-  for (; y + 8 <= n; y += 8) {
-    const __m256i r =
-        _mm256_cvtepu16_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(row + y)));
-    const __m256i d = _mm256_max_epi32(_mm256_sub_epi32(m1v, r), zero);
-    storeu(r1 + y, _mm256_sub_epi32(loadu(r1 + y), d));
-  }
-  for (; y < n; ++y) r1[y] -= static_cast<u32>(m1 > row[y] ? m1 - row[y] : 0);
-}
-
-void addition_row_u16(const u16* src, u16* dst, const u16* ru, const u16* rv, u16 au, u16 av,
-                      u32 n, u16 inf) {
-  const __m256i auv = _mm256_set1_epi16(static_cast<short>(au));
-  const __m256i avv = _mm256_set1_epi16(static_cast<short>(av));
-  const __m256i infv = _mm256_set1_epi16(static_cast<short>(inf));
-  u32 y = 0;
-  for (; y + 16 <= n; y += 16) {
-    const __m256i t1 = _mm256_add_epi16(auv, loadu(rv + y));
-    const __m256i t2 = _mm256_add_epi16(avv, loadu(ru + y));
-    const __m256i nd = _mm256_min_epu16(loadu(src + y), _mm256_min_epu16(t1, t2));
-    storeu(dst + y, _mm256_min_epu16(nd, infv));
-  }
-  for (; y < n; ++y) {
-    const u16 t1 = static_cast<u16>(au + rv[y]);
-    const u16 t2 = static_cast<u16>(av + ru[y]);
-    dst[y] = std::min(std::min(src[y], std::min(t1, t2)), inf);
-  }
-}
-
 void row_sum_max_u16(const u16* row, u32 n, u32* sum, u16* mx) {
   __m256i acc = _mm256_setzero_si256();
   __m256i worst = _mm256_setzero_si256();
@@ -554,29 +417,6 @@ void row_sum_max_u16(const u16* row, u32 n, u32* sum, u16* mx) {
   }
   *sum = s;
   *mx = w;
-}
-
-void finite_max2_u16(const u16* ru, const u16* rv, u32 n, u16 inf, u16* ecc_u, u16* ecc_v) {
-  const __m256i infv = _mm256_set1_epi16(static_cast<short>(inf));
-  __m256i eu = _mm256_setzero_si256();
-  __m256i ev = _mm256_setzero_si256();
-  u32 y = 0;
-  for (; y + 16 <= n; y += 16) {
-    const __m256i du = loadu(ru + y);
-    const __m256i dv = loadu(rv + y);
-    eu = _mm256_max_epu16(
-        eu, _mm256_andnot_si256(_mm256_cmpeq_epi16(_mm256_max_epu16(du, infv), du), du));
-    ev = _mm256_max_epu16(
-        ev, _mm256_andnot_si256(_mm256_cmpeq_epi16(_mm256_max_epu16(dv, infv), dv), dv));
-  }
-  u16 mu = hmax_epu16(eu);
-  u16 mv = hmax_epu16(ev);
-  for (; y < n; ++y) {
-    mu = std::max(mu, ru[y] >= inf ? u16{0} : ru[y]);
-    mv = std::max(mv, rv[y] >= inf ? u16{0} : rv[y]);
-  }
-  *ecc_u = mu;
-  *ecc_v = mv;
 }
 
 u32 collect_above_u16(const u16* vals, u32 n, std::int32_t cap, u32 skip, u32* out) {
@@ -684,29 +524,6 @@ void min_fold_u16(u16* dst, const u16* row, u32 n) {
   for (; y < n; ++y) dst[y] = std::min(dst[y], row[y]);
 }
 
-u32 collect_absdiff_eq1_u16(const u16* ru, const u16* rv, u32 n, u32* out) {
-  const __m256i one = _mm256_set1_epi16(1);
-  u32 count = 0;
-  u32 y = 0;
-  for (; y + 16 <= n; y += 16) {
-    const __m256i a = loadu(ru + y);
-    const __m256i b = loadu(rv + y);
-    const __m256i d = _mm256_or_si256(_mm256_subs_epu16(a, b), _mm256_subs_epu16(b, a));
-    u32 bits = static_cast<u32>(_mm256_movemask_epi8(_mm256_cmpeq_epi16(d, one))) & 0x55555555u;
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      out[count++] = y + static_cast<u32>(bit >> 1);
-    }
-  }
-  for (; y < n; ++y) {
-    const u16 du = ru[y];
-    const u16 dv = rv[y];
-    if ((du > dv ? du - dv : dv - du) == 1) out[count++] = y;
-  }
-  return count;
-}
-
 u32 collect_absdiff_gt1_u16(const u16* ru, const u16* rv, u32 n, u32* out) {
   const __m256i one = _mm256_set1_epi16(1);
   u32 count = 0;
@@ -758,16 +575,11 @@ bool fill_avx2(Kernels<u8>& k8, Kernels<u16>& k16, WordKernels& kw) {
   k8.deletion_ecc = &deletion_ecc_u8;
   k8.scan_min_update = &scan_min_update_u8;
   k8.select_mrow = &select_mrow_u8;
-  k8.r1_add = &r1_add_u8;
-  k8.r1_sub = &r1_sub_u8;
-  k8.addition_row = &addition_row_u8;
   k8.row_sum_max = &row_sum_max_u8;
-  k8.finite_max2 = &finite_max2_u8;
   k8.collect_above = &collect_above_u8;
   k8.collect_below = &collect_below_u8;
   k8.keep_within = &keep_within_u8;
   k8.min_fold = &min_fold_u8;
-  k8.collect_absdiff_eq1 = &collect_absdiff_eq1_u8;
   k8.collect_absdiff_gt1 = &collect_absdiff_gt1_u8;
 
   k16.combine_sum = &combine_sum_u16;
@@ -775,16 +587,11 @@ bool fill_avx2(Kernels<u8>& k8, Kernels<u16>& k16, WordKernels& kw) {
   k16.deletion_ecc = &deletion_ecc_u16;
   k16.scan_min_update = &scan_min_update_u16;
   k16.select_mrow = &select_mrow_u16;
-  k16.r1_add = &r1_add_u16;
-  k16.r1_sub = &r1_sub_u16;
-  k16.addition_row = &addition_row_u16;
   k16.row_sum_max = &row_sum_max_u16;
-  k16.finite_max2 = &finite_max2_u16;
   k16.collect_above = &collect_above_u16;
   k16.collect_below = &collect_below_u16;
   k16.keep_within = &keep_within_u16;
   k16.min_fold = &min_fold_u16;
-  k16.collect_absdiff_eq1 = &collect_absdiff_eq1_u16;
   k16.collect_absdiff_gt1 = &collect_absdiff_gt1_u16;
 
   kw.or_gather = &or_gather_avx2;

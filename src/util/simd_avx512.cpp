@@ -144,51 +144,6 @@ void select_mrow_u8(u8* m, const u8* min1, const u8* min2, const u32* argmin, u3
   for (; y < n; ++y) m[y] = argmin[y] == w ? min2[y] : min1[y];
 }
 
-void r1_add_u8(u32* r1, u8 m1, const u8* row, u32 n) {
-  const __m512i m1v = _mm512_set1_epi32(static_cast<int>(m1));
-  const __m512i zero = _mm512_setzero_si512();
-  u32 y = 0;
-  for (; y + 16 <= n; y += 16) {
-    const __m512i r =
-        _mm512_cvtepu8_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(row + y)));
-    const __m512i d = _mm512_max_epi32(_mm512_sub_epi32(m1v, r), zero);
-    storeu(r1 + y, _mm512_add_epi32(loadu(r1 + y), d));
-  }
-  for (; y < n; ++y) r1[y] += static_cast<u32>(m1 > row[y] ? m1 - row[y] : 0);
-}
-
-void r1_sub_u8(u32* r1, u8 m1, const u8* row, u32 n) {
-  const __m512i m1v = _mm512_set1_epi32(static_cast<int>(m1));
-  const __m512i zero = _mm512_setzero_si512();
-  u32 y = 0;
-  for (; y + 16 <= n; y += 16) {
-    const __m512i r =
-        _mm512_cvtepu8_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(row + y)));
-    const __m512i d = _mm512_max_epi32(_mm512_sub_epi32(m1v, r), zero);
-    storeu(r1 + y, _mm512_sub_epi32(loadu(r1 + y), d));
-  }
-  for (; y < n; ++y) r1[y] -= static_cast<u32>(m1 > row[y] ? m1 - row[y] : 0);
-}
-
-void addition_row_u8(const u8* src, u8* dst, const u8* ru, const u8* rv, u8 au, u8 av, u32 n,
-                     u8 inf) {
-  const __m512i auv = _mm512_set1_epi8(static_cast<char>(au));
-  const __m512i avv = _mm512_set1_epi8(static_cast<char>(av));
-  const __m512i infv = _mm512_set1_epi8(static_cast<char>(inf));
-  u32 y = 0;
-  for (; y + 64 <= n; y += 64) {
-    const __m512i t1 = _mm512_add_epi8(auv, loadu(rv + y));
-    const __m512i t2 = _mm512_add_epi8(avv, loadu(ru + y));
-    const __m512i nd = _mm512_min_epu8(loadu(src + y), _mm512_min_epu8(t1, t2));
-    storeu(dst + y, _mm512_min_epu8(nd, infv));
-  }
-  for (; y < n; ++y) {
-    const u8 t1 = static_cast<u8>(au + rv[y]);
-    const u8 t2 = static_cast<u8>(av + ru[y]);
-    dst[y] = std::min(std::min(src[y], std::min(t1, t2)), inf);
-  }
-}
-
 void row_sum_max_u8(const u8* row, u32 n, u32* sum, u8* mx) {
   const __m512i zero = _mm512_setzero_si512();
   __m512i acc = zero;
@@ -207,28 +162,6 @@ void row_sum_max_u8(const u8* row, u32 n, u32* sum, u8* mx) {
   }
   *sum = s;
   *mx = w;
-}
-
-void finite_max2_u8(const u8* ru, const u8* rv, u32 n, u8 inf, u8* ecc_u, u8* ecc_v) {
-  const __m512i infv = _mm512_set1_epi8(static_cast<char>(inf));
-  __m512i eu = _mm512_setzero_si512();
-  __m512i ev = _mm512_setzero_si512();
-  u32 y = 0;
-  for (; y + 64 <= n; y += 64) {
-    const __m512i du = loadu(ru + y);
-    const __m512i dv = loadu(rv + y);
-    // finite ⇔ d < inf: fold only those lanes into the max.
-    eu = _mm512_mask_max_epu8(eu, _mm512_cmplt_epu8_mask(du, infv), eu, du);
-    ev = _mm512_mask_max_epu8(ev, _mm512_cmplt_epu8_mask(dv, infv), ev, dv);
-  }
-  u8 mu = hmax_epu8_512(eu);
-  u8 mv = hmax_epu8_512(ev);
-  for (; y < n; ++y) {
-    mu = std::max(mu, ru[y] >= inf ? u8{0} : ru[y]);
-    mv = std::max(mv, rv[y] >= inf ? u8{0} : rv[y]);
-  }
-  *ecc_u = mu;
-  *ecc_v = mv;
 }
 
 u32 collect_above_u8(const u8* vals, u32 n, std::int32_t cap, u32 skip, u32* out) {
@@ -311,29 +244,6 @@ void min_fold_u8(u8* dst, const u8* row, u32 n) {
     storeu(dst + y, _mm512_min_epu8(loadu(dst + y), loadu(row + y)));
   }
   for (; y < n; ++y) dst[y] = std::min(dst[y], row[y]);
-}
-
-u32 collect_absdiff_eq1_u8(const u8* ru, const u8* rv, u32 n, u32* out) {
-  const __m512i one = _mm512_set1_epi8(1);
-  u32 count = 0;
-  u32 y = 0;
-  for (; y + 64 <= n; y += 64) {
-    const __m512i a = loadu(ru + y);
-    const __m512i b = loadu(rv + y);
-    const __m512i d = _mm512_or_si512(_mm512_subs_epu8(a, b), _mm512_subs_epu8(b, a));
-    u64 bits = _mm512_cmpeq_epu8_mask(d, one);
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      out[count++] = y + static_cast<u32>(bit);
-    }
-  }
-  for (; y < n; ++y) {
-    const u8 du = ru[y];
-    const u8 dv = rv[y];
-    if ((du > dv ? du - dv : dv - du) == 1) out[count++] = y;
-  }
-  return count;
 }
 
 u32 collect_absdiff_gt1_u8(const u8* ru, const u8* rv, u32 n, u32* out) {
@@ -440,51 +350,6 @@ void select_mrow_u16(u16* m, const u16* min1, const u16* min2, const u32* argmin
   for (; y < n; ++y) m[y] = argmin[y] == w ? min2[y] : min1[y];
 }
 
-void r1_add_u16(u32* r1, u16 m1, const u16* row, u32 n) {
-  const __m512i m1v = _mm512_set1_epi32(static_cast<int>(m1));
-  const __m512i zero = _mm512_setzero_si512();
-  u32 y = 0;
-  for (; y + 16 <= n; y += 16) {
-    const __m512i r =
-        _mm512_cvtepu16_epi32(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + y)));
-    const __m512i d = _mm512_max_epi32(_mm512_sub_epi32(m1v, r), zero);
-    storeu(r1 + y, _mm512_add_epi32(loadu(r1 + y), d));
-  }
-  for (; y < n; ++y) r1[y] += static_cast<u32>(m1 > row[y] ? m1 - row[y] : 0);
-}
-
-void r1_sub_u16(u32* r1, u16 m1, const u16* row, u32 n) {
-  const __m512i m1v = _mm512_set1_epi32(static_cast<int>(m1));
-  const __m512i zero = _mm512_setzero_si512();
-  u32 y = 0;
-  for (; y + 16 <= n; y += 16) {
-    const __m512i r =
-        _mm512_cvtepu16_epi32(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + y)));
-    const __m512i d = _mm512_max_epi32(_mm512_sub_epi32(m1v, r), zero);
-    storeu(r1 + y, _mm512_sub_epi32(loadu(r1 + y), d));
-  }
-  for (; y < n; ++y) r1[y] -= static_cast<u32>(m1 > row[y] ? m1 - row[y] : 0);
-}
-
-void addition_row_u16(const u16* src, u16* dst, const u16* ru, const u16* rv, u16 au, u16 av,
-                      u32 n, u16 inf) {
-  const __m512i auv = _mm512_set1_epi16(static_cast<short>(au));
-  const __m512i avv = _mm512_set1_epi16(static_cast<short>(av));
-  const __m512i infv = _mm512_set1_epi16(static_cast<short>(inf));
-  u32 y = 0;
-  for (; y + 32 <= n; y += 32) {
-    const __m512i t1 = _mm512_add_epi16(auv, loadu(rv + y));
-    const __m512i t2 = _mm512_add_epi16(avv, loadu(ru + y));
-    const __m512i nd = _mm512_min_epu16(loadu(src + y), _mm512_min_epu16(t1, t2));
-    storeu(dst + y, _mm512_min_epu16(nd, infv));
-  }
-  for (; y < n; ++y) {
-    const u16 t1 = static_cast<u16>(au + rv[y]);
-    const u16 t2 = static_cast<u16>(av + ru[y]);
-    dst[y] = std::min(std::min(src[y], std::min(t1, t2)), inf);
-  }
-}
-
 void row_sum_max_u16(const u16* row, u32 n, u32* sum, u16* mx) {
   __m512i acc = _mm512_setzero_si512();
   __m512i worst = _mm512_setzero_si512();
@@ -502,27 +367,6 @@ void row_sum_max_u16(const u16* row, u32 n, u32* sum, u16* mx) {
   }
   *sum = s;
   *mx = w;
-}
-
-void finite_max2_u16(const u16* ru, const u16* rv, u32 n, u16 inf, u16* ecc_u, u16* ecc_v) {
-  const __m512i infv = _mm512_set1_epi16(static_cast<short>(inf));
-  __m512i eu = _mm512_setzero_si512();
-  __m512i ev = _mm512_setzero_si512();
-  u32 y = 0;
-  for (; y + 32 <= n; y += 32) {
-    const __m512i du = loadu(ru + y);
-    const __m512i dv = loadu(rv + y);
-    eu = _mm512_mask_max_epu16(eu, _mm512_cmplt_epu16_mask(du, infv), eu, du);
-    ev = _mm512_mask_max_epu16(ev, _mm512_cmplt_epu16_mask(dv, infv), ev, dv);
-  }
-  u16 mu = hmax_epu16_512(eu);
-  u16 mv = hmax_epu16_512(ev);
-  for (; y < n; ++y) {
-    mu = std::max(mu, ru[y] >= inf ? u16{0} : ru[y]);
-    mv = std::max(mv, rv[y] >= inf ? u16{0} : rv[y]);
-  }
-  *ecc_u = mu;
-  *ecc_v = mv;
 }
 
 u32 collect_above_u16(const u16* vals, u32 n, std::int32_t cap, u32 skip, u32* out) {
@@ -612,29 +456,6 @@ void min_fold_u16(u16* dst, const u16* row, u32 n) {
   for (; y < n; ++y) dst[y] = std::min(dst[y], row[y]);
 }
 
-u32 collect_absdiff_eq1_u16(const u16* ru, const u16* rv, u32 n, u32* out) {
-  const __m512i one = _mm512_set1_epi16(1);
-  u32 count = 0;
-  u32 y = 0;
-  for (; y + 32 <= n; y += 32) {
-    const __m512i a = loadu(ru + y);
-    const __m512i b = loadu(rv + y);
-    const __m512i d = _mm512_or_si512(_mm512_subs_epu16(a, b), _mm512_subs_epu16(b, a));
-    u32 bits = _mm512_cmpeq_epu16_mask(d, one);
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      out[count++] = y + static_cast<u32>(bit);
-    }
-  }
-  for (; y < n; ++y) {
-    const u16 du = ru[y];
-    const u16 dv = rv[y];
-    if ((du > dv ? du - dv : dv - du) == 1) out[count++] = y;
-  }
-  return count;
-}
-
 u32 collect_absdiff_gt1_u16(const u16* ru, const u16* rv, u32 n, u32* out) {
   const __m512i one = _mm512_set1_epi16(1);
   u32 count = 0;
@@ -682,16 +503,11 @@ bool fill_avx512(Kernels<u8>& k8, Kernels<u16>& k16, WordKernels& kw) {
   k8.deletion_ecc = &deletion_ecc_u8;
   k8.scan_min_update = &scan_min_update_u8;
   k8.select_mrow = &select_mrow_u8;
-  k8.r1_add = &r1_add_u8;
-  k8.r1_sub = &r1_sub_u8;
-  k8.addition_row = &addition_row_u8;
   k8.row_sum_max = &row_sum_max_u8;
-  k8.finite_max2 = &finite_max2_u8;
   k8.collect_above = &collect_above_u8;
   k8.collect_below = &collect_below_u8;
   k8.keep_within = &keep_within_u8;
   k8.min_fold = &min_fold_u8;
-  k8.collect_absdiff_eq1 = &collect_absdiff_eq1_u8;
   k8.collect_absdiff_gt1 = &collect_absdiff_gt1_u8;
 
   k16.combine_sum = &combine_sum_u16;
@@ -699,16 +515,11 @@ bool fill_avx512(Kernels<u8>& k8, Kernels<u16>& k16, WordKernels& kw) {
   k16.deletion_ecc = &deletion_ecc_u16;
   k16.scan_min_update = &scan_min_update_u16;
   k16.select_mrow = &select_mrow_u16;
-  k16.r1_add = &r1_add_u16;
-  k16.r1_sub = &r1_sub_u16;
-  k16.addition_row = &addition_row_u16;
   k16.row_sum_max = &row_sum_max_u16;
-  k16.finite_max2 = &finite_max2_u16;
   k16.collect_above = &collect_above_u16;
   k16.collect_below = &collect_below_u16;
   k16.keep_within = &keep_within_u16;
   k16.min_fold = &min_fold_u16;
-  k16.collect_absdiff_eq1 = &collect_absdiff_eq1_u16;
   k16.collect_absdiff_gt1 = &collect_absdiff_gt1_u16;
 
   kw.or_gather = &or_gather_avx512;

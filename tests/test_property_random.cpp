@@ -5,7 +5,7 @@
 //
 //   P1  unrest == 0  ⟺  the matching certifier passes (both models through
 //       the engine-backed potentials, the sum model also through the
-//       incremental SearchState);
+//       anneal evaluator's reading of its start graph);
 //   P2  every max swap equilibrium is deletion-critical (each endpoint of
 //       each edge owns the deletion move, so the deletion clause covers
 //       both sides);
@@ -29,7 +29,6 @@
 #include "core/equilibrium.hpp"
 #include "core/kstability.hpp"
 #include "core/search.hpp"
-#include "core/search_state.hpp"
 #include "gen/classic.hpp"
 #include "gen/paper.hpp"
 #include "gen/random.hpp"
@@ -50,9 +49,18 @@ TEST(PropertyRandom, UnrestZeroIffSumCertifierPasses) {
   for (int trial = 0; trial < 40; ++trial) {
     const Graph g = random_connected(rng);
     const bool certified = certify_sum_equilibrium(g).is_equilibrium;
-    EXPECT_EQ(sum_unrest(g) == 0, certified) << "trial " << trial;
-    SearchState state(g);
-    EXPECT_EQ(state.unrest() == 0, certified) << "trial " << trial;
+    const std::uint64_t unrest = sum_unrest(g);
+    EXPECT_EQ(unrest == 0, certified) << "trial " << trial;
+    // A zero-step anneal on the start's own diameter reports the unrest its
+    // evaluator reads off the start graph, and returns the graph iff it is
+    // an equilibrium.
+    AnnealConfig config;
+    config.steps = 0;
+    config.target_diameter = diameter(g);
+    AnnealStats st;
+    const std::optional<Graph> found = anneal_equilibrium(g, config, &st);
+    EXPECT_EQ(st.final_unrest, unrest) << "trial " << trial;
+    EXPECT_EQ(found.has_value(), certified) << "trial " << trial;
   }
 }
 

@@ -15,6 +15,7 @@
 #include "gen/random.hpp"
 #include "graph/bfs.hpp"
 #include "graph/metrics.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bncg {
 namespace {
@@ -119,15 +120,16 @@ TEST(Search, AnnealStatsAccountForEveryProposal) {
 }
 
 TEST(Search, AnnealTrajectoriesMatchPins) {
-  // Seeded anneals in both models, at both storage widths, pinned to the
-  // trajectories on which the incremental state and a full recompute per
-  // proposal agreed: every counter and the fingerprint of the graph each
-  // run ended on. Sum runs at these sizes evaluate through SearchState, max
-  // runs through the engine, and under BNCG_FORCE_NAIVE (the
-  // public_api_force_naive entry) both through the naive oracles — all
-  // held to the same pins. The gnm24 runs start off the target diameter and
-  // are nudged onto it first; the chorded cycle's sum run at u8 crosses the
-  // cap and promotes mid-anneal.
+  // Seeded anneals in both models, pinned to the trajectories on which an
+  // incremental evaluator and a full recompute per proposal agreed: every
+  // counter and the fingerprint of the graph each run ended on. Every run
+  // evaluates through the engine — at both storage widths, and once more
+  // under a memory budget too small for any dense slab, so scans and the
+  // shape screen run budgeted — and under BNCG_FORCE_NAIVE (the
+  // public_api_force_naive entry) through the naive oracles; all are held
+  // to the same pins. The gnm24 runs start off the target diameter and are
+  // nudged onto it first; the chorded cycle's masked distances cross the
+  // u8 cap, so its u8 scans fall back to u16.
   struct Pin {
     const char* name;
     std::uint64_t proposals, filtered, evaluated, accepted, final_unrest, fingerprint;
@@ -159,18 +161,34 @@ TEST(Search, AnnealTrajectoriesMatchPins) {
       {chorded, UsageCost::Max, diameter(chorded), 220, 0x5EEDF,
        {"chorded96 max", 220, 216, 4, 0, 1058, 0x816b8fa0feb46611ull}},
   };
+  struct Leg {
+    const char* name;
+    WidthPolicy width;
+    bool budgeted;
+  };
+  const Leg legs[] = {{" u8", WidthPolicy::ForceU8, false},
+                      {" u16", WidthPolicy::ForceU16, false},
+                      {" budgeted", WidthPolicy::Auto, true}};
   for (const Case& c : cases) {
-    for (const WidthPolicy width : {WidthPolicy::ForceU8, WidthPolicy::ForceU16}) {
+    for (const Leg& leg : legs) {
       AnnealConfig config;
       config.cost = c.model;
       config.target_diameter = c.target_diameter;
       config.steps = c.steps;
       config.seed = c.seed;
-      config.resources.width = width;
+      config.resources.width = leg.width;
+      const Vertex n = c.start.num_vertices();
+      if (leg.budgeted) {
+        // Four u16 rows per lane: room for the row cache's two single-row
+        // blocks, and less than any n × n slab at these sizes.
+        config.resources.mem_budget = std::uint64_t{4} * n * sizeof(std::uint16_t) *
+                                      ThreadPool::global().size();
+        const WidthAndBudgetPolicy policy(config.resources);
+        ASSERT_EQ(policy.storage_for(n, DistWidth::U8), RowStorage::Budgeted);
+      }
       AnnealStats st;
       const std::optional<Graph> found = anneal_equilibrium(c.start, config, &st);
-      const std::string ctx =
-          std::string(c.pin.name) + (width == WidthPolicy::ForceU8 ? " u8" : " u16");
+      const std::string ctx = std::string(c.pin.name) + leg.name;
       EXPECT_EQ(st.proposals, c.pin.proposals) << ctx;
       EXPECT_EQ(st.filtered, c.pin.filtered) << ctx;
       EXPECT_EQ(st.evaluated, c.pin.evaluated) << ctx;
@@ -178,6 +196,56 @@ TEST(Search, AnnealTrajectoriesMatchPins) {
       EXPECT_EQ(st.final_unrest, c.pin.final_unrest) << ctx;
       EXPECT_EQ(st.final_fingerprint, c.pin.fingerprint) << ctx;
       EXPECT_EQ(found.has_value(), c.pin.final_unrest == 0) << ctx;
+    }
+  }
+}
+
+/// Toggles {u, v} in place.
+void toggle(Graph& g, Vertex u, Vertex v) {
+  if (g.has_edge(u, v)) {
+    g.remove_edge(u, v);
+  } else {
+    g.add_edge(u, v);
+  }
+}
+
+TEST(Search, SumUnrestMatchesNaiveOnEveryProposal) {
+  // sum_unrest (the pooled engine scan with the relief bound that sum
+  // anneal evaluates with) against the naive oracle on random toggle
+  // walks: every proposal, accepted or not, on 70 random instances of
+  // 6..18 vertices — sparse and dense G(n, m), trees, near-trees.
+  Xoshiro256ss rng(0xA001);
+  for (int trial = 0; trial < 70; ++trial) {
+    const Vertex n = 6 + static_cast<Vertex>(rng.below(13));
+    Graph mirror;
+    switch (trial % 4) {
+      case 0:
+        mirror = random_connected_gnm(n, n + n / 2, rng);
+        break;
+      case 1:
+        mirror = random_connected_gnm(n, 2 * static_cast<std::size_t>(n), rng);
+        break;
+      case 2:
+        mirror = random_tree(n, rng);
+        break;
+      default:
+        mirror = random_connected_gnm(n, n - 1 + rng.below(n), rng);
+    }
+    for (int step = 0; step < 25; ++step) {
+      const Vertex u = static_cast<Vertex>(rng.below(n));
+      const Vertex v = static_cast<Vertex>(rng.below(n));
+      if (u == v) continue;
+      Graph toggled = mirror;
+      toggle(toggled, u, v);
+      if (!is_connected(toggled)) continue;
+      std::uint64_t want = 0;
+      BfsWorkspace ws;
+      for (Vertex a = 0; a < n; ++a) {
+        const std::optional<Deviation> dev = naive::best_sum_deviation(toggled, a, ws);
+        if (dev) want += dev->cost_before - dev->cost_after;
+      }
+      ASSERT_EQ(sum_unrest(toggled), want) << "trial " << trial << " step " << step;
+      if (rng.bernoulli(0.5)) mirror = std::move(toggled);
     }
   }
 }
@@ -196,11 +264,7 @@ TEST(Search, MaxUnrestMatchesNaiveOnEveryProposal) {
       const Vertex v = static_cast<Vertex>(rng.below(n));
       if (u == v) continue;
       Graph toggled = mirror;
-      if (toggled.has_edge(u, v)) {
-        toggled.remove_edge(u, v);
-      } else {
-        toggled.add_edge(u, v);
-      }
+      toggle(toggled, u, v);
       if (!is_connected(toggled)) continue;
       std::uint64_t want = 0;
       BfsWorkspace ws;

@@ -23,7 +23,6 @@
 #include "certificate_oracle.hpp"
 #include "core/certify_sharded.hpp"
 #include "core/search.hpp"
-#include "core/search_state.hpp"
 #include "core/swap_engine.hpp"
 #include "gen/classic.hpp"
 #include "gen/random.hpp"
@@ -106,7 +105,7 @@ void fuzz_kernels_width(std::uint64_t seed) {
       // --- pure reductions -------------------------------------------------
       std::uint64_t want_sum = 0, want_max = 0, want_del = 0;
       std::uint32_t want_rsum = 0;
-      Dist want_rmax = 0, want_eu = 0, want_ev = 0;
+      Dist want_rmax = 0;
       for_each_level(
           [&] {
             const auto& k = simd::kernels<Dist>();
@@ -114,7 +113,6 @@ void fuzz_kernels_width(std::uint64_t seed) {
             want_max = k.combine_max(m, c, n, inf);
             want_del = k.deletion_ecc(m, n, inf);
             k.row_sum_max(m, n, &want_rsum, &want_rmax);
-            k.finite_max2(m, c, n, inf, &want_eu, &want_ev);
           },
           [&](SimdLevel level) {
             const auto& k = simd::kernels<Dist>();
@@ -123,16 +121,13 @@ void fuzz_kernels_width(std::uint64_t seed) {
             EXPECT_EQ(k.combine_max(m, c, n, inf), want_max) << lctx;
             EXPECT_EQ(k.deletion_ecc(m, n, inf), want_del) << lctx;
             std::uint32_t rsum = 0;
-            Dist rmax = 0, eu = 0, ev = 0;
+            Dist rmax = 0;
             k.row_sum_max(m, n, &rsum, &rmax);
-            k.finite_max2(m, c, n, inf, &eu, &ev);
             EXPECT_EQ(rsum, want_rsum) << lctx;
             EXPECT_EQ(rmax, want_rmax) << lctx;
-            EXPECT_EQ(eu, want_eu) << lctx;
-            EXPECT_EQ(ev, want_ev) << lctx;
           });
 
-      // --- scan-table fold + select + R1 -----------------------------------
+      // --- scan-table fold + select ----------------------------------------
       const std::uint32_t folds = 1 + static_cast<std::uint32_t>(rng.below(5));
       std::vector<std::vector<Dist>> fold_rows;
       std::vector<std::uint32_t> fold_ids;
@@ -142,10 +137,9 @@ void fuzz_kernels_width(std::uint64_t seed) {
       }
       const std::uint32_t w_sel = fold_ids.front();
       std::vector<Dist> want_min1, want_min2, want_sel(n);
-      std::vector<std::uint32_t> want_arg, want_r1(n, 0);
+      std::vector<std::uint32_t> want_arg;
       const auto run_tables = [&](std::vector<Dist>& min1, std::vector<Dist>& min2,
-                                  std::vector<std::uint32_t>& argmin, std::vector<Dist>& sel,
-                                  std::vector<std::uint32_t>& r1) {
+                                  std::vector<std::uint32_t>& argmin, std::vector<Dist>& sel) {
         const auto& k = simd::kernels<Dist>();
         min1.assign(n, inf);
         min2.assign(n, inf);
@@ -155,50 +149,18 @@ void fuzz_kernels_width(std::uint64_t seed) {
                             fold_ids[i], n);
         }
         k.select_mrow(sel.data(), min1.data(), min2.data(), argmin.data(), w_sel, n);
-        r1.assign(n, 0x10000);  // nonzero base: catches add/sub sign slips
-        for (std::uint32_t i = 0; i < folds; ++i) {
-          k.r1_add(r1.data(), min1[fold_ids[i] % n], fold_rows[i].data(), n);
-        }
-        k.r1_sub(r1.data(), min1[fold_ids[0] % n], fold_rows[0].data(), n);
       };
       for_each_level(
-          [&] { run_tables(want_min1, want_min2, want_arg, want_sel, want_r1); },
+          [&] { run_tables(want_min1, want_min2, want_arg, want_sel); },
           [&](SimdLevel level) {
             std::vector<Dist> min1, min2, sel(n);
-            std::vector<std::uint32_t> argmin, r1;
-            run_tables(min1, min2, argmin, sel, r1);
+            std::vector<std::uint32_t> argmin;
+            run_tables(min1, min2, argmin, sel);
             const std::string lctx = ctx + " level=" + simd_level_name(level);
             EXPECT_EQ(min1, want_min1) << lctx;
             EXPECT_EQ(min2, want_min2) << lctx;
             EXPECT_EQ(argmin, want_arg) << lctx;
             EXPECT_EQ(sel, want_sel) << lctx;
-            EXPECT_EQ(r1, want_r1) << lctx;
-          });
-
-      // --- addition identity row (incl. in-place aliasing) -----------------
-      auto src = rand_row<Dist>(rng, n, inf, all_inf);
-      const auto ru = rand_row<Dist>(rng, n, inf, false);
-      const auto rv = rand_row<Dist>(rng, n, inf, false);
-      const Dist au = static_cast<Dist>(rng.below(inf));
-      const Dist av = static_cast<Dist>(rng.below(inf));
-      std::vector<Dist> want_dst(n), want_inplace;
-      for_each_level(
-          [&] {
-            const auto& k = simd::kernels<Dist>();
-            k.addition_row(src.data(), want_dst.data(), ru.data(), rv.data(), au, av, n, inf);
-            want_inplace = src;
-            k.addition_row(want_inplace.data(), want_inplace.data(), ru.data(), rv.data(), au,
-                           av, n, inf);
-          },
-          [&](SimdLevel level) {
-            const auto& k = simd::kernels<Dist>();
-            std::vector<Dist> dst(n);
-            k.addition_row(src.data(), dst.data(), ru.data(), rv.data(), au, av, n, inf);
-            std::vector<Dist> inplace = src;
-            k.addition_row(inplace.data(), inplace.data(), ru.data(), rv.data(), au, av, n, inf);
-            const std::string lctx = ctx + " level=" + simd_level_name(level);
-            EXPECT_EQ(dst, want_dst) << lctx;
-            EXPECT_EQ(inplace, want_inplace) << lctx;
           });
 
       // --- filters ----------------------------------------------------------
@@ -207,7 +169,7 @@ void fuzz_kernels_width(std::uint64_t seed) {
                                    static_cast<std::int32_t>(inf)};
       const std::uint32_t skip = static_cast<std::uint32_t>(rng.below(n + 1));  // may be == n
       for (const std::int32_t cap : caps) {
-        std::vector<std::uint32_t> want_above, want_below, want_eq1, want_gt1;
+        std::vector<std::uint32_t> want_above, want_below, want_gt1;
         for_each_level(
             [&] {
               const auto& k = simd::kernels<Dist>();
@@ -215,8 +177,6 @@ void fuzz_kernels_width(std::uint64_t seed) {
               want_above.resize(k.collect_above(m, n, cap, skip, want_above.data()));
               want_below.resize(n);
               want_below.resize(k.collect_below(m, n, cap, skip, want_below.data()));
-              want_eq1.resize(n);
-              want_eq1.resize(k.collect_absdiff_eq1(m, c, n, want_eq1.data()));
               want_gt1.resize(n);
               want_gt1.resize(k.collect_absdiff_gt1(m, c, n, want_gt1.data()));
             },
@@ -239,9 +199,6 @@ void fuzz_kernels_width(std::uint64_t seed) {
               EXPECT_EQ(want_above.size() + got.size(),
                         static_cast<std::size_t>(n) - (skip < n ? 1 : 0))
                   << lctx;
-              got.assign(out.begin(),
-                         out.begin() + k.collect_absdiff_eq1(m, c, n, out.data()));
-              EXPECT_EQ(got, want_eq1) << lctx;
               got.assign(out.begin(),
                          out.begin() + k.collect_absdiff_gt1(m, c, n, out.data()));
               EXPECT_EQ(got, want_gt1) << lctx;
@@ -385,11 +342,14 @@ Graph parity_instance(int trial, Xoshiro256ss& rng) {
 }
 
 /// One instance's full observable surface at the current level: certificate
-/// verdict + witness + move count from certify_sharded, the unrest, and (sum
-/// model) the SearchState scan tables of a few agents.
+/// verdict + witness + move count from certify_sharded, the unrest, and the
+/// engine's fold tables (min1/min2/argmin, widened) of a few agents.
 struct Snapshot {
+  struct Tables {
+    std::vector<std::uint32_t> min1, min2, argmin;
+  };
   EquilibriumCertificate cert;
-  std::vector<SearchState::ScanTables> tables;
+  std::vector<std::optional<Tables>> tables;
   std::uint64_t unrest = 0;
 
   bool operator==(const Snapshot& o) const {
@@ -407,8 +367,10 @@ struct Snapshot {
       return false;
     }
     for (std::size_t i = 0; i < tables.size(); ++i) {
-      if (tables[i].min1 != o.tables[i].min1 || tables[i].min2 != o.tables[i].min2 ||
-          tables[i].argmin != o.tables[i].argmin || tables[i].r1 != o.tables[i].r1) {
+      const auto& a = tables[i];
+      const auto& b = o.tables[i];
+      if (a.has_value() != b.has_value()) return false;
+      if (a && (a->min1 != b->min1 || a->min2 != b->min2 || a->argmin != b->argmin)) {
         return false;
       }
     }
@@ -422,14 +384,21 @@ Snapshot snapshot_instance(const Graph& g, UsageCost model, WidthPolicy width) {
   ShardedCertifyConfig config;
   config.resources.width = width;
   snap.cert = certify_sharded(g, model, deletions, config).certificate;
-  if (model == UsageCost::Max) {
-    snap.unrest = max_unrest(g);
-    return snap;
-  }
-  SearchState state(g, /*parallel=*/true, width);
-  snap.unrest = state.unrest();
+  snap.unrest = model == UsageCost::Sum ? sum_unrest(g) : max_unrest(g);
+  const SwapEngine engine(g, config.resources);
+  SwapEngine::Scratch scratch;
   const Vertex probe = std::min<Vertex>(g.num_vertices(), 3);
-  for (Vertex a = 0; a < probe; ++a) snap.tables.push_back(state.debug_scan_tables(a));
+  for (Vertex a = 0; a < probe; ++a) {
+    const auto fold = [&](auto tag) -> std::optional<Snapshot::Tables> {
+      const auto f = engine.fold_agent<decltype(tag)>(a, scratch);
+      if (!f) return std::nullopt;
+      return Snapshot::Tables{{f->min1.begin(), f->min1.end()},
+                              {f->min2.begin(), f->min2.end()},
+                              {f->argmin.begin(), f->argmin.end()}};
+    };
+    snap.tables.push_back(width == WidthPolicy::ForceU8 ? fold(std::uint8_t{})
+                                                        : fold(std::uint16_t{}));
+  }
   return snap;
 }
 
@@ -462,18 +431,19 @@ TEST(SimdParity, EndToEndAcrossLevels) {
 
 /// Deterministic greedy trajectory: propose a pseudo-random toggle each
 /// step, commit iff the proposal strictly lowers unrest — evaluated as
-/// anneal evaluates it: through SearchState in the sum model, through the
-/// engine's max_unrest on the toggled graph in the max model. Returns the
-/// full decision trace — any cross-level divergence in any kernel output
-/// along the way changes the trace.
+/// anneal evaluates it, by the engine's pooled scan (sum_unrest or
+/// max_unrest) on the toggled graph. Returns the full decision trace — any
+/// cross-level divergence in any kernel output along the way changes the
+/// trace.
 std::vector<std::uint64_t> run_trajectory(const Graph& g0, UsageCost model, std::uint64_t seed) {
   Xoshiro256ss rng(seed);
-  std::optional<SearchState> state;
-  if (model == UsageCost::Sum) state.emplace(g0, /*parallel=*/true, WidthPolicy::Auto);
+  const auto unrest = [model](const Graph& g) {
+    return model == UsageCost::Sum ? sum_unrest(g) : max_unrest(g);
+  };
   Graph g = g0;
   std::vector<std::uint64_t> trace;
   const Vertex n = g.num_vertices();
-  std::uint64_t current = state ? state->unrest() : max_unrest(g);
+  std::uint64_t current = unrest(g);
   trace.push_back(current);
   for (int step = 0; step < 24; ++step) {
     const Vertex u = static_cast<Vertex>(rng.below(n));
@@ -485,15 +455,13 @@ std::vector<std::uint64_t> run_trajectory(const Graph& g0, UsageCost model, std:
     } else {
       toggled.add_edge(u, v);
     }
-    const bool connected = state ? state->propose_toggle(u, v).connected : is_connected(toggled);
-    if (!connected) {
+    if (!is_connected(toggled)) {
       trace.push_back(~std::uint64_t{0});
       continue;
     }
-    const std::uint64_t proposal = state ? state->proposal_unrest() : max_unrest(toggled);
+    const std::uint64_t proposal = unrest(toggled);
     trace.push_back(proposal);
     if (proposal < current) {
-      if (state) state->commit();
       g = std::move(toggled);
       current = proposal;
     }
