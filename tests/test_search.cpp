@@ -209,13 +209,15 @@ void toggle(Graph& g, Vertex u, Vertex v) {
   }
 }
 
-TEST(Search, SumUnrestMatchesNaiveOnEveryProposal) {
-  // sum_unrest (the pooled engine scan with the relief bound that sum
-  // anneal evaluates with) against the naive oracle on random toggle
-  // walks: every proposal, accepted or not, on 70 random instances of
-  // 6..18 vertices — sparse and dense G(n, m), trees, near-trees.
-  Xoshiro256ss rng(0xA001);
-  for (int trial = 0; trial < 70; ++trial) {
+/// sum_unrest (the pooled engine scan with the relief bound that sum anneal
+/// evaluates with) against the naive oracle on random toggle walks: every
+/// proposal, accepted or not, on `instances` random instances of 6..18
+/// vertices — sparse and dense G(n, m), trees, near-trees. With `serial`
+/// each scan runs inside a one-chunk pool task, so the nested scan stays on
+/// one lane; otherwise it spreads over every lane of the pool.
+void run_sum_unrest_differential(bool serial, int instances, std::uint64_t seed) {
+  Xoshiro256ss rng(seed);
+  for (int trial = 0; trial < instances; ++trial) {
     const Vertex n = 6 + static_cast<Vertex>(rng.below(13));
     Graph mirror;
     switch (trial % 4) {
@@ -244,10 +246,28 @@ TEST(Search, SumUnrestMatchesNaiveOnEveryProposal) {
         const std::optional<Deviation> dev = naive::best_sum_deviation(toggled, a, ws);
         if (dev) want += dev->cost_before - dev->cost_after;
       }
-      ASSERT_EQ(sum_unrest(toggled), want) << "trial " << trial << " step " << step;
+      std::uint64_t got = 0;
+      if (serial) {
+        ThreadPool::global().parallel_for(1, 1, [&](std::uint64_t, unsigned) {
+          got = sum_unrest(toggled);
+        });
+      } else {
+        got = sum_unrest(toggled);
+      }
+      ASSERT_EQ(got, want) << "trial " << trial << " step " << step;
       if (rng.bernoulli(0.5)) mirror = std::move(toggled);
     }
   }
+}
+
+// The suite keeps the name it had when these walks pinned the incremental
+// search state that sum anneal used before it moved onto the engine.
+TEST(SearchStateDifferential, SumUnrestMatchesNaiveOnEveryProposalSerial) {
+  run_sum_unrest_differential(/*serial=*/true, 35, 0xA001);
+}
+
+TEST(SearchStateDifferential, SumUnrestMatchesNaiveOnEveryProposalParallel) {
+  run_sum_unrest_differential(/*serial=*/false, 35, 0xA002);
 }
 
 TEST(Search, MaxUnrestMatchesNaiveOnEveryProposal) {
