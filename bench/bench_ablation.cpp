@@ -12,6 +12,7 @@
 #include "core/dynamics.hpp"
 #include "core/equilibrium.hpp"
 #include "core/poa.hpp"
+#include "core/swap_engine.hpp"
 #include "core/tree_game.hpp"
 #include "gen/classic.hpp"
 #include "gen/random.hpp"
@@ -119,10 +120,9 @@ int main() {
       // Swap-stability holds either way; the full max-equilibrium deletion
       // clause is only reachable when neutral deletions may prune chords.
       bool swap_stable = true;
-      BfsWorkspace ws;
+      SwapEngine engine(r.graph);
       for (Vertex v = 0; v < r.graph.num_vertices(); ++v) {
-        swap_stable =
-            swap_stable && !first_max_deviation(r.graph, v, ws, /*include_deletions=*/false);
+        swap_stable = swap_stable && !engine.first_deviation(v, UsageCost::Max);
       }
       const bool full_eq = is_max_equilibrium(r.graph);
       const bool ok = r.converged ? (neutral ? full_eq : swap_stable) : false;

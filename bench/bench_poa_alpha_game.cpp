@@ -53,9 +53,8 @@ int main() {
       int swaps_found = 0;
       for (const double alpha : alphas) {
         ClassicGame game(g, alpha);
-        BfsWorkspace ws;
         for (Vertex v = 0; v < g.num_vertices(); ++v) {
-          const auto move = game.best_deviation(v, ws);
+          const auto move = game.best_deviation(v);
           if (move && move->type == ClassicMove::Type::Swap) ++swaps_found;
         }
       }

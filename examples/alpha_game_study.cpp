@@ -51,10 +51,9 @@ int main(int argc, char** argv) {
   Table t2({"alpha", "improving swaps in alpha-game"});
   for (const double alpha : {0.01, 1.0, 100.0, 1e6}) {
     ClassicGame game(r.graph, alpha);
-    BfsWorkspace ws;
     int swaps = 0;
     for (Vertex v = 0; v < r.graph.num_vertices(); ++v) {
-      const auto move = game.best_deviation(v, ws);
+      const auto move = game.best_deviation(v);
       if (move && move->type == ClassicMove::Type::Swap) ++swaps;
     }
     t2.add_row({fmt(alpha, 2), fmt(swaps)});

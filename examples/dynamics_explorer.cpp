@@ -2,10 +2,8 @@
 //
 // Runs the configured dynamics with full trace recording and prints the
 // social cost / diameter trajectory — the "small world emerges from selfish
-// swaps" phenomenon the paper's introduction motivates. Agent scans route
-// through the SwapEngine, re-snapshotted after every move, or through the
-// naive oracle under BNCG_FORCE_NAIVE; the banner reports which backs the
-// run.
+// swaps" phenomenon the paper's introduction motivates. Agent scans run on
+// the SwapEngine, re-snapshotted after every move.
 //
 //   $ ./dynamics_explorer [family: tree|cycle|sparse|ba] [n] [sum|max] [seed]
 #include <cstdlib>
@@ -13,7 +11,6 @@
 #include <string>
 
 #include "core/dynamics.hpp"
-#include "core/swap_engine.hpp"
 #include "gen/classic.hpp"
 #include "gen/random.hpp"
 #include "graph/metrics.hpp"
@@ -48,9 +45,8 @@ int main(int argc, char** argv) {
   config.max_moves = 200'000;
   config.seed = seed;
 
-  const char* provider = force_naive_requested() ? "naive oracle" : "SwapEngine";
   std::cout << "family=" << family << " n=" << n << " m=" << start.num_edges()
-            << " model=" << model << " provider=" << provider << "\n\n";
+            << " model=" << model << "\n\n";
   const DynamicsResult r = run_dynamics(start, config);
 
   Table t({"move", "social_cost", "diameter"});

@@ -18,7 +18,6 @@
 
 #include "core/equilibrium.hpp"
 #include "core/search.hpp"
-#include "core/swap_engine.hpp"
 #include "gen/paper.hpp"
 #include "gen/random.hpp"
 #include "graph/io.hpp"
@@ -50,12 +49,11 @@ int main(int argc, char** argv) {
   AnnealStats stats;
   Timer timer;
   const Graph start = random_connected_gnm(n, 2 * n, rng);
-  const char* evaluation = force_naive_requested() ? "naive oracle" : "engine";
   const auto found = anneal_equilibrium(start, config, &stats);
   const double secs = timer.seconds();
   std::cout << stats.proposals << " proposals in " << secs << " s ("
-            << (secs > 0 ? static_cast<double>(stats.proposals) / secs : 0.0) << "/s "
-            << evaluation << "): " << stats.filtered << " filtered, " << stats.evaluated
+            << (secs > 0 ? static_cast<double>(stats.proposals) / secs : 0.0)
+            << "/s): " << stats.filtered << " filtered, " << stats.evaluated
             << " evaluated, " << stats.accepted << " accepted, final unrest "
             << stats.final_unrest << "\n";
   if (!found) {

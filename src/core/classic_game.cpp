@@ -159,9 +159,8 @@ std::optional<ClassicMove> ClassicGame::best_deviation_engine(const SwapEngine& 
   return best;
 }
 
-std::optional<ClassicMove> ClassicGame::best_deviation(Vertex v, BfsWorkspace& ws) const {
-  if (force_naive_requested()) return best_deviation_naive(v, ws);
-  SwapEngine engine(graph_);
+std::optional<ClassicMove> ClassicGame::best_deviation(Vertex v) const {
+  const SwapEngine engine(graph_);
   SwapEngine::Scratch scratch;
   return best_deviation_engine(engine, scratch, v);
 }
@@ -204,7 +203,6 @@ AlphaInterval ClassicGame::alpha_equilibrium_interval_naive() const {
 }
 
 AlphaInterval ClassicGame::alpha_equilibrium_interval() const {
-  if (force_naive_requested()) return alpha_equilibrium_interval_naive();
   AlphaInterval interval;
   const SwapEngine engine(graph_);
   SwapEngine::Scratch scratch;
@@ -258,13 +256,6 @@ void ClassicGame::apply(const ClassicMove& move) {
 }
 
 bool ClassicGame::is_greedy_equilibrium() const {
-  if (force_naive_requested()) {
-    BfsWorkspace ws;
-    for (Vertex v = 0; v < graph_.num_vertices(); ++v) {
-      if (best_deviation_naive(v, ws)) return false;
-    }
-    return true;
-  }
   // One snapshot serves every agent — the graph is const here.
   const SwapEngine engine(graph_);
   SwapEngine::Scratch scratch;
@@ -276,21 +267,17 @@ bool ClassicGame::is_greedy_equilibrium() const {
 
 ClassicGame::RunResult ClassicGame::run_best_response(std::uint64_t max_moves) {
   RunResult result;
-  BfsWorkspace ws;
   const Vertex n = graph_.num_vertices();
-  const bool engine_path = !force_naive_requested();
-  std::optional<SwapEngine> engine;
+  SwapEngine engine(graph_);
   SwapEngine::Scratch scratch;
-  if (engine_path) engine.emplace(graph_);
   for (;;) {
     bool any_move = false;
     for (Vertex v = 0; v < n; ++v) {
       if (result.moves >= max_moves) break;
-      const auto move =
-          engine_path ? best_deviation_engine(*engine, scratch, v) : best_deviation_naive(v, ws);
+      const auto move = best_deviation_engine(engine, scratch, v);
       if (!move) continue;
       apply(*move);
-      if (engine_path) engine->rebuild(graph_);  // snapshots are immutable
+      engine.rebuild(graph_);  // snapshots are immutable
       ++result.moves;
       any_move = true;
     }

@@ -86,11 +86,11 @@ class ClassicGame {
   [[nodiscard]] double social_cost() const;
 
   /// Best greedy deviation (add/delete/swap) for agent `v`; nullopt when
-  /// none improves strictly. Routed: SwapEngine-backed (the repaired rows of
-  /// G − v instead of one BFS per candidate) unless force_naive_requested(),
-  /// then the naive scan — identical moves, gains, and tie-breaks either way
+  /// none improves strictly. SwapEngine-backed (the repaired rows of G − v
+  /// instead of one BFS per candidate) on a snapshot built for this call —
+  /// identical moves, gains, and tie-breaks to best_deviation_naive
   /// (differential suite: tests/test_classic_game_engine.cpp).
-  [[nodiscard]] std::optional<ClassicMove> best_deviation(Vertex v, BfsWorkspace& ws) const;
+  [[nodiscard]] std::optional<ClassicMove> best_deviation(Vertex v) const;
 
   /// The brute-force oracle: direct mutation + one BFS per candidate move.
   [[nodiscard]] std::optional<ClassicMove> best_deviation_naive(Vertex v, BfsWorkspace& ws) const;
@@ -102,7 +102,7 @@ class ClassicGame {
                                                                  SwapEngine::Scratch& scratch,
                                                                  Vertex v) const;
 
-  /// The α-interval of the current state (routed like best_deviation), and
+  /// The α-interval of the current state (on one SwapEngine snapshot), and
   /// its naive BFS twin for differential testing. Engine and naive compute
   /// identical usage integers, so the interval endpoints are bit-identical
   /// doubles.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
@@ -41,21 +40,8 @@ std::uint64_t parse_mem_bytes(const std::string& text) {
   return value * scale;
 }
 
-std::uint64_t env_mem_budget() {
-  static const std::uint64_t parsed = [] {
-    const char* raw = std::getenv("BNCG_MEM_BUDGET");
-    if (raw == nullptr || raw[0] == '\0') return std::uint64_t{0};
-    return parse_mem_bytes(raw);
-  }();
-  return parsed;
-}
-
-std::uint64_t resolved_mem_budget(const ResourceConfig& config) {
-  return config.mem_budget != 0 ? config.mem_budget : env_mem_budget();
-}
-
 WidthAndBudgetPolicy::WidthAndBudgetPolicy(const ResourceConfig& config, unsigned lanes)
-    : width_(config.width), total_budget_(resolved_mem_budget(config)) {
+    : width_(config.width), total_budget_(config.mem_budget) {
   if (lanes == 0) lanes = ThreadPool::global().size();
   if (lanes == 0) lanes = 1;
   // Never let integer division alias a tiny share with "unlimited" (0); a

@@ -4,12 +4,10 @@
 // ResourceConfig holds the knobs every scan tier shares:
 //
 //   width      — the storage-width preference (graph/dist_width.hpp),
-//   mem_budget — a byte budget for distance-row storage (0 = take
-//                BNCG_MEM_BUDGET from the environment; unset = unlimited).
+//   mem_budget — a byte budget for distance-row storage (0 = unlimited).
 //
-// Routing to the exact naive oracles is not a resource: BNCG_FORCE_NAIVE,
-// read once by force_naive_requested() (core/swap_engine.hpp), is the only
-// toggle.
+// The budget is read from this field and nowhere else; the CLI's
+// --mem-budget sets it.
 //
 // WidthAndBudgetPolicy turns a ResourceConfig into the two decisions the
 // scan tiers need: which width to prefer, and whether a dense n×n scan
@@ -39,23 +37,15 @@ namespace bncg {
 struct ResourceConfig {
   /// Distance storage width preference; results are width-independent.
   WidthPolicy width = WidthPolicy::Auto;
-  /// Byte budget for distance-row storage per process. 0 = consult
-  /// BNCG_MEM_BUDGET (bytes, with optional K/M/G binary suffix); when that
-  /// is unset too, storage is unlimited and every tier keeps its dense
-  /// fast path. The budget is shared evenly across scan lanes.
+  /// Byte budget for distance-row storage per process. 0 = unlimited:
+  /// every tier keeps its dense fast path. The budget is shared evenly
+  /// across scan lanes.
   std::uint64_t mem_budget = 0;
 };
 
 /// Parses a byte count with optional binary suffix: "1073741824", "512K",
 /// "256M", "2G". Throws std::invalid_argument on anything else.
 [[nodiscard]] std::uint64_t parse_mem_bytes(const std::string& text);
-
-/// BNCG_MEM_BUDGET parsed once per process; 0 when unset/empty.
-[[nodiscard]] std::uint64_t env_mem_budget();
-
-/// The budget a ResourceConfig resolves to: explicit field, else env, else
-/// 0 (= unlimited).
-[[nodiscard]] std::uint64_t resolved_mem_budget(const ResourceConfig& config);
 
 /// Whether a scan reads the shared dense slab or the budgeted row cache.
 enum class RowStorage : std::uint8_t { Dense, Budgeted };
@@ -66,8 +56,8 @@ enum class RowStorage : std::uint8_t { Dense, Budgeted };
 class WidthAndBudgetPolicy {
  public:
   WidthAndBudgetPolicy() = default;
-  /// Resolves the budget and splits it across `lanes` scan lanes (0 =
-  /// the process thread-pool size). Every scan lane owns its own scratch,
+  /// Splits config.mem_budget across `lanes` scan lanes (0 = the process
+  /// thread-pool size). Every scan lane owns its own scratch,
   /// so the per-lane share is what a dense slab must fit into.
   explicit WidthAndBudgetPolicy(const ResourceConfig& config, unsigned lanes = 0);
 

@@ -13,72 +13,46 @@ namespace bncg {
 
 namespace {
 
-/// Move provider for the dynamics loop, in two tiers:
-///  * SwapEngine-backed (default): one CSR snapshot and one shared unmasked
-///    APSP per accepted move, one masked-row repair per scan.
-///  * naive (BNCG_FORCE_NAIVE): the original BFS-per-candidate oracle.
-/// Both return bit-identical deviations, so trajectories do not depend on
-/// the tier (differential-tested in tests/test_dynamics.cpp).
+/// Move provider for the dynamics loop: one SwapEngine, re-snapshotted
+/// (CSR plus one shared unmasked APSP) after every accepted move, with one
+/// masked-row repair per scan. Its deviations are bit-identical to the
+/// naive oracle's (differential-tested in tests/test_dynamics.cpp).
 class MoveProvider {
  public:
   MoveProvider(const Graph& g, const DynamicsConfig& config)
       : config_(config),
-        deletions_(config.cost == UsageCost::Max && config.allow_neutral_deletions) {
-    if (!force_naive_requested()) engine_.emplace(g, config.resources);
-  }
+        deletions_(config.cost == UsageCost::Max && config.allow_neutral_deletions),
+        engine_(g, config.resources) {}
 
   /// Must be called after every executed move (graph mutated accordingly).
-  void on_move(const Graph& g) {
-    if (engine_) engine_->rebuild(g);
-  }
+  void on_move(const Graph& g) { engine_.rebuild(g); }
 
   /// Picks the deviation for agent `v` according to the configured model and
   /// policy. Neutral deletions are only surfaced in the max model when asked.
-  std::optional<Deviation> agent_deviation(const Graph& g, Vertex v) {
+  std::optional<Deviation> agent_deviation(Vertex v) {
     const UsageCost cost = config_.cost;
-    const auto scan = [&](bool first, bool deletions) -> std::optional<Deviation> {
-      if (engine_) {
-        return first ? engine_->first_deviation(v, cost, deletions)
-                     : engine_->best_deviation(v, cost, deletions);
-      }
-      if (cost == UsageCost::Sum) {
-        return first ? naive::first_sum_deviation(g, v, ws_)
-                     : naive::best_sum_deviation(g, v, ws_);
-      }
-      return first ? naive::first_max_deviation(g, v, ws_, deletions)
-                   : naive::best_max_deviation(g, v, ws_, deletions);
-    };
-    if (config_.policy == MovePolicy::FirstImprovement) return scan(/*first=*/true, deletions_);
+    if (config_.policy == MovePolicy::FirstImprovement) {
+      return engine_.first_deviation(v, cost, deletions_);
+    }
     // Best-improvement: prefer the best improving swap, fall back to a
     // neutral deletion (which never competes on cost_after).
-    auto best = scan(/*first=*/false, /*deletions=*/false);
-    if (!best && deletions_) best = scan(/*first=*/true, /*deletions=*/true);
+    auto best = engine_.best_deviation(v, cost);
+    if (!best && deletions_) best = engine_.first_deviation(v, cost, /*include_deletions=*/true);
     return best;
   }
 
   /// True iff the graph is in equilibrium for the configured game (including
   /// the deletion clause when neutral deletions participate in the max game).
-  bool certified(const Graph& g) {
-    if (engine_) {
-      ShardedCertifyConfig certify;
-      certify.resources = config_.resources;
-      return certify_sharded(g, config_.cost, deletions_, certify).certificate.is_equilibrium;
-    }
-    if (config_.cost == UsageCost::Sum) return naive::certify_sum_equilibrium(g).is_equilibrium;
-    if (deletions_) return naive::certify_max_equilibrium(g).is_equilibrium;
-    // Swap-only max dynamics: check swap stability for every agent.
-    const Vertex n = g.num_vertices();
-    for (Vertex v = 0; v < n; ++v) {
-      if (naive::first_max_deviation(g, v, ws_, /*include_deletions=*/false)) return false;
-    }
-    return true;
+  bool certified(const Graph& g) const {
+    ShardedCertifyConfig certify;
+    certify.resources = config_.resources;
+    return certify_sharded(g, config_.cost, deletions_, certify).certificate.is_equilibrium;
   }
 
  private:
   const DynamicsConfig& config_;
   const bool deletions_;  // max model with neutral deletions
-  std::optional<SwapEngine> engine_;
-  BfsWorkspace ws_;
+  SwapEngine engine_;
 };
 
 /// Executes a deviation on the live graph. NonCriticalDelete witnesses
@@ -147,7 +121,7 @@ DynamicsResult run_dynamics(Graph start, const DynamicsConfig& config) {
       // One pass = one globally best move.
       std::optional<Deviation> best;
       for (Vertex v = 0; v < n && !out_of_budget; ++v) {
-        const auto dev = provider.agent_deviation(g, v);
+        const auto dev = provider.agent_deviation(v);
         if (!dev) continue;
         // Rank by absolute improvement; neutral deletions rank last.
         const auto gain = [](const Deviation& d) {
@@ -163,7 +137,7 @@ DynamicsResult run_dynamics(Graph start, const DynamicsConfig& config) {
       if (config.scheduler == Scheduler::RandomOrder) rng.shuffle(order);
       for (const Vertex v : order) {
         if (out_of_budget) break;
-        const auto dev = provider.agent_deviation(g, v);
+        const auto dev = provider.agent_deviation(v);
         if (!dev) continue;
         any_move = true;
         take_move(*dev);

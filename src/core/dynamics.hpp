@@ -6,10 +6,10 @@
 // edge count — the basic game has no α and edges can only be relocated —
 // so the reachable equilibria live inside the fixed-m configuration space.
 //
-// Agent scans route through the delta-evaluation SwapEngine
-// (core/swap_engine.hpp), re-snapshotted after every accepted move, at every
-// n, and through the naive BFS-per-candidate oracle under BNCG_FORCE_NAIVE.
-// Both produce bit-identical moves, so the tier never changes a trajectory.
+// Agent scans run on the delta-evaluation SwapEngine (core/swap_engine.hpp),
+// re-snapshotted after every accepted move, at every n. Its moves are
+// bit-identical to the naive BFS-per-candidate oracle's, so a naive replay
+// reproduces every trajectory (Dynamics.TrajectoriesMatchNaiveReplay).
 //
 // Neither version admits an obvious potential function, so convergence is
 // not guaranteed a priori; the loop caps the number of moves and reports

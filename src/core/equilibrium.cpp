@@ -178,38 +178,11 @@ EquilibriumCertificate certify_max_equilibrium(const Graph& g) {
 
 }  // namespace naive
 
-std::optional<Deviation> best_sum_deviation(const Graph& g, Vertex v, BfsWorkspace& ws) {
-  if (force_naive_requested()) return naive::best_sum_deviation(g, v, ws);
-  SwapEngine engine(g);
-  return engine.best_deviation(v, UsageCost::Sum);
-}
-
-std::optional<Deviation> first_sum_deviation(const Graph& g, Vertex v, BfsWorkspace& ws) {
-  if (force_naive_requested()) return naive::first_sum_deviation(g, v, ws);
-  SwapEngine engine(g);
-  return engine.first_deviation(v, UsageCost::Sum);
-}
-
-std::optional<Deviation> best_max_deviation(const Graph& g, Vertex v, BfsWorkspace& ws) {
-  if (force_naive_requested()) return naive::best_max_deviation(g, v, ws);
-  SwapEngine engine(g);
-  return engine.best_deviation(v, UsageCost::Max);
-}
-
-std::optional<Deviation> first_max_deviation(const Graph& g, Vertex v, BfsWorkspace& ws,
-                                             bool include_deletions) {
-  if (force_naive_requested()) return naive::first_max_deviation(g, v, ws, include_deletions);
-  SwapEngine engine(g);
-  return engine.first_deviation(v, UsageCost::Max, include_deletions);
-}
-
 EquilibriumCertificate certify_sum_equilibrium(const Graph& g) {
-  if (force_naive_requested()) return naive::certify_sum_equilibrium(g);
   return certify_sharded(g, UsageCost::Sum, /*include_deletions=*/false).certificate;
 }
 
 EquilibriumCertificate certify_max_equilibrium(const Graph& g) {
-  if (force_naive_requested()) return naive::certify_max_equilibrium(g);
   return certify_sharded(g, UsageCost::Max, /*include_deletions=*/true).certificate;
 }
 
@@ -219,34 +192,22 @@ bool is_max_equilibrium(const Graph& g) { return certify_max_equilibrium(g).is_e
 
 bool is_deletion_critical(const Graph& g) {
   // Removing {u, v} must strictly increase *both* endpoints' local
-  // diameters. Disconnecting deletions count as +∞ and therefore pass.
+  // diameters. Disconnecting deletions count as +∞ and therefore pass; a
+  // disconnected input (an edgeless one included) fails outright.
   // One masked-APSP row read per endpoint on the CSR snapshot.
-  std::vector<Vertex> base_ecc = eccentricities(g);
-  if (!force_naive_requested()) {
-    const CsrGraph csr(g);
-    BatchBfsWorkspace ws;
-    std::vector<std::uint16_t> dist(g.num_vertices());
-    for (const auto& [u, v] : g.edges()) {
-      if (base_ecc[u] == kInfDist || base_ecc[v] == kInfDist) return false;  // disconnected
-      const MaskedEdge mask{u, v};
-      const BfsResult ru = csr_bfs(csr, u, mask, dist.data(), ws);
-      const std::uint64_t ecc_u = ru.spans(csr.num_vertices()) ? ru.ecc : kInfCost;
-      if (ecc_u <= base_ecc[u]) return false;
-      const BfsResult rv = csr_bfs(csr, v, mask, dist.data(), ws);
-      const std::uint64_t ecc_v = rv.spans(csr.num_vertices()) ? rv.ecc : kInfCost;
-      if (ecc_v <= base_ecc[v]) return false;
-    }
-    return true;
-  }
-  Graph work = g;
-  BfsWorkspace ws;
+  const std::vector<Vertex> base_ecc = eccentricities(g);
+  if (std::ranges::find(base_ecc, kInfDist) != base_ecc.end()) return false;
+  const CsrGraph csr(g);
+  BatchBfsWorkspace ws;
+  std::vector<std::uint16_t> dist(g.num_vertices());
   for (const auto& [u, v] : g.edges()) {
-    work.remove_edge(u, v);
-    const std::uint64_t ecc_u = vertex_cost(work, u, UsageCost::Max, ws);
-    const std::uint64_t ecc_v = vertex_cost(work, v, UsageCost::Max, ws);
-    work.add_edge(u, v);
-    if (base_ecc[u] == kInfDist || base_ecc[v] == kInfDist) return false;  // disconnected input
-    if (ecc_u <= base_ecc[u] || ecc_v <= base_ecc[v]) return false;
+    const MaskedEdge mask{u, v};
+    const BfsResult ru = csr_bfs(csr, u, mask, dist.data(), ws);
+    const std::uint64_t ecc_u = ru.spans(csr.num_vertices()) ? ru.ecc : kInfCost;
+    if (ecc_u <= base_ecc[u]) return false;
+    const BfsResult rv = csr_bfs(csr, v, mask, dist.data(), ws);
+    const std::uint64_t ecc_v = rv.spans(csr.num_vertices()) ? rv.ecc : kInfCost;
+    if (ecc_v <= base_ecc[v]) return false;
   }
   return true;
 }
@@ -279,13 +240,11 @@ bool is_insertion_stable(const Graph& g) {
 }
 
 bool vertex_is_sum_stable(const Graph& g, Vertex v) {
-  BfsWorkspace ws;
-  return !first_sum_deviation(g, v, ws).has_value();
+  return !SwapEngine(g).first_deviation(v, UsageCost::Sum).has_value();
 }
 
 bool vertex_is_max_stable(const Graph& g, Vertex v) {
-  BfsWorkspace ws;
-  return !first_max_deviation(g, v, ws, /*include_deletions=*/true).has_value();
+  return !SwapEngine(g).first_deviation(v, UsageCost::Max, /*include_deletions=*/true).has_value();
 }
 
 }  // namespace bncg

@@ -56,32 +56,12 @@ struct EquilibriumCertificate {
   std::uint64_t moves_checked = 0;
 };
 
-/// Finds the best improving swap for a *single* agent `v` in the sum model;
-/// nullopt when v has none. O(deg(v) · n) BFS runs.
-[[nodiscard]] std::optional<Deviation> best_sum_deviation(const Graph& g, Vertex v,
-                                                          BfsWorkspace& ws);
-
-/// First (not best) improving swap for agent `v` in the sum model.
-[[nodiscard]] std::optional<Deviation> first_sum_deviation(const Graph& g, Vertex v,
-                                                           BfsWorkspace& ws);
-
-/// Finds the best improving swap for agent `v` in the max model (swap moves
-/// only; deletion-criticality is checked by the certifier separately).
-[[nodiscard]] std::optional<Deviation> best_max_deviation(const Graph& g, Vertex v,
-                                                          BfsWorkspace& ws);
-
-/// First improving swap for agent `v` in the max model. Also reports
-/// neutral deletions (Kind::NonCriticalDelete) when `include_deletions`.
-[[nodiscard]] std::optional<Deviation> first_max_deviation(const Graph& g, Vertex v,
-                                                           BfsWorkspace& ws,
-                                                           bool include_deletions = false);
-
-/// Exhaustively certifies sum equilibrium through certify_sharded (the
-/// naive oracle under BNCG_FORCE_NAIVE).
+/// Exhaustively certifies sum equilibrium through certify_sharded
+/// (core/certify_sharded.hpp), the SwapEngine's one in-process driver.
 [[nodiscard]] EquilibriumCertificate certify_sum_equilibrium(const Graph& g);
 
 /// Exhaustively certifies max equilibrium: swap stability for every agent
-/// plus the strict-deletion clause for every edge endpoint. Same routing as
+/// plus the strict-deletion clause for every edge endpoint. Same driver as
 /// certify_sum_equilibrium.
 [[nodiscard]] EquilibriumCertificate certify_max_equilibrium(const Graph& g);
 
@@ -90,7 +70,8 @@ struct EquilibriumCertificate {
 [[nodiscard]] bool is_max_equilibrium(const Graph& g);
 
 /// Deleting any edge strictly increases the local diameter of both
-/// endpoints (uses the +∞ convention for disconnecting deletions).
+/// endpoints (uses the +∞ convention for disconnecting deletions). False
+/// for a disconnected input, edgeless ones included.
 [[nodiscard]] bool is_deletion_critical(const Graph& g);
 
 /// Inserting any absent edge decreases neither endpoint's local diameter.
@@ -100,23 +81,25 @@ struct EquilibriumCertificate {
 
 /// Single-vertex variants exploiting symmetry: for vertex-transitive
 /// constructions (Fig. 4, Cayley graphs) checking one representative vertex
-/// per orbit suffices. These check exactly the given agent.
+/// per orbit suffices. These check exactly the given agent, on one
+/// SwapEngine snapshot of `g` (the max variant includes the deletion clause).
 [[nodiscard]] bool vertex_is_sum_stable(const Graph& g, Vertex v);
 [[nodiscard]] bool vertex_is_max_stable(const Graph& g, Vertex v);
 
 /// Brute-force oracle: one scoped mutation plus one full BFS per candidate
-/// move. The public entry points above route through the delta-evaluation
-/// SwapEngine (core/swap_engine.hpp) at every size unless BNCG_FORCE_NAIVE
-/// is set; these are the reference implementations the engine is
-/// differential-tested against.
+/// move. The public entry points above run the delta-evaluation SwapEngine
+/// (core/swap_engine.hpp) at every size; these are the reference
+/// implementations the engine is differential-tested against, and callers
+/// that want the oracle call them by name. Per-agent engine scans are
+/// SwapEngine::best_deviation / first_deviation on one snapshot per graph.
 namespace naive {
 [[nodiscard]] std::optional<Deviation> best_sum_deviation(const Graph& g, Vertex v,
                                                           BfsWorkspace& ws);
 [[nodiscard]] std::optional<Deviation> first_sum_deviation(const Graph& g, Vertex v,
                                                            BfsWorkspace& ws);
 /// Best max-model deviation; with `include_deletions`, cost-neutral
-/// deletions (Kind::NonCriticalDelete) compete too — the oracle behind
-/// max_unrest and the incremental search state's differential tests.
+/// deletions (Kind::NonCriticalDelete) compete too — the reference the
+/// max_unrest differential tests compare against.
 [[nodiscard]] std::optional<Deviation> best_max_deviation(const Graph& g, Vertex v,
                                                           BfsWorkspace& ws,
                                                           bool include_deletions = false);

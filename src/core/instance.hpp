@@ -57,8 +57,7 @@ struct RunConfig {
   /// Dynamics scheduler seed (RandomOrder shuffles).
   std::uint64_t seed = 0x5eed;
   /// Distance-storage width and per-lane memory budget
-  /// (core/dist_provider.hpp). mem_budget = 0 defers to BNCG_MEM_BUDGET,
-  /// then unlimited.
+  /// (core/dist_provider.hpp). mem_budget = 0 means unlimited.
   ResourceConfig resources;
 };
 

@@ -151,11 +151,12 @@ Vertex max_tolerated_insertions(const DistanceMatrix& dm, Vertex v, Vertex k_max
 
 // ------------------------------------------------------------ naive oracles
 //
-// The original full-recompute decision procedures, now the BNCG_FORCE_NAIVE
-// tier: each call pays fresh all-pairs BFS (one DistanceMatrix per decision;
-// one per deletion subset for swaps). The engine paths below must reproduce
-// these byte for byte — same far-set order, same mask conditions, same
-// dedup, same cover_search — so verdicts AND witnesses agree.
+// The original full-recompute decision procedures, kept as the reference
+// the engine paths are differential-tested against: each call pays fresh
+// all-pairs BFS (one DistanceMatrix per decision; one per deletion subset
+// for swaps). The engine paths below must reproduce these byte for byte —
+// same far-set order, same mask conditions, same dedup, same cover_search —
+// so verdicts AND witnesses agree.
 
 namespace naive {
 
@@ -249,29 +250,25 @@ KStabilityReport swap_stability_at(const Graph& g, Vertex v, Vertex k) {
 
 }  // namespace naive
 
-// ------------------------------------------------------- routed entry points
+// -------------------------------------------------------- engine entry points
 
 KStabilityReport insertion_stability_at(const Graph& g, Vertex v, Vertex k) {
-  if (force_naive_requested()) return naive::insertion_stability_at(g, v, k);
   SwapEngine engine(g);
   SwapEngine::Scratch scratch;
   return engine.insertion_stability_at(v, k, scratch);
 }
 
 KStabilityReport insertion_stability(const Graph& g, Vertex k) {
-  if (force_naive_requested()) return naive::insertion_stability(g, k);
   return SwapEngine(g).insertion_stability(k);
 }
 
 Vertex max_tolerated_insertions(const Graph& g, Vertex v, Vertex k_max) {
-  if (force_naive_requested()) return naive::max_tolerated_insertions(g, v, k_max);
   SwapEngine engine(g);
   SwapEngine::Scratch scratch;
   return engine.max_tolerated_insertions(v, k_max, scratch);
 }
 
 KStabilityReport swap_stability_at(const Graph& g, Vertex v, Vertex k) {
-  if (force_naive_requested()) return naive::swap_stability_at(g, v, k);
   SwapEngine engine(g);
   SwapEngine::Scratch scratch;
   return engine.swap_stability_at(v, k, scratch);

@@ -42,13 +42,13 @@ struct KStabilityReport {
 [[nodiscard]] KStabilityReport insertion_stability_at(const DistanceMatrix& dm, Vertex v,
                                                       Vertex k);
 
-/// Graph-level single-agent form, routed through the SwapEngine k-insertion
-/// evaluator unless force_naive_requested() (bit-identical verdict AND
-/// witness to the naive oracle — DESIGN.md §14), then bncg::naive::.
+/// Graph-level single-agent form, on the SwapEngine k-insertion evaluator
+/// (bit-identical verdict AND witness to bncg::naive::insertion_stability_at
+/// — DESIGN.md §14).
 [[nodiscard]] KStabilityReport insertion_stability_at(const Graph& g, Vertex v, Vertex k);
 
-/// Checks every vertex; exact. O(n) cover instances. Routed: the engine path
-/// shares one batched APSP across all agents and parallelizes the per-agent
+/// Checks every vertex; exact. O(n) cover instances. The engine shares one
+/// batched APSP across all agents and parallelizes the per-agent
 /// cover instances (serial fold — the witness is the earliest unstable
 /// agent, identical to the naive sequential sweep at any thread count).
 [[nodiscard]] KStabilityReport insertion_stability(const Graph& g, Vertex k);
@@ -58,7 +58,7 @@ struct KStabilityReport {
 /// graphs, one call characterizes the whole graph.
 [[nodiscard]] Vertex max_tolerated_insertions(const DistanceMatrix& dm, Vertex v, Vertex k_max);
 
-/// Graph-level routed form of max_tolerated_insertions: the engine builds
+/// Graph-level engine form of max_tolerated_insertions: the engine builds
 /// the agent's cover instance once and re-solves it at each budget.
 [[nodiscard]] Vertex max_tolerated_insertions(const Graph& g, Vertex v, Vertex k_max);
 
@@ -90,10 +90,8 @@ struct KStabilityReport {
 
 /// Brute-force oracles: the original full-recompute implementations (one
 /// DistanceMatrix per decision, one per deletion subset for swaps). The
-/// routed entry points above fall back to these when BNCG_FORCE_NAIVE is
-/// set; the differential suite
-/// tests/test_kstability_engine.cpp holds the engine to byte-identical
-/// reports against them.
+/// differential suite tests/test_kstability_engine.cpp holds the engine
+/// entry points above to byte-identical reports against them.
 namespace naive {
 
 [[nodiscard]] KStabilityReport insertion_stability_at(const Graph& g, Vertex v, Vertex k);

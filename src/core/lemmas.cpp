@@ -30,16 +30,11 @@ bool lemma3_all_cut_vertices(const Graph& g) {
 
 bool lemma6_diameter2_vertices_are_stable(const Graph& g) {
   const auto ecc = eccentricities(g);
-  // One shared snapshot/scratch for the whole loop; the public per-agent
-  // entry point would rebuild the engine per vertex.
-  std::optional<SwapEngine> engine;
-  if (!force_naive_requested()) engine.emplace(g);
-  BfsWorkspace ws;
+  // One shared snapshot/scratch for the whole loop.
+  SwapEngine engine(g);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     if (ecc[v] == kInfDist || ecc[v] > 2) continue;
-    const auto dev = engine ? engine->first_deviation(v, UsageCost::Sum)
-                            : naive::first_sum_deviation(g, v, ws);
-    if (dev) return false;
+    if (engine.first_deviation(v, UsageCost::Sum)) return false;
   }
   return true;
 }

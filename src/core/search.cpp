@@ -54,19 +54,9 @@ std::uint64_t pooled_unrest(const SwapEngine& engine, UsageCost model, LaneScrat
 }
 
 std::uint64_t unrest_of(const Graph& g, UsageCost model) {
-  if (!force_naive_requested()) {
-    const SwapEngine engine(g);
-    LaneScratch lanes(ThreadPool::global().size());
-    return pooled_unrest(engine, model, lanes);
-  }
-  std::uint64_t total = 0;
-  BfsWorkspace ws;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    total += deviation_unrest(model == UsageCost::Sum
-                                  ? naive::best_sum_deviation(g, v, ws)
-                                  : naive::best_max_deviation(g, v, ws, /*include_deletions=*/true));
-  }
-  return total;
+  const SwapEngine engine(g);
+  LaneScratch lanes(ThreadPool::global().size());
+  return pooled_unrest(engine, model, lanes);
 }
 
 void toggle_edge(Graph& g, Vertex u, Vertex v) {
@@ -87,15 +77,15 @@ struct ToggleShape {
 /// the graph and evaluated on one SwapEngine rebuilt on it: the shape screen
 /// is the largest eccentricity on the engine's shared slab (no connectivity
 /// or diameter BFS; under a budget no slab may fit, and it screens by BFS), and
-/// the unrest is pooled_unrest. Under BNCG_FORCE_NAIVE it holds no engine
-/// and screens and evaluates through BFS and the naive oracles. Staging a
-/// new toggle discards an unaccepted one.
+/// the unrest is pooled_unrest. Staging a new toggle discards an unaccepted
+/// one.
 class EngineEvaluator {
  public:
   EngineEvaluator(Graph g, UsageCost model, const ResourceConfig& resources)
-      : graph_(std::move(g)), model_(model), lanes_(ThreadPool::global().size()) {
-    if (!force_naive_requested()) engine_.emplace(graph_, resources);
-  }
+      : graph_(std::move(g)),
+        model_(model),
+        engine_(graph_, resources),
+        lanes_(ThreadPool::global().size()) {}
 
   /// Unrest of the start graph; called once, before the first proposal.
   std::uint64_t unrest() { return evaluate(); }
@@ -105,18 +95,17 @@ class EngineEvaluator {
     toggle_edge(graph_, u, v);
     staged_ = {u, v};
     const Vertex n = graph_.num_vertices();
-    if (engine_) engine_->rebuild(graph_);
+    engine_.rebuild(graph_);
     // agent_cost reads the u16 slab whenever the u8 one is not preferred or
     // saturates, so the slab screen is taken only when a u16 slab fits.
-    if (!engine_ || engine_->budget_policy().storage_for(n, DistWidth::U16) ==
-                        RowStorage::Budgeted) {
+    if (engine_.budget_policy().storage_for(n, DistWidth::U16) == RowStorage::Budgeted) {
       const Vertex d = diameter(graph_);
       return {d != kInfDist, d};
     }
-    engine_->build_shared_rows();
+    engine_.build_shared_rows();
     Vertex worst = 0;
     for (Vertex x = 0; x < n; ++x) {
-      const std::uint64_t ecc = engine_->agent_cost(x, UsageCost::Max);
+      const std::uint64_t ecc = engine_.agent_cost(x, UsageCost::Max);
       if (ecc == kInfCost) return {false, kInfDist};
       worst = std::max(worst, static_cast<Vertex>(ecc));
     }
@@ -132,14 +121,10 @@ class EngineEvaluator {
     return graph_;
   }
 
-  DistWidth width() const {
-    return engine_ ? engine_->preferred_width() : DistWidth::U16;
-  }
+  DistWidth width() const { return engine_.preferred_width(); }
 
  private:
-  std::uint64_t evaluate() {
-    return engine_ ? pooled_unrest(*engine_, model_, lanes_) : unrest_of(graph_, model_);
-  }
+  std::uint64_t evaluate() { return pooled_unrest(engine_, model_, lanes_); }
 
   void discard() {
     if (staged_) toggle_edge(graph_, staged_->first, staged_->second);
@@ -149,7 +134,7 @@ class EngineEvaluator {
   Graph graph_;  // the current graph, with the staged toggle applied
   UsageCost model_;
   std::optional<std::pair<Vertex, Vertex>> staged_;
-  std::optional<SwapEngine> engine_;
+  SwapEngine engine_;
   LaneScratch lanes_;
 };
 

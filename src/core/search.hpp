@@ -69,8 +69,7 @@ struct AnnealStats {
   std::uint64_t accepted = 0;    ///< proposals taken by the Metropolis rule
   std::uint64_t final_unrest = 0;
   std::uint64_t final_fingerprint = 0;  ///< graph_fingerprint of the graph the run ended on
-  /// Width the engine preferred on the last graph it scanned (under
-  /// BNCG_FORCE_NAIVE there is no engine and the width stays U16).
+  /// Width the engine preferred on the last graph it scanned.
   DistWidth dist_width = DistWidth::U16;
 };
 

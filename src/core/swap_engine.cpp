@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstdlib>
 #include <limits>
 #include <map>
 
@@ -183,14 +182,6 @@ RowCacheStats SwapEngine::Scratch::row_cache_stats() const {
   out.contexts = a.contexts + b.contexts;
   out.peak_bytes = a.peak_bytes + b.peak_bytes;
   return out;
-}
-
-bool force_naive_requested() {
-  static const bool forced_naive = [] {
-    const char* env = std::getenv("BNCG_FORCE_NAIVE");
-    return env != nullptr && *env != '\0' && *env != '0';
-  }();
-  return forced_naive;
 }
 
 void SwapEngine::rebuild(const Graph& g, const ResourceConfig& resources) {

@@ -51,8 +51,8 @@
 // Scans enumerate candidates in exactly the naive order and apply exactly
 // the naive acceptance rules, so engine results are bit-identical to the
 // brute-force oracle (differential-tested on hundreds of random instances —
-// across widths too, see tests/test_width_fuzz.cpp; set BNCG_FORCE_NAIVE=1
-// to route the public certifier API back to the oracle).
+// across widths too, see tests/test_width_fuzz.cpp; the oracle is
+// bncg::naive, called by name).
 //
 // The engine answers one agent at a time and owns no agent loop: whole-graph
 // certification is certify_sharded (core/certify_sharded.hpp), the one
@@ -81,12 +81,6 @@
 #include "util/simd.hpp"
 
 namespace bncg {
-
-/// True iff BNCG_FORCE_NAIVE is set (read once per process): every
-/// accelerated path — certifiers, dynamics and anneal alike — must consult
-/// this one helper so the env var toggles them together. It is the only
-/// gate between the public certifier entry points and the engine.
-[[nodiscard]] bool force_naive_requested();
 
 /// One α-game usage evaluation from SwapEngine::alpha_scan, emitted in
 /// exactly the order ClassicGame's naive scan enumerates moves (adds by

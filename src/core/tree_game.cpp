@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/swap_engine.hpp"  // force_naive_requested
 #include "graph/bfs.hpp"
 #include "graph/metrics.hpp"
 #include "graph/subgraph.hpp"
@@ -128,7 +127,6 @@ std::optional<TreeMove> best_tree_deviation(const Graph& tree, Vertex v) {
 
 std::optional<TreeMove> best_tree_deviation(const Graph& tree, Vertex v,
                                             TreeGameScratch& s) {
-  if (force_naive_requested()) return naive::best_tree_deviation(tree, v);
   tree.check_vertex(v);
   const Vertex n = tree.num_vertices();
   // Tree validation is folded into the work the sweep does anyway: the O(1)

@@ -47,10 +47,10 @@ struct TreeGameScratch {
 };
 
 /// Best improving tree swap for agent v, or nullopt when v is stable.
-/// Routed: a single-rooting O(n) rerooting sweep (all of v's detachable
-/// subtrees share one rooted pass, no BFS, no induced subgraphs) unless
-/// BNCG_FORCE_NAIVE routes to the oracle below. Identical moves, gains, and
-/// tie-breaks (tests/test_tree_game_engine.cpp). Precondition: tree.
+/// A single-rooting O(n) rerooting sweep (all of v's detachable subtrees
+/// share one rooted pass, no BFS, no induced subgraphs), with moves, gains
+/// and tie-breaks identical to the oracle below
+/// (tests/test_tree_game_engine.cpp). Precondition: tree.
 [[nodiscard]] std::optional<TreeMove> best_tree_deviation(const Graph& tree, Vertex v);
 
 /// Scratch-reusing variant for sweeps over many agents or dynamics steps.

@@ -57,8 +57,7 @@ TEST(ClassicGame, StarIsNotEquilibriumForTinyAlpha) {
 
 TEST(ClassicGame, PathAgentBuysShortcutWhenCheap) {
   const ClassicGame game(path(6), 0.5);
-  BfsWorkspace ws;
-  const auto move = game.best_deviation(0, ws);
+  const auto move = game.best_deviation(0);
   ASSERT_TRUE(move.has_value());
   EXPECT_EQ(move->type, ClassicMove::Type::Add);
   EXPECT_GT(move->gain, 0.0);
@@ -67,16 +66,14 @@ TEST(ClassicGame, PathAgentBuysShortcutWhenCheap) {
 TEST(ClassicGame, ExpensiveAlphaTriggersDeletionsOfRedundantEdges) {
   // A clique owner saves α per deleted edge at small distance penalty.
   const ClassicGame game(complete(6), 100.0);
-  BfsWorkspace ws;
-  const auto move = game.best_deviation(0, ws);
+  const auto move = game.best_deviation(0);
   ASSERT_TRUE(move.has_value());
   EXPECT_EQ(move->type, ClassicMove::Type::Delete);
 }
 
 TEST(ClassicGame, ApplyMaintainsOwnershipInvariants) {
   ClassicGame game(path(5), 0.5);
-  BfsWorkspace ws;
-  const auto move = game.best_deviation(0, ws);
+  const auto move = game.best_deviation(0);
   ASSERT_TRUE(move.has_value());
   game.apply(*move);
   EXPECT_NO_THROW(game.graph().check_invariants());
@@ -106,9 +103,8 @@ TEST(ClassicGame, SwapStabilityTransfersFromSumEquilibriumForAllAlpha) {
   const Graph g = star(7);
   for (const double alpha : {0.1, 1.0, 3.0, 10.0, 1000.0}) {
     ClassicGame game(g, alpha);
-    BfsWorkspace ws;
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      const auto move = game.best_deviation(v, ws);
+      const auto move = game.best_deviation(v);
       if (move) {
         EXPECT_NE(move->type, ClassicMove::Type::Swap)
             << "alpha=" << alpha << " v=" << v;

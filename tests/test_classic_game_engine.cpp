@@ -86,9 +86,9 @@ void expect_same_move(const std::optional<ClassicMove>& got,
 }
 
 TEST(ClassicGameEngine, BestDeviationParity) {
-  // 2 SIMD extremes × 105 instances × 6 α values × every agent. The routed
+  // 2 SIMD extremes × 105 instances × 6 α values × every agent. The public
   // best_deviation and the explicit engine entry point are both compared, so
-  // the router itself cannot drift.
+  // the public entry point cannot drift.
   LevelGuard guard;
   for (const SimdLevel level : {SimdLevel::Scalar, simd_max_level()}) {
     ASSERT_EQ(simd_set_level(level), level);
@@ -107,7 +107,7 @@ TEST(ClassicGameEngine, BestDeviationParity) {
                                   " v=" + std::to_string(v);
           const auto want = game.best_deviation_naive(v, ws);
           expect_same_move(game.best_deviation_engine(engine, scratch, v), want, ctx + " engine");
-          expect_same_move(game.best_deviation(v, ws), want, ctx + " routed");
+          expect_same_move(game.best_deviation(v), want, ctx + " public");
         }
       }
     }

@@ -5,9 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
+#include "certificate_oracle.hpp"
 #include "core/swap_engine.hpp"
-
 #include "gen/classic.hpp"
 #include "gen/paper.hpp"
 #include "gen/random.hpp"
@@ -107,22 +108,21 @@ TEST(SumEquilibrium, RepairedN8WitnessIsADiameter3SumEquilibrium) {
 
 TEST(SumEquilibrium, PerVertexScanFindsDeviationOnlyForUnstableAgents) {
   // In a path, inner agents can improve; in a star, nobody can.
-  BfsWorkspace ws;
-  EXPECT_TRUE(first_sum_deviation(path(6), 0, ws).has_value());
+  EXPECT_FALSE(vertex_is_sum_stable(path(6), 0));
   const Graph s = star(6);
   for (Vertex v = 0; v < 6; ++v) {
-    EXPECT_FALSE(first_sum_deviation(s, v, ws).has_value()) << v;
+    EXPECT_TRUE(vertex_is_sum_stable(s, v)) << v;
   }
 }
 
 TEST(SumEquilibrium, BestDeviationWeaklyBeatsFirst) {
   Xoshiro256ss rng(31);
-  BfsWorkspace ws;
   for (int trial = 0; trial < 10; ++trial) {
     const Graph g = random_connected_gnm(15, 20, rng);
+    SwapEngine engine(g);
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      const auto first = first_sum_deviation(g, v, ws);
-      const auto best = best_sum_deviation(g, v, ws);
+      const auto first = engine.first_deviation(v, UsageCost::Sum);
+      const auto best = engine.best_deviation(v, UsageCost::Sum);
       EXPECT_EQ(first.has_value(), best.has_value());
       if (first && best) {
         EXPECT_LE(best->cost_after, first->cost_after);
@@ -285,6 +285,9 @@ TEST(StructuralProperties, DisconnectedGraphsFailEverything) {
   g.add_edge(2, 3);
   EXPECT_FALSE(is_deletion_critical(g));
   EXPECT_FALSE(is_insertion_stable(g));
+  // Edgeless: no edge to test, but the input is still disconnected.
+  EXPECT_FALSE(is_deletion_critical(Graph(3)));
+  EXPECT_FALSE(is_insertion_stable(Graph(3)));
 }
 
 // ------------------------------------------------------- Lemma 2 (balance)
@@ -305,12 +308,12 @@ TEST(Certifier, ParallelCertifierMatchesSerialPerVertexScan) {
   // The OpenMP-parallel certifier must agree with a plain serial sweep of
   // the per-vertex scanners on both verdict and (non)existence of witnesses.
   Xoshiro256ss rng(332);
-  BfsWorkspace ws;
   for (int trial = 0; trial < 8; ++trial) {
     const Graph g = random_connected_gnm(14, 20 + trial, rng);
+    SwapEngine engine(g);
     bool serial_stable = true;
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      serial_stable = serial_stable && !best_sum_deviation(g, v, ws).has_value();
+      serial_stable = serial_stable && !engine.best_deviation(v, UsageCost::Sum).has_value();
     }
     const EquilibriumCertificate cert = certify_sum_equilibrium(g);
     EXPECT_EQ(cert.is_equilibrium, serial_stable) << to_string(g);
@@ -353,27 +356,12 @@ TEST(Certifier, MovesCheckedGrowsWithInstanceSize) {
 
 // ------------------------------------------------------------- public API
 
-void expect_same_deviation(const std::optional<Deviation>& got,
-                           const std::optional<Deviation>& want) {
-  ASSERT_EQ(got.has_value(), want.has_value());
-  if (!got) return;
-  EXPECT_EQ(got->swap.v, want->swap.v);
-  EXPECT_EQ(got->swap.remove_w, want->swap.remove_w);
-  EXPECT_EQ(got->swap.add_w, want->swap.add_w);
-  EXPECT_EQ(got->cost_before, want->cost_before);
-  EXPECT_EQ(got->cost_after, want->cost_after);
-  EXPECT_EQ(got->kind, want->kind);
-}
-
 // The public entry points reach the engine at every n: no size gate sends
 // large instances to the Θ(n³) naive scan. n = 4097 is one past the cap
 // such a gate once had; through the naive path this test would run far
-// past its ctest TIMEOUT. Not in the BNCG_FORCE_NAIVE ctest entry's
-// filter, and skipped when the toggle is set, for that same reason.
+// past its ctest TIMEOUT.
 TEST(PublicApi, MaxCertifierAboveFormerNaiveCapMatchesEngine) {
-  if (force_naive_requested()) GTEST_SKIP() << "BNCG_FORCE_NAIVE routes to the Θ(n³) oracle";
   const Graph g = star(4097);
-  SwapEngine engine(g);
 
   // The oracle's certificate in closed form (its Θ(n³) run is what this
   // test must not take): a star is a max equilibrium, and the scan counts
@@ -384,10 +372,58 @@ TEST(PublicApi, MaxCertifierAboveFormerNaiveCapMatchesEngine) {
   EXPECT_FALSE(got.witness.has_value());
   EXPECT_EQ(got.moves_checked, std::uint64_t{4096} * 4095 + 2 * 4096);
 
+  // A swap keeps a leaf at degree one, so its eccentricity 2 cannot drop.
   const Vertex leaf = 4096;
-  BfsWorkspace ws;
-  expect_same_deviation(best_max_deviation(g, leaf, ws),
-                        engine.best_deviation(leaf, UsageCost::Max));
+  EXPECT_FALSE(SwapEngine(g).best_deviation(leaf, UsageCost::Max).has_value());
+}
+
+// ------------------------------------------------- engine against oracle
+
+// Every named construction of the SumEquilibrium and MaxEquilibrium suites,
+// certified by the engine (certify_*) and by the oracle (naive::certify_*):
+// the whole certificates must agree — verdict, moves_checked and witness.
+struct NamedGraph {
+  const char* name;
+  Graph graph;
+};
+
+std::vector<NamedGraph> named_constructions() {
+  Graph chorded = cycle(8);
+  chorded.add_edge(0, 2);
+  return {
+      {"star(8)", star(8)},
+      {"complete(6)", complete(6)},
+      {"path(6)", path(6)},
+      {"path(7)", path(7)},
+      {"cycle(3)", cycle(3)},
+      {"cycle(4)", cycle(4)},
+      {"cycle(5)", cycle(5)},
+      {"cycle(12)", cycle(12)},
+      {"double_star(3,3)", double_star(3, 3)},
+      {"double_star(2,2)", double_star(2, 2)},
+      {"double_star(3,5)", double_star(3, 5)},
+      {"double_star(1,2)", double_star(1, 2)},
+      {"double_star(1,1)", double_star(1, 1)},
+      {"fig3_literal", fig3_diameter3_graph()},
+      {"repaired_n8", diameter3_sum_equilibrium_n8()},
+      {"cycle(8)+chord", std::move(chorded)},
+      {"rotated_torus(3)", rotated_torus(3).graph()},
+      {"torus_standard(6,6)", torus_standard(6, 6)},
+  };
+}
+
+TEST(CertifierOracle, SumConstructionsMatchNaiveCertificates) {
+  for (const NamedGraph& c : named_constructions()) {
+    expect_same_certificate(certify_sum_equilibrium(c.graph),
+                            naive::certify_sum_equilibrium(c.graph), c.name);
+  }
+}
+
+TEST(CertifierOracle, MaxConstructionsMatchNaiveCertificates) {
+  for (const NamedGraph& c : named_constructions()) {
+    expect_same_certificate(certify_max_equilibrium(c.graph),
+                            naive::certify_max_equilibrium(c.graph), c.name);
+  }
 }
 
 }  // namespace

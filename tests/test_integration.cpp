@@ -59,9 +59,8 @@ TEST(Integration, EquilibriumFromDynamicsIsSwapStableInAlphaGameForAllAlpha) {
   ASSERT_TRUE(r.converged);
   for (const double alpha : {0.01, 1.0, 7.0, 1e6}) {
     ClassicGame game(r.graph, alpha);
-    BfsWorkspace ws;
     for (Vertex v = 0; v < r.graph.num_vertices(); ++v) {
-      const auto move = game.best_deviation(v, ws);
+      const auto move = game.best_deviation(v);
       if (move) {
         EXPECT_NE(move->type, ClassicMove::Type::Swap);
       }

@@ -147,10 +147,9 @@ TEST(KStabilityEngine, SwapVerdictAndWitnessParity) {
 }
 
 TEST(KStabilityEngine, RoutedEntryPointsMatchOracles) {
-  // The public Graph-level functions route through the engine here (small n,
-  // BNCG_FORCE_NAIVE unset in this harness): spot-check they give oracle
-  // answers, so routing introduces no drift on top of the engine parity
-  // above. Also pins the paper-fact baseline the bench leans on: Theorem 12
+  // The public Graph-level functions run the engine on a snapshot they
+  // build per call: spot-check they give oracle answers, so the entry points
+  // introduce no drift on top of the engine parity above. Also pins the paper-fact baseline the bench leans on: Theorem 12
   // guarantees the dim-dimensional diagonal torus tolerates at least dim − 1
   // insertions (small side lengths can tolerate more, so only the lower
   // bound is asserted).

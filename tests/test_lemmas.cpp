@@ -136,8 +136,7 @@ TEST(Corollary11, ViolatedByLongPaths) {
   // are far from equilibrium, so this does not contradict the corollary.
   const Graph g = path(400);
   EXPECT_FALSE(corollary11_insertion_gain_bound(g));
-  BfsWorkspace ws;
-  EXPECT_TRUE(first_sum_deviation(g, 0, ws).has_value());  // far from equilibrium
+  EXPECT_FALSE(vertex_is_sum_stable(g, 0));  // far from equilibrium
 }
 
 }  // namespace

@@ -125,9 +125,7 @@ TEST(Search, AnnealTrajectoriesMatchPins) {
   // counter and the fingerprint of the graph each run ended on. Every run
   // evaluates through the engine — at both storage widths, and once more
   // under a memory budget too small for any dense slab, so scans and the
-  // shape screen run budgeted — and under BNCG_FORCE_NAIVE (the
-  // public_api_force_naive entry) through the naive oracles; all are held
-  // to the same pins. The gnm24 runs start off the target diameter and are
+  // shape screen run budgeted; all are held to the same pins. The gnm24 runs start off the target diameter and are
   // nudged onto it first; the chorded cycle's masked distances cross the
   // u8 cap, so its u8 scans fall back to u16.
   struct Pin {

@@ -7,6 +7,7 @@
 
 #include "core/dynamics.hpp"
 #include "core/equilibrium.hpp"
+#include "core/swap_engine.hpp"
 #include "gen/classic.hpp"
 #include "gen/random.hpp"
 #include "graph/metrics.hpp"
@@ -45,12 +46,12 @@ TEST(TreeGame, MedianOfPathIsMiddle) {
 
 TEST(TreeGame, BestDeviationMatchesGenericEngine) {
   Xoshiro256ss rng(122);
-  BfsWorkspace ws;
   for (int trial = 0; trial < 10; ++trial) {
     const Graph t = random_tree(14, rng);
+    SwapEngine engine(t);
     for (Vertex v = 0; v < t.num_vertices(); ++v) {
       const auto fast = best_tree_deviation(t, v);
-      const auto generic = best_sum_deviation(t, v, ws);
+      const auto generic = engine.best_deviation(v, UsageCost::Sum);
       ASSERT_EQ(fast.has_value(), generic.has_value()) << "v=" << v << " " << to_string(t);
       if (fast && generic) {
         EXPECT_EQ(fast->gain, generic->cost_before - generic->cost_after)

@@ -123,8 +123,8 @@ using namespace bncg;
          "--mem-budget B caps distance storage for the whole process (bytes,\n"
          "  with optional K/M/G binary suffix), split evenly across the\n"
          "  BNCG_THREADS engine lanes; scans whose dense rows do not fit their\n"
-         "  lane's share run against the blocked row cache. BNCG_MEM_BUDGET\n"
-         "  sets the same cap when the flag is absent.\n"
+         "  lane's share run against the blocked row cache. Without the flag\n"
+         "  storage is unlimited.\n"
          "exit codes: 0 certificate emitted (either verdict); 1 usage or\n"
          "  environment error, or a disconnected graph (the game is defined on\n"
          "  connected graphs); 2 coverage refusal (serve quarantined ranges and\n"
